@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
+    DEFAULT_EPS_BUDGET,
     Atom,
     Automaton,
     Configuration,
@@ -34,20 +35,20 @@ from .core import (
     Op,
     Run,
     Stack,
-    Step,
     Transition,
-    empty_run,
     execute_word,
-    extend_run,
-    initial_configuration,
     is_well_formed,
-    step,
     validate_automaton,
 )
 
 
 class CliError(Exception):
     """Parse or validation failure; maps to exit code 2."""
+
+
+def _is_number(text: str) -> bool:
+    """A nonempty run of ASCII digits; `str.isdigit` also accepts `²`."""
+    return text.isascii() and text.isdigit()
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def parse_data_word(text: str):
         letter, _, value = token.rpartition("@")
         if not letter:
             raise CliError(f"token {token!r} has an empty letter")
-        if not value.isdigit():
+        if not _is_number(value):
             raise CliError(f"token {token!r} has a non-numeric value")
         word.append((letter, int(value)))
     return tuple(word)
@@ -142,7 +143,7 @@ class _StackParser:
             self.error(f"atom {body!r} needs symbol,data")
         if data == "-":
             value = None
-        elif data.isdigit():
+        elif _is_number(data):
             value = int(data)
         else:
             self.error(f"bad data value {data!r}")
@@ -167,23 +168,18 @@ def parse_stack_literal(text: str, level: int) -> Stack:
 @dataclass
 class Scenario:
     automaton: Automaton
-    start: Optional[Configuration] = None
-
-    def start_configuration(self) -> Configuration:
-        if self.start is not None:
-            return self.start
-        return initial_configuration(self.automaton)
+    start: Optional[Configuration] = None  # None: the initial configuration
 
 
 def _parse_op(tokens: list[str], where: str) -> Op:
     if not tokens:
         raise CliError(f"{where}: missing operation")
     kind = tokens[0]
-    if kind == "pop" and len(tokens) == 2 and tokens[1].isdigit():
+    if kind == "pop" and len(tokens) == 2 and _is_number(tokens[1]):
         return Op("pop", int(tokens[1]))
-    if kind == "push" and len(tokens) == 3 and tokens[1].isdigit():
+    if kind == "push" and len(tokens) == 3 and _is_number(tokens[1]):
         return Op("push", int(tokens[1]), tokens[2])
-    if kind == "collapse" and len(tokens) == 2 and tokens[1].isdigit():
+    if kind == "collapse" and len(tokens) == 2 and _is_number(tokens[1]):
         return Op("collapse", int(tokens[1]))
     raise CliError(f"{where}: bad operation {' '.join(tokens)!r}")
 
@@ -210,7 +206,7 @@ def parse_automaton_text(text: str) -> Scenario:
         key = tokens[0]
         rest = tokens[1:]
         if key == "level":
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not _is_number(rest[0]):
                 raise CliError(f"{where}: level needs one number")
             fields["level"] = int(rest[0])
         elif key == "collapsible":
@@ -244,6 +240,8 @@ def parse_automaton_text(text: str) -> Scenario:
                 raise CliError(f"{where}: start-state needs one token")
             start_state = rest[0]
         elif key == "start-stack":
+            if not rest:
+                raise CliError(f"{where}: start-stack needs a stack literal")
             start_stack_text = line.split(None, 1)[1]
         else:
             raise CliError(f"{where}: unknown directive {key!r}")
@@ -317,24 +315,11 @@ def load_scenario(path: str) -> Scenario:
 
 def drive_run(scenario: Scenario, word, eps_budget: int) -> Run:
     """Step from the scenario start, interleaving epsilon steps and the
-    given letters, until the word is exhausted and no step applies."""
+    given letters, until the word is exhausted and no step applies; the
+    run goes on past accepting states."""
     aut = scenario.automaton
-    run = empty_run(aut, scenario.start_configuration())
-    pos = 0
-    streak = 0
-    while True:
-        nxt = word[pos] if pos < len(word) else None
-        res = step(aut, run.configs[-1], nxt)
-        if not isinstance(res, Step):
-            return run
-        if res.label[0] is None:
-            streak += 1
-            if streak > eps_budget:
-                return run
-        else:
-            streak = 0
-            pos += 1
-        run = extend_run(run, res)
+    endless = replace(aut, accepting=frozenset())  # so execute_word never accepts
+    return replace(execute_word(endless, word, eps_budget, scenario.start).run, automaton=aut)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +491,10 @@ def _cmd_u_machine(args) -> int:
 def _cmd_gen_word(args) -> int:
     from .ulang import decorate_distinct, gen_w
 
-    word = gen_w(args.k, args.n)
+    try:
+        word = gen_w(args.k, args.n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if args.decorate:
         print(format_data_word(decorate_distinct(word)))
     else:
@@ -527,6 +515,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _eps_budget(text: str) -> int:
+    if not _is_number(text):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hopad",
@@ -539,34 +533,34 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
         return p
 
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--eps-budget", type=_eps_budget, default=DEFAULT_EPS_BUDGET)
+    monoid = argparse.ArgumentParser(add_help=False)
+    monoid.add_argument("--monoid", default="shape", choices=("shape", "trivial", "presence"))
+
     p = add("validate", _cmd_validate, help="check an automaton file")
     p.add_argument("file")
 
     for name, fn in (("run", _cmd_run), ("accept", _cmd_accept)):
-        p = add(name, fn, help=f"{name} a data word on an automaton")
+        p = add(name, fn, parents=[budget], help=f"{name} a data word on an automaton")
         p.add_argument("file")
         p.add_argument("--word", required=(name == "accept"), default="")
-        p.add_argument("--eps-budget", type=int, default=10_000)
         if name == "run":
             p.add_argument("--dump", action="store_true")
 
-    p = add("classify", _cmd_classify, help="print the per-subrun classification grid")
+    p = add("classify", _cmd_classify, parents=[budget], help="print the per-subrun classification grid")
     p.add_argument("file")
     p.add_argument("--word", default="")
-    p.add_argument("--eps-budget", type=int, default=10_000)
     p.add_argument("--from", dest="span_from", type=int, default=None)
     p.add_argument("--to", dest="span_to", type=int, default=None)
 
-    p = add("types", _cmd_types, help="print the saturated level-0 descriptor table")
+    p = add("types", _cmd_types, parents=[monoid], help="print the saturated level-0 descriptor table")
     p.add_argument("file")
-    p.add_argument("--monoid", default="shape", choices=("shape", "trivial", "presence"))
 
-    p = add("src", _cmd_src, help="print source sets of the driven run")
+    p = add("src", _cmd_src, parents=[budget, monoid], help="print source sets of the driven run")
     p.add_argument("file")
     p.add_argument("--word", default="")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--monoid", default="shape", choices=("shape", "trivial", "presence"))
-    p.add_argument("--eps-budget", type=int, default=10_000)
 
     p = add("u-check", _cmd_u_check, help="membership in the bracket-mirror language")
     p.add_argument("--word", required=True)

@@ -215,6 +215,16 @@ def stack_sizes(stack: Stack, level: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def stack_values(stack: Stack, level: int) -> set:
+    """The data values stored anywhere in a level-`level` stack."""
+    if level == 0:
+        return set() if stack.data is None else {stack.data}
+    out = set()
+    for child in stack:
+        out |= stack_values(child, level - 1)
+    return out
+
+
 def is_well_formed(stack: Stack, level: int) -> bool:
     if level == 0:
         return isinstance(stack, Atom)
@@ -255,12 +265,6 @@ def _modify_top(stack: Stack, depth: int, fn):
     return stack[:-1] + (_modify_top(stack[-1], depth - 1, fn),)
 
 
-def _replace_top_atom(stack: Stack, level: int, atom: Atom) -> Stack:
-    if level == 0:
-        return atom
-    return stack[:-1] + (_replace_top_atom(stack[-1], level - 1, atom),)
-
-
 def apply_operation(
     stack: Stack,
     level: int,
@@ -297,7 +301,7 @@ def apply_operation(
         atom = Atom(op.symbol, data, links)
 
         def dup(s):
-            return s + (_replace_top_atom(s[-1], k - 1, atom),)
+            return s + (_modify_top(s[-1], k - 1, lambda _: atom),)
 
         return _modify_top(stack, level - k, dup)
 
@@ -438,15 +442,21 @@ class Outcome:
 
 
 def execute_word(
-    aut: Automaton, word: DataWord, eps_budget: int = DEFAULT_EPS_BUDGET
+    aut: Automaton,
+    word: DataWord,
+    eps_budget: int = DEFAULT_EPS_BUDGET,
+    start: Optional[Configuration] = None,
 ) -> Outcome:
-    """Run the automaton on a data word from its initial configuration.
+    """Run the automaton on a data word from `start`, by default its
+    initial configuration.
 
     Accepts when an accepting state is reached with the whole word
-    consumed (trailing epsilon steps permitted); `eps_budget` bounds
-    consecutive epsilon steps so deterministic epsilon loops terminate.
+    consumed (trailing epsilon steps permitted).  `eps_budget` bounds
+    consecutive epsilon steps so deterministic epsilon loops terminate:
+    the step that would exceed it is not taken, so a budget-exhausted
+    run ends with exactly `eps_budget` consecutive epsilon steps.
     """
-    run = empty_run(aut, initial_configuration(aut))
+    run = empty_run(aut, initial_configuration(aut) if start is None else start)
     pos = 0
     streak = 0
     while True:
@@ -464,7 +474,7 @@ def execute_word(
         if res.label[0] is None:
             streak += 1
             if streak > eps_budget:
-                return Outcome("budget-exhausted", extend_run(run, res))
+                return Outcome("budget-exhausted", run)
         else:
             streak = 0
             pos += 1

@@ -23,10 +23,12 @@ from .core import (
     Step,
     Transition,
     empty_run,
+    execute_word,
     extend_run,
     initial_configuration,
     pop,
     push,
+    stack_values,
     step,
     top_atom,
     validate_automaton,
@@ -50,7 +52,7 @@ class EnumerationSpace:
     def __post_init__(self):
         if 0 not in self.values:
             raise ValueError("the data universe must contain 0")
-        stored = _stack_values(self.start.stack, self.automaton.level)
+        stored = stack_values(self.start.stack, self.automaton.level)
         if not stored <= set(self.values):
             raise ValueError(
                 f"start configuration stores {sorted(stored - set(self.values))} "
@@ -60,7 +62,7 @@ class EnumerationSpace:
 
 def universe_for(aut: Automaton, config: Configuration, base=DEFAULT_UNIVERSE):
     """The base universe extended by the values stored in the start stack."""
-    return tuple(sorted(set(base) | _stack_values(config.stack, aut.level)))
+    return tuple(sorted(set(base) | stack_values(config.stack, aut.level)))
 
 
 def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
@@ -125,14 +127,9 @@ def seeded_configurations(
 
 def find_agreeing_runs(space: EnumerationSpace, goal, table) -> list[Run]:
     """Enumerated runs that agree with the goal under the typing table."""
-    from .lineage import instrument_lineage
     from .typesys import agrees
 
-    out = []
-    for run in enumerate_runs(space):
-        if agrees(instrument_lineage(run), goal, table):
-            out.append(run)
-    return out
+    return [run for run in enumerate_runs(space) if agrees(run, goal, table)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +189,7 @@ def classification_example_config() -> Configuration:
 def classification_example_run() -> Run:
     """The length-6 example run, driven to completion by epsilon steps."""
     aut = classification_example_machine()
-    run = empty_run(aut, classification_example_config())
-    for _ in range(6):
-        res = step(aut, run.configs[-1], None)
-        assert isinstance(res, Step)
-        run = extend_run(run, res)
-    return run
+    return execute_word(aut, (), start=classification_example_config()).run
 
 
 def excursion_machine() -> Automaton:
@@ -247,7 +239,7 @@ def u_fragment_corpus() -> tuple[Automaton, list[Configuration]]:
     The fragment drops the single collapse rule, so its runs are honest
     level-2 HOPAD runs, while the seeded stacks are rich in stored data
     values; the mirror-phase pop rules make those values important."""
-    from .core import decollapse, execute_word, strip_links
+    from .core import decollapse, strip_links
     from .ulang import build_u_recognizer
 
     full = build_u_recognizer()
@@ -390,15 +382,6 @@ def _machine_monoid(name: str, aut: Automaton):
     return presence_monoid(aut.input_alphabet)
 
 
-def _stack_values(stack, level) -> set:
-    if level == 0:
-        return set() if stack.data is None else {stack.data}
-    out = set()
-    for child in stack:
-        out |= _stack_values(child, level - 1)
-    return out
-
-
 def _suite_monoid_laws(seed, bounds):
     from .monoid import classify_word, shape_monoid, validate_monoid
 
@@ -523,7 +506,6 @@ def _near_member_words(rng: random.Random, count: int, max_len: int):
 
 
 def _suite_u_differential(seed, bounds):
-    from .core import execute_word
     from .ulang import build_u_recognizer, in_u
 
     aut = build_u_recognizer()
@@ -573,22 +555,13 @@ def _suite_classifier_equivalence(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _typed_corpus(seed, bounds):
-    from .typesys import saturate_level0
-
-    for name, aut, cfgs in _corpus(seed, bounds["typed_machines"]):
-        monoid = _machine_monoid(name, aut)
-        table = saturate_level0(aut, monoid)
-        yield name, aut, cfgs, table
-
-
 def _suite_run2type(seed, bounds):
     from .typesys import check_run2type
 
     hard, soft = [], []
     verified = checked = 0
     single_pop_soft = 0
-    for name, aut, cfgs, table in _typed_corpus(seed, bounds):
+    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
             rep = check_run2type(aut, cfg, table, bounds["run_bound"], values=(0, 1))
             hard += [f"{name}: {h}" for h in rep.hard_failures]
@@ -608,10 +581,10 @@ def _suite_idv(seed, bounds):
     hard, soft = [], []
     verified = checked = 0
     worked_example = 0
-    for name, aut, cfgs, table in _typed_corpus(seed, bounds):
+    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
             values = sorted(
-                {1, 2} | (_stack_values(cfg.stack, aut.level) - {0})
+                {1, 2} | (stack_values(cfg.stack, aut.level) - {0})
             )[:4]
             for d in values:
                 rep = check_idv(aut, cfg, table, bounds["run_bound"], d, values=(0, 1, 2))
@@ -641,7 +614,7 @@ def _suite_origin(seed, bounds):
                 universe_for(aut, cfg, (0, 1, 2)), normalized_only=True,
             )
             candidates = enumerate_runs(space)
-            d_values = sorted({1, 2} | (_stack_values(cfg.stack, n) - {0}))[:4]
+            d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
             for run in candidates:
                 lrun = instrument_lineage(run)
                 for k in range(0, n):
@@ -686,7 +659,7 @@ def _suite_idv_upper(seed, bounds):
                 aut, cfg, bounds["src_bound"],
                 universe_for(aut, cfg, (0, 1, 2)), normalized_only=True,
             )
-            d_values = sorted({1, 2, 3} | (_stack_values(cfg.stack, n) - {0}))[:5]
+            d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
             pairs = [
                 (d, dp) for d in d_values for dp in d_values if d < dp
             ]

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import Run, recompose, spine, top_stack
-from .lineage import LineageRun, instrument_lineage, is_k_return, is_k_upper, is_normalized
+from .core import Run, recompose, spine, stack_values, top_stack
+from .lineage import LineageRun, _as_lineage, instrument_lineage, is_k_return, is_k_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
@@ -76,7 +76,7 @@ def compute_src(
 ) -> SrcResult:
     """Source sets of a k-upper run for final assumption sets `sigmas`
     (level -> descriptor ids over levels k+1..n)."""
-    lrun = lrun if isinstance(lrun, LineageRun) else instrument_lineage(lrun)
+    lrun = _as_lineage(lrun)
     run = lrun.run
     aut = run.automaton
     if aut.uses_collapse:
@@ -201,7 +201,7 @@ def check_origin(
     k-stack, and held assumptions reads d or keeps it important.
     """
     report = CheckReport("origin")
-    lrun = lrun if isinstance(lrun, LineageRun) else instrument_lineage(lrun)
+    lrun = _as_lineage(lrun)
     run = lrun.run
     n = aut.level
     uni = table.universe
@@ -212,7 +212,7 @@ def check_origin(
     if d == 0:
         report.errors.append("d must differ from the normalization value 0")
     init_topk = top_stack(run.at(0).stack, n, k)
-    if d in _values_in(init_topk, k):
+    if d in stack_values(init_topk, k):
         report.errors.append(f"d={d} occurs in the initial topmost {k}-stack")
     if report.errors:
         return report
@@ -291,15 +291,6 @@ def check_origin(
     return report
 
 
-def _values_in(stack, level) -> set:
-    if level == 0:
-        return set() if stack.data is None else {stack.data}
-    out = set()
-    for child in stack:
-        out |= _values_in(child, level - 1)
-    return out
-
-
 def check_idv_upper(
     aut,
     lrun: Union[Run, LineageRun],
@@ -321,7 +312,7 @@ def check_idv_upper(
     indistinguishable in every final idv set.
     """
     report = CheckReport("idv-upper")
-    lrun = lrun if isinstance(lrun, LineageRun) else instrument_lineage(lrun)
+    lrun = _as_lineage(lrun)
     run = lrun.run
     n = aut.level
     if not is_normalized(lrun):
@@ -334,7 +325,7 @@ def check_idv_upper(
     if d in reads or d_prime in reads:
         report.errors.append("d and d' must not be read by the run")
     init_topk = top_stack(run.at(0).stack, n, k)
-    if d in _values_in(init_topk, k) or d_prime in _values_in(init_topk, k):
+    if d in stack_values(init_topk, k) or d_prime in stack_values(init_topk, k):
         report.errors.append("d and d' must not occur in the initial topmost k-stack")
     if report.errors:
         return report
@@ -369,7 +360,7 @@ def check_idv_upper(
 
     report.checked += 1
     final_topk = top_stack(run.configs[-1].stack, n, k)
-    if d in _values_in(final_topk, k) or d_prime in _values_in(final_topk, k):
+    if d in stack_values(final_topk, k) or d_prime in stack_values(final_topk, k):
         report.hard_failures.append(
             f"k={k}: d={d} or d'={d_prime} appears in the final topmost k-stack"
         )

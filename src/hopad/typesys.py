@@ -18,20 +18,20 @@ same entry, without (2a) or with (2b) a same-level continuation.  The
 actually use the atom's own data value.
 
 Free assumption-set positions (rule 1a's slots, which must mirror the
-goal's promised sets) are instantiated from a per-level slot universe,
-default {{}, {ne}}.  For automata of level <= 2 this is complete: no
-descriptor can live at level n, so the level-n universe is exactly
-{ne} and every subset of it is covered.
+goal's promised sets) are instantiated from the fixed slot universe
+{{}, {ne}} at every level.  For automata of level <= 2 this is
+complete: no descriptor can live at level n, so the level-n universe is
+exactly {ne} and every subset of it is covered.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import LineageRun, instrument_lineage, is_k_return
+from .lineage import LineageRun, _as_lineage, instrument_lineage, is_k_return
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -210,19 +210,9 @@ class Level0TypeTable:
     _typing_cache: dict = field(default_factory=dict, repr=False)
 
 
-def _slot_products(uni: Universe, levels: Sequence[int], slot_sets) -> Iterable[tuple]:
-    pools = [tuple(slot_sets.get(i, ((),))) for i in levels]
-    return itertools.product(*pools)
-
-
-def default_slot_sets(level: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    return {i: ((), (NE,)) for i in range(1, level + 1)}
-
-
 def saturate_level0(
     aut: Automaton,
     monoid: FiniteMonoid,
-    slot_sets: Optional[Mapping[int, Sequence[tuple[int, ...]]]] = None,
     max_descriptors: int = 50_000,
     transition_order: Optional[Sequence] = None,
 ) -> Level0TypeTable:
@@ -236,8 +226,6 @@ def saturate_level0(
             raise ValueError("the type system covers collapse-free automata only")
     n = aut.level
     uni = Universe(n, cap=max_descriptors)
-    if slot_sets is None:
-        slot_sets = default_slot_sets(n)
     entries: dict[tuple[str, bool], dict[int, bool]] = {
         (sym, hd): {} for sym in sorted(aut.stack_alphabet) for hd in (False, True)
     }
@@ -274,7 +262,7 @@ def saturate_level0(
             # rule 1a: the pop step itself is a k-return
             for tr in pops:
                 k = tr.op.level
-                for high in _slot_products(uni, range(n, k, -1), slot_sets):
+                for high in itertools.product(((), (NE,)), repeat=n - k):
                     gid = uni.intern_goal(phi(tr.letter), k, high, tr.target)
                     psis = high + ((NE,),) + ((),) * (k - 1)
                     did = uni.intern_desc(0, psis, tr.state, gid)
@@ -577,22 +565,9 @@ def agrees(
 ) -> bool:
     """phi matches, the run is an r-return into the right state, and the
     final spine pieces above r carry the promised descriptor sets."""
-    lrun = run if isinstance(run, LineageRun) else instrument_lineage(run)
     uni = table.universe
     g = uni.goal(goal) if isinstance(goal, int) else goal
-    if phi_of_run(table.monoid, lrun.run) != g.m:
-        return False
-    if lrun.run.configs[-1].state != g.q:
-        return False
-    if not is_k_return(lrun, g.r):
-        return False
-    n = table.automaton.level
-    final = type_of_stack(lrun.run.configs[-1].stack, g.r, table)
-    for i in range(g.r + 1, n + 1):
-        typing = final.typing(i)
-        if not all(t in typing for t in uni.sigma_at(g, i)):
-            return False
-    return True
+    return _run_agrees(_prepare(_as_lineage(run), table), g, uni, table.automaton.level)
 
 
 @dataclass
@@ -689,25 +664,27 @@ def _prepared_runs(aut, config, table, bound, values, normalized_only):
     space = EnumerationSpace(
         aut, config, bound, universe_for(aut, config, values), normalized_only
     )
-    prepared = []
-    n = aut.level
-    for run in enumerate_runs(space):
-        lrun = instrument_lineage(run)
-        final = run.configs[-1]
-        info = {
-            "run": run,
-            "lrun": lrun,
-            "phi": phi_of_run(table.monoid, run),
-            "state": final.state,
-            "returns": {r: is_k_return(lrun, r) for r in range(1, n + 1)},
-            "final_typing": {},
-            "reads": frozenset(d for a, d in run.read_word),
-        }
-        for r in range(1, n + 1):
-            if info["returns"][r]:
-                info["final_typing"][r] = type_of_stack(final.stack, r, table)
-        prepared.append(info)
-    return prepared
+    return [_prepare(instrument_lineage(run), table) for run in enumerate_runs(space)]
+
+
+def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
+    """What agreement with any goal needs to know about one run."""
+    run = lrun.run
+    n = table.automaton.level
+    final = run.configs[-1]
+    info = {
+        "run": run,
+        "lrun": lrun,
+        "phi": phi_of_run(table.monoid, run),
+        "state": final.state,
+        "returns": {r: is_k_return(lrun, r) for r in range(1, n + 1)},
+        "final_typing": {},
+        "reads": frozenset(d for a, d in run.read_word),
+    }
+    for r in range(1, n + 1):
+        if info["returns"][r]:
+            info["final_typing"][r] = type_of_stack(final.stack, r, table)
+    return info
 
 
 def _run_agrees(info, g, uni, n) -> bool:

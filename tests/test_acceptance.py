@@ -3,9 +3,12 @@ pass/fail line with its runtime (visible with pytest -s / on failure).
 
 Every tolerance is exact (0 mismatches / 0 hard failures); the suites
 behind the criteria live in hopad.harness and are seeded, so the whole
-gate is reproducible byte for byte.
+gate is reproducible byte for byte.  Criteria 1-9 run their suite at the
+seed and bounds of `hopad verify --seed 20260808` and must reproduce its
+committed report line, `checked=` and `verified=` counts included.
 """
 
+import pathlib
 import time
 
 import pytest
@@ -13,11 +16,16 @@ import pytest
 from hopad.harness import DEFAULT_BOUNDS, SUITE_NAMES, run_suites
 
 SEED = 20260808
+GOLDEN_REPORT = pathlib.Path(__file__).parent / "golden" / f"verify-{SEED}.txt"
+GOLDEN_LINES = {
+    line.split()[0].removeprefix("suite="): line
+    for line in GOLDEN_REPORT.read_text().splitlines()
+}
 
 
-def _criterion(number, name, budget_seconds, suites, bounds=None, check=None):
+def _criterion(number, name, budget_seconds, suites, check=None):
     start = time.time()
-    report = run_suites(suites, seed=SEED, bounds=bounds)
+    report = run_suites(suites, seed=SEED)
     elapsed = time.time() - start
     status = "PASS" if report.ok else "FAIL"
     extra_failures = []
@@ -29,6 +37,7 @@ def _criterion(number, name, budget_seconds, suites, bounds=None, check=None):
     for line in report.lines:
         print(f"    {line}")
     assert report.ok, report.text()
+    assert report.lines == [GOLDEN_LINES[s] for s in suites]
     assert not extra_failures, extra_failures
     assert elapsed < budget_seconds, f"{elapsed:.1f}s exceeds the {budget_seconds}s budget"
 

@@ -1,7 +1,7 @@
 import io
 import re
 import pathlib
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -25,6 +25,35 @@ def run_cli(*argv):
     with redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def run_cli_stderr(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+EPS_LOOP = """level 1
+input-alphabet a
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g eps q push 1 g
+"""
+
+# the start state accepts, yet an epsilon rule applies there
+ACCEPTING_WITH_EPS = """level 1
+input-alphabet a
+stack-alphabet g h
+initial-state q
+initial-symbol g
+accepting q
+trans q g eps r push 1 h
+trans r h eps s pop 1
+start-state q
+start-stack [(g,-)]
+"""
 
 
 def test_data_word_round_trip():
@@ -165,3 +194,65 @@ def test_verify_command_smoke():
     code, out = run_cli("verify", "--suite", "monoid-laws", "--suite", "w-recurrence")
     assert code == 0
     assert out.splitlines()[0].startswith("suite=monoid-laws status=pass")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "level \u00b2\n",
+        "level 1\ninitial-state q\ninitial-symbol X\ntrans q X eps q pop \u00b2\n",
+        "level 1\ninitial-state q\ninitial-symbol X\nstart-state q\nstart-stack [(X,\u00b2)]\n",
+        "level 1\ninitial-state q\ninitial-symbol X\nstart-state q\nstart-stack\n",
+    ],
+    ids=["level", "op-level", "atom-data", "empty-start-stack"],
+)
+def test_malformed_automaton_text_is_a_cli_error(text):
+    with pytest.raises(CliError):
+        parse_automaton_text(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "{no_stack}"),
+        ("u-check", "--word", "[@\u00b2"),
+        ("gen-word", "--k", "6", "--n", "50"),
+        ("gen-word", "--k", "7"),
+    ],
+    ids=["start-stack", "u-check-superscript", "gen-word-length-cap", "gen-word-k-range"],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
+    no_stack = tmp_path / "no-stack.scenario"
+    no_stack.write_text(ACCEPTING_WITH_EPS.replace("start-stack [(g,-)]", "start-stack"))
+    code, err = run_cli_stderr(*(a.format(no_stack=no_stack) for a in argv))
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "accept", "classify", "src"])
+def test_negative_eps_budget_is_a_usage_error(command):
+    err = io.StringIO()
+    argv = [command, str(GOLDEN / "u-machine.aut"), "--word", "$@0", "--eps-budget", "-5"]
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--eps-budget" in err.getvalue()
+
+
+def test_budget_exhausted_run_holds_exactly_the_budget(tmp_path):
+    path = tmp_path / "eps-loop.aut"
+    path.write_text(EPS_LOOP)
+    code, out = run_cli("run", str(path), "--dump", "--eps-budget", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines if line.startswith("i=")] == ["i=0", "i=1", "i=2"]
+    assert lines[-1] == "budget-exhausted"
+
+
+def test_scenario_runs_step_past_an_accepting_state(tmp_path):
+    path = tmp_path / "accepting-with-eps.scenario"
+    path.write_text(ACCEPTING_WITH_EPS)
+    assert run_cli("run", str(path)) == (0, "stopped in state s after 2 steps\n")
+    code, out = run_cli("classify", str(path))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4  # header plus j=0..2

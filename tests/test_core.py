@@ -200,8 +200,21 @@ def test_execute_word_outcomes():
             (Transition("q", "g", None, "q", push(1, "g")),),
         )
     )
-    assert execute_word(eps_loop, (), eps_budget=0).kind == "budget-exhausted"
-    assert execute_word(eps_loop, (), eps_budget=3).kind == "budget-exhausted"
+    for budget in (0, 3):
+        out = execute_word(eps_loop, (), eps_budget=budget)
+        assert out.kind == "budget-exhausted"
+        assert len(out.run) == budget  # the step over the budget is not taken
+        assert replay(out.run)
+
+
+def test_execute_word_from_a_start_configuration():
+    aut = single_pop_automaton()
+    cfg = Configuration("q", (atom("g0"), atom("g1", 5)))
+    out = execute_word(aut, (("a", 5),), start=cfg)
+    assert out.accepted
+    assert out.run.at(0) == cfg and len(out.run) == 1
+    # from the initial configuration the same word finds no rule
+    assert execute_word(aut, (("a", 5),)).kind == "rejected"
 
 
 def test_execute_word_purity_and_replay():

@@ -450,3 +450,42 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     # witnessed either way; deeper seeded configurations carry the
     # positive instances
     assert report.verified == 0 and not report.unwitnessed
+
+
+def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
+    # saturation discharges push slots through the member-by-member
+    # search in _discharges; each vector it yields must have a choice of
+    # drop_index entries that check_composer accepts, and its idv flag
+    # must be the disjunction over exactly those choices
+    import itertools
+
+    from hopad import typesys
+    from hopad.harness import DEFAULT_BOUNDS, _corpus_with_tables
+
+    original = typesys._discharges
+    yields = 0
+
+    def checked(uni, psi_k, flags, drop_index, k, *args, **kwargs):
+        nonlocal yields
+        flags = dict(flags)  # saturation may raise a flag while we iterate
+        members = [m for m in psi_k if m != NE]
+        choices = {
+            frozenset(combo)
+            for combo in itertools.product(*(drop_index.get(m, ()) for m in members))
+        }
+        for phi_by_level, flag in original(uni, psi_k, flags, drop_index, k, *args, **kwargs):
+            yields += 1
+            phis = [phi_by_level[i] for i in range(k, 0, -1)]
+            witnesses = [
+                chosen
+                for chosen in choices
+                if check_composer(uni, k, 0, phis + [chosen], psi_k) is not None
+            ]
+            assert witnesses, (psi_k, phi_by_level)
+            assert any(flags[did] for chosen in witnesses for did in chosen) == flag
+            yield phi_by_level, flag
+
+    monkeypatch.setattr(typesys, "_discharges", checked)
+    for _ in _corpus_with_tables(20260808, DEFAULT_BOUNDS["typed_machines"]):
+        pass
+    assert yields == 235
