@@ -31,13 +31,14 @@ from .core import (
     Atom,
     Automaton,
     Configuration,
+    IllFormed,
     InvalidAutomaton,
     Op,
     Run,
     Stack,
     Transition,
     execute_word,
-    is_well_formed,
+    from_nested,
     validate_automaton,
 )
 
@@ -94,9 +95,10 @@ def render_op(op: Op) -> str:
 
 
 class _StackParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, link_count: Optional[int]):
         self.text = text
         self.pos = 0
+        self.link_count = link_count  # links on every atom; None: no links
 
     def error(self, message: str):
         raise CliError(f"stack literal: {message} at offset {self.pos}")
@@ -132,12 +134,17 @@ class _StackParser:
         self.pos = end + 1
         if ";" in body:
             main, _, linkpart = body.partition(";")
-            try:
-                links = tuple(int(x) for x in linkpart.split(","))
-            except ValueError:
+            if not all(_is_number(x) for x in linkpart.split(",")):
                 self.error(f"bad links {linkpart!r}")
+            links = tuple(int(x) for x in linkpart.split(","))
         else:
             main, links = body, None
+        if self.link_count is None and links is not None:
+            self.error(f"atom {body!r} has collapse links, but the automaton is not collapsible")
+        if self.link_count is not None and (
+            links is None or len(links) != self.link_count or min(links) < 1
+        ):
+            self.error(f"atom {body!r} needs {self.link_count} positive collapse links")
         symbol, sep, data = main.rpartition(",")
         if not sep:
             self.error(f"atom {body!r} needs symbol,data")
@@ -150,15 +157,18 @@ class _StackParser:
         return Atom(symbol, value, links)
 
 
-def parse_stack_literal(text: str, level: int) -> Stack:
-    parser = _StackParser(text)
-    stack = parser.parse(level)
+def parse_stack_literal(text: str, level: int, collapsible: bool = False) -> Stack:
+    """Parse a stack literal; on a collapsible automaton every atom carries
+    exactly `level` positive collapse links, otherwise none."""
+    parser = _StackParser(text, level if collapsible else None)
+    nested = parser.parse(level)
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input")
-    if not is_well_formed(stack, level):
-        raise CliError("stack literal is not well formed")
-    return stack
+    try:
+        return from_nested(nested, level)
+    except IllFormed:
+        raise CliError("stack literal is not well formed") from None
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ def parse_automaton_text(text: str) -> Scenario:
     if start_state is not None or start_stack_text is not None:
         if start_state is None or start_stack_text is None:
             raise CliError("start-state and start-stack must appear together")
-        stack = parse_stack_literal(start_stack_text, aut.level)
+        stack = parse_stack_literal(start_stack_text, aut.level, aut.collapsible)
         start = Configuration(start_state, stack)
     return Scenario(aut, start)
 
@@ -319,7 +329,8 @@ def drive_run(scenario: Scenario, word, eps_budget: int) -> Run:
     run goes on past accepting states."""
     aut = scenario.automaton
     endless = replace(aut, accepting=frozenset())  # so execute_word never accepts
-    return replace(execute_word(endless, word, eps_budget, scenario.start).run, automaton=aut)
+    run = execute_word(endless, word, eps_budget, scenario.start).run
+    return Run(aut, run.configs, run.labels, run.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +371,7 @@ def _cmd_run(args) -> int:
         verdict = outcome.kind if outcome.reason is None else f"{outcome.kind} ({outcome.reason})"
     else:
         run = drive_run(scenario, word, args.eps_budget)
-        verdict = f"stopped in state {run.configs[-1].state} after {len(run)} steps"
+        verdict = f"stopped in state {run.last.state} after {len(run)} steps"
     if args.dump:
         _dump_run(run)
     print(verdict)
@@ -460,7 +471,7 @@ def _cmd_src(args) -> int:
         raise CliError(f"the driven run is not {k}-upper")
     table = _table_for(args, scenario)
     n = scenario.automaton.level
-    final = type_of_stack(run.configs[-1].stack, k, table)
+    final = type_of_stack(run.last.stack, k, table)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
     result = compute_src(lrun, k, sigmas, table)
     uni = table.universe

@@ -7,10 +7,20 @@ sequences whose leaves (0-stacks) are atoms carrying a stack symbol, an
 optional data value, and, in the collapsible variant, a tuple of collapse
 links recording stack sizes at push time.
 
-Stacks are immutable: a 0-stack is an :class:`Atom`, a k-stack for k >= 1
-is a tuple of (k-1)-stacks with the top at the right.  Every operation
-returns a new stack and never mutates its input, so configurations and
-runs can be stored and shared freely.
+Stacks are persistent: a 0-stack is an :class:`Atom`, a k-stack for
+k >= 1 is a :class:`Node` holding its topmost (k-1)-stack on the k-stack
+below it, its size and a cached hash.  No node is ever mutated; an
+operation rebuilds only the path from the root to the rewritten
+substack and shares everything under it with its input, so pop, push and
+stack_sizes cost O(level) and consecutive configurations of a run share
+their stacks almost entirely (collapse also walks past the (i-1)-stacks
+it removes).  A run made by :func:`extend_run` points at the run it
+extends, so recording a step costs O(1).  Configurations and runs can be
+stored and shared freely, across threads too.
+
+Nested tuples (a k-stack as a tuple of (k-1)-stacks, top at the right)
+are the literal and I/O form only: :func:`from_nested` and
+:func:`to_nested` convert between the two.
 """
 
 from __future__ import annotations
@@ -45,7 +55,94 @@ class Atom(NamedTuple):
     links: Optional[tuple[int, ...]] = None
 
 
-Stack = Union[Atom, tuple]
+class Node:
+    """A nonempty k-stack, k >= 1: the (k-1)-stack `top` on the k-stack
+    `below`, which is None when `top` is the only element.
+
+    The hash is computed on first use and cached in the node, as are the
+    hashes of the nodes below it that it needs.  Equality compares sizes
+    and any cached hashes first, then walks down `below` iteratively,
+    stopping as soon as both sides share a node, so stacks as wide as a
+    long run compare and hash without deep recursion.  Iteration yields
+    the elements bottom to top.
+    """
+
+    __slots__ = ("below", "top", "size", "_hash")
+
+    def __init__(self, below: Optional["Node"], top: "Stack"):
+        self.below = below
+        self.top = top
+        self.size = 1 if below is None else below.size + 1
+        self._hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            unhashed = []
+            node = self
+            while node is not None and node._hash is None:
+                unhashed.append(node)
+                node = node.below
+            h = 0 if node is None else node._hash
+            for node in reversed(unhashed):
+                h = node._hash = hash((h, node.top))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:  # equal sizes reach None together
+            if a.size != b.size or (
+                a._hash is not None and b._hash is not None and a._hash != b._hash
+            ):
+                return False
+            if a.top != b.top:
+                return False
+            a, b = a.below, b.below
+        return True
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        items = []
+        node = self
+        while node is not None:
+            items.append(node.top)
+            node = node.below
+        return reversed(items)
+
+    def __repr__(self) -> str:
+        return f"Node({list(self)!r})"
+
+
+# The empty k-stack, which occurs only as a piece of a `spine`, is None.
+Stack = Union[Atom, Node]
+
+
+def from_nested(nested, level: int) -> Stack:
+    """The stack whose nested-tuple form is `nested`; raises IllFormed
+    when a k-stack is empty or not a tuple, or a 0-stack is not an Atom."""
+    if level == 0:
+        if not isinstance(nested, Atom):
+            raise IllFormed(f"expected an atom, got {nested!r}")
+        return nested
+    if not isinstance(nested, tuple) or isinstance(nested, Atom) or not nested:
+        raise IllFormed(f"expected a nonempty tuple for a {level}-stack, got {nested!r}")
+    stack = None
+    for child in nested:
+        stack = Node(stack, from_nested(child, level - 1))
+    return stack
+
+
+def to_nested(stack: Stack, level: int):
+    """The nested-tuple form of a stack, () for the empty one; inverts
+    :func:`from_nested`."""
+    if level == 0:
+        return stack
+    if stack is None:
+        return ()
+    return tuple(to_nested(child, level - 1) for child in stack)
 
 
 @dataclass(frozen=True)
@@ -186,14 +283,14 @@ def initial_configuration(aut: Automaton) -> Configuration:
     links = (1,) * aut.level if aut.collapsible else None
     stack: Stack = Atom(aut.initial_symbol, NO_DATA, links)
     for _ in range(aut.level):
-        stack = (stack,)
+        stack = Node(None, stack)
     return Configuration(aut.initial_state, stack)
 
 
 def top_atom(stack: Stack, level: int) -> Atom:
     cur = stack
     for _ in range(level):
-        cur = cur[-1]
+        cur = cur.top
     return cur
 
 
@@ -201,7 +298,7 @@ def top_stack(stack: Stack, level: int, k: int) -> Stack:
     """The topmost k-stack of a level-`level` stack."""
     cur = stack
     for _ in range(level - k):
-        cur = cur[-1]
+        cur = cur.top
     return cur
 
 
@@ -210,59 +307,68 @@ def stack_sizes(stack: Stack, level: int) -> tuple[int, ...]:
     sizes = [0] * level
     cur = stack
     for lvl in range(level, 0, -1):
-        sizes[lvl - 1] = len(cur)
-        cur = cur[-1]
+        sizes[lvl - 1] = cur.size
+        cur = cur.top
     return tuple(sizes)
 
 
-def stack_values(stack: Stack, level: int) -> set:
-    """The data values stored anywhere in a level-`level` stack."""
-    if level == 0:
-        return set() if stack.data is None else {stack.data}
+def stack_values(stack: Optional[Stack], level: int) -> set:
+    """The data values stored anywhere in a level-`level` stack; a node
+    shared by several substacks is visited once."""
     out = set()
-    for child in stack:
-        out |= stack_values(child, level - 1)
+    seen = set()
+    todo = [(stack, level)]
+    while todo:
+        node, lvl = todo.pop()
+        if lvl == 0:
+            if node.data is not None:
+                out.add(node.data)
+            continue
+        while node is not None and id(node) not in seen:
+            seen.add(id(node))
+            todo.append((node.top, lvl - 1))
+            node = node.below
     return out
 
 
 def is_well_formed(stack: Stack, level: int) -> bool:
+    """Every k-stack is a Node of (k-1)-stacks and every 0-stack an Atom
+    (a Node is nonempty by construction)."""
     if level == 0:
         return isinstance(stack, Atom)
-    return (
-        isinstance(stack, tuple)
-        and len(stack) >= 1
-        and all(is_well_formed(s, level - 1) for s in stack)
-    )
+    return isinstance(stack, Node) and all(is_well_formed(s, level - 1) for s in stack)
 
 
 def spine(stack: Stack, level: int, k: int) -> tuple[Stack, ...]:
     """Decompose into pieces (s^level, ..., s^k).
 
     s^k is the topmost k-stack; each s^i above it is the topmost i-stack
-    with its own topmost (i-1)-stack removed (possibly leaving it empty).
-    ``recompose`` inverts this decomposition.
+    with its own topmost (i-1)-stack removed (None when that leaves it
+    empty).  ``recompose`` inverts this decomposition.
     """
     pieces = []
     cur = stack
     for _ in range(level, k, -1):
-        pieces.append(cur[:-1])
-        cur = cur[-1]
+        pieces.append(cur.below)
+        cur = cur.top
     pieces.append(cur)
     return tuple(pieces)
 
 
-def recompose(pieces: Iterable[Stack]) -> Stack:
+def recompose(pieces: Iterable[Optional[Stack]]) -> Stack:
     pieces = tuple(pieces)
     cur = pieces[-1]
     for piece in reversed(pieces[:-1]):
-        cur = piece + (cur,)
+        cur = Node(piece, cur)
     return cur
 
 
-def _modify_top(stack: Stack, depth: int, fn):
+def _replace_top(stack: Stack, depth: int, new: Stack) -> Stack:
+    """`stack` with the substack `depth` levels down its top path replaced
+    by `new`; only the nodes on that path are rebuilt."""
     if depth == 0:
-        return fn(stack)
-    return stack[:-1] + (_modify_top(stack[-1], depth - 1, fn),)
+        return new
+    return Node(stack.below, _replace_top(stack.top, depth - 1, new))
 
 
 def apply_operation(
@@ -281,16 +387,14 @@ def apply_operation(
     operation.  collapse^i truncates the topmost i-stack so that only
     k_i - 1 of its (i-1)-stacks remain, k_i taken from the top atom.
     """
+    k = op.level
+    target = top_stack(stack, level, k)
     if op.kind == "pop":
-        def drop_top(s):
-            if len(s) < 2:
-                raise IllFormed(f"{op} would empty the topmost {op.level}-stack")
-            return s[:-1]
-
-        return _modify_top(stack, level - op.level, drop_top)
+        if target.below is None:
+            raise IllFormed(f"{op} would empty the topmost {k}-stack")
+        return _replace_top(stack, level - k, target.below)
 
     if op.kind == "push":
-        k = op.level
         if collapsible:
             sizes = stack_sizes(stack, level)
             links = tuple(
@@ -299,25 +403,23 @@ def apply_operation(
         else:
             links = None
         atom = Atom(op.symbol, data, links)
-
-        def dup(s):
-            return s + (_modify_top(s[-1], k - 1, lambda _: atom),)
-
-        return _modify_top(stack, level - k, dup)
+        copy = _replace_top(target.top, k - 1, atom)
+        return _replace_top(stack, level - k, Node(target, copy))
 
     if op.kind == "collapse":
         if not collapsible:
             raise CollapseUnavailable(f"{op} on a non-collapsible stack")
         atom = top_atom(stack, level)
-        keep = atom.links[op.level - 1] - 1
-        def truncate(s):
-            if keep < 1:
-                raise IllFormed(f"{op} would empty the topmost {op.level}-stack")
-            if keep > len(s):
-                raise IllFormed(f"{op} link {keep + 1} exceeds current size {len(s)}")
-            return s[:keep]
-
-        return _modify_top(stack, level - op.level, truncate)
+        if atom.links is None or len(atom.links) < k:
+            raise IllFormed(f"{op} on an atom without a level-{k} link")
+        keep = atom.links[k - 1] - 1
+        if keep < 1:
+            raise IllFormed(f"{op} would empty the topmost {k}-stack")
+        if keep > target.size:
+            raise IllFormed(f"{op} link {keep + 1} exceeds current size {target.size}")
+        for _ in range(target.size - keep):
+            target = target.below
+        return _replace_top(stack, level - k, target)
 
     raise ValueError(f"unknown operation kind {op.kind!r}")
 
@@ -368,21 +470,54 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
     return Step(Configuration(rule.target, new), (letter, value), rule)
 
 
-@dataclass(frozen=True)
 class Run:
     """A sequence of configurations joined by single steps.
 
     `labels[i]` is the (letter, value) consumed by step i+1, with
     (None, None) for epsilon steps; `transitions[i]` is the rule applied.
+    `last` is the final configuration.  Runs compare and hash by
+    automaton and those three tuples.
+
+    :func:`extend_run` makes a run in O(1) that holds only its last
+    configuration, label and transition and the run it extends; its
+    tuples are built on first access (see :class:`_PendingRun`).
     """
 
-    automaton: Automaton
-    configs: tuple[Configuration, ...]
-    labels: tuple[Label, ...]
-    transitions: tuple[Transition, ...]
+    __slots__ = (
+        "automaton", "last", "configs", "labels", "transitions",
+        "_length", "_parent", "_label", "_transition", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        automaton: Automaton,
+        configs: Iterable[Configuration],
+        labels: Iterable[Label],
+        transitions: Iterable[Transition],
+    ):
+        self.automaton = automaton
+        self.configs = tuple(configs)
+        self.labels = tuple(labels)
+        self.transitions = tuple(transitions)
+        self.last = self.configs[-1]
+        self._length = len(self.labels)
+
+    def _key(self) -> tuple:
+        return (self.automaton, self.configs, self.labels, self.transitions)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Run):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"<Run of {self._length} steps ending in {self.last.state}>"
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._length
 
     def at(self, i: int) -> Configuration:
         return self.configs[i]
@@ -400,7 +535,7 @@ class Run:
     def compose(self, other: "Run") -> "Run":
         if self.automaton is not other.automaton:
             raise ValueError("compose across automata")
-        if self.configs[-1] != other.configs[0]:
+        if self.last != other.at(0):
             raise ValueError("compose of non-adjacent runs")
         return Run(
             self.automaton,
@@ -417,17 +552,46 @@ class Run:
         return tuple(t.op for t in self.transitions)
 
 
+class _PendingRun(Run):
+    """A run made by :func:`extend_run` whose tuples are not built yet.
+
+    The first access to `configs`, `labels` or `transitions` builds all
+    three in one walk back to the nearest built run, then makes this run
+    a plain :class:`Run`, whose attributes are plain slots again.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in ("configs", "labels", "transitions"):
+            raise AttributeError(f"'Run' object has no attribute {name!r}")
+        steps = []
+        run = self
+        while type(run) is _PendingRun:
+            steps.append((run.last, run._label, run._transition))
+            run = run._parent
+        configs, labels, transitions = zip(*reversed(steps))
+        self.configs = run.configs + configs
+        self.labels = run.labels + labels
+        self.transitions = run.transitions + transitions
+        self.__class__ = Run  # after the tuples, for a concurrent reader
+        return getattr(self, name)
+
+
 def empty_run(aut: Automaton, config: Configuration) -> Run:
     return Run(aut, (config,), (), ())
 
 
 def extend_run(run: Run, step_result: Step) -> Run:
-    return Run(
-        run.automaton,
-        run.configs + (step_result.config,),
-        run.labels + (step_result.label,),
-        run.transitions + (step_result.transition,),
-    )
+    """`run` followed by one step, in O(1): the new run points at `run`."""
+    new = object.__new__(_PendingRun)
+    new.automaton = run.automaton
+    new.last = step_result.config
+    new._length = run._length + 1
+    new._parent = run
+    new._label = step_result.label
+    new._transition = step_result.transition
+    return new
 
 
 @dataclass(frozen=True)
@@ -460,7 +624,7 @@ def execute_word(
     pos = 0
     streak = 0
     while True:
-        config = run.configs[-1]
+        config = run.last
         if pos == len(word) and config.state in aut.accepting:
             return Outcome("accepted", run)
         nxt = word[pos] if pos < len(word) else None
@@ -489,12 +653,13 @@ def project_word(word: DataWord) -> tuple[str, ...]:
 def replay(run: Run) -> bool:
     """Check that every step of a run is a valid step of its automaton."""
     aut = run.automaton
+    configs = run.configs
     for i, (label, tr) in enumerate(zip(run.labels, run.transitions)):
         nxt = None if label[0] is None else label
-        res = step(aut, run.configs[i], nxt)
+        res = step(aut, configs[i], nxt)
         if not isinstance(res, Step):
             return False
-        if res.config != run.configs[i + 1] or res.transition != tr:
+        if res.config != configs[i + 1] or res.transition != tr:
             return False
         if res.label != label:
             return False
@@ -505,7 +670,10 @@ def strip_links(stack: Stack, level: int) -> Stack:
     """Rebuild a stack of a collapsible automaton without the links."""
     if level == 0:
         return Atom(stack.symbol, stack.data, None)
-    return tuple(strip_links(s, level - 1) for s in stack)
+    out = None
+    for child in stack:
+        out = Node(out, strip_links(child, level - 1))
+    return out
 
 
 def decollapse(aut: Automaton) -> Automaton:

@@ -25,6 +25,7 @@ from .core import (
     empty_run,
     execute_word,
     extend_run,
+    from_nested,
     initial_configuration,
     pop,
     push,
@@ -76,7 +77,7 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
             raise EnumerationCapExceeded(f"more than {cap} runs at the bound")
         if len(run) == space.max_steps:
             return
-        config = run.configs[-1]
+        config = run.last
         state, stack = config
         atom = top_atom(stack, aut.level)
         if (state, atom.symbol) in aut.eps_rules:
@@ -117,7 +118,7 @@ def seeded_configurations(
     space = EnumerationSpace(aut, initial_configuration(aut), depth, values)
     seen: list[Configuration] = []
     for run in enumerate_runs(space):
-        cfg = run.configs[-1]
+        cfg = run.last
         if cfg not in seen:
             seen.append(cfg)
         if len(seen) >= cap:
@@ -153,7 +154,7 @@ def single_pop_machine() -> Automaton:
 
 
 def single_pop_config() -> Configuration:
-    return Configuration("q", (Atom("g0", None), Atom("g1", 5)))
+    return Configuration("q", from_nested((Atom("g0", None), Atom("g1", 5)), 1))
 
 
 def classification_example_machine() -> Automaton:
@@ -183,7 +184,7 @@ def classification_example_config() -> Configuration:
         (Atom("a", None), Atom("b", None)),
         (Atom("c", None), Atom("d", None)),
     )
-    return Configuration("t0", stack)
+    return Configuration("t0", from_nested(stack, 2))
 
 
 def classification_example_run() -> Run:
@@ -229,7 +230,7 @@ def excursion_config() -> Configuration:
         (Atom("g", None),),
         (Atom("g", 5), Atom("g", 7), Atom("g", 9)),
     )
-    return Configuration("q", stack)
+    return Configuration("q", from_nested(stack, 2))
 
 
 def u_fragment_corpus() -> tuple[Automaton, list[Configuration]]:
@@ -255,7 +256,7 @@ def u_fragment_corpus() -> tuple[Automaton, list[Configuration]]:
     configs: list[Configuration] = []
     for word in words:
         run = execute_word(full, word).run
-        cfg = run.configs[-1]
+        cfg = run.last
         cfg = Configuration(cfg.state, strip_links(cfg.stack, full.level))
         if cfg not in configs:
             configs.append(cfg)
@@ -620,7 +621,7 @@ def _suite_origin(seed, bounds):
                 for k in range(0, n):
                     if not is_k_upper(lrun, k):
                         continue
-                    final = type_of_stack(run.configs[-1].stack, k, table)
+                    final = type_of_stack(run.last.stack, k, table)
                     sigmas = {
                         i: tuple(final.typing(i)) for i in range(k + 1, n + 1)
                     }

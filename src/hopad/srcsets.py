@@ -85,7 +85,7 @@ def compute_src(
     uni = table.universe
     if not is_k_upper(lrun, k):
         raise ValueError(f"the run is not {k}-upper")
-    final = type_of_stack(run.configs[-1].stack, k, table)
+    final = type_of_stack(run.last.stack, k, table)
     for i in range(k + 1, n + 1):
         for sid in sigmas.get(i, ()):
             if sid not in final.typing(i):
@@ -219,7 +219,7 @@ def check_origin(
 
     src = compute_src(lrun, k, sigmas, table)
     init = type_of_stack(run.at(0).stack, k, table)
-    final = type_of_stack(run.configs[-1].stack, k, table)
+    final = type_of_stack(run.last.stack, k, table)
     report.checked += 1
 
     hit_final = any(
@@ -253,7 +253,7 @@ def check_origin(
                 normalized_only=True,
             )
             candidates = enumerate_runs(space)
-        target_topk = top_stack(run.configs[-1].stack, n, k)
+        target_topk = top_stack(run.last.stack, n, k)
         phi_r = phi_of_run(table.monoid, run)
         witness = None
         for cand in candidates:
@@ -262,11 +262,11 @@ def check_origin(
                 continue
             if phi_of_run(table.monoid, cand) != phi_r:
                 continue
-            if cand.configs[-1].state != run.configs[-1].state:
+            if cand.last.state != run.last.state:
                 continue
-            if top_stack(cand.configs[-1].stack, n, k) != target_topk:
+            if top_stack(cand.last.stack, n, k) != target_topk:
                 continue
-            ct = type_of_stack(cand.configs[-1].stack, k, table)
+            ct = type_of_stack(cand.last.stack, k, table)
             if not all(
                 sid in ct.typing(i)
                 for i in range(k + 1, n + 1)
@@ -348,7 +348,7 @@ def check_idv_upper(
     )
     for cand in enumerate_runs(space):
         if (
-            cand.configs[-1].state == run.configs[-1].state
+            cand.last.state == run.last.state
             and phi_of_run(table.monoid, cand) == phi_r
             and (cand.labels, cand.transitions) != (run.labels, run.transitions)
         ):
@@ -359,13 +359,13 @@ def check_idv_upper(
     report.notes.append(f"uniqueness assumed beyond bound {bound}")
 
     report.checked += 1
-    final_topk = top_stack(run.configs[-1].stack, n, k)
+    final_topk = top_stack(run.last.stack, n, k)
     if d in stack_values(final_topk, k) or d_prime in stack_values(final_topk, k):
         report.hard_failures.append(
             f"k={k}: d={d} or d'={d_prime} appears in the final topmost k-stack"
         )
         return report
-    final = type_of_stack(run.configs[-1].stack, k, table)
+    final = type_of_stack(run.last.stack, k, table)
     for i in range(k + 1, n + 1):
         for sid, idv in final.typing(i).items():
             if (d in idv) != (d_prime in idv):

@@ -513,8 +513,11 @@ def combine_types(rest: Typing, top: Typing, k: int, table: Level0TypeTable) -> 
 
 
 def stack_typing(stack: Stack, level: int, table: Level0TypeTable) -> Typing:
-    """type() and idv() of a concrete stack, bottom-up; empty stacks have
-    empty type, nonempty ones always contain ne."""
+    """type() and idv() of a concrete stack, folding over its elements
+    bottom-up; empty stacks (None) have empty type, nonempty ones always
+    contain ne."""
+    if stack is None:
+        return {}
     key = (stack, level)
     cached = table._typing_cache.get(key)
     if cached is not None:
@@ -671,7 +674,7 @@ def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
     """What agreement with any goal needs to know about one run."""
     run = lrun.run
     n = table.automaton.level
-    final = run.configs[-1]
+    final = run.last
     info = {
         "run": run,
         "lrun": lrun,

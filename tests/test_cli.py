@@ -15,7 +15,7 @@ from hopad.cli import (
     parse_stack_literal,
     render_stack,
 )
-from hopad.core import Atom, automaton_diagnostics
+from hopad.core import Atom, automaton_diagnostics, to_nested, top_atom
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -68,13 +68,17 @@ def test_data_word_round_trip():
 
 
 def test_stack_literal_round_trip():
-    text = "[[(X,-)] [(X,1) (Y,3;1,4)]]"
+    text = "[[(X,-)] [(X,1) (Y,3)]]"
     stack = parse_stack_literal(text, 2)
-    assert stack == (
+    assert to_nested(stack, 2) == (
         (Atom("X", None),),
-        (Atom("X", 1), Atom("Y", 3, (1, 4))),
+        (Atom("X", 1), Atom("Y", 3)),
     )
     assert render_stack(stack, 2) == text
+    linked = "[[(X,-;1,1)] [(X,1;1,2) (Y,3;1,4)]]"
+    stack = parse_stack_literal(linked, 2, collapsible=True)
+    assert top_atom(stack, 2) == Atom("Y", 3, (1, 4))
+    assert render_stack(stack, 2) == linked
     with pytest.raises(CliError):
         parse_stack_literal("[[]]", 2)  # ill-formed: empty 1-stack
     with pytest.raises(CliError):
@@ -256,3 +260,64 @@ def test_scenario_runs_step_past_an_accepting_state(tmp_path):
     code, out = run_cli("classify", str(path))
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # header plus j=0..2
+
+
+LINKED_SCENARIO = """level 1
+collapsible {collapsible}
+input-alphabet a
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g eps r {op}
+start-state q
+start-stack {stack}
+"""
+
+
+@pytest.mark.parametrize(
+    "collapsible, op, stack",
+    [
+        ("true", "collapse 1", "[(g,-) (g,-)]"),
+        ("true", "collapse 1", "[(g,-;1) (g,-)]"),
+        ("true", "collapse 1", "[(g,-;1,1)]"),
+        ("true", "collapse 1", "[(g,-;0)]"),
+        ("true", "collapse 1", "[(g,-;+1)]"),
+        ("false", "pop 1", "[(g,-) (g,-;1)]"),
+    ],
+    ids=[
+        "no-links", "one-atom-without-links", "too-many-links", "zero-link", "signed-link",
+        "links-not-collapsible",
+    ],
+)
+def test_start_stack_links_must_fit_the_automaton(tmp_path, collapsible, op, stack):
+    text = LINKED_SCENARIO.format(collapsible=collapsible, op=op, stack=stack)
+    with pytest.raises(CliError, match="links"):
+        parse_automaton_text(text)
+    path = tmp_path / "linked.scenario"
+    path.write_text(text)
+    code, err = run_cli_stderr("run", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+
+
+def test_collapse_from_a_linked_start_stack_runs(tmp_path):
+    path = tmp_path / "linked.scenario"
+    path.write_text(
+        LINKED_SCENARIO.format(collapsible="true", op="collapse 1", stack="[(g,-;1) (g,-;2)]")
+    )
+    code, out = run_cli("run", str(path), "--dump")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["  [(g,-;1)]", "stopped in state r after 1 steps"]
+
+
+def test_collapse_on_an_atom_without_links_is_stuck():
+    from hopad.core import Configuration, IllFormed, Stuck, apply_operation, collapse, from_nested, step
+
+    scenario = parse_automaton_text(
+        LINKED_SCENARIO.format(collapsible="true", op="collapse 1", stack="[(g,-;1) (g,-;2)]")
+    )
+    bare = from_nested((Atom("g", None), Atom("g", None)), 1)
+    with pytest.raises(IllFormed):
+        apply_operation(bare, 1, collapse(1), None, collapsible=True)
+    res = step(scenario.automaton, Configuration("q", bare))
+    assert isinstance(res, Stuck) and res.reason.startswith("ill-formed")

@@ -13,6 +13,7 @@ from hopad.core import (
     automaton_diagnostics,
     collapse,
     execute_word,
+    from_nested,
     initial_configuration,
     is_well_formed,
     pop,
@@ -23,6 +24,7 @@ from hopad.core import (
     spine,
     step,
     stack_sizes,
+    to_nested,
     top_atom,
     validate_automaton,
 )
@@ -33,18 +35,23 @@ def atom(sym, data=None, links=None):
 
 
 # [a b][c d] as a level-2 stack
-AB_CD = ((atom("a"), atom("b")), (atom("c"), atom("d")))
+AB_CD_NESTED = ((atom("a"), atom("b")), (atom("c"), atom("d")))
+AB_CD = from_nested(AB_CD_NESTED, 2)
+
+
+def nested2(stack):
+    return to_nested(stack, 2)
 
 
 def test_initial_configuration_levels():
     aut1 = Automaton(
         1, frozenset("a"), frozenset("X"), "X", frozenset({"q"}), "q", frozenset(), ()
     )
-    assert initial_configuration(aut1) == Configuration("q", (atom("X"),))
+    assert initial_configuration(aut1) == Configuration("q", from_nested((atom("X"),), 1))
     aut2 = Automaton(
         2, frozenset("a"), frozenset("X"), "X", frozenset({"q"}), "q", frozenset(), ()
     )
-    assert initial_configuration(aut2) == Configuration("q", ((atom("X"),),))
+    assert initial_configuration(aut2) == Configuration("q", from_nested(((atom("X"),),), 2))
 
 
 def test_initial_links_when_collapsible():
@@ -61,7 +68,7 @@ def test_initial_links_when_collapsible():
 
 def test_push2_copies_and_rewrites_top():
     out = apply_operation(AB_CD, 2, push(2, "e"))
-    assert out == (
+    assert nested2(out) == (
         (atom("a"), atom("b")),
         (atom("c"), atom("d")),
         (atom("c"), atom("e")),
@@ -71,16 +78,16 @@ def test_push2_copies_and_rewrites_top():
 def test_example_stack_prefix_operations():
     s = apply_operation(AB_CD, 2, push(2, "e"))
     s = apply_operation(s, 2, pop(1))
-    assert s == ((atom("a"), atom("b")), (atom("c"), atom("d")), (atom("c"),))
+    assert nested2(s) == ((atom("a"), atom("b")), (atom("c"), atom("d")), (atom("c"),))
     s = apply_operation(s, 2, pop(2))
     assert s == AB_CD
 
 
 def test_pop_guards_well_formedness():
     with pytest.raises(IllFormed):
-        apply_operation(((atom("X"),),), 2, pop(2))
+        apply_operation(from_nested(((atom("X"),),), 2), 2, pop(2))
     with pytest.raises(IllFormed):
-        apply_operation(((atom("X"),),), 2, pop(1))
+        apply_operation(from_nested(((atom("X"),),), 2), 2, pop(1))
 
 
 def test_push_then_pop_restores():
@@ -92,7 +99,7 @@ def test_push_then_pop_restores():
 
 def test_push1_keeps_the_old_top():
     out = apply_operation(AB_CD, 2, push(1, "e"), 3)
-    assert out == ((atom("a"), atom("b")), (atom("c"), atom("d"), atom("e", 3)))
+    assert nested2(out) == ((atom("a"), atom("b")), (atom("c"), atom("d"), atom("e", 3)))
 
 
 def test_push_links_record_sizes_after():
@@ -105,28 +112,40 @@ def test_push_links_record_sizes_after():
 
 def test_collapse_truncates_to_link():
     five = tuple((atom("x"),) for _ in range(4)) + ((atom("y"), atom("t", 1, (2, 2))),)
-    out = apply_operation(five, 2, collapse(2), None, collapsible=True)
-    assert out == five[:1]
+    out = apply_operation(from_nested(five, 2), 2, collapse(2), None, collapsible=True)
+    assert nested2(out) == five[:1]
     # keep == current size is a no-op
     noop = tuple((atom("x"),) for _ in range(2)) + ((atom("t", 1, (1, 3)),),)
-    assert apply_operation(noop, 2, collapse(2), None, collapsible=True) == noop[:2]
+    out = apply_operation(from_nested(noop, 2), 2, collapse(2), None, collapsible=True)
+    assert nested2(out) == noop[:2]
     beyond = ((atom("t", 1, (1, 9)),),)
     with pytest.raises(IllFormed):
-        apply_operation(beyond, 2, collapse(2), None, collapsible=True)
+        apply_operation(from_nested(beyond, 2), 2, collapse(2), None, collapsible=True)
 
 
 def test_spine_and_recompose():
-    assert spine(AB_CD, 2, 1) == ((AB_CD[0],), AB_CD[1])
-    assert spine(AB_CD, 2, 0) == ((AB_CD[0],), (atom("c"),), atom("d"))
-    assert spine(((atom("X"),),), 2, 1) == ((), (atom("X"),))
+    def nested_spine(stack, k):
+        pieces = spine(stack, 2, k)
+        return tuple(to_nested(p, lvl) for p, lvl in zip(pieces, range(2, k - 1, -1)))
+
+    ab, cd = AB_CD_NESTED
+    assert nested_spine(AB_CD, 1) == ((ab,), cd)
+    assert nested_spine(AB_CD, 0) == ((ab,), (atom("c"),), atom("d"))
+    lone = from_nested(((atom("X"),),), 2)
+    assert spine(lone, 2, 1)[0] is None  # the empty 2-stack under the top
+    assert nested_spine(lone, 1) == ((), (atom("X"),))
     for k in (0, 1, 2):
         assert recompose(spine(AB_CD, 2, k)) == AB_CD
 
 
 def test_well_formedness():
     assert is_well_formed(AB_CD, 2)
-    assert not is_well_formed(((),), 2)
-    assert not is_well_formed((), 1)
+    assert not is_well_formed(AB_CD, 1)
+    assert not is_well_formed(AB_CD_NESTED, 2)  # tuples are the literal form only
+    with pytest.raises(IllFormed):
+        from_nested(((),), 2)
+    with pytest.raises(IllFormed):
+        from_nested((), 1)
     assert is_well_formed(atom("X"), 0)
 
 
@@ -147,16 +166,16 @@ def single_pop_automaton():
 
 def test_step_pop_reads_matching_value():
     aut = single_pop_automaton()
-    cfg = Configuration("q", (atom("g0"), atom("g1", 5)))
+    cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
     res = step(aut, cfg, ("a", 5))
     assert isinstance(res, Step)
-    assert res.config == Configuration("qf", (atom("g0"),))
+    assert res.config == Configuration("qf", from_nested((atom("g0"),), 1))
     assert res.label == ("a", 5)
 
 
 def test_step_pop_data_mismatch():
     aut = single_pop_automaton()
-    cfg = Configuration("q", (atom("g0"), atom("g1", 5)))
+    cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
     assert step(aut, cfg, ("a", 7)) == Stuck("data-mismatch")
 
 
@@ -181,7 +200,7 @@ def test_step_epsilon_priority():
 
 def test_step_determinism_and_purity():
     aut = single_pop_automaton()
-    cfg = Configuration("q", (atom("g0"), atom("g1", 5)))
+    cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
     assert step(aut, cfg, ("a", 5)) == step(aut, cfg, ("a", 5))
 
 
@@ -209,7 +228,7 @@ def test_execute_word_outcomes():
 
 def test_execute_word_from_a_start_configuration():
     aut = single_pop_automaton()
-    cfg = Configuration("q", (atom("g0"), atom("g1", 5)))
+    cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
     out = execute_word(aut, (("a", 5),), start=cfg)
     assert out.accepted
     assert out.run.at(0) == cfg and len(out.run) == 1
@@ -352,3 +371,77 @@ def test_run_accessors_and_subrun_lengths():
         run.subrun(2, 9)
     with pytest.raises(ValueError):
         run.subrun(0, 2).compose(run.subrun(4, 6))
+
+
+def test_wide_stacks_compare_and_hash_without_recursion():
+    atoms = tuple(atom("g", i % 7) for i in range(10_000))
+    first, second = from_nested(atoms, 1), from_nested(atoms, 1)
+    assert first is not second and first.below is not second.below
+    assert first == second and hash(first) == hash(second)
+    other = from_nested((atom("h"),) + atoms[1:], 1)  # differs at the bottom only
+    assert first != other
+    wide = from_nested(tuple((a,) for a in atoms), 2)
+    assert wide == from_nested(tuple((a,) for a in atoms), 2)
+
+
+def _deep_member(n):
+    opens = tuple(("[", i) for i in range(1, n + 1))
+    return opens + (("$", 0),) + tuple(("]", i) for i in range(n, 0, -1))
+
+
+def test_long_run_shares_stacks_and_replays():
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    word = _deep_member(6400)
+    out = execute_word(aut, word)
+    assert out.accepted and replay(out.run)
+    # the same word stepped without recording the run
+    config, pos, steps = initial_configuration(aut), 0, 0
+    while pos < len(word) or config.state not in aut.accepting:
+        res = step(aut, config, word[pos] if pos < len(word) else None)
+        config, steps = res.config, steps + 1
+        pos += res.label[0] is not None
+    assert len(out.run) == steps == len(out.run.labels) == 32_003
+    # consecutive level-2 stacks share everything under the rewritten spine
+    configs = out.run.configs
+    for tr, before, after in zip(out.run.transitions, configs, configs[1:]):
+        old, new = before.stack, after.stack
+        if tr.op.level == 1:
+            assert new.below is old.below
+        elif tr.op.kind == "push":
+            assert new.below is old
+        elif tr.op.kind == "pop":
+            assert new is old.below
+        else:
+            for _ in range(old.size - new.size):
+                old = old.below
+            assert new is old
+
+
+def test_lazy_run_tuples_and_hashes_are_safe_to_share_across_threads():
+    import sys
+    import threading
+
+    from hopad.ulang import build_u_recognizer
+
+    run = execute_word(build_u_recognizer(), _deep_member(300)).run  # tuples not built yet
+    results = []
+
+    def read():
+        results.append((hash(run.last.stack), run.configs, run.labels, run.transitions))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r == results[0] for r in results)
+    assert len(results[0][1]) == len(run) + 1 and results[0][1][-1] == run.last
+    assert hash(run.last.stack) == hash(from_nested(to_nested(run.last.stack, 2), 2))

@@ -1,6 +1,6 @@
 import pytest
 
-from hopad.core import Atom, Configuration, replay
+from hopad.core import Atom, Configuration, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -37,7 +37,7 @@ def test_empty_machine_enumerates_only_the_empty_run():
         )
     )
     runs = enumerate_runs(
-        EnumerationSpace(aut, Configuration("q", (Atom("g", None),)), 4)
+        EnumerationSpace(aut, Configuration("q", from_nested((Atom("g", None),), 1)), 4)
     )
     assert len(runs) == 1 and len(runs[0]) == 0
 
@@ -55,7 +55,7 @@ def _plain_excursion_config():
     from hopad.core import Atom, Configuration
 
     stack = ((Atom("g", None),), (Atom("g", None), Atom("g", None), Atom("g", None)))
-    return Configuration("q", stack)
+    return Configuration("q", from_nested(stack, 2))
 
 
 def test_enumeration_against_hand_count():
@@ -130,7 +130,8 @@ def test_renaming_invariance():
 
     from hopad.harness import universe_for
 
-    renamed_cfg = Configuration(cfg.state, rename_stack(cfg.stack, 2))
+    renamed = rename_stack(to_nested(cfg.stack, 2), 2)
+    renamed_cfg = Configuration(cfg.state, from_nested(renamed, 2))
     base = enumerate_runs(EnumerationSpace(aut, cfg, 3, universe_for(aut, cfg, (0, 1, 2))))
     other = enumerate_runs(
         EnumerationSpace(aut, renamed_cfg, 3, universe_for(aut, renamed_cfg, (0, 1, 2)))
@@ -171,7 +172,7 @@ def test_seeded_configurations_reach_popable_stacks():
     aut = excursion_machine()
     cfgs = seeded_configurations(aut, 2, (0, 1), 6)
     assert excursion_machine().level == 2
-    assert any(len(cfg.stack[-1]) >= 2 or len(cfg.stack) >= 2 for cfg in cfgs)
+    assert any(len(cfg.stack.top) >= 2 or len(cfg.stack) >= 2 for cfg in cfgs)
 
 
 def test_random_machines_are_valid_and_deterministic():

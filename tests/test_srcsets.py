@@ -201,7 +201,7 @@ def test_idv_upper_uniqueness_counterexample():
     # a machine with two normalized runs of equal read class and end
     # state: the uniqueness hypothesis must be flagged
     from hopad.core import Automaton, Transition, pop, push, validate_automaton
-    from hopad.core import Configuration, Atom
+    from hopad.core import Atom, Configuration, from_nested
 
     aut = validate_automaton(
         Automaton(
@@ -216,7 +216,7 @@ def test_idv_upper_uniqueness_counterexample():
         )
     )
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    cfg = Configuration("q", (Atom("g", None),))
+    cfg = Configuration("q", from_nested((Atom("g", None),), 1))
     run = drive(aut, cfg, [None])
     report = check_idv_upper(aut, run, 0, 1, 2, table, 3, (0, 1, 2))
     assert any("another normalized run" in e for e in report.errors)

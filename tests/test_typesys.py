@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopad.core import Atom, Configuration
+from hopad.core import Atom, Configuration, from_nested
 from hopad.harness import (
     excursion_config,
     excursion_machine,
@@ -103,12 +103,13 @@ def test_level_zero_types_depend_on_data_presence_only(single_pop):
 def test_worked_typing_chain(single_pop):
     _, _, table = single_pop
     # a lone data atom: the {ne} assumption has nothing to hold against
-    assert set(stack_typing((Atom("g1", 5),), 1, table)) == {NE}
+    assert set(stack_typing(from_nested((Atom("g1", 5),), 1), 1, table)) == {NE}
     # with a bottom atom underneath the descriptor's claim is housed at
     # level 0 and the 1-stack is merely nonempty
-    full = stack_typing((Atom("g0", None), Atom("g1", 5)), 1, table)
+    stack = from_nested((Atom("g0", None), Atom("g1", 5)), 1)
+    full = stack_typing(stack, 1, table)
     assert set(full) == {NE}
-    st = type_of_stack((Atom("g0", None), Atom("g1", 5)), 0, table)
+    st = type_of_stack(stack, 0, table)
     ((did, idv),) = st.typing(0).items()
     assert idv == frozenset({5})
     assert NE in st.typing(1)
@@ -116,15 +117,15 @@ def test_worked_typing_chain(single_pop):
 
 def test_empty_stack_has_empty_type(single_pop):
     _, _, table = single_pop
-    assert stack_typing((), 1, table) == {}
+    assert stack_typing(None, 1, table) == {}
 
 
 def test_ne_iff_nonempty():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    assert NE in stack_typing((Atom("g", None),), 1, table)
-    assert NE in stack_typing(((Atom("g", None),),), 2, table)
-    assert NE not in stack_typing((), 2, table)
+    assert NE in stack_typing(from_nested((Atom("g", None),), 1), 1, table)
+    assert NE in stack_typing(from_nested(((Atom("g", None),),), 2), 2, table)
+    assert NE not in stack_typing(None, 2, table)
     assert NE not in atom_typing(Atom("g", None), table)
 
 
@@ -255,7 +256,7 @@ def test_run2type_empty_machine_vacuous():
         )
     )
     table = saturate_level0(aut, presence_monoid("a"))
-    report = check_run2type(aut, Configuration("q", (Atom("g", None),)), table, 3)
+    report = check_run2type(aut, Configuration("q", from_nested((Atom("g", None),), 1)), table, 3)
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -386,7 +387,7 @@ def test_empty_result_sets_force_reading():
     # descriptor is matched by a run that actually reads it
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    cfg = Configuration("q2", ((Atom("g", None),), (Atom("g", 5),)))
+    cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
     report = check_idv(aut, cfg, table, 4, 5, values=(0, 1, 2))
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
@@ -450,6 +451,25 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     # witnessed either way; deeper seeded configurations carry the
     # positive instances
     assert report.verified == 0 and not report.unwitnessed
+
+
+def test_discharges_merges_the_contributions_of_every_member():
+    # a level-1 slot holding two non-ne members, each the drop of its own
+    # level-0 descriptor: the composer's level-1 set is the union of both
+    # descriptors' level-1 assumptions, and its flag their disjunction
+    from hopad.typesys import _discharges
+
+    uni = Universe(2)
+    goal = uni.intern_goal("m", 2, (), "qf")
+    x = uni.intern_desc(1, ((),), "s", goal)
+    d1 = uni.intern_desc(0, ((), (NE,)), "p1", goal)
+    d2 = uni.intern_desc(0, ((), (x,)), "p2", goal)
+    tau1, tau2 = uni.drop(d1, 1), uni.drop(d2, 1)
+    psi_k = (tau1, tau2)
+    drop_index = {tau1: (d1,), tau2: (d2,)}
+    yielded = list(_discharges(uni, psi_k, {d1: False, d2: True}, drop_index, 1))
+    assert yielded == [({1: tuple(sorted((NE, x)))}, True)]
+    assert check_composer(uni, 1, 0, [yielded[0][0][1], (d1, d2)], psi_k) == {tau1: d1, tau2: d2}
 
 
 def test_check_composer_is_the_oracle_for_discharges(monkeypatch):

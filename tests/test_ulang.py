@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hopad.core import execute_word, top_atom, top_stack
+from hopad.core import execute_word, top_atom
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 
@@ -81,11 +81,11 @@ def test_recognizer_stack_probe():
     # locate the configuration right after the 4th letter is processed:
     # steps = 1 bootstrap + 4 per letter
     cfg = out.run.at(1 + 4 * len(word))
-    stack = cfg.stack
+    stack = list(cfg.stack)  # the 1-stacks, bottom to top
     assert len(stack) == len(word) + 2
     opens = 0
     for i, (letter, value) in enumerate(word, start=1):
-        assert top_atom(stack[i], 1) == (letter, value, stack[i][-1].links)
+        assert top_atom(stack[i], 1) == (letter, value, stack[i].top.links)
         opens += 1 if letter == "[" else -1
         ys = sum(1 for a in stack[i + 1] if a.symbol == "Y")
         assert ys == opens
