@@ -41,6 +41,7 @@ from .core import (
     from_nested,
     validate_automaton,
 )
+from .harness import SUITE_NAMES, run_suites
 
 
 class CliError(Exception):
@@ -88,10 +89,6 @@ def render_stack(stack: Stack, level: int) -> str:
     if level == 0:
         return render_atom(stack)
     return "[" + " ".join(render_stack(s, level - 1) for s in stack) + "]"
-
-
-def render_op(op: Op) -> str:
-    return str(op)
 
 
 class _StackParser:
@@ -307,7 +304,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     scenario = parse_automaton_text(text)
     try:
@@ -358,7 +355,7 @@ def _dump_run(run: Run) -> None:
     print(f"  {render_stack(run.at(0).stack, level)}")
     for i, (label, tr) in enumerate(zip(run.labels, run.transitions), start=1):
         read = "eps" if label[0] is None else f"{label[0]}@{label[1]}"
-        print(f"i={i} state={run.at(i).state} op={render_op(tr.op)} read={read}")
+        print(f"i={i} state={run.at(i).state} op={tr.op} read={read}")
         print(f"  {render_stack(run.at(i).stack, level)}")
 
 
@@ -467,10 +464,12 @@ def _cmd_src(args) -> int:
     run = drive_run(scenario, word, args.eps_budget)
     lrun = instrument_lineage(run)
     k = args.k
+    n = scenario.automaton.level
+    if not 0 <= k <= n:
+        raise CliError(f"--k {k} outside 0..{n}")
     if not is_k_upper(lrun, k):
         raise CliError(f"the driven run is not {k}-upper")
     table = _table_for(args, scenario)
-    n = scenario.automaton.level
     final = type_of_stack(run.last.stack, k, table)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
     result = compute_src(lrun, k, sigmas, table)
@@ -514,8 +513,6 @@ def _cmd_gen_word(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import SUITE_NAMES, run_suites
-
     selection = args.suite if args.suite else list(SUITE_NAMES)
     bounds = {}
     if args.max_steps is not None:
@@ -584,7 +581,7 @@ def main(argv=None) -> int:
     p.add_argument("--decorate", action="store_true", help="attach distinct data values")
 
     p = add("verify", _cmd_verify, help="run the verification suites")
-    p.add_argument("--suite", action="append")
+    p.add_argument("--suite", action="append", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=None)
 

@@ -22,6 +22,7 @@ from .core import (
     Run,
     Step,
     Transition,
+    decollapse,
     empty_run,
     execute_word,
     extend_run,
@@ -31,9 +32,29 @@ from .core import (
     push,
     stack_values,
     step,
+    strip_links,
     top_atom,
     validate_automaton,
 )
+from .lineage import (
+    classification_table,
+    decompose_return,
+    decompose_upper,
+    instrument_lineage,
+    is_k_return,
+    is_k_upper,
+    remark_k_return,
+)
+from .monoid import classify_word, presence_monoid, shape_monoid, validate_monoid
+from .srcsets import check_idv_upper, check_origin
+from .typesys import (
+    ResourceCapExceeded,
+    check_idv,
+    check_run2type,
+    saturate_level0,
+    type_of_stack,
+)
+from .ulang import build_u_recognizer, gen_w, in_u
 
 DEFAULT_UNIVERSE = (0, 1, 2, 3)
 
@@ -124,13 +145,6 @@ def seeded_configurations(
         if len(seen) >= cap:
             break
     return seen
-
-
-def find_agreeing_runs(space: EnumerationSpace, goal, table) -> list[Run]:
-    """Enumerated runs that agree with the goal under the typing table."""
-    from .typesys import agrees
-
-    return [run for run in enumerate_runs(space) if agrees(run, goal, table)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +254,6 @@ def u_fragment_corpus() -> tuple[Automaton, list[Configuration]]:
     The fragment drops the single collapse rule, so its runs are honest
     level-2 HOPAD runs, while the seeded stacks are rich in stored data
     values; the mirror-phase pop rules make those values important."""
-    from .core import decollapse, strip_links
-    from .ulang import build_u_recognizer
-
     full = build_u_recognizer()
     frag = decollapse(full)
     words = (
@@ -376,16 +387,12 @@ def _corpus(seed: int, count: int):
 
 
 def _machine_monoid(name: str, aut: Automaton):
-    from .monoid import presence_monoid, shape_monoid
-
     if name == "u-fragment":
         return shape_monoid()
     return presence_monoid(aut.input_alphabet)
 
 
 def _suite_monoid_laws(seed, bounds):
-    from .monoid import classify_word, shape_monoid, validate_monoid
-
     mon = shape_monoid()
     hard = list(validate_monoid(mon))
     letters = ("[", "]", "$")
@@ -414,8 +421,6 @@ def _suite_monoid_laws(seed, bounds):
 
 
 def _suite_w_recurrence(seed, bounds):
-    from .ulang import gen_w
-
     hard = []
     checked = 0
     for reps in (1, 2, 3):
@@ -434,8 +439,6 @@ def _suite_w_recurrence(seed, bounds):
 
 
 def _suite_table1(seed, bounds):
-    from .lineage import classification_table, instrument_lineage, is_k_return
-
     run = classification_example_run()
     lrun = instrument_lineage(run)
     table = classification_table(lrun)
@@ -507,8 +510,6 @@ def _near_member_words(rng: random.Random, count: int, max_len: int):
 
 
 def _suite_u_differential(seed, bounds):
-    from .ulang import build_u_recognizer, in_u
-
     aut = build_u_recognizer()
     hard = []
     checked = 0
@@ -524,24 +525,22 @@ def _suite_u_differential(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _suite_classifier_equivalence(seed, bounds):
-    from .lineage import (
-        decompose_return,
-        decompose_upper,
-        instrument_lineage,
-        is_k_return,
-        is_k_upper,
-        remark_k_return,
-    )
+def _lineage_runs(aut, cfg, bound, base, normalized):
+    """The runs of a start configuration up to the bound over the base
+    universe, instrumented with lineage one at a time."""
+    space = EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, base), normalized)
+    return map(instrument_lineage, enumerate_runs(space))
 
+
+def _suite_classifier_equivalence(seed, bounds):
     hard = []
     checked = 0
     for name, aut, cfgs in _corpus(seed, bounds["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, bounds["run_bound"], universe_for(aut, cfg, (0, 1)))
-            for run in enumerate_runs(space):
-                lrun = instrument_lineage(run)
+            # streamed: holding a configuration's lineage runs doubles the peak memory
+            for lrun in _lineage_runs(aut, cfg, bounds["run_bound"], (0, 1), False):
+                run = lrun.run
                 for k in range(0, n + 1):
                     checked += 1
                     if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
@@ -557,14 +556,13 @@ def _suite_classifier_equivalence(seed, bounds):
 
 
 def _suite_run2type(seed, bounds):
-    from .typesys import check_run2type
-
     hard, soft = [], []
     verified = checked = 0
     single_pop_soft = 0
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
-            rep = check_run2type(aut, cfg, table, bounds["run_bound"], values=(0, 1))
+            runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1), False))
+            rep = check_run2type(aut, cfg, table, runs)
             hard += [f"{name}: {h}" for h in rep.hard_failures]
             soft += [f"{name}: {s}" for s in rep.unwitnessed]
             if name == "single-pop":
@@ -577,18 +575,17 @@ def _suite_run2type(seed, bounds):
 
 
 def _suite_idv(seed, bounds):
-    from .typesys import check_idv
-
     hard, soft = [], []
     verified = checked = 0
     worked_example = 0
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
+            runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True))
             values = sorted(
                 {1, 2} | (stack_values(cfg.stack, aut.level) - {0})
             )[:4]
             for d in values:
-                rep = check_idv(aut, cfg, table, bounds["run_bound"], d, values=(0, 1, 2))
+                rep = check_idv(aut, cfg, table, runs, d)
                 hard += [f"{name}: {h}" for h in rep.hard_failures]
                 soft += [f"{name}: {s}" for s in rep.unwitnessed]
                 verified += rep.verified
@@ -601,35 +598,23 @@ def _suite_idv(seed, bounds):
 
 
 def _suite_origin(seed, bounds):
-    from .lineage import instrument_lineage, is_k_upper, is_normalized
-    from .srcsets import check_origin
-    from .typesys import type_of_stack
-
     hard, soft = [], []
     verified = checked = 0
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            space = EnumerationSpace(
-                aut, cfg, bounds["src_bound"],
-                universe_for(aut, cfg, (0, 1, 2)), normalized_only=True,
-            )
-            candidates = enumerate_runs(space)
+            runs = list(_lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True))
             d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
-            for run in candidates:
-                lrun = instrument_lineage(run)
+            for lrun in runs:
                 for k in range(0, n):
                     if not is_k_upper(lrun, k):
                         continue
-                    final = type_of_stack(run.last.stack, k, table)
+                    final = type_of_stack(lrun.run.last.stack, k, table)
                     sigmas = {
                         i: tuple(final.typing(i)) for i in range(k + 1, n + 1)
                     }
                     for d in d_values:
-                        rep = check_origin(
-                            aut, lrun, k, sigmas, table, d,
-                            bounds["src_bound"], (0, 1, 2), candidates=candidates,
-                        )
+                        rep = check_origin(aut, lrun, k, sigmas, table, d, runs)
                         if rep.errors:
                             continue  # hypothesis not satisfied for this d
                         hard += [f"{name}: {h}" for h in rep.hard_failures]
@@ -640,39 +625,28 @@ def _suite_origin(seed, bounds):
 
 
 def _corpus_with_tables(seed, count):
-    from .typesys import saturate_level0
-
     for name, aut, cfgs in _corpus(seed, count):
         monoid = _machine_monoid(name, aut)
         yield name, aut, cfgs, saturate_level0(aut, monoid)
 
 
 def _suite_idv_upper(seed, bounds):
-    from .lineage import instrument_lineage, is_k_upper
-    from .srcsets import check_idv_upper
-
     hard = []
     verified = checked = 0
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            space = EnumerationSpace(
-                aut, cfg, bounds["src_bound"],
-                universe_for(aut, cfg, (0, 1, 2)), normalized_only=True,
-            )
+            runs = list(_lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True))
             d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
             pairs = [
                 (d, dp) for d in d_values for dp in d_values if d < dp
             ]
-            for run in enumerate_runs(space):
-                lrun = instrument_lineage(run)
+            for lrun in runs:
                 for k in range(0, n + 1):
                     if not is_k_upper(lrun, k):
                         continue
                     for d, dp in pairs:
-                        rep = check_idv_upper(
-                            aut, lrun, k, d, dp, table, bounds["src_bound"], (0, 1, 2)
-                        )
+                        rep = check_idv_upper(aut, lrun, k, d, dp, table, runs)
                         if rep.errors:
                             continue
                         hard += [f"{name}: {h}" for h in rep.hard_failures]
@@ -706,8 +680,6 @@ def run_suites(selection=None, seed: int = 0, bounds=None) -> SuiteReport:
     merged = dict(DEFAULT_BOUNDS)
     if bounds:
         merged.update(bounds)
-    from .typesys import ResourceCapExceeded
-
     report = SuiteReport()
     for name in selection:
         if name not in _SUITE_FUNCTIONS:

@@ -258,12 +258,6 @@ class DecompositionTree:
     split: Optional[int] = None
     children: tuple["DecompositionTree", ...] = ()
 
-    def render(self, indent: str = "") -> str:
-        head = f"{indent}{self.shape} case {self.case} level {self.level} [{self.span[0]}..{self.span[1]}]"
-        if self.split is not None:
-            head += f" split {self.split}"
-        return "\n".join([head] + [c.render(indent + "  ") for c in self.children])
-
 
 def decompose_return(
     run: Union[Run, LineageRun],

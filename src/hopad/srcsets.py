@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import Run, recompose, spine, stack_values, top_stack
-from .lineage import LineageRun, _as_lineage, instrument_lineage, is_k_return, is_k_upper, is_normalized
+from .lineage import LineageRun, _as_lineage, is_k_return, is_k_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
     CheckReport,
     Level0TypeTable,
+    _require_start,
     stack_typing,
     type_of_stack,
 )
@@ -188,9 +189,7 @@ def check_origin(
     sigmas: Mapping[int, Sequence[int]],
     table: Level0TypeTable,
     d: int,
-    bound: int,
-    values: Sequence[int] = (0, 1, 2, 3),
-    candidates: Optional[Sequence[Run]] = None,
+    runs: Sequence[LineageRun],
 ) -> CheckReport:
     """The origin transfer for one data value d.
 
@@ -198,11 +197,15 @@ def check_origin(
     sets implies d important in an initial piece under the src sets.
     Part 2 (bounded search): when d is important under src initially,
     some normalized k-upper run with matching read class, final topmost
-    k-stack, and held assumptions reads d or keeps it important.
+    k-stack, and held assumptions reads d or keeps it important.  The
+    search goes through `runs`, which must be every normalized run from
+    the run's start up to the bound, with lineage; a run starting
+    elsewhere raises ValueError.
     """
-    report = CheckReport("origin")
     lrun = _as_lineage(lrun)
     run = lrun.run
+    _require_start(runs, run.at(0))
+    report = CheckReport("origin")
     n = aut.level
     uni = table.universe
     if not is_normalized(lrun):
@@ -242,24 +245,13 @@ def check_origin(
 
     if hit_init:
         # search for the transferred run from the run's own start
-        if candidates is None:
-            from .harness import EnumerationSpace, enumerate_runs, universe_for
-
-            space = EnumerationSpace(
-                aut,
-                run.at(0),
-                bound,
-                universe_for(aut, run.at(0), values),
-                normalized_only=True,
-            )
-            candidates = enumerate_runs(space)
         target_topk = top_stack(run.last.stack, n, k)
         phi_r = phi_of_run(table.monoid, run)
         witness = None
-        for cand in candidates:
-            lc = instrument_lineage(cand)
+        for lc in runs:
             if not is_k_upper(lc, k):
                 continue
+            cand = lc.run
             if phi_of_run(table.monoid, cand) != phi_r:
                 continue
             if cand.last.state != run.last.state:
@@ -286,7 +278,7 @@ def check_origin(
             report.verified += 1
         else:
             report.unwitnessed.append(
-                f"k={k} d={d}: important under src but no transferred run at bound {bound}"
+                f"k={k} d={d}: important under src but no transferred run"
             )
     return report
 
@@ -298,22 +290,24 @@ def check_idv_upper(
     d: int,
     d_prime: int,
     table: Level0TypeTable,
-    bound: int,
-    values: Sequence[int] = (0, 1, 2, 3),
+    runs: Sequence[LineageRun],
 ) -> CheckReport:
     """Indistinguishability transfer along a k-upper run.
 
     Hypotheses (violations are named, not counted as failures): the run
-    is normalized and k-upper; within the bound it is the only
-    normalized run from its start with its end state and read class;
-    d and d' are nonzero, unread, absent from the initial topmost
-    k-stack, and indistinguishable in every initial idv set.  Conclusion
-    checked: both stay absent from the final topmost k-stack and remain
-    indistinguishable in every final idv set.
+    is normalized and k-upper; among `runs` it is the only one with its
+    end state and read class; d and d' are nonzero, unread, absent from
+    the initial topmost k-stack, and indistinguishable in every initial
+    idv set.  Conclusion checked: both stay absent from the final
+    topmost k-stack and remain indistinguishable in every final idv set.
+    `runs` must be every normalized run from the run's start up to the
+    bound, with lineage, so uniqueness is known only up to that bound; a
+    run starting elsewhere raises ValueError.
     """
-    report = CheckReport("idv-upper")
     lrun = _as_lineage(lrun)
     run = lrun.run
+    _require_start(runs, run.at(0))
+    report = CheckReport("idv-upper")
     n = aut.level
     if not is_normalized(lrun):
         report.errors.append("run is not normalized")
@@ -339,14 +333,9 @@ def check_idv_upper(
                 )
                 return report
 
-    # uniqueness hypothesis, by enumeration up to the bound
-    from .harness import EnumerationSpace, enumerate_runs, universe_for
-
+    # uniqueness hypothesis, among the runs up to the bound
     phi_r = phi_of_run(table.monoid, run)
-    space = EnumerationSpace(
-        aut, run.at(0), bound, universe_for(aut, run.at(0), values), normalized_only=True
-    )
-    for cand in enumerate_runs(space):
+    for cand in (lc.run for lc in runs):
         if (
             cand.last.state == run.last.state
             and phi_of_run(table.monoid, cand) == phi_r
@@ -356,7 +345,6 @@ def check_idv_upper(
                 "hypothesis: another normalized run with the same end state and read class"
             )
             return report
-    report.notes.append(f"uniqueness assumed beyond bound {bound}")
 
     report.checked += 1
     final_topk = top_stack(run.last.stack, n, k)

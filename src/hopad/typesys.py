@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import LineageRun, _as_lineage, instrument_lineage, is_k_return
+from .lineage import LineageRun, _as_lineage, is_k_return
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -224,6 +224,9 @@ def saturate_level0(
     for t in aut.transitions:
         if t.op.kind == "collapse":
             raise ValueError("the type system covers collapse-free automata only")
+    unmapped = aut.input_alphabet - monoid.letter_map.keys()
+    if unmapped:
+        raise ValueError(f"monoid {monoid.name} maps no letter {' '.join(sorted(unmapped))}")
     n = aut.level
     uni = Universe(n, cap=max_descriptors)
     entries: dict[tuple[str, bool], dict[int, bool]] = {
@@ -539,11 +542,7 @@ class StackTyping:
 
     level: int
     k: int
-    pieces: tuple
     typings: tuple
-
-    def piece(self, i: int):
-        return self.pieces[self.level - i]
 
     def typing(self, i: int) -> Typing:
         return self.typings[self.level - i]
@@ -556,7 +555,7 @@ def type_of_stack(stack: Stack, k: int, table: Level0TypeTable) -> StackTyping:
         stack_typing(piece, lvl, table)
         for piece, lvl in zip(pieces, range(n, k - 1, -1))
     )
-    return StackTyping(n, k, pieces, typings)
+    return StackTyping(n, k, typings)
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +578,12 @@ class CheckReport:
     hard_failures: list = field(default_factory=list)
     unwitnessed: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     verified: int = 0
     checked: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.hard_failures and not self.errors
-
-    def summary(self) -> str:
-        return (
-            f"{self.name}: checked={self.checked} verified={self.verified} "
-            f"hard={len(self.hard_failures)} soft={len(self.unwitnessed)} "
-            f"errors={len(self.errors)}"
-        )
 
 
 def goal_space(table: Level0TypeTable) -> list[int]:
@@ -661,13 +652,10 @@ def find_witness(
     return None
 
 
-def _prepared_runs(aut, config, table, bound, values, normalized_only):
-    from .harness import EnumerationSpace, enumerate_runs, universe_for
-
-    space = EnumerationSpace(
-        aut, config, bound, universe_for(aut, config, values), normalized_only
-    )
-    return [_prepare(instrument_lineage(run), table) for run in enumerate_runs(space)]
+def _require_start(runs: Iterable[LineageRun], start: Configuration) -> None:
+    for lrun in runs:
+        if lrun.run.at(0) != start:
+            raise ValueError("a given run does not start at the start configuration")
 
 
 def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
@@ -713,20 +701,22 @@ def check_run2type(
     aut: Automaton,
     config: Configuration,
     table: Level0TypeTable,
-    bound: int,
-    values: Sequence[int] = (0, 1, 2, 3),
+    runs: Sequence[LineageRun],
 ) -> CheckReport:
     """Both directions of the run/descriptor correspondence at a bound.
 
-    1=>2 (hard): every enumerated run agreeing with a goal must be
-    witnessed by a matching descriptor with held assumption sets.
+    `runs` must be every run from `config` up to the bound, with lineage;
+    a run starting elsewhere raises ValueError.
+    1=>2 (hard): every given run agreeing with a goal must be witnessed
+    by a matching descriptor with held assumption sets.
     2=>1 (soft): every witnessed (goal, level) pair should exhibit an
     agreeing run within the bound; misses are reported as unwitnessed.
     """
+    _require_start(runs, config)
     report = CheckReport("run2type")
     uni = table.universe
     n = aut.level
-    prepared = _prepared_runs(aut, config, table, bound, values, False)
+    prepared = [_prepare(lrun, table) for lrun in runs]
     for gid in goal_space(table):
         g = uni.goal(gid)
         agreeing = [info for info in prepared if _run_agrees(info, g, uni, n)]
@@ -741,7 +731,7 @@ def check_run2type(
             elif witness is not None and not agreeing:
                 report.unwitnessed.append(
                     f"k={k} goal={uni.render_goal(gid)} witnessed by descriptor {witness} "
-                    f"but no agreeing run at bound {bound}"
+                    "but no agreeing run"
                 )
             elif witness is not None and agreeing:
                 report.verified += 1
@@ -752,19 +742,22 @@ def check_idv(
     aut: Automaton,
     config: Configuration,
     table: Level0TypeTable,
-    bound: int,
+    runs: Sequence[LineageRun],
     d: int,
-    values: Sequence[int] = (0, 1, 2, 3),
 ) -> CheckReport:
-    """The important-data-value correspondence for one value d != 0,
-    over normalized enumerated runs."""
+    """The important-data-value correspondence for one value d != 0.
+
+    `runs` must be every normalized run from `config` up to the bound,
+    with lineage; a run starting elsewhere raises ValueError.
+    """
+    _require_start(runs, config)
     report = CheckReport("idv")
     if d == 0:
         report.errors.append("d must differ from the normalization value 0")
         return report
     uni = table.universe
     n = aut.level
-    prepared = _prepared_runs(aut, config, table, bound, values, True)
+    prepared = [_prepare(lrun, table) for lrun in runs]
     for gid in goal_space(table):
         g = uni.goal(gid)
         hits = []
@@ -792,7 +785,7 @@ def check_idv(
             elif witness is not None and not hits:
                 report.unwitnessed.append(
                     f"k={k} d={d} goal={uni.render_goal(gid)} carried by descriptor "
-                    f"{witness} but no agreeing normalized run uses it at bound {bound}"
+                    f"{witness} but no agreeing normalized run uses it"
                 )
             elif witness is not None and hits:
                 report.verified += 1

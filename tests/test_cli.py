@@ -215,6 +215,9 @@ def test_malformed_automaton_text_is_a_cli_error(text):
         parse_automaton_text(text)
 
 
+EXCURSION = str(GOLDEN / "excursion.scenario")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,15 +225,44 @@ def test_malformed_automaton_text_is_a_cli_error(text):
         ("u-check", "--word", "[@\u00b2"),
         ("gen-word", "--k", "6", "--n", "50"),
         ("gen-word", "--k", "7"),
+        ("types", EXCURSION),
+        ("src", EXCURSION, "--k", "-1", "--monoid", "presence"),
+        ("src", EXCURSION, "--k", "3", "--monoid", "presence"),
+        *((command, "{latin1}") for command in ("run", "classify", "types", "src")),
+        ("accept", "{latin1}", "--word", "a@1"),
     ],
-    ids=["start-stack", "u-check-superscript", "gen-word-length-cap", "gen-word-k-range"],
+    ids=[
+        "start-stack", "u-check-superscript", "gen-word-length-cap", "gen-word-k-range",
+        "types-unmapped-letters", "src-k-negative", "src-k-above-level",
+        "run-not-utf8", "classify-not-utf8", "types-not-utf8", "src-not-utf8", "accept-not-utf8",
+    ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
     no_stack = tmp_path / "no-stack.scenario"
     no_stack.write_text(ACCEPTING_WITH_EPS.replace("start-stack [(g,-)]", "start-stack"))
-    code, err = run_cli_stderr(*(a.format(no_stack=no_stack) for a in argv))
+    latin1 = tmp_path / "latin1.aut"
+    latin1.write_bytes(EPS_LOOP.replace("initial-state q", "initial-state q\u00e9").encode("latin-1"))
+    code, err = run_cli_stderr(*(a.format(no_stack=no_stack, latin1=latin1) for a in argv))
     assert code == 2
     assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_validate_reports_a_file_that_is_not_utf8(tmp_path):
+    latin1 = tmp_path / "latin1.aut"
+    latin1.write_bytes(EPS_LOOP.replace("initial-state q", "initial-state q\u00e9").encode("latin-1"))
+    code, out = run_cli("validate", str(latin1))
+    assert code == 2
+    assert len(out.splitlines()) == 1 and "utf-8" in out
+
+
+def test_unknown_suite_is_a_usage_error():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["run", "accept", "classify", "src"])

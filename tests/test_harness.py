@@ -1,10 +1,10 @@
 import pytest
 
+from hopad import harness
 from hopad.core import Atom, Configuration, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
-    find_agreeing_runs,
     random_machine,
     run_suites,
     seeded_configurations,
@@ -14,7 +14,7 @@ from hopad.harness import (
     excursion_machine,
 )
 from hopad.monoid import presence_monoid
-from hopad.typesys import saturate_level0
+from hopad.typesys import agrees, saturate_level0
 
 
 def test_universe_must_contain_zero():
@@ -161,11 +161,15 @@ def test_find_agreeing_runs():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
     space = EnumerationSpace(aut, single_pop_config(), 2, (0, 5))
+
+    def agreeing_runs(goal):
+        return [run for run in enumerate_runs(space) if agrees(run, goal, table)]
+
     goal = uni.intern_goal("SOME", 1, (), "qf")
-    agreeing = find_agreeing_runs(space, goal, table)
+    agreeing = agreeing_runs(goal)
     assert len(agreeing) == 1 and agreeing[0].read_word == (("a", 5),)
     nobody = uni.intern_goal("SOME", 1, (), "q")
-    assert find_agreeing_runs(space, nobody, table) == []
+    assert agreeing_runs(nobody) == []
 
 
 def test_seeded_configurations_reach_popable_stacks():
@@ -188,6 +192,23 @@ def test_random_machines_are_valid_and_deterministic():
 def test_run_suites_unknown_name():
     with pytest.raises(ValueError):
         run_suites(["no-such-suite"])
+
+
+@pytest.mark.parametrize(
+    "suite", ["classifier-equivalence", "run2type", "idv", "origin", "idv-upper"]
+)
+def test_suites_enumerate_once_per_start_configuration(monkeypatch, suite):
+    calls = []
+
+    def counted(space, *args, **kwargs):
+        calls.append(space)
+        return enumerate_runs(space, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "enumerate_runs", counted)
+    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
+    assert run_suites([suite], seed=20260808, bounds=bounds).ok
+    # 20 start configurations, plus one seeding call per random machine
+    assert len(calls) == 28
 
 
 def test_quick_suites_pass_and_report_shape():

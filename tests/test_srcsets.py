@@ -3,6 +3,7 @@ import pytest
 from hopad.core import Step, empty_run, extend_run, step
 from hopad.harness import (
     EnumerationSpace,
+    _lineage_runs,
     enumerate_runs,
     excursion_config,
     excursion_machine,
@@ -30,6 +31,10 @@ def drive(aut, cfg, labels):
         assert isinstance(res, Step), res
         run = extend_run(run, res)
     return run
+
+
+def normalized_runs(aut, cfg, bound):
+    return list(_lineage_runs(aut, cfg, bound, (0, 1, 2), True))
 
 
 def excursion_prefix(aut):
@@ -111,18 +116,12 @@ def test_src_rejects_bad_sigma(excursion):
 
 def test_origin_part1_and_part2_positive(excursion):
     aut, table = excursion
-    from hopad.harness import universe_for
-
-    cfg = excursion_config()
-    space = EnumerationSpace(
-        aut, cfg, 5, universe_for(aut, cfg, (0, 1, 2)), normalized_only=True
-    )
-    candidates = enumerate_runs(space)
+    runs = normalized_runs(aut, excursion_config(), 5)
     run = excursion_prefix(aut)
     lrun = instrument_lineage(run)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(aut, lrun, 0, sigmas, table, 7, 5, (0, 1, 2), candidates)
+    report = check_origin(aut, lrun, 0, sigmas, table, 7, runs)
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
@@ -130,9 +129,10 @@ def test_origin_part1_and_part2_positive(excursion):
 def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 0, 4)
+    runs = normalized_runs(aut, run.at(0), 4)
+    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 0, runs)
     assert report.errors and not report.ok
-    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 9, 4)
+    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 9, runs)
     assert any("topmost" in e for e in report.errors)
 
 
@@ -141,7 +141,7 @@ def test_origin_vacuous_when_value_absent(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(aut, run, 0, sigmas, table, 4, 4)
+    report = check_origin(aut, run, 0, sigmas, table, 4, normalized_runs(aut, run.at(0), 4))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -150,22 +150,30 @@ def test_origin_exhaustive_over_fragment():
     table = saturate_level0(frag, shape_monoid())
     hard = 0
     for cfg in cfgs:
-        space = EnumerationSpace(frag, cfg, 4, (0, 1, 2), normalized_only=True)
-        candidates = enumerate_runs(space)
-        for run in candidates:
-            lrun = instrument_lineage(run)
+        runs = normalized_runs(frag, cfg, 4)
+        for lrun in runs:
             for k in (0, 1):
                 if not is_k_upper(lrun, k):
                     continue
-                final = type_of_stack(run.configs[-1].stack, k, table)
+                final = type_of_stack(lrun.run.configs[-1].stack, k, table)
                 sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
                 for d in (1, 2):
-                    report = check_origin(
-                        frag, lrun, k, sigmas, table, d, 4, (0, 1, 2), candidates
-                    )
+                    report = check_origin(frag, lrun, k, sigmas, table, d, runs)
                     if not report.errors:
                         hard += len(report.hard_failures)
     assert hard == 0
+
+
+def test_transfer_checks_reject_runs_from_another_start(excursion):
+    aut, table = excursion
+    run = excursion_prefix(aut)
+    final = type_of_stack(run.last.stack, 0, table)
+    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
+    foreign = normalized_runs(aut, run.last, 3)
+    with pytest.raises(ValueError, match="start"):
+        check_origin(aut, run, 0, sigmas, table, 7, foreign)
+    with pytest.raises(ValueError, match="start"):
+        check_idv_upper(aut, run, 0, 4, 6, table, normalized_runs(aut, run.at(0), 3) + foreign)
 
 
 def test_idv_upper_conclusion_holds(excursion):
@@ -174,26 +182,27 @@ def test_idv_upper_conclusion_holds(excursion):
     # 4 and 6 occur nowhere: indistinguishable before, so after as well;
     # at bound 3 the run is the unique one with its read class and state
     # (at bound 5 a bounce-prefixed run shares both and must be flagged)
-    report = check_idv_upper(aut, run, 0, 4, 6, table, 3, (0, 1, 2))
+    short, long = normalized_runs(aut, run.at(0), 3), normalized_runs(aut, run.at(0), 5)
+    report = check_idv_upper(aut, run, 0, 4, 6, table, short)
     assert report.ok and report.verified == 1
-    assert any("assumed beyond bound" in note for note in report.notes)
-    longer = check_idv_upper(aut, run, 0, 4, 6, table, 5, (0, 1, 2))
+    longer = check_idv_upper(aut, run, 0, 4, 6, table, long)
     assert any("another normalized run" in e for e in longer.errors)
 
 
 def test_idv_upper_hypothesis_failures_named(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
+    runs = normalized_runs(aut, run.at(0), 5)
     # 5 is important where 6 is not: distinguishable hypothesis fails
-    report = check_idv_upper(aut, run, 0, 5, 6, table, 5, (0, 1, 2))
+    report = check_idv_upper(aut, run, 0, 5, 6, table, runs)
     assert report.errors and any("distinguishable" in e for e in report.errors)
     # 9 appears in the initial topmost 0-stack
-    report = check_idv_upper(aut, run, 0, 9, 6, table, 5, (0, 1, 2))
+    report = check_idv_upper(aut, run, 0, 9, 6, table, runs)
     assert any("topmost" in e for e in report.errors)
     # values read by the run are out
-    report = check_idv_upper(aut, run, 0, 7, 6, table, 5, (0, 1, 2))
+    report = check_idv_upper(aut, run, 0, 7, 6, table, runs)
     assert any("read" in e for e in report.errors)
-    report = check_idv_upper(aut, run, 0, 0, 6, table, 5, (0, 1, 2))
+    report = check_idv_upper(aut, run, 0, 0, 6, table, runs)
     assert report.errors
 
 
@@ -218,7 +227,7 @@ def test_idv_upper_uniqueness_counterexample():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
     run = drive(aut, cfg, [None])
-    report = check_idv_upper(aut, run, 0, 1, 2, table, 3, (0, 1, 2))
+    report = check_idv_upper(aut, run, 0, 1, 2, table, normalized_runs(aut, cfg, 3))
     assert any("another normalized run" in e for e in report.errors)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from hopad.core import Atom, Configuration, from_nested
 from hopad.harness import (
+    DEFAULT_UNIVERSE,
+    _lineage_runs,
     excursion_config,
     excursion_machine,
     random_machine,
@@ -26,6 +28,10 @@ from hopad.typesys import (
     stack_typing,
     type_of_stack,
 )
+
+
+def runs_from(aut, cfg, bound, values, normalized):
+    return list(_lineage_runs(aut, cfg, bound, values, normalized))
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +247,8 @@ def test_resource_cap():
 
 def test_run2type_single_pop_exact(single_pop):
     aut, _, table = single_pop
-    report = check_run2type(aut, single_pop_config(), table, 2)
+    cfg = single_pop_config()
+    report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, False))
     assert report.ok
     assert report.unwitnessed == []
     assert report.verified >= 1
@@ -256,7 +263,8 @@ def test_run2type_empty_machine_vacuous():
         )
     )
     table = saturate_level0(aut, presence_monoid("a"))
-    report = check_run2type(aut, Configuration("q", from_nested((Atom("g", None),), 1)), table, 3)
+    cfg = Configuration("q", from_nested((Atom("g", None),), 1))
+    report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 3, DEFAULT_UNIVERSE, False))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -265,30 +273,45 @@ def test_run2type_example_chain_all_configs():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = classification_example_run()
     for i in range(len(run) + 1):
-        report = check_run2type(aut, run.at(i), table, 6)
+        cfg = run.at(i)
+        report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 6, DEFAULT_UNIVERSE, False))
         assert report.ok, report.hard_failures
         assert not report.unwitnessed
 
 
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
-    report = check_idv(aut, single_pop_config(), table, 2, 5)
+    cfg = single_pop_config()
+    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 5)
     assert report.ok
     assert report.verified >= 1
     # a value absent from the stack and never readable: vacuous
-    vac = check_idv(aut, single_pop_config(), table, 2, 9, values=(0, 1))
+    vac = check_idv(aut, cfg, table, runs_from(aut, cfg, 2, (0, 1), True), 9)
     assert vac.ok and vac.verified == 0
+
+
+def test_correspondence_checks_reject_runs_from_another_start(single_pop):
+    aut, _, table = single_pop
+    cfg = single_pop_config()
+    bare = Configuration("q", from_nested((Atom("g0", None),), 1))
+    foreign = runs_from(aut, bare, 2, DEFAULT_UNIVERSE, True)
+    with pytest.raises(ValueError, match="start"):
+        check_run2type(aut, cfg, table, foreign)
+    with pytest.raises(ValueError, match="start"):
+        check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, 5)
 
 
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
-    assert not check_idv(aut, single_pop_config(), table, 2, 0).ok
+    cfg = single_pop_config()
+    assert not check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 0).ok
 
 
 def test_idv_excursion_buried_value():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    report = check_idv(aut, excursion_config(), table, 6, 7, values=(0, 1, 2))
+    cfg = excursion_config()
+    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 7)
     assert report.ok, report.hard_failures
     assert report.verified >= 1
 
@@ -300,8 +323,8 @@ def test_correspondence_checks_on_random_machines():
         from hopad.core import initial_configuration
 
         cfg = initial_configuration(aut)
-        assert check_run2type(aut, cfg, table, 5, values=(0, 1)).ok
-        assert check_idv(aut, cfg, table, 5, 1, values=(0, 1)).ok
+        assert check_run2type(aut, cfg, table, runs_from(aut, cfg, 5, (0, 1), False)).ok
+        assert check_idv(aut, cfg, table, runs_from(aut, cfg, 5, (0, 1), True), 1).ok
 
 
 def test_goal_space_covers_materialized_goals(single_pop):
@@ -388,7 +411,7 @@ def test_empty_result_sets_force_reading():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
-    report = check_idv(aut, cfg, table, 4, 5, values=(0, 1, 2))
+    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), 5)
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
     assert not report.unwitnessed
@@ -399,7 +422,8 @@ def test_value_unreachable_from_outer_state_is_vacuous():
     # the top two values, so no descriptor may carry it and none does
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    report = check_idv(aut, excursion_config(), table, 6, 5, values=(0, 1, 2))
+    cfg = excursion_config()
+    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 5)
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -444,7 +468,7 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     table = saturate_level0(frag, shape_monoid())
     boot = cfgs[0]
     assert boot.state == "work" and len(boot.stack) == 2
-    report = check_run2type(frag, boot, table, 8, values=(0, 1))
+    report = check_run2type(frag, boot, table, runs_from(frag, boot, 8, (0, 1), False))
     assert report.ok, report.hard_failures
     # no return completes from the pristine stack within the bound (a
     # bracket cycle needs a counted opening first), so nothing is
