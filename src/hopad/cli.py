@@ -28,6 +28,7 @@ from typing import Optional
 
 from .core import (
     DEFAULT_EPS_BUDGET,
+    MAX_LEVEL,
     Atom,
     Automaton,
     Configuration,
@@ -42,6 +43,11 @@ from .core import (
     validate_automaton,
 )
 from .harness import SUITE_NAMES, run_suites
+from .lineage import classification_table, instrument_lineage, is_k_upper
+from .monoid import monoid_by_name
+from .srcsets import compute_src
+from .typesys import ResourceCapExceeded, saturate_level0, type_of_stack
+from .ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 
 class CliError(Exception):
@@ -49,8 +55,9 @@ class CliError(Exception):
 
 
 def _is_number(text: str) -> bool:
-    """A nonempty run of ASCII digits; `str.isdigit` also accepts `²`."""
-    return text.isascii() and text.isdigit()
+    """A nonempty run of ASCII digits (`str.isdigit` also accepts `²`),
+    short enough for `int`, which refuses more than 4300 digits."""
+    return text.isascii() and text.isdigit() and len(text) <= 4300
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +223,8 @@ def parse_automaton_text(text: str) -> Scenario:
             if len(rest) != 1 or not _is_number(rest[0]):
                 raise CliError(f"{where}: level needs one number")
             fields["level"] = int(rest[0])
+            if fields["level"] > MAX_LEVEL:
+                raise CliError(f"{where}: level {fields['level']} above the maximum {MAX_LEVEL}")
         elif key == "collapsible":
             if rest not in (["true"], ["false"]):
                 raise CliError(f"{where}: collapsible needs true or false")
@@ -384,8 +393,6 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .lineage import classification_table, instrument_lineage
-
     scenario = load_scenario(args.file)
     word = parse_data_word(args.word) if args.word else ()
     run = drive_run(scenario, word, args.eps_budget)
@@ -422,9 +429,6 @@ def _render_set(values) -> str:
 
 
 def _table_for(args, scenario):
-    from .monoid import monoid_by_name
-    from .typesys import ResourceCapExceeded, saturate_level0
-
     aut = scenario.automaton
     monoid = monoid_by_name(args.monoid, sorted(aut.input_alphabet))
     try:
@@ -455,10 +459,6 @@ def _cmd_types(args) -> int:
 
 
 def _cmd_src(args) -> int:
-    from .lineage import instrument_lineage, is_k_upper
-    from .srcsets import compute_src
-    from .typesys import type_of_stack
-
     scenario = load_scenario(args.file)
     word = parse_data_word(args.word) if args.word else ()
     run = drive_run(scenario, word, args.eps_budget)
@@ -483,8 +483,6 @@ def _cmd_src(args) -> int:
 
 
 def _cmd_u_check(args) -> int:
-    from .ulang import in_u
-
     word = parse_data_word(args.word)
     report = in_u(word)
     print("member" if report.member else f"non-member ({report.failed_condition})")
@@ -492,15 +490,11 @@ def _cmd_u_check(args) -> int:
 
 
 def _cmd_u_machine(args) -> int:
-    from .ulang import build_u_recognizer
-
     sys.stdout.write(format_automaton(build_u_recognizer()))
     return 0
 
 
 def _cmd_gen_word(args) -> int:
-    from .ulang import decorate_distinct, gen_w
-
     try:
         word = gen_w(args.k, args.n)
     except ValueError as exc:
@@ -529,8 +523,15 @@ def _eps_budget(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopad",
         description="higher-order pushdown automata over data words",
     )

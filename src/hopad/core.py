@@ -33,6 +33,8 @@ NO_DATA = None
 
 DEFAULT_EPS_BUDGET = 10_000
 
+MAX_LEVEL = 100  # stacks nest at most this deep; recursive walks stay within Python's limit
+
 DataWord = tuple[tuple[str, int], ...]
 Label = tuple[Optional[str], Optional[int]]
 
@@ -231,7 +233,7 @@ class Configuration(NamedTuple):
 def automaton_diagnostics(aut: Automaton) -> list[Diagnostic]:
     """Return every violation of the model's well-formedness rules."""
     out: list[Diagnostic] = []
-    if aut.level < 1:
+    if not 1 <= aut.level <= MAX_LEVEL:
         out.append(Diagnostic("level-out-of-range", f"automaton level {aut.level}"))
     if aut.initial_state not in aut.states:
         out.append(Diagnostic("dangling-state", f"initial state {aut.initial_state}"))
@@ -570,6 +572,8 @@ class _PendingRun(Run):
         while type(run) is _PendingRun:
             steps.append((run.last, run._label, run._transition))
             run = run._parent
+        if not steps:  # another thread built this run's tuples meanwhile
+            return getattr(self, name)
         configs, labels, transitions = zip(*reversed(steps))
         self.configs = run.configs + configs
         self.labels = run.labels + labels

@@ -562,7 +562,7 @@ def _suite_run2type(seed, bounds):
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
             runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1), False))
-            rep = check_run2type(aut, cfg, table, runs)
+            rep = check_run2type(cfg, table, runs)
             hard += [f"{name}: {h}" for h in rep.hard_failures]
             soft += [f"{name}: {s}" for s in rep.unwitnessed]
             if name == "single-pop":
@@ -581,11 +581,9 @@ def _suite_idv(seed, bounds):
     for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
         for cfg in cfgs:
             runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True))
-            values = sorted(
-                {1, 2} | (stack_values(cfg.stack, aut.level) - {0})
-            )[:4]
+            values = sorted({1, 2} | (stack_values(cfg.stack, aut.level) - {0}))[:4]
             for d in values:
-                rep = check_idv(aut, cfg, table, runs, d)
+                rep = check_idv(cfg, table, runs, d)
                 hard += [f"{name}: {h}" for h in rep.hard_failures]
                 soft += [f"{name}: {s}" for s in rep.unwitnessed]
                 verified += rep.verified
@@ -610,24 +608,18 @@ def _suite_origin(seed, bounds):
                     if not is_k_upper(lrun, k):
                         continue
                     final = type_of_stack(lrun.run.last.stack, k, table)
-                    sigmas = {
-                        i: tuple(final.typing(i)) for i in range(k + 1, n + 1)
-                    }
-                    for d in d_values:
-                        rep = check_origin(aut, lrun, k, sigmas, table, d, runs)
-                        if rep.errors:
-                            continue  # hypothesis not satisfied for this d
-                        hard += [f"{name}: {h}" for h in rep.hard_failures]
-                        soft += [f"{name}: {s}" for s in rep.unwitnessed]
-                        verified += rep.verified
-                        checked += rep.checked
+                    sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
+                    rep = check_origin(lrun, k, sigmas, table, d_values, runs)
+                    hard += [f"{name}: {h}" for h in rep.hard_failures]
+                    soft += [f"{name}: {s}" for s in rep.unwitnessed]
+                    verified += rep.verified
+                    checked += rep.checked
     return hard, soft, {"checked": checked, "verified": verified}
 
 
 def _corpus_with_tables(seed, count):
     for name, aut, cfgs in _corpus(seed, count):
-        monoid = _machine_monoid(name, aut)
-        yield name, aut, cfgs, saturate_level0(aut, monoid)
+        yield name, aut, cfgs, saturate_level0(aut, _machine_monoid(name, aut))
 
 
 def _suite_idv_upper(seed, bounds):
@@ -638,20 +630,14 @@ def _suite_idv_upper(seed, bounds):
         for cfg in cfgs:
             runs = list(_lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True))
             d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
-            pairs = [
-                (d, dp) for d in d_values for dp in d_values if d < dp
-            ]
             for lrun in runs:
                 for k in range(0, n + 1):
                     if not is_k_upper(lrun, k):
                         continue
-                    for d, dp in pairs:
-                        rep = check_idv_upper(aut, lrun, k, d, dp, table, runs)
-                        if rep.errors:
-                            continue
-                        hard += [f"{name}: {h}" for h in rep.hard_failures]
-                        verified += rep.verified
-                        checked += rep.checked
+                    rep = check_idv_upper(lrun, k, table, d_values, runs)
+                    hard += [f"{name}: {h}" for h in rep.hard_failures]
+                    verified += rep.verified
+                    checked += rep.checked
     return hard, [], {"checked": checked, "verified": verified}
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional
 
 from .core import Run, top_atom
 
@@ -39,10 +39,6 @@ class LineageRun:
     snapshots: tuple[LNode, ...]
     parent: Mapping[int, int]  # fresh id -> the id it was copied from
     created: Mapping[int, int]  # id -> index of the step that created it
-
-
-def _as_lineage(run: Union[Run, LineageRun]) -> LineageRun:
-    return run if isinstance(run, LineageRun) else instrument_lineage(run)
 
 
 def _modify_top(node: LNode, depth: int, fn) -> LNode:
@@ -149,8 +145,7 @@ def _rep_at(lrun: LineageRun, chain: list[int], t: int) -> Optional[int]:
     return None
 
 
-def is_k_upper(run: Union[Run, LineageRun], k: int, i: int = 0, j: Optional[int] = None) -> bool:
-    lrun = _as_lineage(run)
+def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
     if j is None:
         j = len(lrun.run)
     final = _topmost_uid(lrun, j, k)
@@ -158,8 +153,7 @@ def is_k_upper(run: Union[Run, LineageRun], k: int, i: int = 0, j: Optional[int]
     return _rep_at(lrun, _chain(lrun, final), i) == initial
 
 
-def is_k_return(run: Union[Run, LineageRun], k: int, i: int = 0, j: Optional[int] = None) -> bool:
-    lrun = _as_lineage(run)
+def is_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
     if j is None:
         j = len(lrun.run)
     if j <= i:
@@ -176,14 +170,13 @@ def is_k_return(run: Union[Run, LineageRun], k: int, i: int = 0, j: Optional[int
     return True
 
 
-def remark_k_return(run: Union[Run, LineageRun], k: int, i: int = 0, j: Optional[int] = None) -> bool:
+def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
     """The one-line rephrasing: the final topmost k-stack is the traced
     initial topmost k-stack minus its top, removed in the last step.
 
     Equivalent to ``is_k_return`` on collapse-free runs only: a final
     collapse may expose the traced stack while removing several
     (k-1)-stacks at once, which this single-removal reading rejects."""
-    lrun = _as_lineage(run)
     n = lrun.run.automaton.level
     if j is None:
         j = len(lrun.run)
@@ -222,8 +215,7 @@ class ClassificationTable:
     returns: dict[tuple[int, int], frozenset[int]]
 
 
-def classification_table(run: Union[Run, LineageRun]) -> ClassificationTable:
-    lrun = _as_lineage(run)
+def classification_table(lrun: LineageRun) -> ClassificationTable:
     n = lrun.run.automaton.level
     m = len(lrun.run)
     upper = {}
@@ -240,10 +232,9 @@ def classification_table(run: Union[Run, LineageRun]) -> ClassificationTable:
     return ClassificationTable(m, n, upper, returns)
 
 
-def is_normalized(run: Union[Run, LineageRun]) -> bool:
+def is_normalized(run: Run) -> bool:
     """Every letter-reading push step reads the distinguished value 0."""
-    r = run.run if isinstance(run, LineageRun) else run
-    for label, tr in zip(r.labels, r.transitions):
+    for label, tr in zip(run.labels, run.transitions):
         if label[0] is not None and tr.op.kind == "push" and label[1] != 0:
             return False
     return True
@@ -260,7 +251,7 @@ class DecompositionTree:
 
 
 def decompose_return(
-    run: Union[Run, LineageRun],
+    run: Run,
     r: int,
     i: int = 0,
     j: Optional[int] = None,
@@ -273,9 +264,8 @@ def decompose_return(
     (k >= r) followed by a k-return composed with an r-return.  Collapse
     steps admit no case; the characterization covers collapse-free runs.
     """
-    base = run.run if isinstance(run, LineageRun) else run
     if j is None:
-        j = len(base)
+        j = len(run)
     if _memo is None:
         _memo = {}
     key = (i, j, r)
@@ -284,23 +274,23 @@ def decompose_return(
     _memo[key] = None  # cycles are impossible; this is just the default
     result = None
     if j > i:
-        first = base.transitions[i].op
+        first = run.transitions[i].op
         if j - i == 1 and first.kind == "pop" and first.level == r:
             result = DecompositionTree("return", 1, r, (i, j))
         if result is None and (
             (first.kind == "pop" and first.level < r)
             or (first.kind == "push" and first.level != r)
         ):
-            sub = decompose_return(base, r, i + 1, j, _memo)
+            sub = decompose_return(run, r, i + 1, j, _memo)
             if sub is not None:
                 result = DecompositionTree("return", 2, r, (i, j), children=(sub,))
         if result is None and first.kind == "push" and first.level >= r:
             k = first.level
             for m in range(i + 2, j):
-                left = decompose_return(base, k, i + 1, m, _memo)
+                left = decompose_return(run, k, i + 1, m, _memo)
                 if left is None:
                     continue
-                right = decompose_return(base, r, m, j, _memo)
+                right = decompose_return(run, r, m, j, _memo)
                 if right is not None:
                     result = DecompositionTree(
                         "return", 3, r, (i, j), split=m, children=(left, right)
@@ -311,7 +301,7 @@ def decompose_return(
 
 
 def decompose_upper(
-    run: Union[Run, LineageRun],
+    run: Run,
     k: int,
     i: int = 0,
     j: Optional[int] = None,
@@ -324,9 +314,8 @@ def decompose_upper(
     (r >= k+1) followed by an r-return.  Case 4: a composition of two
     nonempty k-upper runs.
     """
-    base = run.run if isinstance(run, LineageRun) else run
     if j is None:
-        j = len(base)
+        j = len(run)
     if _memo is None:
         _memo = {}
     key = (i, j, k)
@@ -334,21 +323,21 @@ def decompose_upper(
         return _memo[key]
     _memo[key] = None
     result = None
-    ops = [base.transitions[t].op for t in range(i, j)]
+    ops = [run.transitions[t].op for t in range(i, j)]
     if all(op.level <= k for op in ops):
         result = DecompositionTree("upper", 1, k, (i, j))
     if result is None and j - i == 1 and ops[0].kind == "push" and ops[0].level >= k + 1:
         result = DecompositionTree("upper", 2, k, (i, j))
     if result is None and ops and ops[0].kind == "push" and ops[0].level >= k + 1:
-        sub = decompose_return(base, ops[0].level, i + 1, j)
+        sub = decompose_return(run, ops[0].level, i + 1, j)
         if sub is not None:
             result = DecompositionTree("upper", 3, k, (i, j), children=(sub,))
     if result is None:
         for m in range(i + 1, j):
-            left = decompose_upper(base, k, i, m, _memo)
+            left = decompose_upper(run, k, i, m, _memo)
             if left is None:
                 continue
-            right = decompose_upper(base, k, m, j, _memo)
+            right = decompose_upper(run, k, m, j, _memo)
             if right is not None:
                 result = DecompositionTree(
                     "upper", 4, k, (i, j), split=m, children=(left, right)

@@ -12,16 +12,18 @@ realize the return; compositions chain right to left.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .core import Run, recompose, spine, stack_values, top_stack
-from .lineage import LineageRun, _as_lineage, is_k_return, is_k_upper, is_normalized
+from .lineage import LineageRun, is_k_return, is_k_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
     CheckReport,
     Level0TypeTable,
+    StackTyping,
     _require_start,
     stack_typing,
     type_of_stack,
@@ -70,14 +72,13 @@ def _promotions_through(uni, target: int, r: int, typings: Mapping[int, dict], k
 
 
 def compute_src(
-    lrun: Union[Run, LineageRun],
+    lrun: LineageRun,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
     table: Level0TypeTable,
 ) -> SrcResult:
     """Source sets of a k-upper run for final assumption sets `sigmas`
     (level -> descriptor ids over levels k+1..n)."""
-    lrun = _as_lineage(lrun)
     run = lrun.run
     aut = run.automaton
     if aut.uses_collapse:
@@ -182,16 +183,49 @@ def compute_src(
     return SrcResult(k, sets, prov)
 
 
+def _run_hypotheses(lrun: LineageRun, k: int, runs, report: CheckReport) -> None:
+    """Name the run-level hypotheses of both transfer checks that fail."""
+    _require_start(runs, lrun.run.at(0))
+    if not is_normalized(lrun.run):
+        report.errors.append("run is not normalized")
+    if not is_k_upper(lrun, k):
+        report.errors.append(f"run is not {k}-upper")
+
+
+def _usable_values(run: Run, k: int, n: int, values, barred, report: CheckReport) -> list[int]:
+    """The distinct nonzero values outside `barred` (read by the run) and
+    the initial topmost k-stack, in order; the others are named in the
+    report's errors."""
+    init_topk = stack_values(top_stack(run.at(0).stack, n, k), k)
+    usable = []
+    for d in sorted(set(values)):
+        if d == 0:
+            report.errors.append("d=0 is the normalization value")
+        elif d in barred:
+            report.errors.append(f"d={d} is read by the run")
+        elif d in init_topk:
+            report.errors.append(f"d={d} occurs in the initial topmost {k}-stack")
+        else:
+            usable.append(d)
+    return usable
+
+
+def _important(st: StackTyping, k: int, n: int, sets: Mapping[int, Sequence[int]]) -> frozenset:
+    """The values important in the typing under `sets` (level -> descriptor ids)."""
+    return frozenset().union(
+        *(st.typing(i).get(sid, ()) for i in range(k + 1, n + 1) for sid in sets.get(i, ()))
+    )
+
+
 def check_origin(
-    aut,
-    lrun: Union[Run, LineageRun],
+    lrun: LineageRun,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
     table: Level0TypeTable,
-    d: int,
+    values: Sequence[int],
     runs: Sequence[LineageRun],
 ) -> CheckReport:
-    """The origin transfer for one data value d.
+    """The origin transfer for each data value d of `values`.
 
     Part 1 (exact): d important in a final piece under the assumption
     sets implies d important in an initial piece under the src sets.
@@ -200,138 +234,111 @@ def check_origin(
     k-stack, and held assumptions reads d or keeps it important.  The
     search goes through `runs`, which must be every normalized run from
     the run's start up to the bound, with lineage; a run starting
-    elsewhere raises ValueError.
+    elsewhere raises ValueError.  A failed hypothesis is named in the
+    report's errors: on the run (normalized, k-upper) it skips every
+    value, on a value (0, or stored in the initial topmost k-stack) it
+    skips that value.
     """
-    lrun = _as_lineage(lrun)
     run = lrun.run
-    _require_start(runs, run.at(0))
     report = CheckReport("origin")
-    n = aut.level
-    uni = table.universe
-    if not is_normalized(lrun):
-        report.errors.append("run is not normalized")
-    if not is_k_upper(lrun, k):
-        report.errors.append(f"run is not {k}-upper")
-    if d == 0:
-        report.errors.append("d must differ from the normalization value 0")
-    init_topk = top_stack(run.at(0).stack, n, k)
-    if d in stack_values(init_topk, k):
-        report.errors.append(f"d={d} occurs in the initial topmost {k}-stack")
+    _run_hypotheses(lrun, k, runs, report)
     if report.errors:
+        return report
+    n = table.automaton.level
+    fresh = _usable_values(run, k, n, values, (), report)
+    if not fresh:
         return report
 
     src = compute_src(lrun, k, sigmas, table)
-    init = type_of_stack(run.at(0).stack, k, table)
-    final = type_of_stack(run.last.stack, k, table)
-    report.checked += 1
-
-    hit_final = any(
-        d in final.typing(i).get(sid, ())
-        for i in range(k + 1, n + 1)
-        for sid in sigmas.get(i, ())
-    )
-    hit_init = any(
-        d in init.typing(j).get(tid, ())
-        for j in range(k + 1, n + 1)
-        for tid in src.sets.get(j, ())
-    )
-    if hit_final and not hit_init:
-        report.hard_failures.append(
-            f"k={k} d={d}: important in a final piece but in no initial piece under src"
-        )
+    at_end = _important(type_of_stack(run.last.stack, k, table), k, n, sigmas)
+    at_start = _important(type_of_stack(run.at(0).stack, k, table), k, n, src.sets)
+    report.checked += len(fresh)
+    report.hard_failures += [
+        f"k={k} d={d}: important in a final piece but in no initial piece under src"
+        for d in fresh
+        if d in at_end and d not in at_start
+    ]
+    report.verified += len(at_end & at_start & set(fresh))
+    wanted = [d for d in fresh if d in at_start]
+    if not wanted:
         return report
-    if hit_final:
-        report.verified += 1
-
-    if hit_init:
-        # search for the transferred run from the run's own start
-        target_topk = top_stack(run.last.stack, n, k)
-        phi_r = phi_of_run(table.monoid, run)
-        witness = None
-        for lc in runs:
-            if not is_k_upper(lc, k):
-                continue
-            cand = lc.run
-            if phi_of_run(table.monoid, cand) != phi_r:
-                continue
-            if cand.last.state != run.last.state:
-                continue
-            if top_stack(cand.last.stack, n, k) != target_topk:
-                continue
-            ct = type_of_stack(cand.last.stack, k, table)
-            if not all(
-                sid in ct.typing(i)
-                for i in range(k + 1, n + 1)
-                for sid in sigmas.get(i, ())
-            ):
-                continue
-            reads = any(val == d for _, val in cand.read_word)
-            keeps = any(
-                d in ct.typing(i).get(sid, ())
-                for i in range(k + 1, n + 1)
-                for sid in sigmas.get(i, ())
-            )
-            if reads or keeps:
-                witness = cand
-                break
-        if witness is not None:
-            report.verified += 1
-        else:
-            report.unwitnessed.append(
-                f"k={k} d={d}: important under src but no transferred run"
-            )
+    # search the runs from the run's own start until every wanted value
+    # is read or kept important by a transferred run
+    missing = set(wanted)
+    target_topk = top_stack(run.last.stack, n, k)
+    phi_r = phi_of_run(table.monoid, run)
+    for lc in runs:
+        if not missing:
+            break
+        cand = lc.run
+        if not (
+            is_k_upper(lc, k)
+            and phi_of_run(table.monoid, cand) == phi_r
+            and cand.last.state == run.last.state
+            and top_stack(cand.last.stack, n, k) == target_topk
+        ):
+            continue
+        ct = type_of_stack(cand.last.stack, k, table)
+        if all(sid in ct.typing(i) for i in range(k + 1, n + 1) for sid in sigmas.get(i, ())):
+            missing -= {val for _, val in cand.read_word} | _important(ct, k, n, sigmas)
+    report.verified += len(wanted) - len(missing)
+    report.unwitnessed += [
+        f"k={k} d={d}: important under src but no transferred run" for d in wanted if d in missing
+    ]
     return report
 
 
+def _split(st: StackTyping, k: int, n: int, d: int, d_prime: int) -> Optional[tuple[int, int]]:
+    """The first (level, descriptor) of the typing whose important values
+    hold exactly one of d and d', or None when they are indistinguishable."""
+    for i in range(k + 1, n + 1):
+        for sid, idv in st.typing(i).items():
+            if (d in idv) != (d_prime in idv):
+                return i, sid
+    return None
+
+
 def check_idv_upper(
-    aut,
-    lrun: Union[Run, LineageRun],
+    lrun: LineageRun,
     k: int,
-    d: int,
-    d_prime: int,
     table: Level0TypeTable,
+    values: Sequence[int],
     runs: Sequence[LineageRun],
 ) -> CheckReport:
-    """Indistinguishability transfer along a k-upper run.
+    """Indistinguishability transfer along a k-upper run, for every pair
+    d < d' of `values`.
 
-    Hypotheses (violations are named, not counted as failures): the run
-    is normalized and k-upper; among `runs` it is the only one with its
-    end state and read class; d and d' are nonzero, unread, absent from
-    the initial topmost k-stack, and indistinguishable in every initial
-    idv set.  Conclusion checked: both stay absent from the final
-    topmost k-stack and remain indistinguishable in every final idv set.
-    `runs` must be every normalized run from the run's start up to the
-    bound, with lineage, so uniqueness is known only up to that bound; a
-    run starting elsewhere raises ValueError.
+    Hypotheses (violations are named in the report's errors, not counted
+    as failures): the run is normalized and k-upper; d and d' are
+    nonzero, unread, absent from the initial topmost k-stack, and
+    indistinguishable in every initial idv set; among `runs` the run is
+    the only one with its end state and read class.  A failed hypothesis
+    skips the pairs it concerns.  Conclusion checked: both stay absent
+    from the final topmost k-stack and remain indistinguishable in every
+    final idv set.  `runs` must be every normalized run from the run's
+    start up to the bound, with lineage, so uniqueness is known only up
+    to that bound; a run starting elsewhere raises ValueError.
     """
-    lrun = _as_lineage(lrun)
     run = lrun.run
-    _require_start(runs, run.at(0))
     report = CheckReport("idv-upper")
-    n = aut.level
-    if not is_normalized(lrun):
-        report.errors.append("run is not normalized")
-    if not is_k_upper(lrun, k):
-        report.errors.append(f"run is not {k}-upper")
-    if 0 in (d, d_prime) or d == d_prime:
-        report.errors.append("d and d' must be distinct nonzero values")
-    reads = {val for _, val in run.read_word}
-    if d in reads or d_prime in reads:
-        report.errors.append("d and d' must not be read by the run")
-    init_topk = top_stack(run.at(0).stack, n, k)
-    if d in stack_values(init_topk, k) or d_prime in stack_values(init_topk, k):
-        report.errors.append("d and d' must not occur in the initial topmost k-stack")
+    _run_hypotheses(lrun, k, runs, report)
     if report.errors:
         return report
-
+    n = table.automaton.level
+    reads = {val for _, val in run.read_word}
     init = type_of_stack(run.at(0).stack, k, table)
-    for i in range(k + 1, n + 1):
-        for sid, idv in init.typing(i).items():
-            if (d in idv) != (d_prime in idv):
-                report.errors.append(
-                    f"hypothesis: d, d' distinguishable at level {i} descriptor {sid}"
-                )
-                return report
+    pairs = []
+    for d, d_prime in itertools.combinations(_usable_values(run, k, n, values, reads, report), 2):
+        split = _split(init, k, n, d, d_prime)
+        if split is None:
+            pairs.append((d, d_prime))
+        else:
+            report.errors.append(
+                f"hypothesis: d={d}, d'={d_prime} distinguishable at level {split[0]} "
+                f"descriptor {split[1]}"
+            )
+    if not pairs:
+        return report
 
     # uniqueness hypothesis, among the runs up to the bound
     phi_r = phi_of_run(table.monoid, run)
@@ -346,21 +353,19 @@ def check_idv_upper(
             )
             return report
 
-    report.checked += 1
-    final_topk = top_stack(run.last.stack, n, k)
-    if d in stack_values(final_topk, k) or d_prime in stack_values(final_topk, k):
-        report.hard_failures.append(
-            f"k={k}: d={d} or d'={d_prime} appears in the final topmost k-stack"
-        )
-        return report
+    final_topk = stack_values(top_stack(run.last.stack, n, k), k)
     final = type_of_stack(run.last.stack, k, table)
-    for i in range(k + 1, n + 1):
-        for sid, idv in final.typing(i).items():
-            if (d in idv) != (d_prime in idv):
-                report.hard_failures.append(
-                    f"k={k}: d={d}, d'={d_prime} distinguishable at final level {i} "
-                    f"descriptor {sid}"
-                )
-                return report
-    report.verified += 1
+    for d, d_prime in pairs:
+        report.checked += 1
+        if d in final_topk or d_prime in final_topk:
+            report.hard_failures.append(
+                f"k={k}: d={d} or d'={d_prime} appears in the final topmost k-stack"
+            )
+        elif split := _split(final, k, n, d, d_prime):
+            report.hard_failures.append(
+                f"k={k}: d={d}, d'={d_prime} distinguishable at final level {split[0]} "
+                f"descriptor {split[1]}"
+            )
+        else:
+            report.verified += 1
     return report

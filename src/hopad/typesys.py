@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import LineageRun, _as_lineage, is_k_return
+from .lineage import LineageRun, is_k_return
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -562,14 +562,11 @@ def type_of_stack(stack: Stack, k: int, table: Level0TypeTable) -> StackTyping:
 # agreement and the two soundness checks
 
 
-def agrees(
-    run: Union[Run, LineageRun], goal: Union[int, Goal], table: Level0TypeTable
-) -> bool:
+def agrees(lrun: LineageRun, goal_id: int, table: Level0TypeTable) -> bool:
     """phi matches, the run is an r-return into the right state, and the
     final spine pieces above r carry the promised descriptor sets."""
     uni = table.universe
-    g = uni.goal(goal) if isinstance(goal, int) else goal
-    return _run_agrees(_prepare(_as_lineage(run), table), g, uni, table.automaton.level)
+    return _run_agrees(_prepare(lrun, table), uni.goal(goal_id), uni, table.automaton.level)
 
 
 @dataclass
@@ -665,7 +662,6 @@ def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
     final = run.last
     info = {
         "run": run,
-        "lrun": lrun,
         "phi": phi_of_run(table.monoid, run),
         "state": final.state,
         "returns": {r: is_k_return(lrun, r) for r in range(1, n + 1)},
@@ -698,7 +694,6 @@ def _describe_run(run: Run) -> str:
 
 
 def check_run2type(
-    aut: Automaton,
     config: Configuration,
     table: Level0TypeTable,
     runs: Sequence[LineageRun],
@@ -715,7 +710,7 @@ def check_run2type(
     _require_start(runs, config)
     report = CheckReport("run2type")
     uni = table.universe
-    n = aut.level
+    n = table.automaton.level
     prepared = [_prepare(lrun, table) for lrun in runs]
     for gid in goal_space(table):
         g = uni.goal(gid)
@@ -739,7 +734,6 @@ def check_run2type(
 
 
 def check_idv(
-    aut: Automaton,
     config: Configuration,
     table: Level0TypeTable,
     runs: Sequence[LineageRun],
@@ -756,7 +750,7 @@ def check_idv(
         report.errors.append("d must differ from the normalization value 0")
         return report
     uni = table.universe
-    n = aut.level
+    n = table.automaton.level
     prepared = [_prepare(lrun, table) for lrun in runs]
     for gid in goal_space(table):
         g = uni.goal(gid)

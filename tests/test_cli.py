@@ -15,7 +15,7 @@ from hopad.cli import (
     parse_stack_literal,
     render_stack,
 )
-from hopad.core import Atom, automaton_diagnostics, to_nested, top_atom
+from hopad.core import MAX_LEVEL, Atom, automaton_diagnostics, to_nested, top_atom
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -262,7 +262,15 @@ def test_unknown_suite_is_a_usage_error():
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def test_missing_command_is_a_one_line_usage_error():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert err.getvalue() == "hopad: error: the following arguments are required: command\n"
 
 
 @pytest.mark.parametrize("command", ["run", "accept", "classify", "src"])
@@ -273,6 +281,40 @@ def test_negative_eps_budget_is_a_usage_error(command):
         main(argv)
     assert exc.value.code == 2
     assert "--eps-budget" in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+DEEP = """level {level}
+input-alphabet a
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g in a q push {level} g
+"""
+
+
+def test_run_dump_works_up_to_the_maximum_level(tmp_path):
+    path = tmp_path / "deep.aut"
+    path.write_text(DEEP.format(level=MAX_LEVEL))
+    code, out = run_cli("run", str(path), "--word", "a@1 a@2", "--dump")
+    assert code == 0
+    assert out.splitlines()[-3].startswith("i=2 state=q op=push^" + str(MAX_LEVEL))
+    path.write_text(DEEP.format(level=MAX_LEVEL + 1))
+    code, err = run_cli_stderr("run", str(path), "--word", "a@1 a@2", "--dump")
+    assert code == 2
+    assert err == f"line 1: level {MAX_LEVEL + 1} above the maximum {MAX_LEVEL}\n"
+
+
+def test_the_level_is_checked_before_the_start_stack_is_parsed(tmp_path):
+    level = 1000
+    path = tmp_path / "deep.scenario"
+    path.write_text(
+        DEEP.format(level=level)
+        + "start-state q\nstart-stack " + "[" * level + "(g,-)" + "]" * level + "\n"
+    )
+    code, out = run_cli("validate", str(path))
+    assert code == 2
+    assert out == f"line 1: level {level} above the maximum {MAX_LEVEL}\n"
 
 
 def test_budget_exhausted_run_holds_exactly_the_budget(tmp_path):

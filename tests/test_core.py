@@ -1,6 +1,7 @@
 import pytest
 
 from hopad.core import (
+    MAX_LEVEL,
     Atom,
     Automaton,
     Configuration,
@@ -28,6 +29,7 @@ from hopad.core import (
     top_atom,
     validate_automaton,
 )
+from hopad.core import _PendingRun
 
 
 def atom(sym, data=None, links=None):
@@ -350,6 +352,17 @@ def test_validate_collects_all_violations():
         validate_automaton(aut)
 
 
+@pytest.mark.parametrize(
+    "level, ok", [(0, False), (1, True), (MAX_LEVEL, True), (MAX_LEVEL + 1, False)]
+)
+def test_automaton_level_range(level, ok):
+    aut = Automaton(
+        level, frozenset(), frozenset({"g"}), "g", frozenset({"q"}), "q", frozenset(), ()
+    )
+    rules = [d.rule for d in automaton_diagnostics(aut)]
+    assert rules == ([] if ok else ["level-out-of-range"])
+
+
 def test_u_recognizer_is_valid():
     from hopad.ulang import build_u_recognizer
 
@@ -445,3 +458,13 @@ def test_lazy_run_tuples_and_hashes_are_safe_to_share_across_threads():
     assert len(results) == 8 and all(r == results[0] for r in results)
     assert len(results[0][1]) == len(run) + 1 and results[0][1][-1] == run.last
     assert hash(run.last.stack) == hash(from_nested(to_nested(run.last.stack, 2), 2))
+
+
+def test_a_run_built_by_another_thread_is_not_walked_again():
+    from hopad.ulang import build_u_recognizer
+
+    run = execute_word(build_u_recognizer(), _deep_member(3)).run
+    assert type(run) is _PendingRun
+    labels = run.labels  # builds the tuples and makes the run a plain Run
+    # what a thread does when it lost the race to build them
+    assert _PendingRun.__getattr__(run, "labels") is labels

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hopad import harness
@@ -13,6 +15,7 @@ from hopad.harness import (
     excursion_config,
     excursion_machine,
 )
+from hopad.lineage import instrument_lineage, is_k_upper
 from hopad.monoid import presence_monoid
 from hopad.typesys import agrees, saturate_level0
 
@@ -163,7 +166,9 @@ def test_find_agreeing_runs():
     space = EnumerationSpace(aut, single_pop_config(), 2, (0, 5))
 
     def agreeing_runs(goal):
-        return [run for run in enumerate_runs(space) if agrees(run, goal, table)]
+        return [
+            run for run in enumerate_runs(space) if agrees(instrument_lineage(run), goal, table)
+        ]
 
     goal = uni.intern_goal("SOME", 1, (), "qf")
     agreeing = agreeing_runs(goal)
@@ -245,3 +250,29 @@ def test_enumeration_contains_executed_runs_with_collapse():
         for run in enumerate_runs(space)
     }
     assert (accepted.labels, accepted.transitions) in keys
+
+
+def test_transfer_checks_run_once_per_upper_run_and_level(monkeypatch):
+    calls = {"origin": [], "idv-upper": []}
+
+    def spy(name, check):
+        def spied(lrun, k, *rest):
+            calls[name].append((lrun, k, rest[-1]))
+            return check(lrun, k, *rest)
+
+        return spied
+
+    monkeypatch.setattr(harness, "check_origin", spy("origin", harness.check_origin))
+    monkeypatch.setattr(harness, "check_idv_upper", spy("idv-upper", harness.check_idv_upper))
+    bounds = {"corpus_machines": 8, "src_bound": 4}
+    assert run_suites(["origin", "idv-upper"], seed=20260808, bounds=bounds).ok
+    # origin checks k < level, idv-upper k <= level
+    for name, above in (("origin", 0), ("idv-upper", 1)):
+        made = Counter((id(lrun), k) for lrun, k, _ in calls[name])
+        expected = Counter()
+        for runs in {id(runs): runs for _, _, runs in calls[name]}.values():
+            for lrun in runs:
+                for k in range(lrun.run.automaton.level + above):
+                    if is_k_upper(lrun, k):
+                        expected[(id(lrun), k)] += 1
+        assert made and made == expected, name

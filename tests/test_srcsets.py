@@ -49,7 +49,7 @@ def test_case1_passes_sigma_through():
     run = classification_example_run().subrun(3, 5)  # pop^1, push^1: levels <= 1
     final = type_of_stack(run.configs[-1].stack, 1, table)
     sigmas = {2: tuple(final.typing(2))}
-    result = compute_src(run, 1, sigmas, table)
+    result = compute_src(instrument_lineage(run), 1, sigmas, table)
     assert result.provenance.case == 1
     assert result.sets[2] == frozenset(sigmas[2])
 
@@ -58,7 +58,7 @@ def test_empty_sigma_single_push_gives_empty_src():
     aut = excursion_machine()
     cfg = excursion_config()
     run = drive(aut, cfg, [("c", 0)])
-    result = compute_src(run, 1, {2: ()}, table=saturate_level0(
+    result = compute_src(instrument_lineage(run), 1, {2: ()}, table=saturate_level0(
         aut, presence_monoid(aut.input_alphabet)))
     assert result.provenance.case == 2
     assert result.sets[2] == frozenset()
@@ -88,8 +88,8 @@ def test_src_deterministic_and_contained(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    first = compute_src(run, 0, sigmas, table)
-    second = compute_src(run, 0, sigmas, table)
+    first = compute_src(instrument_lineage(run), 0, sigmas, table)
+    second = compute_src(instrument_lineage(run), 0, sigmas, table)
     assert first.sets == second.sets
     init = type_of_stack(run.at(0).stack, 0, table)
     for i in (1, 2):
@@ -101,7 +101,7 @@ def test_src_requires_upper(excursion):
     cfg = excursion_config()
     full = drive(aut, cfg, [("c", 0), None, ("a", 7), ("b", 9)])  # a 1-return
     with pytest.raises(ValueError):
-        compute_src(full, 0, {1: (), 2: ()}, table)
+        compute_src(instrument_lineage(full), 0, {1: (), 2: ()}, table)
 
 
 def test_src_rejects_bad_sigma(excursion):
@@ -111,7 +111,7 @@ def test_src_rejects_bad_sigma(excursion):
     gid = uni.intern_goal("SOME", 1, ((),), "q4")
     alien = uni.intern_desc(1, ((),), "q4", uni.intern_goal("SOME", 2, (), "q4"))
     with pytest.raises(ValueError):
-        compute_src(run, 0, {1: (alien,), 2: ()}, table)
+        compute_src(instrument_lineage(run), 0, {1: (alien,), 2: ()}, table)
 
 
 def test_origin_part1_and_part2_positive(excursion):
@@ -121,19 +121,46 @@ def test_origin_part1_and_part2_positive(excursion):
     lrun = instrument_lineage(run)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(aut, lrun, 0, sigmas, table, 7, runs)
+    report = check_origin(lrun, 0, sigmas, table, [7], runs)
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
 
 def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
-    run = excursion_prefix(aut)
-    runs = normalized_runs(aut, run.at(0), 4)
-    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 0, runs)
+    lrun = instrument_lineage(excursion_prefix(aut))
+    runs = normalized_runs(aut, lrun.run.at(0), 4)
+    report = check_origin(lrun, 0, {1: (), 2: ()}, table, [0], runs)
     assert report.errors and not report.ok
-    report = check_origin(aut, run, 0, {1: (), 2: ()}, table, 9, runs)
+    report = check_origin(lrun, 0, {1: (), 2: ()}, table, [9], runs)
     assert any("topmost" in e for e in report.errors)
+
+
+def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
+    aut, table = excursion
+    lrun = instrument_lineage(excursion_prefix(aut))
+    runs = normalized_runs(aut, lrun.run.at(0), 5)
+    final = type_of_stack(lrun.run.last.stack, 0, table)
+    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
+    report = check_origin(lrun, 0, sigmas, table, [0, 9, 7, 4], runs)
+    assert len(report.errors) == 2
+    assert any("d=0" in e for e in report.errors)
+    assert any("d=9" in e and "topmost" in e for e in report.errors)
+    # 7 verifies in both parts, 4 is vacuous
+    assert report.checked == 2 and report.verified == 2 and not report.hard_failures
+
+
+def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
+    aut, table = excursion
+    cfg = excursion_config()
+    # the bounce push^1 reads 1, so the run is not normalized
+    lrun = instrument_lineage(drive(aut, cfg, [("b", 1), ("a", 1)]))
+    runs = [lrun]
+    origin = check_origin(lrun, 0, {1: (), 2: ()}, table, [4, 6], runs)
+    upper = check_idv_upper(lrun, 0, table, [4, 6], runs)
+    for report in (origin, upper):
+        assert report.errors == ["run is not normalized"]
+        assert report.checked == 0
 
 
 def test_origin_vacuous_when_value_absent(excursion):
@@ -141,7 +168,9 @@ def test_origin_vacuous_when_value_absent(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(aut, run, 0, sigmas, table, 4, normalized_runs(aut, run.at(0), 4))
+    report = check_origin(
+        instrument_lineage(run), 0, sigmas, table, [4], normalized_runs(aut, run.at(0), 4)
+    )
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -157,53 +186,67 @@ def test_origin_exhaustive_over_fragment():
                     continue
                 final = type_of_stack(lrun.run.configs[-1].stack, k, table)
                 sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-                for d in (1, 2):
-                    report = check_origin(frag, lrun, k, sigmas, table, d, runs)
-                    if not report.errors:
-                        hard += len(report.hard_failures)
+                report = check_origin(lrun, k, sigmas, table, [1, 2], runs)
+                hard += len(report.hard_failures)
     assert hard == 0
 
 
 def test_transfer_checks_reject_runs_from_another_start(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
+    lrun = instrument_lineage(run)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
     foreign = normalized_runs(aut, run.last, 3)
     with pytest.raises(ValueError, match="start"):
-        check_origin(aut, run, 0, sigmas, table, 7, foreign)
+        check_origin(lrun, 0, sigmas, table, [7], foreign)
     with pytest.raises(ValueError, match="start"):
-        check_idv_upper(aut, run, 0, 4, 6, table, normalized_runs(aut, run.at(0), 3) + foreign)
+        check_idv_upper(lrun, 0, table, [4, 6], normalized_runs(aut, run.at(0), 3) + foreign)
 
 
 def test_idv_upper_conclusion_holds(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
+    lrun = instrument_lineage(run)
     # 4 and 6 occur nowhere: indistinguishable before, so after as well;
     # at bound 3 the run is the unique one with its read class and state
     # (at bound 5 a bounce-prefixed run shares both and must be flagged)
     short, long = normalized_runs(aut, run.at(0), 3), normalized_runs(aut, run.at(0), 5)
-    report = check_idv_upper(aut, run, 0, 4, 6, table, short)
+    report = check_idv_upper(lrun, 0, table, [4, 6], short)
     assert report.ok and report.verified == 1
-    longer = check_idv_upper(aut, run, 0, 4, 6, table, long)
+    longer = check_idv_upper(lrun, 0, table, [4, 6], long)
     assert any("another normalized run" in e for e in longer.errors)
 
 
 def test_idv_upper_hypothesis_failures_named(excursion):
     aut, table = excursion
-    run = excursion_prefix(aut)
-    runs = normalized_runs(aut, run.at(0), 5)
+    lrun = instrument_lineage(excursion_prefix(aut))
+    runs = normalized_runs(aut, lrun.run.at(0), 5)
     # 5 is important where 6 is not: distinguishable hypothesis fails
-    report = check_idv_upper(aut, run, 0, 5, 6, table, runs)
+    report = check_idv_upper(lrun, 0, table, [5, 6], runs)
     assert report.errors and any("distinguishable" in e for e in report.errors)
     # 9 appears in the initial topmost 0-stack
-    report = check_idv_upper(aut, run, 0, 9, 6, table, runs)
+    report = check_idv_upper(lrun, 0, table, [9, 6], runs)
     assert any("topmost" in e for e in report.errors)
     # values read by the run are out
-    report = check_idv_upper(aut, run, 0, 7, 6, table, runs)
+    report = check_idv_upper(lrun, 0, table, [7, 6], runs)
     assert any("read" in e for e in report.errors)
-    report = check_idv_upper(aut, run, 0, 0, 6, table, runs)
+    report = check_idv_upper(lrun, 0, table, [0, 6], runs)
     assert report.errors
+
+
+def test_idv_upper_checks_every_pair_that_meets_the_hypotheses(excursion):
+    aut, table = excursion
+    lrun = instrument_lineage(excursion_prefix(aut))
+    runs = normalized_runs(aut, lrun.run.at(0), 3)
+    report = check_idv_upper(lrun, 0, table, [9, 4, 5, 7, 6, 0], runs)
+    # 0, 9 (stored on top) and 7 (read) are named once each; 5 splits
+    # from 4 and from 6; only the pair (4, 6) is checked
+    assert sum("d=0" in e for e in report.errors) == 1
+    assert sum("d=9" in e for e in report.errors) == 1
+    assert sum("d=7" in e for e in report.errors) == 1
+    assert sum("distinguishable" in e for e in report.errors) == 2
+    assert report.checked == 1 and report.verified == 1 and not report.hard_failures
 
 
 def test_idv_upper_uniqueness_counterexample():
@@ -226,8 +269,8 @@ def test_idv_upper_uniqueness_counterexample():
     )
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
-    run = drive(aut, cfg, [None])
-    report = check_idv_upper(aut, run, 0, 1, 2, table, normalized_runs(aut, cfg, 3))
+    lrun = instrument_lineage(drive(aut, cfg, [None]))
+    report = check_idv_upper(lrun, 0, table, [1, 2], normalized_runs(aut, cfg, 3))
     assert any("another normalized run" in e for e in report.errors)
 
 

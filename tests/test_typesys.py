@@ -15,6 +15,7 @@ from hopad.harness import (
     classification_example_machine,
     classification_example_run,
 )
+from hopad.lineage import instrument_lineage
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.typesys import (
     NE,
@@ -248,7 +249,7 @@ def test_resource_cap():
 def test_run2type_single_pop_exact(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, False))
+    report = check_run2type(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, False))
     assert report.ok
     assert report.unwitnessed == []
     assert report.verified >= 1
@@ -264,7 +265,7 @@ def test_run2type_empty_machine_vacuous():
     )
     table = saturate_level0(aut, presence_monoid("a"))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
-    report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 3, DEFAULT_UNIVERSE, False))
+    report = check_run2type(cfg, table, runs_from(aut, cfg, 3, DEFAULT_UNIVERSE, False))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -274,7 +275,7 @@ def test_run2type_example_chain_all_configs():
     run = classification_example_run()
     for i in range(len(run) + 1):
         cfg = run.at(i)
-        report = check_run2type(aut, cfg, table, runs_from(aut, cfg, 6, DEFAULT_UNIVERSE, False))
+        report = check_run2type(cfg, table, runs_from(aut, cfg, 6, DEFAULT_UNIVERSE, False))
         assert report.ok, report.hard_failures
         assert not report.unwitnessed
 
@@ -282,11 +283,11 @@ def test_run2type_example_chain_all_configs():
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 5)
     assert report.ok
     assert report.verified >= 1
     # a value absent from the stack and never readable: vacuous
-    vac = check_idv(aut, cfg, table, runs_from(aut, cfg, 2, (0, 1), True), 9)
+    vac = check_idv(cfg, table, runs_from(aut, cfg, 2, (0, 1), True), 9)
     assert vac.ok and vac.verified == 0
 
 
@@ -296,22 +297,22 @@ def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     bare = Configuration("q", from_nested((Atom("g0", None),), 1))
     foreign = runs_from(aut, bare, 2, DEFAULT_UNIVERSE, True)
     with pytest.raises(ValueError, match="start"):
-        check_run2type(aut, cfg, table, foreign)
+        check_run2type(cfg, table, foreign)
     with pytest.raises(ValueError, match="start"):
-        check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, 5)
+        check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, 5)
 
 
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    assert not check_idv(aut, cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 0).ok
+    assert not check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 0).ok
 
 
 def test_idv_excursion_buried_value():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 7)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 7)
     assert report.ok, report.hard_failures
     assert report.verified >= 1
 
@@ -323,8 +324,8 @@ def test_correspondence_checks_on_random_machines():
         from hopad.core import initial_configuration
 
         cfg = initial_configuration(aut)
-        assert check_run2type(aut, cfg, table, runs_from(aut, cfg, 5, (0, 1), False)).ok
-        assert check_idv(aut, cfg, table, runs_from(aut, cfg, 5, (0, 1), True), 1).ok
+        assert check_run2type(cfg, table, runs_from(aut, cfg, 5, (0, 1), False)).ok
+        assert check_idv(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), 1).ok
 
 
 def test_goal_space_covers_materialized_goals(single_pop):
@@ -366,11 +367,12 @@ def test_agrees_examples(single_pop):
     good = uni.intern_goal("SOME", 1, (), "qf")
     wrong_state = uni.intern_goal("SOME", 1, (), "q")
     wrong_class = uni.intern_goal("ID", 1, (), "qf")
-    assert agrees(run, good, table)
-    assert not agrees(run, wrong_state, table)
-    assert not agrees(run, wrong_class, table)
+    lrun = instrument_lineage(run)
+    assert agrees(lrun, good, table)
+    assert not agrees(lrun, wrong_state, table)
+    assert not agrees(lrun, wrong_class, table)
     # a non-return run agrees with nothing
-    assert not agrees(base, good, table)
+    assert not agrees(instrument_lineage(base), good, table)
 
 
 def test_agrees_via_composed_descriptor_goal():
@@ -390,7 +392,7 @@ def test_agrees_via_composed_descriptor_goal():
         assert isinstance(res, Step)
         run = extend_run(run, res)
     goal = uni.intern_goal("SOME", 1, ((NE,),), "q4")
-    assert agrees(run, goal, table)
+    assert agrees(instrument_lineage(run), goal, table)
     witness = find_witness(table, cfg, 0, goal)
     assert witness is not None
     # and the witness carries both read values as important
@@ -411,7 +413,7 @@ def test_empty_result_sets_force_reading():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
-    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), 5)
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
     assert not report.unwitnessed
@@ -423,7 +425,7 @@ def test_value_unreachable_from_outer_state_is_vacuous():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(aut, cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 5)
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -468,7 +470,7 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     table = saturate_level0(frag, shape_monoid())
     boot = cfgs[0]
     assert boot.state == "work" and len(boot.stack) == 2
-    report = check_run2type(frag, boot, table, runs_from(frag, boot, 8, (0, 1), False))
+    report = check_run2type(boot, table, runs_from(frag, boot, 8, (0, 1), False))
     assert report.ok, report.hard_failures
     # no return completes from the pristine stack within the bound (a
     # bracket cycle needs a counted opening first), so nothing is
