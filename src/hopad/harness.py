@@ -88,24 +88,27 @@ def universe_for(aut: Automaton, config: Configuration, base=DEFAULT_UNIVERSE):
 
 
 def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
-    """All runs of length <= max_steps from the start configuration."""
+    """All runs of length <= max_steps from the start configuration, each
+    run directly followed by its extensions in input order (depth first)."""
     aut = space.automaton
     out: list[Run] = []
-
-    def extend(run: Run):
+    todo = [empty_run(aut, space.start)]
+    while todo:
+        run = todo.pop()
         out.append(run)
         if len(out) > cap:
             raise EnumerationCapExceeded(f"more than {cap} runs at the bound")
         if len(run) == space.max_steps:
-            return
+            continue
         config = run.last
         state, stack = config
         atom = top_atom(stack, aut.level)
         if (state, atom.symbol) in aut.eps_rules:
             res = step(aut, config, None)
             if isinstance(res, Step):
-                extend(extend_run(run, res))
-            return
+                todo.append(extend_run(run, res))
+            continue
+        children = []
         for letter in sorted(aut.input_alphabet):
             rule = aut.letter_rules.get((state, atom.symbol, letter))
             if rule is None:
@@ -121,9 +124,8 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
             for d in values:
                 res = step(aut, config, (letter, d))
                 if isinstance(res, Step):
-                    extend(extend_run(run, res))
-
-    extend(empty_run(aut, space.start))
+                    children.append(extend_run(run, res))
+        todo += reversed(children)
     return out
 
 
@@ -538,21 +540,35 @@ def _suite_classifier_equivalence(seed, bounds):
     for name, aut, cfgs in _corpus(seed, bounds["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            # streamed: holding a configuration's lineage runs doubles the peak memory
-            for lrun in _lineage_runs(aut, cfg, bounds["run_bound"], (0, 1), False):
-                run = lrun.run
-                for k in range(0, n + 1):
-                    checked += 1
-                    if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
-                        hard.append(f"{name}: upper mismatch k={k} ops={run.operations()}")
-                for r in range(1, n + 1):
-                    checked += 2
-                    lhs = is_k_return(lrun, r)
-                    if lhs != (decompose_return(run, r) is not None):
-                        hard.append(f"{name}: return mismatch r={r} ops={run.operations()}")
-                    if lhs != remark_k_return(lrun, r):
-                        hard.append(f"{name}: remark mismatch r={r} ops={run.operations()}")
+            space = EnumerationSpace(aut, cfg, bounds["run_bound"], universe_for(aut, cfg, (0, 1)))
+            # both routes read the start stack's shape and the operations,
+            # never a data value, so runs with equal operations share verdicts
+            mismatches: dict[tuple, list[str]] = {}
+            for run in enumerate_runs(space):
+                ops = run.operations()
+                if ops not in mismatches:
+                    mismatches[ops] = _classifier_mismatches(name, run)
+                hard += mismatches[ops]
+                checked += (n + 1) + 2 * n
     return hard, [], {"checked": checked}
+
+
+def _classifier_mismatches(name, run):
+    """Where lineage classification and syntactic decomposition disagree
+    on the run, for every level."""
+    lrun = instrument_lineage(run)
+    ops = run.operations()
+    out = []
+    for k in range(0, run.automaton.level + 1):
+        if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
+            out.append(f"{name}: upper mismatch k={k} ops={ops}")
+    for r in range(1, run.automaton.level + 1):
+        lhs = is_k_return(lrun, r)
+        if lhs != (decompose_return(run, r) is not None):
+            out.append(f"{name}: return mismatch r={r} ops={ops}")
+        if lhs != remark_k_return(lrun, r):
+            out.append(f"{name}: remark mismatch r={r} ops={ops}")
+    return out
 
 
 def _suite_run2type(seed, bounds):

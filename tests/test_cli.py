@@ -251,9 +251,23 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
 def test_validate_reports_a_file_that_is_not_utf8(tmp_path):
     latin1 = tmp_path / "latin1.aut"
     latin1.write_bytes(EPS_LOOP.replace("initial-state q", "initial-state q\u00e9").encode("latin-1"))
-    code, out = run_cli("validate", str(latin1))
+    code, err = run_cli_stderr("validate", str(latin1))
     assert code == 2
-    assert len(out.splitlines()) == 1 and "utf-8" in out
+    assert len(err.splitlines()) == 1 and "utf-8" in err
+
+
+def test_an_invalid_automaton_is_one_line_on_stderr(tmp_path):
+    path = tmp_path / "dangling.aut"
+    path.write_text(EPS_LOOP + "trans q h in b q pop 1\n")
+    for command in ("validate", "run"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue() == (
+            "invalid automaton: dangling-symbol top symbol h at (q,h,b); "
+            "dangling-letter letter b at (q,h,b)\n"
+        )
 
 
 def test_unknown_suite_is_a_usage_error():
@@ -312,9 +326,9 @@ def test_the_level_is_checked_before_the_start_stack_is_parsed(tmp_path):
         DEEP.format(level=level)
         + "start-state q\nstart-stack " + "[" * level + "(g,-)" + "]" * level + "\n"
     )
-    code, out = run_cli("validate", str(path))
+    code, err = run_cli_stderr("validate", str(path))
     assert code == 2
-    assert out == f"line 1: level {level} above the maximum {MAX_LEVEL}\n"
+    assert err == f"line 1: level {level} above the maximum {MAX_LEVEL}\n"
 
 
 def test_budget_exhausted_run_holds_exactly_the_budget(tmp_path):

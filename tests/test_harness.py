@@ -1,9 +1,11 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from hopad import harness
-from hopad.core import Atom, Configuration, from_nested, replay, to_nested
+from hopad.core import Atom, Configuration, extend_run, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -15,7 +17,14 @@ from hopad.harness import (
     excursion_config,
     excursion_machine,
 )
-from hopad.lineage import instrument_lineage, is_k_upper
+from hopad.lineage import (
+    decompose_return,
+    decompose_upper,
+    instrument_lineage,
+    is_k_return,
+    is_k_upper,
+    remark_k_return,
+)
 from hopad.monoid import presence_monoid
 from hopad.typesys import agrees, saturate_level0
 
@@ -157,6 +166,89 @@ def test_enumeration_cap():
     space = EnumerationSpace(aut, cfg, 4, universe_for(aut, cfg, (0, 1)))
     with pytest.raises(EnumerationCapExceeded):
         enumerate_runs(space, cap=3)
+
+
+def test_enumeration_is_depth_first_in_input_order():
+    aut, cfg = excursion_machine(), excursion_config()
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1))))
+    # a run comes right before its extensions, which come in (letter, value) order
+    words = [run.labels for run in runs]
+    assert len(set(words)) == len(words) > 20
+    assert words == sorted(words)
+
+
+def test_enumerated_runs_die_with_their_list(monkeypatch):
+    aut, cfg = excursion_machine(), excursion_config()
+    space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+    made = []
+
+    def recorded(run, res):
+        longer = extend_run(run, res)
+        made.append(weakref.ref(longer))
+        return longer
+
+    gc.disable()  # no reference cycle may keep the runs alive
+    try:
+        runs = enumerate_runs(space)
+        last = weakref.ref(runs[-1])
+        del runs
+        assert last() is None
+        monkeypatch.setattr(harness, "extend_run", recorded)
+        try:
+            enumerate_runs(space, cap=10)
+        except harness.EnumerationCapExceeded:
+            pass
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
+def test_runs_with_equal_operations_share_lineage_and_verdicts():
+    # the classifier-equivalence suite decides one run per (start, operations)
+    repeats = 0
+    for _, aut, cfgs in harness._corpus(20260808, harness.DEFAULT_BOUNDS["corpus_machines"]):
+        n = aut.level
+        for cfg in cfgs:
+            space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+            first = {}
+            for run in enumerate_runs(space):
+                lrun = instrument_lineage(run)
+                seen = (
+                    lrun.snapshots,
+                    lrun.parent,
+                    lrun.created,
+                    [(is_k_upper(lrun, k), decompose_upper(run, k)) for k in range(n + 1)],
+                    [
+                        (is_k_return(lrun, r), remark_k_return(lrun, r), decompose_return(run, r))
+                        for r in range(1, n + 1)
+                    ],
+                )
+                ops = run.operations()
+                if ops not in first:
+                    first[ops] = run.labels, seen
+                    continue
+                labels, expected = first[ops]
+                assert seen == expected, f"{ops}: {run.labels} and {labels} differ"
+                repeats += 1  # same operations, different data
+    assert repeats > 1000
+
+
+def test_classifier_equivalence_instruments_once_per_start_and_operations(monkeypatch):
+    bounds = {"corpus_machines": 8, "run_bound": 4}
+    keys = set()
+    for _, aut, cfgs in harness._corpus(20260808, bounds["corpus_machines"]):
+        for cfg in cfgs:
+            space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+            keys |= {(aut, cfg, run.operations()) for run in enumerate_runs(space)}
+    made = []
+
+    def counted(run):
+        made.append((run.automaton, run.at(0), run.operations()))
+        return instrument_lineage(run)
+
+    monkeypatch.setattr(harness, "instrument_lineage", counted)
+    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    assert len(made) == len(set(made)) and set(made) == keys
 
 
 def test_find_agreeing_runs():
