@@ -40,6 +40,7 @@ from .core import (
     Transition,
     execute_word,
     from_nested,
+    to_nested,
     validate_automaton,
 )
 from .harness import SUITE_NAMES, run_suites
@@ -285,8 +286,25 @@ def parse_automaton_text(text: str) -> Scenario:
         if start_state is None or start_stack_text is None:
             raise CliError("start-state and start-stack must appear together")
         stack = parse_stack_literal(start_stack_text, aut.level, aut.collapsible)
+        if aut.collapsible:
+            _check_links(to_nested(stack, aut.level), aut.level)
         start = Configuration(start_state, stack)
     return Scenario(aut, start)
+
+
+def _check_links(nested, level: int) -> None:
+    """Reject a collapse link of level j larger than the j-stack holding
+    its atom: a collapse along it would keep more than is there."""
+    todo = [(nested, level, ())]  # node, its level, sizes of the stacks holding it
+    while todo:
+        node, lvl, sizes = todo.pop()
+        if lvl:
+            todo += [(child, lvl - 1, (len(node),) + sizes) for child in node]
+        elif any(link > size for link, size in zip(node.links, sizes)):
+            sizes = ",".join(map(str, sizes))
+            raise CliError(
+                f"start-stack: atom {render_atom(node)} has a link beyond its stack sizes {sizes}"
+            )
 
 
 def format_automaton(aut: Automaton) -> str:
@@ -465,7 +483,7 @@ def _cmd_src(args) -> int:
     table = _table_for(args, scenario)
     final = type_of_stack(run.last.stack, k, table)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-    result = compute_src(lrun, k, sigmas, table)
+    result = compute_src(run, k, sigmas, table)
     uni = table.universe
     for i in range(k + 1, n + 1):
         ids = sorted(result.sets.get(i, ()))

@@ -529,9 +529,9 @@ def _suite_u_differential(seed, bounds):
 
 def _lineage_runs(aut, cfg, bound, base, normalized):
     """The runs of a start configuration up to the bound over the base
-    universe, instrumented with lineage one at a time."""
+    universe, instrumented with lineage."""
     space = EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, base), normalized)
-    return map(instrument_lineage, enumerate_runs(space))
+    return [instrument_lineage(run) for run in enumerate_runs(space)]
 
 
 def _suite_classifier_equivalence(seed, bounds):
@@ -571,66 +571,66 @@ def _classifier_mismatches(name, run):
     return out
 
 
-def _suite_run2type(seed, bounds):
+def _fold(reports):
+    """A suite's result from its (machine name, CheckReport) pairs: the
+    hard and unwitnessed lines, prefixed with the name, and the counts."""
     hard, soft = [], []
-    verified = checked = 0
-    single_pop_soft = 0
-    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
-        for cfg in cfgs:
-            runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1), False))
-            rep = check_run2type(cfg, table, runs)
-            hard += [f"{name}: {h}" for h in rep.hard_failures]
-            soft += [f"{name}: {s}" for s in rep.unwitnessed]
-            if name == "single-pop":
-                single_pop_soft += len(rep.unwitnessed)
-            verified += rep.verified
-            checked += rep.checked
-    if single_pop_soft:
-        hard.append(f"single-pop machine must be fully witnessed, {single_pop_soft} misses")
-    return hard, soft, {"checked": checked, "verified": verified}
+    stats = {"checked": 0, "verified": 0}
+    for name, rep in reports:
+        hard += [f"{name}: {h}" for h in rep.hard_failures]
+        soft += [f"{name}: {s}" for s in rep.unwitnessed]
+        stats["checked"] += rep.checked
+        stats["verified"] += rep.verified
+    return hard, soft, stats
+
+
+def _suite_run2type(seed, bounds):
+    bound = bounds["run_bound"]
+    hard, soft, stats = _fold(
+        (name, check_run2type(cfg, table, _lineage_runs(aut, cfg, bound, (0, 1), False)))
+        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"])
+        for cfg in cfgs
+    )
+    misses = sum(line.startswith("single-pop: ") for line in soft)
+    if misses:
+        hard.append(f"single-pop machine must be fully witnessed, {misses} misses")
+    return hard, soft, stats
 
 
 def _suite_idv(seed, bounds):
-    hard, soft = [], []
-    verified = checked = 0
-    worked_example = 0
-    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
-        for cfg in cfgs:
-            runs = list(_lineage_runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True))
-            values = sorted({1, 2} | (stack_values(cfg.stack, aut.level) - {0}))[:4]
-            for d in values:
-                rep = check_idv(cfg, table, runs, d)
-                hard += [f"{name}: {h}" for h in rep.hard_failures]
-                soft += [f"{name}: {s}" for s in rep.unwitnessed]
-                verified += rep.verified
-                checked += rep.checked
-                if name == "single-pop" and d == 5:
-                    worked_example += rep.verified
-    if worked_example == 0:
+    worked_example = []  # verified counts of the single-pop machine at d=5
+
+    def reports():
+        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
+            for cfg in cfgs:
+                runs = _lineage_runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True)
+                for d in sorted({1, 2} | (stack_values(cfg.stack, aut.level) - {0}))[:4]:
+                    rep = check_idv(cfg, table, runs, d)
+                    if name == "single-pop" and d == 5:
+                        worked_example.append(rep.verified)
+                    yield name, rep
+
+    hard, soft, stats = _fold(reports())
+    if not any(worked_example):
         hard.append("single-pop worked example (d=5 read and important) not verified")
-    return hard, soft, {"checked": checked, "verified": verified}
+    return hard, soft, stats
 
 
 def _suite_origin(seed, bounds):
-    hard, soft = [], []
-    verified = checked = 0
-    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
-        n = aut.level
-        for cfg in cfgs:
-            runs = list(_lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True))
-            d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
-            for lrun in runs:
-                for k in range(0, n):
-                    if not is_k_upper(lrun, k):
-                        continue
-                    final = type_of_stack(lrun.run.last.stack, k, table)
-                    sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-                    rep = check_origin(lrun, k, sigmas, table, d_values, runs)
-                    hard += [f"{name}: {h}" for h in rep.hard_failures]
-                    soft += [f"{name}: {s}" for s in rep.unwitnessed]
-                    verified += rep.verified
-                    checked += rep.checked
-    return hard, soft, {"checked": checked, "verified": verified}
+    def reports():
+        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
+            n = aut.level
+            for cfg in cfgs:
+                runs = _lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
+                d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
+                for lrun in runs:
+                    for k in range(0, n):
+                        if is_k_upper(lrun, k):
+                            final = type_of_stack(lrun.run.last.stack, k, table)
+                            sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
+                            yield name, check_origin(lrun, k, sigmas, table, d_values, runs)
+
+    return _fold(reports())
 
 
 def _corpus_with_tables(seed, count):
@@ -639,22 +639,18 @@ def _corpus_with_tables(seed, count):
 
 
 def _suite_idv_upper(seed, bounds):
-    hard = []
-    verified = checked = 0
-    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
-        n = aut.level
-        for cfg in cfgs:
-            runs = list(_lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True))
-            d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
-            for lrun in runs:
-                for k in range(0, n + 1):
-                    if not is_k_upper(lrun, k):
-                        continue
-                    rep = check_idv_upper(lrun, k, table, d_values, runs)
-                    hard += [f"{name}: {h}" for h in rep.hard_failures]
-                    verified += rep.verified
-                    checked += rep.checked
-    return hard, [], {"checked": checked, "verified": verified}
+    def reports():
+        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
+            n = aut.level
+            for cfg in cfgs:
+                runs = _lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
+                d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
+                for lrun in runs:
+                    for k in range(0, n + 1):
+                        if is_k_upper(lrun, k):
+                            yield name, check_idv_upper(lrun, k, table, d_values, runs)
+
+    return _fold(reports())
 
 
 _SUITE_FUNCTIONS = {

@@ -48,64 +48,44 @@ def _modify_top(node: LNode, depth: int, fn) -> LNode:
     return LNode(node.uid, kids[:-1] + (_modify_top(kids[-1], depth - 1, fn),))
 
 
+def _annotate(stack, level: int, ids, created: dict) -> LNode:
+    """The initial stack with fresh ids, created at step 0."""
+    uid = next(ids)
+    created[uid] = 0
+    if level == 0:
+        return LNode(uid, None)
+    return LNode(uid, tuple(_annotate(s, level - 1, ids, created) for s in stack))
+
+
+def _copy(node: LNode, idx: int, ids, parent: dict, created: dict) -> LNode:
+    """A duplicate of `node` with ids fresh at step `idx`, each linked
+    copy-of the id it duplicates (the top atom to the atom it overwrites)."""
+    uid = next(ids)
+    created[uid] = idx
+    parent[uid] = node.uid
+    if node.children is None:
+        return LNode(uid, None)
+    return LNode(uid, tuple(_copy(c, idx, ids, parent, created) for c in node.children))
+
+
 def instrument_lineage(run: Run) -> LineageRun:
     n = run.automaton.level
-    counter = itertools.count(1)
+    ids = itertools.count(1)
     parent: dict[int, int] = {}
     created: dict[int, int] = {}
-
-    def fresh(step_index: int) -> int:
-        uid = next(counter)
-        created[uid] = step_index
-        return uid
-
-    def annotate(stack, level) -> LNode:
-        uid = fresh(0)
-        if level == 0:
-            return LNode(uid, None)
-        return LNode(uid, tuple(annotate(s, level - 1) for s in stack))
-
-    def copy_plain(node: LNode, idx: int) -> LNode:
-        uid = fresh(idx)
-        parent[uid] = node.uid
-        if node.children is None:
-            return LNode(uid, None)
-        return LNode(uid, tuple(copy_plain(c, idx) for c in node.children))
-
-    def copy_rewriting_top(node: LNode, level: int, idx: int) -> LNode:
-        # the duplicate's top atom is the rewritten one; link it straight
-        # to the atom it overwrites
-        uid = fresh(idx)
-        parent[uid] = node.uid
-        if level == 0:
-            return LNode(uid, None)
-        kids = tuple(copy_plain(c, idx) for c in node.children[:-1])
-        kids += (copy_rewriting_top(node.children[-1], level - 1, idx),)
-        return LNode(uid, kids)
-
-    snaps = [annotate(run.at(0).stack, n)]
+    snaps = [_annotate(run.at(0).stack, n, ids, created)]
     for idx, tr in enumerate(run.transitions, start=1):
         op = tr.op
-        prev = snaps[-1]
         if op.kind == "pop":
-            snaps.append(
-                _modify_top(prev, n - op.level, lambda s: LNode(s.uid, s.children[:-1]))
-            )
+            rewrite = lambda s: LNode(s.uid, s.children[:-1])  # noqa: E731
         elif op.kind == "push":
-            k = op.level
-
-            def dup(s):
-                copy = copy_rewriting_top(s.children[-1], k - 1, idx)
-                return LNode(s.uid, s.children + (copy,))
-
-            snaps.append(_modify_top(prev, n - k, dup))
+            rewrite = lambda s: LNode(  # noqa: E731
+                s.uid, s.children + (_copy(s.children[-1], idx, ids, parent, created),)
+            )
         else:  # collapse; link values live in the concrete stack, not the id tree
             keep = top_atom(run.at(idx - 1).stack, n).links[op.level - 1] - 1
-            snaps.append(
-                _modify_top(
-                    prev, n - op.level, lambda s: LNode(s.uid, s.children[:keep])
-                )
-            )
+            rewrite = lambda s: LNode(s.uid, s.children[:keep])  # noqa: E731
+        snaps.append(_modify_top(snaps[-1], n - op.level, rewrite))
     return LineageRun(run, tuple(snaps), parent, created)
 
 
@@ -248,6 +228,16 @@ class DecompositionTree:
     span: tuple[int, int]
     split: Optional[int] = None
     children: tuple["DecompositionTree", ...] = ()
+
+    def render(self, indent: str) -> str:
+        """One line per node of this tree's shape, children indented; the
+        return derivation under an upper case 3 is left out."""
+        head = f"{indent}case {self.case} [{self.span[0]}..{self.span[1]}]"
+        if self.split is not None:
+            head += f" split {self.split}"
+        return "\n".join(
+            [head] + [c.render(indent + "  ") for c in self.children if c.shape == self.shape]
+        )
 
 
 def decompose_return(

@@ -3,8 +3,9 @@
 For a normalized k-upper run and assumption sets on the typing of its
 final spine pieces, the src sets name the descriptors of the *initial*
 spine pieces from which the final important data values originate.  The
-computation follows the run's shape: segments that never touch levels
-above k pass the sets through unchanged; a push closes them backward
+computation follows the run's k-upper derivation (``decompose_upper``):
+segments that never touch levels above k pass the sets through
+unchanged; a push closes them backward
 through composers over the initial pieces; a push followed by a return
 closes over the descriptors of the post-push topmost k-stack that
 realize the return; compositions chain right to left.
@@ -17,13 +18,15 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import Run, recompose, spine, stack_values, top_stack
-from .lineage import LineageRun, is_k_return, is_k_upper, is_normalized
+from .lineage import DecompositionTree, LineageRun, decompose_upper, is_k_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
     CheckReport,
     Level0TypeTable,
     StackTyping,
+    _held,
+    _important,
     _require_start,
     stack_typing,
     type_of_stack,
@@ -31,156 +34,100 @@ from .typesys import (
 
 
 @dataclass(frozen=True)
-class ProvenanceNode:
-    case: int
-    span: tuple[int, int]
-    split: Optional[int] = None
-    children: tuple["ProvenanceNode", ...] = ()
-
-    def render(self, indent: str = "") -> str:
-        head = f"{indent}case {self.case} [{self.span[0]}..{self.span[1]}]"
-        if self.split is not None:
-            head += f" split {self.split}"
-        return "\n".join([head] + [c.render(indent + "  ") for c in self.children])
-
-
-@dataclass(frozen=True)
 class SrcResult:
     k: int
     sets: Mapping[int, frozenset[int]]  # level -> descriptor ids, k+1..n
-    provenance: ProvenanceNode
+    provenance: DecompositionTree
 
 
-def _promotions_through(uni, target: int, r: int, typings: Mapping[int, dict], k: int):
-    """Candidates realizing `target` (a level-r descriptor) as a composer
-    over the pieces s^r..s^k: level-k descriptors of s^k whose level-r
-    drop is the target and whose intermediate slots hold."""
-    out = []
-    for cand in typings[k]:
+def _promote(uni, src: dict, members, r: int, st: StackTyping, k: int) -> None:
+    """Add to `src` the sets, levels k+1..r, of every composer realizing
+    one of the level-r descriptors `members` over the pieces s^r..s^k:
+    level-k descriptors of s^k whose level-r drop is a member and whose
+    intermediate slots hold."""
+    members = set(members) - {NE}
+    if not members:
+        return
+    for cand in st.typing(k):
         if cand == NE:
             continue
         d = uni.desc(cand)
-        if uni.goal(d.goal).r < r + 1:
+        if uni.goal(d.goal).r < r + 1 or uni.drop(cand, r) not in members:
             continue
-        if uni.drop(cand, r) != target:
-            continue
-        if all(
-            all(t in typings[i] for t in uni.psi_at(d, i)) for i in range(k + 1, r + 1)
-        ):
-            out.append(d)
-    return out
+        psis = {i: uni.psi_at(d, i) for i in range(k + 1, r + 1)}
+        if _held(st, psis):
+            for i, ids in psis.items():
+                src[i] |= set(ids)
+
+
+def _src(node: DecompositionTree, sig: dict, run: Run, k: int, table: Level0TypeTable) -> dict:
+    """The src sets of the derivation `node` of a k-upper subrun, for the
+    assumption sets `sig` (level -> frozenset, k+1..n) at its end."""
+    if node.case == 1:
+        return sig
+    if node.case == 4:
+        left, right = node.children
+        return _src(left, _src(right, sig, run, k, table), run, k, table)
+    uni = table.universe
+    n = run.automaton.level
+    i, j = node.span
+    r = run.transitions[i].op.level
+    st = type_of_stack(run.at(i).stack, k, table)
+    if node.case == 2:  # a single push^r
+        src = {lvl: set(ids) if lvl != r else set() for lvl, ids in sig.items()}
+        members = sig[r]
+    else:  # case 3: push^r followed by an r-return
+        src = {lvl: set(ids) if lvl <= r else set() for lvl, ids in sig.items()}
+        goal_id = uni.intern_goal(
+            phi_of_run(table.monoid, run.subrun(i + 1, j)),
+            r,
+            (sig[lvl] for lvl in range(n, r, -1)),
+            run.at(j).state,
+        )
+        post = stack_typing(top_stack(run.at(i + 1).stack, n, k), k, table)
+        # the level-r slot of a realizing descriptor holds against the
+        # recomposed partial stack s^r : ... : s^k
+        partial = stack_typing(recompose(spine(run.at(i).stack, n, k)[n - r :]), r, table)
+        held_in = StackTyping(n, k, st.typings[: n - r] + (partial,) + st.typings[n - r + 1 :])
+        members = set()
+        for rho_id in post:
+            if rho_id == NE:
+                continue
+            rho = uni.desc(rho_id)
+            if rho.state != run.at(i + 1).state or rho.goal != goal_id:
+                continue
+            psis = {lvl: uni.psi_at(rho, lvl) for lvl in range(k + 1, n + 1)}
+            if _held(held_in, psis):
+                members |= set(psis.pop(r))
+                for lvl, ids in psis.items():
+                    src[lvl] |= set(ids)
+    _promote(uni, src, members, r, st, k)
+    return {lvl: frozenset(ids) for lvl, ids in src.items()}
 
 
 def compute_src(
-    lrun: LineageRun,
+    run: Run,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
     table: Level0TypeTable,
 ) -> SrcResult:
     """Source sets of a k-upper run for final assumption sets `sigmas`
-    (level -> descriptor ids over levels k+1..n)."""
-    run = lrun.run
+    (level -> descriptor ids over levels k+1..n), by induction on the
+    run's k-upper derivation (`decompose_upper`)."""
     aut = run.automaton
     if aut.uses_collapse:
         raise ValueError("src sets cover collapse-free automata only")
     n = aut.level
-    uni = table.universe
-    if not is_k_upper(lrun, k):
+    tree = decompose_upper(run, k)
+    if tree is None:
         raise ValueError(f"the run is not {k}-upper")
     final = type_of_stack(run.last.stack, k, table)
     for i in range(k + 1, n + 1):
         for sid in sigmas.get(i, ()):
             if sid not in final.typing(i):
                 raise ValueError(f"assumption {sid} not in the final level-{i} typing")
-
-    def piece_typings(idx: int) -> dict[int, dict]:
-        st = type_of_stack(run.at(idx).stack, k, table)
-        return {i: st.typing(i) for i in range(k, n + 1)}
-
-    def rec(i: int, j: int, sig: Mapping[int, frozenset]) -> tuple[dict, ProvenanceNode]:
-        ops = [run.transitions[t].op for t in range(i, j)]
-        if all(op.level <= k for op in ops):
-            src = {lvl: frozenset(sig.get(lvl, ())) for lvl in range(k + 1, n + 1)}
-            return src, ProvenanceNode(1, (i, j))
-        first = ops[0]
-        if j - i == 1 and first.kind == "push" and first.level >= k + 1:
-            r = first.level
-            typ = piece_typings(i)
-            src = {
-                lvl: set(sig.get(lvl, ())) if lvl != r else set()
-                for lvl in range(k + 1, n + 1)
-            }
-            for sid in sig.get(r, ()):
-                if sid == NE:
-                    continue
-                for d in _promotions_through(uni, sid, r, typ, k):
-                    for lvl in range(k + 1, r + 1):
-                        src[lvl] |= set(uni.psi_at(d, lvl))
-            return (
-                {lvl: frozenset(v) for lvl, v in src.items()},
-                ProvenanceNode(2, (i, j)),
-            )
-        if (
-            first.kind == "push"
-            and first.level >= k + 1
-            and is_k_return(lrun, first.level, i + 1, j)
-        ):
-            r = first.level
-            typ = piece_typings(i)
-            tail_phi = phi_of_run(table.monoid, run.subrun(i + 1, j))
-            goal_id = uni.intern_goal(
-                tail_phi,
-                r,
-                tuple(tuple(sorted(sig.get(lvl, ()))) for lvl in range(n, r, -1)),
-                run.at(j).state,
-            )
-            post_top = top_stack(run.at(i + 1).stack, n, k)
-            post_typing = stack_typing(post_top, k, table)
-            q1 = run.at(i + 1).state
-            src = {lvl: set() for lvl in range(k + 1, n + 1)}
-            for lvl in range(k + 1, r + 1):
-                src[lvl] |= set(sig.get(lvl, ()))
-            # the level-r slot of a realizing descriptor holds against the
-            # recomposed partial stack s^r : ... : s^k
-            pieces = spine(run.at(i).stack, n, k)
-            partial = recompose(pieces[n - r :])
-            partial_typing = stack_typing(partial, r, table)
-            for rho_id in post_typing:
-                if rho_id == NE:
-                    continue
-                rho = uni.desc(rho_id)
-                if rho.state != q1 or rho.goal != goal_id:
-                    continue
-                if not all(
-                    all(t in typ[lvl] for t in uni.psi_at(rho, lvl))
-                    for lvl in range(k + 1, n + 1)
-                    if lvl != r
-                ):
-                    continue
-                if not all(t in partial_typing for t in uni.psi_at(rho, r)):
-                    continue
-                for lvl in range(k + 1, n + 1):
-                    if lvl != r:
-                        src[lvl] |= set(uni.psi_at(rho, lvl))
-                for lam in uni.psi_at(rho, r):
-                    if lam == NE:
-                        continue
-                    for d in _promotions_through(uni, lam, r, typ, k):
-                        for lvl in range(k + 1, r + 1):
-                            src[lvl] |= set(uni.psi_at(d, lvl))
-            return (
-                {lvl: frozenset(v) for lvl, v in src.items()},
-                ProvenanceNode(3, (i, j)),
-            )
-        for m in range(i + 1, j):
-            if is_k_upper(lrun, k, i, m) and is_k_upper(lrun, k, m, j):
-                right, right_prov = rec(m, j, sig)
-                left, left_prov = rec(i, m, right)
-                return left, ProvenanceNode(4, (i, j), split=m, children=(left_prov, right_prov))
-        raise ValueError(f"no decomposition case applies on [{i}..{j}]")
-
-    sets, prov = rec(0, len(run), {i: frozenset(sigmas.get(i, ())) for i in range(k + 1, n + 1)})
-    return SrcResult(k, sets, prov)
+    sig = {i: frozenset(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
+    return SrcResult(k, _src(tree, sig, run, k, table), tree)
 
 
 def _run_hypotheses(lrun: LineageRun, k: int, runs, report: CheckReport) -> None:
@@ -208,13 +155,6 @@ def _usable_values(run: Run, k: int, n: int, values, barred, report: CheckReport
         else:
             usable.append(d)
     return usable
-
-
-def _important(st: StackTyping, k: int, n: int, sets: Mapping[int, Sequence[int]]) -> frozenset:
-    """The values important in the typing under `sets` (level -> descriptor ids)."""
-    return frozenset().union(
-        *(st.typing(i).get(sid, ()) for i in range(k + 1, n + 1) for sid in sets.get(i, ()))
-    )
 
 
 def check_origin(
@@ -249,9 +189,10 @@ def check_origin(
     if not fresh:
         return report
 
-    src = compute_src(lrun, k, sigmas, table)
-    at_end = _important(type_of_stack(run.last.stack, k, table), k, n, sigmas)
-    at_start = _important(type_of_stack(run.at(0).stack, k, table), k, n, src.sets)
+    sigmas = {i: tuple(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
+    src = compute_src(run, k, sigmas, table)
+    at_end = _important(type_of_stack(run.last.stack, k, table), sigmas)
+    at_start = _important(type_of_stack(run.at(0).stack, k, table), src.sets)
     report.checked += len(fresh)
     report.hard_failures += [
         f"k={k} d={d}: important in a final piece but in no initial piece under src"
@@ -279,8 +220,8 @@ def check_origin(
         ):
             continue
         ct = type_of_stack(cand.last.stack, k, table)
-        if all(sid in ct.typing(i) for i in range(k + 1, n + 1) for sid in sigmas.get(i, ())):
-            missing -= {val for _, val in cand.read_word} | _important(ct, k, n, sigmas)
+        if _held(ct, sigmas):
+            missing -= {val for _, val in cand.read_word} | _important(ct, sigmas)
     report.verified += len(wanted) - len(missing)
     report.unwitnessed += [
         f"k={k} d={d}: important under src but no transferred run" for d in wanted if d in missing

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
 from .lineage import LineageRun, is_k_return
@@ -558,6 +558,22 @@ def type_of_stack(stack: Stack, k: int, table: Level0TypeTable) -> StackTyping:
     return StackTyping(n, k, typings)
 
 
+def _held(st: StackTyping, sets: Mapping[int, Iterable[int]]) -> bool:
+    """Every assumption set of `sets` (level -> descriptor ids) holds:
+    its descriptors are in the typing of that level."""
+    return all(t in st.typing(i) for i, ids in sets.items() for t in ids)
+
+
+def _important(st: StackTyping, sets: Mapping[int, Iterable[int]]) -> frozenset:
+    """The values important in the typing under `sets` (level -> descriptor ids)."""
+    return frozenset().union(*(st.typing(i).get(t, ()) for i, ids in sets.items() for t in ids))
+
+
+def _promised(uni: Universe, g: Goal) -> dict[int, tuple[int, ...]]:
+    """The goal's promised assumption sets, level -> descriptor ids, r+1..n."""
+    return {i: uni.sigma_at(g, i) for i in range(g.r + 1, uni.level + 1)}
+
+
 # ---------------------------------------------------------------------------
 # agreement and the two soundness checks
 
@@ -565,8 +581,8 @@ def type_of_stack(stack: Stack, k: int, table: Level0TypeTable) -> StackTyping:
 def agrees(lrun: LineageRun, goal_id: int, table: Level0TypeTable) -> bool:
     """phi matches, the run is an r-return into the right state, and the
     final spine pieces above r carry the promised descriptor sets."""
-    uni = table.universe
-    return _run_agrees(_prepare(lrun, table), uni.goal(goal_id), uni, table.automaton.level)
+    g = table.universe.goal(goal_id)
+    return _run_agrees(_prepare(lrun, table), g, _promised(table.universe, g))
 
 
 @dataclass
@@ -629,23 +645,9 @@ def find_witness(
         desc = uni.desc(did)
         if desc.state != config.state or desc.goal != goal_id:
             continue
-        ok = True
-        for i in range(k + 1, n + 1):
-            typing_i = st.typing(i)
-            if not all(t in typing_i for t in uni.psi_at(desc, i)):
-                ok = False
-                break
-        if not ok:
-            continue
-        if d is None:
+        psis = {i: uni.psi_at(desc, i) for i in range(k + 1, n + 1)}
+        if _held(st, psis) and (d is None or d in idv or d in _important(st, psis)):
             return did
-        if d in idv:
-            return did
-        for i in range(k + 1, n + 1):
-            typing_i = st.typing(i)
-            for t in uni.psi_at(desc, i):
-                if d in typing_i.get(t, ()):
-                    return did
     return None
 
 
@@ -674,15 +676,13 @@ def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
     return info
 
 
-def _run_agrees(info, g, uni, n) -> bool:
-    if info["phi"] != g.m or info["state"] != g.q or not info["returns"][g.r]:
-        return False
-    st = info["final_typing"][g.r]
-    for i in range(g.r + 1, n + 1):
-        typing = st.typing(i)
-        if not all(t in typing for t in uni.sigma_at(g, i)):
-            return False
-    return True
+def _run_agrees(info, g: Goal, promised: Mapping[int, Iterable[int]]) -> bool:
+    return (
+        info["phi"] == g.m
+        and info["state"] == g.q
+        and info["returns"][g.r]
+        and _held(info["final_typing"][g.r], promised)
+    )
 
 
 def _describe_run(run: Run) -> str:
@@ -691,6 +691,44 @@ def _describe_run(run: Run) -> str:
         f"{a}@{d}" for a, d in run.read_word
     )
     return f"len={len(run)} ops=[{ops}] word=[{word}]"
+
+
+def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, d, hard, soft):
+    """For every goal and every level k below its return level, the runs
+    that agree with the goal (and, for a value `d`, use it: read it or
+    keep it important under the promised sets) against a descriptor of
+    type(s^k) witnessing it (and carrying d).  Runs without a witness are
+    hard failures, a witness without runs is unwitnessed; `hard` and
+    `soft` format those lines from k, d, goal and run or witness."""
+    _require_start(runs, config)
+    report = CheckReport(name)
+    if d == 0:
+        report.errors.append("d must differ from the normalization value 0")
+        return report
+    uni = table.universe
+    prepared = [_prepare(lrun, table) for lrun in runs]
+    for gid in goal_space(table):
+        g = uni.goal(gid)
+        promised = _promised(uni, g)
+        hits = [info for info in prepared if _run_agrees(info, g, promised)]
+        if d is not None:
+            hits = [
+                info for info in hits
+                if d in info["reads"] or d in _important(info["final_typing"][g.r], promised)
+            ]
+        for k in range(0, g.r):
+            report.checked += 1
+            witness = find_witness(table, config, k, gid, d)
+            if hits and witness is None:
+                run = _describe_run(hits[0]["run"])
+                line = hard.format(k=k, d=d, goal=uni.render_goal(gid), run=run)
+                report.hard_failures.append(line)
+            elif witness is not None and not hits:
+                line = soft.format(k=k, d=d, goal=uni.render_goal(gid), witness=witness)
+                report.unwitnessed.append(line)
+            elif witness is not None:
+                report.verified += 1
+    return report
 
 
 def check_run2type(
@@ -707,30 +745,11 @@ def check_run2type(
     2=>1 (soft): every witnessed (goal, level) pair should exhibit an
     agreeing run within the bound; misses are reported as unwitnessed.
     """
-    _require_start(runs, config)
-    report = CheckReport("run2type")
-    uni = table.universe
-    n = table.automaton.level
-    prepared = [_prepare(lrun, table) for lrun in runs]
-    for gid in goal_space(table):
-        g = uni.goal(gid)
-        agreeing = [info for info in prepared if _run_agrees(info, g, uni, n)]
-        for k in range(0, g.r):
-            report.checked += 1
-            witness = find_witness(table, config, k, gid)
-            if agreeing and witness is None:
-                report.hard_failures.append(
-                    f"k={k} goal={uni.render_goal(gid)} has an agreeing run "
-                    f"({_describe_run(agreeing[0]['run'])}) but no witnessing descriptor"
-                )
-            elif witness is not None and not agreeing:
-                report.unwitnessed.append(
-                    f"k={k} goal={uni.render_goal(gid)} witnessed by descriptor {witness} "
-                    "but no agreeing run"
-                )
-            elif witness is not None and agreeing:
-                report.verified += 1
-    return report
+    return _correspondence(
+        "run2type", config, table, runs, None,
+        "k={k} goal={goal} has an agreeing run ({run}) but no witnessing descriptor",
+        "k={k} goal={goal} witnessed by descriptor {witness} but no agreeing run",
+    )
 
 
 def check_idv(
@@ -744,43 +763,9 @@ def check_idv(
     `runs` must be every normalized run from `config` up to the bound,
     with lineage; a run starting elsewhere raises ValueError.
     """
-    _require_start(runs, config)
-    report = CheckReport("idv")
-    if d == 0:
-        report.errors.append("d must differ from the normalization value 0")
-        return report
-    uni = table.universe
-    n = table.automaton.level
-    prepared = [_prepare(lrun, table) for lrun in runs]
-    for gid in goal_space(table):
-        g = uni.goal(gid)
-        hits = []
-        for info in prepared:
-            if not _run_agrees(info, g, uni, n):
-                continue
-            used = d in info["reads"]
-            if not used:
-                st = info["final_typing"][g.r]
-                for i in range(g.r + 1, n + 1):
-                    typing = st.typing(i)
-                    if any(d in typing.get(t, ()) for t in uni.sigma_at(g, i)):
-                        used = True
-                        break
-            if used:
-                hits.append(info)
-        for k in range(0, g.r):
-            report.checked += 1
-            witness = find_witness(table, config, k, gid, d=d)
-            if hits and witness is None:
-                report.hard_failures.append(
-                    f"k={k} d={d} goal={uni.render_goal(gid)} used by "
-                    f"{_describe_run(hits[0]['run'])} but no descriptor carries it"
-                )
-            elif witness is not None and not hits:
-                report.unwitnessed.append(
-                    f"k={k} d={d} goal={uni.render_goal(gid)} carried by descriptor "
-                    f"{witness} but no agreeing normalized run uses it"
-                )
-            elif witness is not None and hits:
-                report.verified += 1
-    return report
+    return _correspondence(
+        "idv", config, table, runs, d,
+        "k={k} d={d} goal={goal} used by {run} but no descriptor carries it",
+        "k={k} d={d} goal={goal} carried by descriptor {witness} "
+        "but no agreeing normalized run uses it",
+    )

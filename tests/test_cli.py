@@ -173,18 +173,17 @@ def test_types_output_is_stable():
 
 
 def test_src_command():
-    code, out = run_cli(
-        "src",
-        str(GOLDEN / "excursion.scenario"),
-        "--word",
-        "c@0 a@7",
-        "--k",
-        "0",
-        "--monoid",
-        "presence",
-    )
-    assert code == 0
-    assert "src^1" in out and "src^2" in out and "case 3" in out
+    # a push followed by a return (case 3), and compositions (case 4)
+    outputs = []
+    for word in ("c@0 a@7", "b@0 a@0 c@0 a@7"):
+        for k in ("0", "1"):
+            code, out = run_cli(
+                "src", str(GOLDEN / "excursion.scenario"), "--word", word, "--k", k,
+                "--monoid", "presence",
+            )
+            assert code == 0
+            outputs.append(out)
+    assert "".join(outputs) == (GOLDEN / "excursion-src.txt").read_text()
 
 
 def test_gen_word_command():
@@ -386,6 +385,25 @@ def test_start_stack_links_must_fit_the_automaton(tmp_path, collapsible, op, sta
     code, err = run_cli_stderr("run", str(path))
     assert code == 2
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "level, stack",
+    [
+        (1, "[(g,-;1) (g,-;9)]"),
+        (2, "[[(g,-;1,1)] [(g,-;1,1) (g,-;3,2)]]"),
+        (2, "[[(g,-;1,1)] [(g,-;1,1) (g,-;2,3)]]"),
+    ],
+    ids=["level-1", "level-2-stack-level-1-link", "level-2-stack-level-2-link"],
+)
+def test_start_stack_links_must_fit_their_stacks(tmp_path, level, stack):
+    text = LINKED_SCENARIO.format(collapsible="true", op="collapse 1", stack=stack)
+    text = text.replace("level 1", f"level {level}")
+    path = tmp_path / "linked.scenario"
+    path.write_text(text)
+    code, err = run_cli_stderr("run", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "link" in err, err
 
 
 def test_collapse_from_a_linked_start_stack_runs(tmp_path):

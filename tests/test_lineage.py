@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from hopad.core import Step, empty_run, execute_word, extend_run, step
@@ -211,3 +213,19 @@ def test_collapse_lineage_on_recognizer_run():
     table = classification_table(lrun)
     for j in range(len(out.run) + 1):
         assert set(table.upper[(j, 2)]) == set(range(j + 1))
+
+
+def test_instrumenting_leaves_no_reference_cycles():
+    # a cycle would keep every instrumented run's id maps alive until a
+    # full collection
+    aut, cfg = excursion_machine(), excursion_config()
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, (0, 1, 2, 5, 7, 9), True))
+    assert len(runs) == 11
+    gc.collect()
+    gc.disable()
+    try:
+        lruns = [instrument_lineage(run) for run in runs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(lruns) == len(runs)

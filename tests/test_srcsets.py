@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hopad.core import Step, empty_run, extend_run, step
@@ -11,7 +13,7 @@ from hopad.harness import (
     classification_example_run,
     u_fragment_corpus,
 )
-from hopad.lineage import instrument_lineage, is_k_upper
+from hopad.lineage import instrument_lineage, is_k_return, is_k_upper
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.srcsets import check_idv_upper, check_origin, compute_src
 from hopad.typesys import NE, saturate_level0, type_of_stack
@@ -34,7 +36,7 @@ def drive(aut, cfg, labels):
 
 
 def normalized_runs(aut, cfg, bound):
-    return list(_lineage_runs(aut, cfg, bound, (0, 1, 2), True))
+    return _lineage_runs(aut, cfg, bound, (0, 1, 2), True)
 
 
 def excursion_prefix(aut):
@@ -49,7 +51,7 @@ def test_case1_passes_sigma_through():
     run = classification_example_run().subrun(3, 5)  # pop^1, push^1: levels <= 1
     final = type_of_stack(run.configs[-1].stack, 1, table)
     sigmas = {2: tuple(final.typing(2))}
-    result = compute_src(instrument_lineage(run), 1, sigmas, table)
+    result = compute_src(run, 1, sigmas, table)
     assert result.provenance.case == 1
     assert result.sets[2] == frozenset(sigmas[2])
 
@@ -58,7 +60,7 @@ def test_empty_sigma_single_push_gives_empty_src():
     aut = excursion_machine()
     cfg = excursion_config()
     run = drive(aut, cfg, [("c", 0)])
-    result = compute_src(instrument_lineage(run), 1, {2: ()}, table=saturate_level0(
+    result = compute_src(run, 1, {2: ()}, table=saturate_level0(
         aut, presence_monoid(aut.input_alphabet)))
     assert result.provenance.case == 2
     assert result.sets[2] == frozenset()
@@ -71,7 +73,7 @@ def test_excursion_case3_collects_pop_chain(excursion):
     assert is_k_upper(lrun, 0) and is_k_upper(lrun, 1)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    result = compute_src(lrun, 0, sigmas, table)
+    result = compute_src(run, 0, sigmas, table)
     assert result.provenance.case == 3
     # the sources at level 1 include the chain descriptors that carry
     # the buried values 7 and 5
@@ -88,8 +90,8 @@ def test_src_deterministic_and_contained(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    first = compute_src(instrument_lineage(run), 0, sigmas, table)
-    second = compute_src(instrument_lineage(run), 0, sigmas, table)
+    first = compute_src(run, 0, sigmas, table)
+    second = compute_src(run, 0, sigmas, table)
     assert first.sets == second.sets
     init = type_of_stack(run.at(0).stack, 0, table)
     for i in (1, 2):
@@ -101,7 +103,7 @@ def test_src_requires_upper(excursion):
     cfg = excursion_config()
     full = drive(aut, cfg, [("c", 0), None, ("a", 7), ("b", 9)])  # a 1-return
     with pytest.raises(ValueError):
-        compute_src(instrument_lineage(full), 0, {1: (), 2: ()}, table)
+        compute_src(full, 0, {1: (), 2: ()}, table)
 
 
 def test_src_rejects_bad_sigma(excursion):
@@ -111,7 +113,7 @@ def test_src_rejects_bad_sigma(excursion):
     gid = uni.intern_goal("SOME", 1, ((),), "q4")
     alien = uni.intern_desc(1, ((),), "q4", uni.intern_goal("SOME", 2, (), "q4"))
     with pytest.raises(ValueError):
-        compute_src(instrument_lineage(run), 0, {1: (alien,), 2: ()}, table)
+        compute_src(run, 0, {1: (alien,), 2: ()}, table)
 
 
 def test_origin_part1_and_part2_positive(excursion):
@@ -275,8 +277,6 @@ def test_idv_upper_uniqueness_counterexample():
 
 
 def test_all_decomposition_cases_exercised():
-    from collections import Counter
-
     from hopad.harness import universe_for
 
     aut = excursion_machine()
@@ -287,7 +287,8 @@ def test_all_decomposition_cases_exercised():
     def walk(node):
         cases[node.case] += 1
         for child in node.children:
-            walk(child)
+            if child.shape == "upper":
+                walk(child)
 
     space = EnumerationSpace(
         aut, cfg, 5, universe_for(aut, cfg, (0, 1, 2)), normalized_only=True
@@ -299,5 +300,44 @@ def test_all_decomposition_cases_exercised():
                 continue
             final = type_of_stack(run.configs[-1].stack, k, table)
             sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-            walk(compute_src(lrun, k, sigmas, table).provenance)
+            walk(compute_src(run, k, sigmas, table).provenance)
     assert set(cases) == {1, 2, 3, 4}
+
+
+def _upper_nodes(node):
+    """The nodes of a k-upper derivation, return derivations left out."""
+    yield node
+    for child in node.children:
+        if child.shape == "upper":
+            yield from _upper_nodes(child)
+
+
+@pytest.mark.parametrize("corpus", ["excursion", "u-fragment"])
+def test_src_derivations_agree_with_lineage_on_subruns(corpus):
+    # compute_src follows decompose_upper; the lineage classifiers must
+    # give the same verdicts on every span it visits, not only on whole runs
+    if corpus == "excursion":
+        aut, cfgs = excursion_machine(), [excursion_config()]
+        table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    else:
+        aut, cfgs = u_fragment_corpus()
+        table = saturate_level0(aut, shape_monoid())
+    seen = Counter()
+    for cfg in cfgs:
+        for lrun in normalized_runs(aut, cfg, 5):
+            run = lrun.run
+            for k in range(0, aut.level + 1):
+                if not is_k_upper(lrun, k):
+                    continue
+                final = type_of_stack(run.last.stack, k, table)
+                sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, aut.level + 1)}
+                for node in _upper_nodes(compute_src(run, k, sigmas, table).provenance):
+                    i, j = node.span
+                    assert is_k_upper(lrun, k, i, j)
+                    if node.case == 3:
+                        assert is_k_return(lrun, run.transitions[i].op.level, i + 1, j)
+                    if node.case == 4:
+                        assert is_k_upper(lrun, k, i, node.split)
+                        assert is_k_upper(lrun, k, node.split, j)
+                    seen[node.case] += 1
+    assert seen[3] and seen[4]

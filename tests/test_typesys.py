@@ -32,7 +32,7 @@ from hopad.typesys import (
 
 
 def runs_from(aut, cfg, bound, values, normalized):
-    return list(_lineage_runs(aut, cfg, bound, values, normalized))
+    return _lineage_runs(aut, cfg, bound, values, normalized)
 
 
 @pytest.fixture(scope="module")
