@@ -196,19 +196,44 @@ class ClassificationTable:
 
 
 def classification_table(lrun: LineageRun) -> ClassificationTable:
+    """Every cell of ``is_k_upper`` and ``is_k_return`` for a run of m
+    steps at level n, in O(m^2 * n); asking the two cell by cell costs
+    O(m^3 * n).
+
+    Per (j, k), one walk t = j, j-1, ..., 0 down the copy-of chain of the
+    topmost k-stack at j gives rep(t), the chain element alive at t.
+    Creation times strictly decrease along the chain, so the walk costs
+    amortised O(1) per t.  The walk answers two columns:
+
+    * R[i..j] is k-upper iff rep(i) is the topmost k-stack at i;
+    * with L(j, k+1) the last t < j at which rep(t) is the topmost
+      k-stack, R[i..j] is a (k+1)-return iff L(j, k+1) < i and rep(i) is
+      the second topmost k-stack at i.
+    """
     n = lrun.run.automaton.level
     m = len(lrun.run)
+    parent, created = lrun.parent, lrun.created
+    top = [[_topmost_uid(lrun, t, k) for k in range(n + 1)] for t in range(m + 1)]
+    second = [[_second_topmost_uid(lrun, t, k) for k in range(n)] + [None] for t in range(m + 1)]
     upper = {}
     returns = {}
     for j in range(m + 1):
-        for k in range(0, n + 1):
-            upper[(j, k)] = frozenset(
-                i for i in range(j + 1) if is_k_upper(lrun, k, i, j)
-            )
-        for k in range(1, n + 1):
-            returns[(j, k)] = frozenset(
-                i for i in range(j + 1) if is_k_return(lrun, k, i, j)
-            )
+        for k in range(n + 1):
+            rep = top[j][k]
+            ups, rets = [j], []
+            exposed = False  # rep(t) was topmost at some t in [i, j): L(j, k+1) >= i
+            for t in range(j - 1, -1, -1):
+                # every chain ends at an id of the start stack, created at 0
+                while created[rep] > t:
+                    rep = parent[rep]
+                if rep == top[t][k]:
+                    ups.append(t)
+                    exposed = True
+                elif not exposed and rep == second[t][k]:
+                    rets.append(t)
+            upper[(j, k)] = frozenset(ups)
+            if k < n:
+                returns[(j, k + 1)] = frozenset(rets)
     return ClassificationTable(m, n, upper, returns)
 
 
@@ -258,7 +283,7 @@ def decompose_return(
         j = len(run)
     if _memo is None:
         _memo = {}
-    key = (i, j, r)
+    key = ("return", i, j, r)
     if key in _memo:
         return _memo[key]
     _memo[key] = None  # cycles are impossible; this is just the default
@@ -302,13 +327,14 @@ def decompose_upper(
     Case 1: only operations of level at most k (the empty run included).
     Case 2: a single push^r, r >= k+1.  Case 3: a leading push^r
     (r >= k+1) followed by an r-return.  Case 4: a composition of two
-    nonempty k-upper runs.
+    nonempty k-upper runs.  Case 3 shares the memo with
+    ``decompose_return``; keys carry the shape, (shape, i, j, level).
     """
     if j is None:
         j = len(run)
     if _memo is None:
         _memo = {}
-    key = (i, j, k)
+    key = ("upper", i, j, k)
     if key in _memo:
         return _memo[key]
     _memo[key] = None
@@ -319,7 +345,7 @@ def decompose_upper(
     if result is None and j - i == 1 and ops[0].kind == "push" and ops[0].level >= k + 1:
         result = DecompositionTree("upper", 2, k, (i, j))
     if result is None and ops and ops[0].kind == "push" and ops[0].level >= k + 1:
-        sub = decompose_return(run, ops[0].level, i + 1, j)
+        sub = decompose_return(run, ops[0].level, i + 1, j, _memo)
         if sub is not None:
             result = DecompositionTree("upper", 3, k, (i, j), children=(sub,))
     if result is None:

@@ -516,24 +516,32 @@ def combine_types(rest: Typing, top: Typing, k: int, table: Level0TypeTable) -> 
 
 
 def stack_typing(stack: Stack, level: int, table: Level0TypeTable) -> Typing:
-    """type() and idv() of a concrete stack, folding over its elements
-    bottom-up; empty stacks (None) have empty type, nonempty ones always
-    contain ne."""
+    """type() and idv() of a concrete stack: a k-stack's typing combines
+    the typing of the stack below its top with that of its top, memoised
+    per node, so a push adds O(level) entries.  Empty stacks (None) have
+    empty type, nonempty ones always contain ne.
+
+    The walk down `below` is iterative, as in ``core.Node.__hash__``, so
+    stacks as wide as a long run type without deep recursion."""
     if stack is None:
         return {}
-    key = (stack, level)
-    cached = table._typing_cache.get(key)
-    if cached is not None:
-        return cached
     if level == 0:
-        result = atom_typing(stack, table)
-    else:
-        acc: Typing = {}
-        for elem in stack:
-            acc = combine_types(acc, stack_typing(elem, level - 1, table), level, table)
-        result = acc
-    table._typing_cache[key] = result
-    return result
+        return atom_typing(stack, table)
+    cache = table._typing_cache
+    untyped = []
+    node = stack
+    acc: Typing = {}
+    while node is not None:
+        cached = cache.get((node, level))
+        if cached is not None:
+            acc = cached
+            break
+        untyped.append(node)
+        node = node.below
+    for node in reversed(untyped):
+        acc = combine_types(acc, stack_typing(node.top, level - 1, table), level, table)
+        cache[(node, level)] = acc
+    return acc
 
 
 @dataclass(frozen=True)

@@ -229,3 +229,84 @@ def test_instrumenting_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert len(lruns) == len(runs)
+
+
+def _table_by_definition(lrun):
+    n, m = lrun.run.automaton.level, len(lrun.run)
+    upper = {
+        (j, k): frozenset(i for i in range(j + 1) if is_k_upper(lrun, k, i, j))
+        for j in range(m + 1)
+        for k in range(n + 1)
+    }
+    returns = {
+        (j, k): frozenset(i for i in range(j + 1) if is_k_return(lrun, k, i, j))
+        for j in range(m + 1)
+        for k in range(1, n + 1)
+    }
+    return upper, returns
+
+
+def _assert_table_is_the_definition(run):
+    lrun = instrument_lineage(run)
+    table = classification_table(lrun)
+    assert (table.length, table.level) == (len(run), run.automaton.level)
+    assert (table.upper, table.returns) == _table_by_definition(lrun), run.operations()
+
+
+def test_classification_table_is_the_definition_on_the_example(example_run):
+    _assert_table_is_the_definition(example_run[0])
+
+
+def test_classification_table_is_the_definition_on_the_corpus():
+    # one run per (machine, start, operations): lineage reads no data value
+    from hopad.harness import DEFAULT_BOUNDS, _corpus, universe_for
+
+    runs = 0
+    for _, aut, cfgs in _corpus(20260808, DEFAULT_BOUNDS["corpus_machines"]):
+        for cfg in cfgs:
+            space = EnumerationSpace(aut, cfg, 6, universe_for(aut, cfg, (0, 1)))
+            seen = set()
+            for run in enumerate_runs(space):
+                if run.operations() not in seen:
+                    seen.add(run.operations())
+                    _assert_table_is_the_definition(run)
+                    runs += 1
+    assert runs == 1083
+
+
+def _w3_prefix(letters):
+    from hopad.ulang import decorate_distinct, gen_w
+
+    return decorate_distinct(gen_w(3, 3))[:letters]
+
+
+def test_classification_table_is_the_definition_on_recognizer_runs():
+    # prefixes of w_3 hold no dollar, so their mirrored completions add
+    # the collapse steps
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    words = [_w3_prefix(20), _w3_prefix(40)]
+    for letters in (10, 20, 30, 40):
+        prefix = _w3_prefix(letters)
+        mirror = tuple(("]" if a == "[" else "[", d) for a, d in reversed(prefix))
+        words.append(prefix + (("$", 0),) + mirror)
+    runs = [execute_word(aut, word).run for word in words]
+    assert len(runs[1]) == 161
+    assert [any(tr.op.kind == "collapse" for tr in run.transitions) for run in runs] == [
+        False, False, True, True, True, True
+    ]
+    for run in runs:
+        _assert_table_is_the_definition(run)
+
+
+def test_classification_table_of_533_steps_within_budget():
+    import time
+
+    from hopad.ulang import build_u_recognizer
+
+    lrun = instrument_lineage(execute_word(build_u_recognizer(), _w3_prefix(160)).run)
+    assert len(lrun.run) == 533
+    start = time.perf_counter()
+    classification_table(lrun)
+    assert time.perf_counter() - start < 2.0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopad.core import Atom, Configuration, from_nested
+from hopad.core import Atom, Configuration, from_nested, spine
 from hopad.harness import (
     DEFAULT_UNIVERSE,
     _lineage_runs,
@@ -24,6 +24,7 @@ from hopad.typesys import (
     check_composer,
     check_idv,
     check_run2type,
+    combine_types,
     goal_space,
     saturate_level0,
     stack_typing,
@@ -535,3 +536,117 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
     for _ in _corpus_with_tables(20260808, DEFAULT_BOUNDS["typed_machines"]):
         pass
     assert yields == 235
+
+
+def _folded(stack, level, table, prefixes):
+    """The typing of `stack` as a left fold over its elements, bottom to
+    top.  The fold records the typing of every prefix by node identity in
+    `prefixes`, and an element that is a prefix folded before is looked
+    up there instead of folded again."""
+    if stack is None:
+        return {}
+    if level == 0:
+        return atom_typing(stack, table)
+    if id(stack) in prefixes:
+        return prefixes[id(stack)]
+    nodes = []
+    node = stack
+    while node is not None:
+        nodes.append(node)
+        node = node.below
+    acc = {}
+    for node, elem in zip(reversed(nodes), stack):
+        acc = combine_types(acc, _folded(elem, level - 1, table, prefixes), level, table)
+        prefixes[id(node)] = acc
+    return acc
+
+
+def _assert_typings_are_the_fold(stack, n, table, prefixes):
+    """type_of_stack at every k, and stack_typing at every node of its
+    pieces, equal the fold."""
+    for k in range(n + 1):
+        st = type_of_stack(stack, k, table)
+        for piece, level in zip(spine(stack, n, k), range(n, k - 1, -1)):
+            assert st.typing(level) == _folded(piece, level, table, prefixes)
+            node = piece if level else None
+            while node is not None:
+                assert stack_typing(node, level, table) == prefixes[id(node)]
+                node = node.below
+
+
+@pytest.fixture(scope="module")
+def fragment_openings():
+    from hopad.core import decollapse, execute_word
+    from hopad.ulang import build_u_recognizer
+
+    frag = decollapse(build_u_recognizer())
+
+    def after(opens):
+        word = tuple(("[", i) for i in range(1, opens + 1))
+        return execute_word(frag, word).run.last.stack
+
+    return frag, after
+
+
+@pytest.mark.parametrize("opens", [100, 400, 1600])
+def test_stack_typing_per_node_is_the_fold_over_elements(fragment_openings, opens):
+    frag, after = fragment_openings
+    table = saturate_level0(frag, shape_monoid())
+    stack = after(opens)
+    n = frag.level
+    prefixes = {}
+    if opens > 400:
+        # folding each of 1,600 elements afresh folds 1.28M atoms: take the
+        # elements' typings from stack_typing, which the smaller widths
+        # check against the fold element by element
+        _folded(stack.top, n - 1, table, prefixes)
+        for elem in stack:
+            prefixes.setdefault(id(elem), stack_typing(elem, n - 1, table))
+    _assert_typings_are_the_fold(stack, n, table, prefixes)  # no RecursionError at any width
+
+
+def test_stack_typing_is_the_fold_over_elements_on_the_typed_corpus():
+    # the u-fragment's stacks above type to {ne} at levels 1 and 2; these
+    # carry promoted descriptors and important values there
+    from hopad.harness import (
+        DEFAULT_BOUNDS,
+        EnumerationSpace,
+        _corpus_with_tables,
+        enumerate_runs,
+        universe_for,
+    )
+
+    stacks = promoted = 0
+    for _, aut, cfgs, table in _corpus_with_tables(20260808, DEFAULT_BOUNDS["typed_machines"]):
+        for cfg in cfgs:
+            space = EnumerationSpace(aut, cfg, 5, universe_for(aut, cfg, (0, 1)))
+            for run in enumerate_runs(space):
+                _assert_typings_are_the_fold(run.last.stack, aut.level, table, {})
+                st = type_of_stack(run.last.stack, 0, table)
+                promoted += any(set(st.typing(i)) - {NE} for i in range(1, aut.level + 1))
+                stacks += 1
+    assert stacks > 1000 and promoted > 500
+
+
+def test_typing_a_push_adds_entries_linear_in_width(fragment_openings, monkeypatch):
+    from hopad import typesys
+
+    frag, after = fragment_openings
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return combine_types(*args)
+
+    monkeypatch.setattr(typesys, "combine_types", counted)
+    made = {}
+    for opens in (100, 400):
+        table = saturate_level0(frag, shape_monoid())
+        stack = after(opens)
+        calls = 0
+        for k in range(frag.level + 1):
+            type_of_stack(stack, k, table)
+        made[opens] = calls
+        assert calls <= 3 * len(stack)
+    assert made[400] < 5 * made[100]
