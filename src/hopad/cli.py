@@ -44,7 +44,7 @@ from .core import (
     validate_automaton,
 )
 from .harness import SUITE_NAMES, run_suites
-from .lineage import classification_table, instrument_lineage, is_k_upper
+from .lineage import classification_table, decompose_upper, instrument_lineage
 from .monoid import monoid_by_name
 from .srcsets import compute_src
 from .typesys import ResourceCapExceeded, saturate_level0, type_of_stack
@@ -473,14 +473,13 @@ def _cmd_src(args) -> int:
     scenario = load_scenario(args.file)
     word = parse_data_word(args.word) if args.word else ()
     run = drive_run(scenario, word, args.eps_budget)
-    lrun = instrument_lineage(run)
     k = args.k
     n = scenario.automaton.level
     if not 0 <= k <= n:
         raise CliError(f"--k {k} outside 0..{n}")
-    if not is_k_upper(lrun, k):
+    table = _table_for(args, scenario)  # rejects collapse, which no derivation covers
+    if decompose_upper(run, k) is None:
         raise CliError(f"the driven run is not {k}-upper")
-    table = _table_for(args, scenario)
     final = type_of_stack(run.last.stack, k, table)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
     result = compute_src(run, k, sigmas, table)
@@ -528,7 +527,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _eps_budget(text: str) -> int:
+def _nonnegative(text: str) -> int:
     if not _is_number(text):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
@@ -554,7 +553,7 @@ def main(argv=None) -> int:
         return p
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--eps-budget", type=_eps_budget, default=DEFAULT_EPS_BUDGET)
+    budget.add_argument("--eps-budget", type=_nonnegative, default=DEFAULT_EPS_BUDGET)
     monoid = argparse.ArgumentParser(add_help=False)
     monoid.add_argument("--monoid", default="shape", choices=("shape", "trivial", "presence"))
 
@@ -595,7 +594,7 @@ def main(argv=None) -> int:
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_nonnegative, default=None)
 
     try:
         args = parser.parse_args(argv)

@@ -527,11 +527,11 @@ def _suite_u_differential(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _lineage_runs(aut, cfg, bound, base, normalized):
+def _runs(aut, cfg, bound, base, normalized):
     """The runs of a start configuration up to the bound over the base
-    universe, instrumented with lineage."""
+    universe, every push reading 0 when `normalized`."""
     space = EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, base), normalized)
-    return [instrument_lineage(run) for run in enumerate_runs(space)]
+    return enumerate_runs(space)
 
 
 def _suite_classifier_equivalence(seed, bounds):
@@ -540,11 +540,10 @@ def _suite_classifier_equivalence(seed, bounds):
     for name, aut, cfgs in _corpus(seed, bounds["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, bounds["run_bound"], universe_for(aut, cfg, (0, 1)))
             # both routes read the start stack's shape and the operations,
             # never a data value, so runs with equal operations share verdicts
             mismatches: dict[tuple, list[str]] = {}
-            for run in enumerate_runs(space):
+            for run in _runs(aut, cfg, bounds["run_bound"], (0, 1), False):
                 ops = run.operations()
                 if ops not in mismatches:
                     mismatches[ops] = _classifier_mismatches(name, run)
@@ -587,7 +586,7 @@ def _fold(reports):
 def _suite_run2type(seed, bounds):
     bound = bounds["run_bound"]
     hard, soft, stats = _fold(
-        (name, check_run2type(cfg, table, _lineage_runs(aut, cfg, bound, (0, 1), False)))
+        (name, check_run2type(cfg, table, _runs(aut, cfg, bound, (0, 1), False)))
         for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"])
         for cfg in cfgs
     )
@@ -603,7 +602,7 @@ def _suite_idv(seed, bounds):
     def reports():
         for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
             for cfg in cfgs:
-                runs = _lineage_runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True)
+                runs = _runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True)
                 for d in sorted({1, 2} | (stack_values(cfg.stack, aut.level) - {0}))[:4]:
                     rep = check_idv(cfg, table, runs, d)
                     if name == "single-pop" and d == 5:
@@ -621,14 +620,14 @@ def _suite_origin(seed, bounds):
         for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
             n = aut.level
             for cfg in cfgs:
-                runs = _lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
+                runs = _runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
                 d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
-                for lrun in runs:
+                for run in runs:
                     for k in range(0, n):
-                        if is_k_upper(lrun, k):
-                            final = type_of_stack(lrun.run.last.stack, k, table)
+                        if decompose_upper(run, k) is not None:
+                            final = type_of_stack(run.last.stack, k, table)
                             sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-                            yield name, check_origin(lrun, k, sigmas, table, d_values, runs)
+                            yield name, check_origin(run, k, sigmas, table, d_values, runs)
 
     return _fold(reports())
 
@@ -643,12 +642,12 @@ def _suite_idv_upper(seed, bounds):
         for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
             n = aut.level
             for cfg in cfgs:
-                runs = _lineage_runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
+                runs = _runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
                 d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
-                for lrun in runs:
+                for run in runs:
                     for k in range(0, n + 1):
-                        if is_k_upper(lrun, k):
-                            yield name, check_idv_upper(lrun, k, table, d_values, runs)
+                        if decompose_upper(run, k) is not None:
+                            yield name, check_idv_upper(run, k, table, d_values, runs)
 
     return _fold(reports())
 

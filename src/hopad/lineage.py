@@ -14,9 +14,10 @@ classifiers below are reachability questions in it:
   the initial *second* topmost (k-1)-stack and the traced occurrence is
   never the topmost (k-1)-stack before the last step, which exposes it.
 
-``decompose_return`` and ``decompose_upper`` give an independent,
-purely syntactic characterization by recursion on the operation
-sequence; the two routes must coincide on collapse-free runs.
+These are the definitions.  ``decompose_return`` and ``decompose_upper``
+characterize collapse-free runs by recursion on the operation sequence;
+the soundness checks classify with them, and the classifier-equivalence
+suite tests them against the definitions.
 """
 
 from __future__ import annotations

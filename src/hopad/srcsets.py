@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import Run, recompose, spine, stack_values, top_stack
-from .lineage import DecompositionTree, LineageRun, decompose_upper, is_k_upper, is_normalized
+from .lineage import DecompositionTree, decompose_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
@@ -130,12 +130,13 @@ def compute_src(
     return SrcResult(k, _src(tree, sig, run, k, table), tree)
 
 
-def _run_hypotheses(lrun: LineageRun, k: int, runs, report: CheckReport) -> None:
-    """Name the run-level hypotheses of both transfer checks that fail."""
-    _require_start(runs, lrun.run.at(0))
-    if not is_normalized(lrun.run):
+def _run_hypotheses(run: Run, k: int, runs, report: CheckReport) -> None:
+    """Name the run-level hypotheses of both transfer checks that fail;
+    k-upper-ness is that of the run's derivation (``decompose_upper``)."""
+    _require_start(runs, run.at(0))
+    if not is_normalized(run):
         report.errors.append("run is not normalized")
-    if not is_k_upper(lrun, k):
+    if decompose_upper(run, k) is None:
         report.errors.append(f"run is not {k}-upper")
 
 
@@ -158,12 +159,12 @@ def _usable_values(run: Run, k: int, n: int, values, barred, report: CheckReport
 
 
 def check_origin(
-    lrun: LineageRun,
+    run: Run,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
     table: Level0TypeTable,
     values: Sequence[int],
-    runs: Sequence[LineageRun],
+    runs: Sequence[Run],
 ) -> CheckReport:
     """The origin transfer for each data value d of `values`.
 
@@ -173,15 +174,13 @@ def check_origin(
     some normalized k-upper run with matching read class, final topmost
     k-stack, and held assumptions reads d or keeps it important.  The
     search goes through `runs`, which must be every normalized run from
-    the run's start up to the bound, with lineage; a run starting
-    elsewhere raises ValueError.  A failed hypothesis is named in the
-    report's errors: on the run (normalized, k-upper) it skips every
-    value, on a value (0, or stored in the initial topmost k-stack) it
-    skips that value.
+    the run's start up to the bound; a run starting elsewhere raises
+    ValueError.  A failed hypothesis is named in the report's errors: on
+    the run (normalized, k-upper) it skips every value, on a value (0,
+    or stored in the initial topmost k-stack) it skips that value.
     """
-    run = lrun.run
     report = CheckReport("origin")
-    _run_hypotheses(lrun, k, runs, report)
+    _run_hypotheses(run, k, runs, report)
     if report.errors:
         return report
     n = table.automaton.level
@@ -208,15 +207,14 @@ def check_origin(
     missing = set(wanted)
     target_topk = top_stack(run.last.stack, n, k)
     phi_r = phi_of_run(table.monoid, run)
-    for lc in runs:
+    for cand in runs:
         if not missing:
             break
-        cand = lc.run
         if not (
-            is_k_upper(lc, k)
-            and phi_of_run(table.monoid, cand) == phi_r
-            and cand.last.state == run.last.state
+            cand.last.state == run.last.state
             and top_stack(cand.last.stack, n, k) == target_topk
+            and phi_of_run(table.monoid, cand) == phi_r
+            and decompose_upper(cand, k) is not None
         ):
             continue
         ct = type_of_stack(cand.last.stack, k, table)
@@ -240,11 +238,11 @@ def _split(st: StackTyping, k: int, n: int, d: int, d_prime: int) -> Optional[tu
 
 
 def check_idv_upper(
-    lrun: LineageRun,
+    run: Run,
     k: int,
     table: Level0TypeTable,
     values: Sequence[int],
-    runs: Sequence[LineageRun],
+    runs: Sequence[Run],
 ) -> CheckReport:
     """Indistinguishability transfer along a k-upper run, for every pair
     d < d' of `values`.
@@ -257,12 +255,11 @@ def check_idv_upper(
     skips the pairs it concerns.  Conclusion checked: both stay absent
     from the final topmost k-stack and remain indistinguishable in every
     final idv set.  `runs` must be every normalized run from the run's
-    start up to the bound, with lineage, so uniqueness is known only up
-    to that bound; a run starting elsewhere raises ValueError.
+    start up to the bound, so uniqueness is known only up to that bound;
+    a run starting elsewhere raises ValueError.
     """
-    run = lrun.run
     report = CheckReport("idv-upper")
-    _run_hypotheses(lrun, k, runs, report)
+    _run_hypotheses(run, k, runs, report)
     if report.errors:
         return report
     n = table.automaton.level
@@ -283,7 +280,7 @@ def check_idv_upper(
 
     # uniqueness hypothesis, among the runs up to the bound
     phi_r = phi_of_run(table.monoid, run)
-    for cand in (lc.run for lc in runs):
+    for cand in runs:
         if (
             cand.last.state == run.last.state
             and phi_of_run(table.monoid, cand) == phi_r

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import LineageRun, is_k_return
+from .lineage import decompose_return
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -214,12 +214,11 @@ def saturate_level0(
     aut: Automaton,
     monoid: FiniteMonoid,
     max_descriptors: int = 50_000,
-    transition_order: Optional[Sequence] = None,
 ) -> Level0TypeTable:
     """Least fixpoint of the four level-0 rules, by chaotic iteration.
 
-    `transition_order` only permutes rule application order; the result
-    is order-independent (asserted by the shuffled-order test).
+    Rules apply in the order of `aut.transitions`; the result does not
+    depend on that order (asserted by the shuffled-order tests).
     """
     for t in aut.transitions:
         if t.op.kind == "collapse":
@@ -254,9 +253,8 @@ def saturate_level0(
             return [((tr.symbol, False), False), ((tr.symbol, True), False)]
         return [((tr.symbol, True), True)]
 
-    order = tuple(transition_order) if transition_order is not None else aut.transitions
-    pops = [t for t in order if t.op.kind == "pop"]
-    pushes = [t for t in order if t.op.kind == "push"]
+    pops = [t for t in aut.transitions if t.op.kind == "pop"]
+    pushes = [t for t in aut.transitions if t.op.kind == "push"]
 
     try:
         while changed:
@@ -586,11 +584,11 @@ def _promised(uni: Universe, g: Goal) -> dict[int, tuple[int, ...]]:
 # agreement and the two soundness checks
 
 
-def agrees(lrun: LineageRun, goal_id: int, table: Level0TypeTable) -> bool:
+def agrees(run: Run, goal_id: int, table: Level0TypeTable) -> bool:
     """phi matches, the run is an r-return into the right state, and the
     final spine pieces above r carry the promised descriptor sets."""
     g = table.universe.goal(goal_id)
-    return _run_agrees(_prepare(lrun, table), g, _promised(table.universe, g))
+    return _run_agrees(_prepare(run, table), g, _promised(table.universe, g))
 
 
 @dataclass
@@ -659,22 +657,22 @@ def find_witness(
     return None
 
 
-def _require_start(runs: Iterable[LineageRun], start: Configuration) -> None:
-    for lrun in runs:
-        if lrun.run.at(0) != start:
+def _require_start(runs: Iterable[Run], start: Configuration) -> None:
+    for run in runs:
+        if run.at(0) != start:
             raise ValueError("a given run does not start at the start configuration")
 
 
-def _prepare(lrun: LineageRun, table: Level0TypeTable) -> dict:
-    """What agreement with any goal needs to know about one run."""
-    run = lrun.run
+def _prepare(run: Run, table: Level0TypeTable) -> dict:
+    """What agreement with any goal needs to know about one run; its
+    r-returns are read off its derivations (``decompose_return``)."""
     n = table.automaton.level
     final = run.last
     info = {
         "run": run,
         "phi": phi_of_run(table.monoid, run),
         "state": final.state,
-        "returns": {r: is_k_return(lrun, r) for r in range(1, n + 1)},
+        "returns": {r: decompose_return(run, r) is not None for r in range(1, n + 1)},
         "final_typing": {},
         "reads": frozenset(d for a, d in run.read_word),
     }
@@ -714,7 +712,7 @@ def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, d
         report.errors.append("d must differ from the normalization value 0")
         return report
     uni = table.universe
-    prepared = [_prepare(lrun, table) for lrun in runs]
+    prepared = [_prepare(run, table) for run in runs]
     for gid in goal_space(table):
         g = uni.goal(gid)
         promised = _promised(uni, g)
@@ -742,12 +740,12 @@ def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, d
 def check_run2type(
     config: Configuration,
     table: Level0TypeTable,
-    runs: Sequence[LineageRun],
+    runs: Sequence[Run],
 ) -> CheckReport:
     """Both directions of the run/descriptor correspondence at a bound.
 
-    `runs` must be every run from `config` up to the bound, with lineage;
-    a run starting elsewhere raises ValueError.
+    `runs` must be every run from `config` up to the bound; a run
+    starting elsewhere raises ValueError.
     1=>2 (hard): every given run agreeing with a goal must be witnessed
     by a matching descriptor with held assumption sets.
     2=>1 (soft): every witnessed (goal, level) pair should exhibit an
@@ -763,13 +761,13 @@ def check_run2type(
 def check_idv(
     config: Configuration,
     table: Level0TypeTable,
-    runs: Sequence[LineageRun],
+    runs: Sequence[Run],
     d: int,
 ) -> CheckReport:
     """The important-data-value correspondence for one value d != 0.
 
-    `runs` must be every normalized run from `config` up to the bound,
-    with lineage; a run starting elsewhere raises ValueError.
+    `runs` must be every normalized run from `config` up to the bound;
+    a run starting elsewhere raises ValueError.
     """
     return _correspondence(
         "idv", config, table, runs, d,

@@ -297,6 +297,16 @@ def test_negative_eps_budget_is_a_usage_error(command):
     assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+def test_negative_max_steps_is_a_usage_error():
+    # a negative bound never stops the enumeration before its run cap
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "run2type", "--max-steps", "-1"])
+    assert exc.value.code == 2
+    assert "--max-steps" in err.getvalue() and "nonnegative" in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
 DEEP = """level {level}
 input-alphabet a
 stack-alphabet g

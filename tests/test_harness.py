@@ -251,6 +251,22 @@ def test_classifier_equivalence_instruments_once_per_start_and_operations(monkey
     assert len(made) == len(set(made)) and set(made) == keys
 
 
+def test_soundness_suites_instrument_no_lineage(monkeypatch):
+    # the checks classify by derivation; lineage is instrumented only by
+    # the suites that test it against the derivations
+    made = []
+
+    def counted(run):
+        made.append(run)
+        return instrument_lineage(run)
+
+    monkeypatch.setattr(harness, "instrument_lineage", counted)
+    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
+    suites = ["run2type", "idv", "origin", "idv-upper"]
+    assert run_suites(suites, seed=20260808, bounds=bounds).ok
+    assert made == []
+
+
 def test_find_agreeing_runs():
     aut = single_pop_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
@@ -259,7 +275,7 @@ def test_find_agreeing_runs():
 
     def agreeing_runs(goal):
         return [
-            run for run in enumerate_runs(space) if agrees(instrument_lineage(run), goal, table)
+            run for run in enumerate_runs(space) if agrees(run, goal, table)
         ]
 
     goal = uni.intern_goal("SOME", 1, (), "qf")
@@ -348,9 +364,9 @@ def test_transfer_checks_run_once_per_upper_run_and_level(monkeypatch):
     calls = {"origin": [], "idv-upper": []}
 
     def spy(name, check):
-        def spied(lrun, k, *rest):
-            calls[name].append((lrun, k, rest[-1]))
-            return check(lrun, k, *rest)
+        def spied(run, k, *rest):
+            calls[name].append((run, k, rest[-1]))
+            return check(run, k, *rest)
 
         return spied
 
@@ -360,11 +376,12 @@ def test_transfer_checks_run_once_per_upper_run_and_level(monkeypatch):
     assert run_suites(["origin", "idv-upper"], seed=20260808, bounds=bounds).ok
     # origin checks k < level, idv-upper k <= level
     for name, above in (("origin", 0), ("idv-upper", 1)):
-        made = Counter((id(lrun), k) for lrun, k, _ in calls[name])
+        made = Counter((id(run), k) for run, k, _ in calls[name])
         expected = Counter()
         for runs in {id(runs): runs for _, _, runs in calls[name]}.values():
-            for lrun in runs:
-                for k in range(lrun.run.automaton.level + above):
+            for run in runs:
+                lrun = instrument_lineage(run)
+                for k in range(run.automaton.level + above):
                     if is_k_upper(lrun, k):
-                        expected[(id(lrun), k)] += 1
+                        expected[(id(run), k)] += 1
         assert made and made == expected, name

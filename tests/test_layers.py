@@ -1,6 +1,7 @@
 """The checks in `typesys` and `srcsets` take the runs the harness
-enumerates; only the entry points may depend on the harness.  Every
-module states its dependencies at its top, none inside a function."""
+enumerates; only the entry points may depend on the harness.  The checks
+classify runs by derivation, never by copy lineage.  Every module states
+its dependencies at its top, none inside a function."""
 
 import ast
 import pathlib
@@ -10,27 +11,35 @@ import hopad
 PACKAGE = pathlib.Path(hopad.__file__).parent
 
 
-def imports_harness(tree: ast.AST) -> bool:
+def imported_names(tree: ast.AST, module: str) -> set[str]:
+    """The names imported from hopad's `module`, "*" for the module itself."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module in ("harness", "hopad.harness") or (
-                module in ("", "hopad") and any(a.name == "harness" for a in node.names)
-            ):
-                return True
-        elif isinstance(node, ast.Import):
-            if any(a.name == "hopad.harness" for a in node.names):
-                return True
-    return False
+            source = node.module or ""
+            if source in (module, f"hopad.{module}"):
+                names |= {a.name for a in node.names}
+            elif source in ("", "hopad") and any(a.name == module for a in node.names):
+                names.add("*")
+        elif isinstance(node, ast.Import) and any(a.name == f"hopad.{module}" for a in node.names):
+            names.add("*")
+    return names
 
 
 def test_only_the_entry_points_import_the_harness():
     importers = {
         path.name
         for path in PACKAGE.glob("*.py")
-        if path.name != "harness.py" and imports_harness(ast.parse(path.read_text()))
+        if path.name != "harness.py" and imported_names(ast.parse(path.read_text()), "harness")
     }
     assert importers <= {"cli.py", "__init__.py"}, sorted(importers)
+
+
+def test_the_checks_use_only_the_derivations_of_lineage():
+    allowed = {"decompose_upper", "decompose_return", "is_normalized", "DecompositionTree"}
+    for name in ("typesys.py", "srcsets.py"):
+        used = imported_names(ast.parse((PACKAGE / name).read_text()), "lineage")
+        assert used <= allowed, (name, sorted(used - allowed))
 
 
 def function_local_imports(tree: ast.AST) -> list[int]:

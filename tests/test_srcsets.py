@@ -5,7 +5,7 @@ import pytest
 from hopad.core import Step, empty_run, extend_run, step
 from hopad.harness import (
     EnumerationSpace,
-    _lineage_runs,
+    _runs,
     enumerate_runs,
     excursion_config,
     excursion_machine,
@@ -36,7 +36,7 @@ def drive(aut, cfg, labels):
 
 
 def normalized_runs(aut, cfg, bound):
-    return _lineage_runs(aut, cfg, bound, (0, 1, 2), True)
+    return _runs(aut, cfg, bound, (0, 1, 2), True)
 
 
 def excursion_prefix(aut):
@@ -120,31 +120,30 @@ def test_origin_part1_and_part2_positive(excursion):
     aut, table = excursion
     runs = normalized_runs(aut, excursion_config(), 5)
     run = excursion_prefix(aut)
-    lrun = instrument_lineage(run)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(lrun, 0, sigmas, table, [7], runs)
+    report = check_origin(run, 0, sigmas, table, [7], runs)
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
 
 def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
-    lrun = instrument_lineage(excursion_prefix(aut))
-    runs = normalized_runs(aut, lrun.run.at(0), 4)
-    report = check_origin(lrun, 0, {1: (), 2: ()}, table, [0], runs)
+    run = excursion_prefix(aut)
+    runs = normalized_runs(aut, run.at(0), 4)
+    report = check_origin(run, 0, {1: (), 2: ()}, table, [0], runs)
     assert report.errors and not report.ok
-    report = check_origin(lrun, 0, {1: (), 2: ()}, table, [9], runs)
+    report = check_origin(run, 0, {1: (), 2: ()}, table, [9], runs)
     assert any("topmost" in e for e in report.errors)
 
 
 def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
     aut, table = excursion
-    lrun = instrument_lineage(excursion_prefix(aut))
-    runs = normalized_runs(aut, lrun.run.at(0), 5)
-    final = type_of_stack(lrun.run.last.stack, 0, table)
+    run = excursion_prefix(aut)
+    runs = normalized_runs(aut, run.at(0), 5)
+    final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(lrun, 0, sigmas, table, [0, 9, 7, 4], runs)
+    report = check_origin(run, 0, sigmas, table, [0, 9, 7, 4], runs)
     assert len(report.errors) == 2
     assert any("d=0" in e for e in report.errors)
     assert any("d=9" in e and "topmost" in e for e in report.errors)
@@ -156,10 +155,10 @@ def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
     aut, table = excursion
     cfg = excursion_config()
     # the bounce push^1 reads 1, so the run is not normalized
-    lrun = instrument_lineage(drive(aut, cfg, [("b", 1), ("a", 1)]))
-    runs = [lrun]
-    origin = check_origin(lrun, 0, {1: (), 2: ()}, table, [4, 6], runs)
-    upper = check_idv_upper(lrun, 0, table, [4, 6], runs)
+    run = drive(aut, cfg, [("b", 1), ("a", 1)])
+    runs = [run]
+    origin = check_origin(run, 0, {1: (), 2: ()}, table, [4, 6], runs)
+    upper = check_idv_upper(run, 0, table, [4, 6], runs)
     for report in (origin, upper):
         assert report.errors == ["run is not normalized"]
         assert report.checked == 0
@@ -170,9 +169,7 @@ def test_origin_vacuous_when_value_absent(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(
-        instrument_lineage(run), 0, sigmas, table, [4], normalized_runs(aut, run.at(0), 4)
-    )
+    report = check_origin(run, 0, sigmas, table, [4], normalized_runs(aut, run.at(0), 4))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -182,13 +179,14 @@ def test_origin_exhaustive_over_fragment():
     hard = 0
     for cfg in cfgs:
         runs = normalized_runs(frag, cfg, 4)
-        for lrun in runs:
+        for run in runs:
+            lrun = instrument_lineage(run)
             for k in (0, 1):
                 if not is_k_upper(lrun, k):
                     continue
-                final = type_of_stack(lrun.run.configs[-1].stack, k, table)
+                final = type_of_stack(run.configs[-1].stack, k, table)
                 sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-                report = check_origin(lrun, k, sigmas, table, [1, 2], runs)
+                report = check_origin(run, k, sigmas, table, [1, 2], runs)
                 hard += len(report.hard_failures)
     assert hard == 0
 
@@ -196,52 +194,50 @@ def test_origin_exhaustive_over_fragment():
 def test_transfer_checks_reject_runs_from_another_start(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    lrun = instrument_lineage(run)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
     foreign = normalized_runs(aut, run.last, 3)
     with pytest.raises(ValueError, match="start"):
-        check_origin(lrun, 0, sigmas, table, [7], foreign)
+        check_origin(run, 0, sigmas, table, [7], foreign)
     with pytest.raises(ValueError, match="start"):
-        check_idv_upper(lrun, 0, table, [4, 6], normalized_runs(aut, run.at(0), 3) + foreign)
+        check_idv_upper(run, 0, table, [4, 6], normalized_runs(aut, run.at(0), 3) + foreign)
 
 
 def test_idv_upper_conclusion_holds(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    lrun = instrument_lineage(run)
     # 4 and 6 occur nowhere: indistinguishable before, so after as well;
     # at bound 3 the run is the unique one with its read class and state
     # (at bound 5 a bounce-prefixed run shares both and must be flagged)
     short, long = normalized_runs(aut, run.at(0), 3), normalized_runs(aut, run.at(0), 5)
-    report = check_idv_upper(lrun, 0, table, [4, 6], short)
+    report = check_idv_upper(run, 0, table, [4, 6], short)
     assert report.ok and report.verified == 1
-    longer = check_idv_upper(lrun, 0, table, [4, 6], long)
+    longer = check_idv_upper(run, 0, table, [4, 6], long)
     assert any("another normalized run" in e for e in longer.errors)
 
 
 def test_idv_upper_hypothesis_failures_named(excursion):
     aut, table = excursion
-    lrun = instrument_lineage(excursion_prefix(aut))
-    runs = normalized_runs(aut, lrun.run.at(0), 5)
+    run = excursion_prefix(aut)
+    runs = normalized_runs(aut, run.at(0), 5)
     # 5 is important where 6 is not: distinguishable hypothesis fails
-    report = check_idv_upper(lrun, 0, table, [5, 6], runs)
+    report = check_idv_upper(run, 0, table, [5, 6], runs)
     assert report.errors and any("distinguishable" in e for e in report.errors)
     # 9 appears in the initial topmost 0-stack
-    report = check_idv_upper(lrun, 0, table, [9, 6], runs)
+    report = check_idv_upper(run, 0, table, [9, 6], runs)
     assert any("topmost" in e for e in report.errors)
     # values read by the run are out
-    report = check_idv_upper(lrun, 0, table, [7, 6], runs)
+    report = check_idv_upper(run, 0, table, [7, 6], runs)
     assert any("read" in e for e in report.errors)
-    report = check_idv_upper(lrun, 0, table, [0, 6], runs)
+    report = check_idv_upper(run, 0, table, [0, 6], runs)
     assert report.errors
 
 
 def test_idv_upper_checks_every_pair_that_meets_the_hypotheses(excursion):
     aut, table = excursion
-    lrun = instrument_lineage(excursion_prefix(aut))
-    runs = normalized_runs(aut, lrun.run.at(0), 3)
-    report = check_idv_upper(lrun, 0, table, [9, 4, 5, 7, 6, 0], runs)
+    run = excursion_prefix(aut)
+    runs = normalized_runs(aut, run.at(0), 3)
+    report = check_idv_upper(run, 0, table, [9, 4, 5, 7, 6, 0], runs)
     # 0, 9 (stored on top) and 7 (read) are named once each; 5 splits
     # from 4 and from 6; only the pair (4, 6) is checked
     assert sum("d=0" in e for e in report.errors) == 1
@@ -271,8 +267,8 @@ def test_idv_upper_uniqueness_counterexample():
     )
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
-    lrun = instrument_lineage(drive(aut, cfg, [None]))
-    report = check_idv_upper(lrun, 0, table, [1, 2], normalized_runs(aut, cfg, 3))
+    run = drive(aut, cfg, [None])
+    report = check_idv_upper(run, 0, table, [1, 2], normalized_runs(aut, cfg, 3))
     assert any("another normalized run" in e for e in report.errors)
 
 
@@ -324,8 +320,8 @@ def test_src_derivations_agree_with_lineage_on_subruns(corpus):
         table = saturate_level0(aut, shape_monoid())
     seen = Counter()
     for cfg in cfgs:
-        for lrun in normalized_runs(aut, cfg, 5):
-            run = lrun.run
+        for run in normalized_runs(aut, cfg, 5):
+            lrun = instrument_lineage(run)
             for k in range(0, aut.level + 1):
                 if not is_k_upper(lrun, k):
                     continue

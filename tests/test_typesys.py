@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from hopad.core import Atom, Configuration, from_nested, spine
 from hopad.harness import (
     DEFAULT_UNIVERSE,
-    _lineage_runs,
+    _runs,
     excursion_config,
     excursion_machine,
     random_machine,
@@ -15,7 +16,6 @@ from hopad.harness import (
     classification_example_machine,
     classification_example_run,
 )
-from hopad.lineage import instrument_lineage
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.typesys import (
     NE,
@@ -33,7 +33,7 @@ from hopad.typesys import (
 
 
 def runs_from(aut, cfg, bound, values, normalized):
-    return _lineage_runs(aut, cfg, bound, values, normalized)
+    return _runs(aut, cfg, bound, values, normalized)
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,8 @@ def test_shuffled_transition_order_is_confluent():
     for _ in range(4):
         order = list(aut.transitions)
         rng.shuffle(order)
-        assert _structural(saturate_level0(aut, mon, transition_order=order)) == base
+        shuffled = dataclasses.replace(aut, transitions=tuple(order))
+        assert _structural(saturate_level0(shuffled, mon)) == base
 
 
 def test_collapse_rules_rejected():
@@ -368,12 +369,11 @@ def test_agrees_examples(single_pop):
     good = uni.intern_goal("SOME", 1, (), "qf")
     wrong_state = uni.intern_goal("SOME", 1, (), "q")
     wrong_class = uni.intern_goal("ID", 1, (), "qf")
-    lrun = instrument_lineage(run)
-    assert agrees(lrun, good, table)
-    assert not agrees(lrun, wrong_state, table)
-    assert not agrees(lrun, wrong_class, table)
+    assert agrees(run, good, table)
+    assert not agrees(run, wrong_state, table)
+    assert not agrees(run, wrong_class, table)
     # a non-return run agrees with nothing
-    assert not agrees(instrument_lineage(base), good, table)
+    assert not agrees(base, good, table)
 
 
 def test_agrees_via_composed_descriptor_goal():
@@ -393,7 +393,7 @@ def test_agrees_via_composed_descriptor_goal():
         assert isinstance(res, Step)
         run = extend_run(run, res)
     goal = uni.intern_goal("SOME", 1, ((NE,),), "q4")
-    assert agrees(instrument_lineage(run), goal, table)
+    assert agrees(run, goal, table)
     witness = find_witness(table, cfg, 0, goal)
     assert witness is not None
     # and the witness carries both read values as important
@@ -438,7 +438,8 @@ def test_shuffled_confluence_on_random_machines():
         base = _structural(saturate_level0(aut, mon))
         order = list(aut.transitions)
         rng.shuffle(order)
-        assert _structural(saturate_level0(aut, mon, transition_order=order)) == base
+        shuffled = dataclasses.replace(aut, transitions=tuple(order))
+        assert _structural(saturate_level0(shuffled, mon)) == base
 
 
 def test_goal_space_complete_at_level_two():
