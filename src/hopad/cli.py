@@ -493,8 +493,10 @@ def _cmd_src(args) -> int:
 
 
 def _cmd_u_check(args) -> int:
-    word = parse_data_word(args.word)
-    report = in_u(word)
+    try:
+        report = in_u(parse_data_word(args.word))
+    except ValueError as exc:  # a letter outside [ ] $
+        raise CliError(str(exc)) from None
     print("member" if report.member else f"non-member ({report.failed_condition})")
     return 0 if report.member else 1
 

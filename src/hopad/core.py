@@ -15,7 +15,8 @@ substack and shares everything under it with its input, so pop, push and
 stack_sizes cost O(level) and consecutive configurations of a run share
 their stacks almost entirely (collapse also walks past the (i-1)-stacks
 it removes).  A run made by :func:`extend_run` points at the run it
-extends, so recording a step costs O(1).  Configurations and runs can be
+extends, so recording a step costs O(1); its tuples are built on first
+read, and the pointer is dropped then.  Configurations and runs can be
 stored and shared freely, across threads too.
 
 Nested tuples (a k-stack as a tuple of (k-1)-stacks, top at the right)
@@ -481,8 +482,11 @@ class Run:
     automaton and those three tuples.
 
     :func:`extend_run` makes a run in O(1) that holds only its last
-    configuration, label and transition and the run it extends; its
-    tuples are built on first access (see :class:`_PendingRun`).
+    configuration, label and transition and, in `_parent`, the run it
+    extends.  The first read of `configs`, `labels` or `transitions`
+    reaches :meth:`__getattr__`, which builds all three in one walk back
+    to the nearest built run (whose `_parent` is None) and only then
+    clears `_parent`.
     """
 
     __slots__ = (
@@ -503,6 +507,25 @@ class Run:
         self.transitions = tuple(transitions)
         self.last = self.configs[-1]
         self._length = len(self.labels)
+        self._parent = None
+
+    def __getattr__(self, name: str):
+        """Build the unset tuples of a run made by :func:`extend_run`."""
+        if name not in ("configs", "labels", "transitions"):
+            raise AttributeError(f"'Run' object has no attribute {name!r}")
+        steps = []
+        run, parent = self, self._parent
+        while parent is not None:  # each `_parent` read once: a thread may clear it
+            steps.append((run.last, run._label, run._transition))
+            run, parent = parent, parent._parent
+        if not steps:  # another thread built this run's tuples meanwhile
+            return getattr(self, name)
+        configs, labels, transitions = zip(*reversed(steps))
+        self.configs = run.configs + configs
+        self.labels = run.labels + labels
+        self.transitions = run.transitions + transitions
+        self._parent = None  # after the tuples, for a concurrent reader
+        return getattr(self, name)
 
     def _key(self) -> tuple:
         return (self.automaton, self.configs, self.labels, self.transitions)
@@ -534,18 +557,6 @@ class Run:
             self.transitions[i:j],
         )
 
-    def compose(self, other: "Run") -> "Run":
-        if self.automaton is not other.automaton:
-            raise ValueError("compose across automata")
-        if self.last != other.at(0):
-            raise ValueError("compose of non-adjacent runs")
-        return Run(
-            self.automaton,
-            self.configs + other.configs[1:],
-            self.labels + other.labels,
-            self.transitions + other.transitions,
-        )
-
     @property
     def read_word(self) -> DataWord:
         return tuple((a, d) for a, d in self.labels if a is not None)
@@ -554,41 +565,13 @@ class Run:
         return tuple(t.op for t in self.transitions)
 
 
-class _PendingRun(Run):
-    """A run made by :func:`extend_run` whose tuples are not built yet.
-
-    The first access to `configs`, `labels` or `transitions` builds all
-    three in one walk back to the nearest built run, then makes this run
-    a plain :class:`Run`, whose attributes are plain slots again.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name not in ("configs", "labels", "transitions"):
-            raise AttributeError(f"'Run' object has no attribute {name!r}")
-        steps = []
-        run = self
-        while type(run) is _PendingRun:
-            steps.append((run.last, run._label, run._transition))
-            run = run._parent
-        if not steps:  # another thread built this run's tuples meanwhile
-            return getattr(self, name)
-        configs, labels, transitions = zip(*reversed(steps))
-        self.configs = run.configs + configs
-        self.labels = run.labels + labels
-        self.transitions = run.transitions + transitions
-        self.__class__ = Run  # after the tuples, for a concurrent reader
-        return getattr(self, name)
-
-
 def empty_run(aut: Automaton, config: Configuration) -> Run:
     return Run(aut, (config,), (), ())
 
 
 def extend_run(run: Run, step_result: Step) -> Run:
     """`run` followed by one step, in O(1): the new run points at `run`."""
-    new = object.__new__(_PendingRun)
+    new = object.__new__(Run)
     new.automaton = run.automaton
     new.last = step_result.config
     new._length = run._length + 1

@@ -110,20 +110,13 @@ def _second_topmost_uid(lrun: LineageRun, t: int, k: int) -> Optional[int]:
     return holder.children[-2].uid
 
 
-def _chain(lrun: LineageRun, uid: int) -> list[int]:
-    """The copy-of ancestry, most recent first."""
-    out = [uid]
-    while out[-1] in lrun.parent:
-        out.append(lrun.parent[out[-1]])
-    return out
-
-
-def _rep_at(lrun: LineageRun, chain: list[int], t: int) -> Optional[int]:
-    """The chain element alive at time t (creation times decrease along it)."""
-    for uid in chain:
-        if lrun.created[uid] <= t:
-            return uid
-    return None
+def _alive(lrun: LineageRun, uid: int, t: int) -> int:
+    """The element of `uid`'s copy-of chain alive at time t; creation
+    times decrease along the chain, which ends at an id of the start
+    stack, created at step 0."""
+    while lrun.created[uid] > t:
+        uid = lrun.parent[uid]
+    return uid
 
 
 def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
@@ -131,7 +124,7 @@ def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) ->
         j = len(lrun.run)
     final = _topmost_uid(lrun, j, k)
     initial = _topmost_uid(lrun, i, k)
-    return _rep_at(lrun, _chain(lrun, final), i) == initial
+    return _alive(lrun, final, i) == initial
 
 
 def is_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
@@ -142,11 +135,11 @@ def is_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -
     second = _second_topmost_uid(lrun, i, k - 1)
     if second is None:  # topmost k-stack of size < 2
         return False
-    chain = _chain(lrun, _topmost_uid(lrun, j, k - 1))
-    if _rep_at(lrun, chain, i) != second:
+    final = _topmost_uid(lrun, j, k - 1)
+    if _alive(lrun, final, i) != second:
         return False
     for t in range(i, j):
-        if _rep_at(lrun, chain, t) == _topmost_uid(lrun, t, k - 1):
+        if _alive(lrun, final, t) == _topmost_uid(lrun, t, k - 1):
             return False
     return True
 
@@ -165,12 +158,12 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
         return False
     top_i = _descend(lrun.snapshots[i], n - k)
     top_j = _descend(lrun.snapshots[j], n - k)
-    if _rep_at(lrun, _chain(lrun, top_j.uid), i) != top_i.uid:
+    if _alive(lrun, top_j.uid, i) != top_i.uid:
         return False
     if len(top_j.children) != len(top_i.children) - 1:
         return False
     for pos, child in enumerate(top_j.children):
-        if _rep_at(lrun, _chain(lrun, child.uid), i) != top_i.children[pos].uid:
+        if _alive(lrun, child.uid, i) != top_i.children[pos].uid:
             return False
     # the removal happens in the last step, and what it removes is the
     # traced copy of the initial topmost (k-1)-stack
@@ -181,7 +174,7 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
     if len(before.children) != len(top_j.children) + 1:
         return False
     removed = before.children[-1]
-    if _rep_at(lrun, _chain(lrun, removed.uid), i) != top_i.children[-1].uid:
+    if _alive(lrun, removed.uid, i) != top_i.children[-1].uid:
         return False
     return True
 

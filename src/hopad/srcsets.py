@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .core import Run, recompose, spine, stack_values, top_stack
+from .core import Run, stack_values, top_stack
 from .lineage import DecompositionTree, decompose_upper, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
@@ -86,8 +86,8 @@ def _src(node: DecompositionTree, sig: dict, run: Run, k: int, table: Level0Type
         )
         post = stack_typing(top_stack(run.at(i + 1).stack, n, k), k, table)
         # the level-r slot of a realizing descriptor holds against the
-        # recomposed partial stack s^r : ... : s^k
-        partial = stack_typing(recompose(spine(run.at(i).stack, n, k)[n - r :]), r, table)
+        # topmost r-stack s^r : ... : s^k
+        partial = stack_typing(top_stack(run.at(i).stack, n, r), r, table)
         held_in = StackTyping(n, k, st.typings[: n - r] + (partial,) + st.typings[n - r + 1 :])
         members = set()
         for rho_id in post:

@@ -699,41 +699,47 @@ def _describe_run(run: Run) -> str:
     return f"len={len(run)} ops=[{ops}] word=[{word}]"
 
 
-def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, d, hard, soft):
-    """For every goal and every level k below its return level, the runs
-    that agree with the goal (and, for a value `d`, use it: read it or
-    keep it important under the promised sets) against a descriptor of
-    type(s^k) witnessing it (and carrying d).  Runs without a witness are
-    hard failures, a witness without runs is unwitnessed; `hard` and
-    `soft` format those lines from k, d, goal and run or witness."""
+def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, values, hard, soft):
+    """For each value d of `values`, every goal and every level k below
+    its return level: the runs that agree with the goal (and, for a
+    value d, use it: read it or keep it important under the promised
+    sets) against a descriptor of type(s^k) witnessing it (and carrying
+    d); None stands for no value.  Runs without a witness are hard
+    failures, a witness without runs is unwitnessed; `hard` and `soft`
+    format those lines from k, d, goal and run or witness.  A value 0 is
+    named in the report's errors and skipped."""
     _require_start(runs, config)
     report = CheckReport(name)
-    if d == 0:
-        report.errors.append("d must differ from the normalization value 0")
-        return report
     uni = table.universe
     prepared = [_prepare(run, table) for run in runs]
+    goals = []
     for gid in goal_space(table):
         g = uni.goal(gid)
         promised = _promised(uni, g)
-        hits = [info for info in prepared if _run_agrees(info, g, promised)]
-        if d is not None:
-            hits = [
-                info for info in hits
-                if d in info["reads"] or d in _important(info["final_typing"][g.r], promised)
-            ]
-        for k in range(0, g.r):
-            report.checked += 1
-            witness = find_witness(table, config, k, gid, d)
-            if hits and witness is None:
-                run = _describe_run(hits[0]["run"])
-                line = hard.format(k=k, d=d, goal=uni.render_goal(gid), run=run)
-                report.hard_failures.append(line)
-            elif witness is not None and not hits:
-                line = soft.format(k=k, d=d, goal=uni.render_goal(gid), witness=witness)
-                report.unwitnessed.append(line)
-            elif witness is not None:
-                report.verified += 1
+        agreeing = [info for info in prepared if _run_agrees(info, g, promised)]
+        goals.append((gid, g, promised, agreeing))
+    for d in values:
+        if d == 0:
+            report.errors.append("d must differ from the normalization value 0")
+            continue
+        for gid, g, promised, hits in goals:
+            if d is not None:
+                hits = [
+                    info for info in hits
+                    if d in info["reads"] or d in _important(info["final_typing"][g.r], promised)
+                ]
+            for k in range(0, g.r):
+                report.checked += 1
+                witness = find_witness(table, config, k, gid, d)
+                if hits and witness is None:
+                    run = _describe_run(hits[0]["run"])
+                    line = hard.format(k=k, d=d, goal=uni.render_goal(gid), run=run)
+                    report.hard_failures.append(line)
+                elif witness is not None and not hits:
+                    line = soft.format(k=k, d=d, goal=uni.render_goal(gid), witness=witness)
+                    report.unwitnessed.append(line)
+                elif witness is not None:
+                    report.verified += 1
     return report
 
 
@@ -752,7 +758,7 @@ def check_run2type(
     agreeing run within the bound; misses are reported as unwitnessed.
     """
     return _correspondence(
-        "run2type", config, table, runs, None,
+        "run2type", config, table, runs, (None,),
         "k={k} goal={goal} has an agreeing run ({run}) but no witnessing descriptor",
         "k={k} goal={goal} witnessed by descriptor {witness} but no agreeing run",
     )
@@ -762,15 +768,16 @@ def check_idv(
     config: Configuration,
     table: Level0TypeTable,
     runs: Sequence[Run],
-    d: int,
+    values: Sequence[int],
 ) -> CheckReport:
-    """The important-data-value correspondence for one value d != 0.
+    """The important-data-value correspondence for each value d of
+    `values`; a value 0 is named in the report's errors and skipped.
 
     `runs` must be every normalized run from `config` up to the bound;
     a run starting elsewhere raises ValueError.
     """
     return _correspondence(
-        "idv", config, table, runs, d,
+        "idv", config, table, runs, values,
         "k={k} d={d} goal={goal} used by {run} but no descriptor carries it",
         "k={k} d={d} goal={goal} carried by descriptor {witness} "
         "but no agreeing normalized run uses it",

@@ -222,6 +222,7 @@ EXCURSION = str(GOLDEN / "excursion.scenario")
     [
         ("run", "{no_stack}"),
         ("u-check", "--word", "[@\u00b2"),
+        ("u-check", "--word", "a@1"),
         ("gen-word", "--k", "6", "--n", "50"),
         ("gen-word", "--k", "7"),
         ("types", EXCURSION),
@@ -231,8 +232,8 @@ EXCURSION = str(GOLDEN / "excursion.scenario")
         ("accept", "{latin1}", "--word", "a@1"),
     ],
     ids=[
-        "start-stack", "u-check-superscript", "gen-word-length-cap", "gen-word-k-range",
-        "types-unmapped-letters", "src-k-negative", "src-k-above-level",
+        "start-stack", "u-check-superscript", "u-check-letter", "gen-word-length-cap",
+        "gen-word-k-range", "types-unmapped-letters", "src-k-negative", "src-k-above-level",
         "run-not-utf8", "classify-not-utf8", "types-not-utf8", "src-not-utf8", "accept-not-utf8",
     ],
 )

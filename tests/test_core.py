@@ -7,6 +7,7 @@ from hopad.core import (
     Configuration,
     IllFormed,
     InvalidAutomaton,
+    Run,
     Stuck,
     Step,
     Transition,
@@ -29,7 +30,6 @@ from hopad.core import (
     top_atom,
     validate_automaton,
 )
-from hopad.core import _PendingRun
 
 
 def atom(sym, data=None, links=None):
@@ -382,8 +382,6 @@ def test_run_accessors_and_subrun_lengths():
     assert run.subrun(0, len(run)) == run
     with pytest.raises(IndexError):
         run.subrun(2, 9)
-    with pytest.raises(ValueError):
-        run.subrun(0, 2).compose(run.subrun(4, 6))
 
 
 def test_wide_stacks_compare_and_hash_without_recursion():
@@ -464,7 +462,8 @@ def test_a_run_built_by_another_thread_is_not_walked_again():
     from hopad.ulang import build_u_recognizer
 
     run = execute_word(build_u_recognizer(), _deep_member(3)).run
-    assert type(run) is _PendingRun
-    labels = run.labels  # builds the tuples and makes the run a plain Run
+    assert run._parent is not None
+    labels = run.labels  # builds the tuples and clears the parent
+    assert run._parent is None
     # what a thread does when it lost the race to build them
-    assert _PendingRun.__getattr__(run, "labels") is labels
+    assert Run.__getattr__(run, "labels") is labels

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hopad import harness
+from hopad import harness, typesys
 from hopad.core import Atom, Configuration, extend_run, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
@@ -32,6 +32,15 @@ from hopad.typesys import agrees, saturate_level0
 def test_universe_must_contain_zero():
     with pytest.raises(ValueError):
         EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (1, 2, 5))
+
+
+def test_step_bound_must_be_nonnegative():
+    aut, cfg = excursion_machine(), excursion_config()
+    values = harness.universe_for(aut, cfg)
+    with pytest.raises(ValueError, match="step bound"):
+        EnumerationSpace(aut, cfg, -1, values)
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 0, values))
+    assert len(runs) == 1 and len(runs[0]) == 0
 
 
 def test_universe_must_cover_stored_values():
@@ -360,7 +369,7 @@ def test_enumeration_contains_executed_runs_with_collapse():
     assert (accepted.labels, accepted.transitions) in keys
 
 
-def test_transfer_checks_run_once_per_upper_run_and_level(monkeypatch):
+def test_transfer_checks_run_once_per_run_and_level(monkeypatch):
     calls = {"origin": [], "idv-upper": []}
 
     def spy(name, check):
@@ -374,14 +383,34 @@ def test_transfer_checks_run_once_per_upper_run_and_level(monkeypatch):
     monkeypatch.setattr(harness, "check_idv_upper", spy("idv-upper", harness.check_idv_upper))
     bounds = {"corpus_machines": 8, "src_bound": 4}
     assert run_suites(["origin", "idv-upper"], seed=20260808, bounds=bounds).ok
-    # origin checks k < level, idv-upper k <= level
+    # origin checks k < level, idv-upper k <= level; the checks decide
+    # k-upper-ness themselves, so every run is checked at every such k
     for name, above in (("origin", 0), ("idv-upper", 1)):
         made = Counter((id(run), k) for run, k, _ in calls[name])
-        expected = Counter()
-        for runs in {id(runs): runs for _, _, runs in calls[name]}.values():
-            for run in runs:
-                lrun = instrument_lineage(run)
-                for k in range(run.automaton.level + above):
-                    if is_k_upper(lrun, k):
-                        expected[(id(run), k)] += 1
+        expected = Counter(
+            (id(run), k)
+            for runs in {id(runs): runs for _, _, runs in calls[name]}.values()
+            for run in runs
+            for k in range(run.automaton.level + above)
+        )
         assert made and made == expected, name
+
+
+def test_idv_prepares_each_run_once_per_start_configuration(monkeypatch):
+    enumerated, prepared = [], []
+    runs_of, prepare = harness._runs, typesys._prepare
+
+    def counted_runs(*args):
+        enumerated.append(runs_of(*args))
+        return enumerated[-1]
+
+    def counted_prepare(run, table):
+        prepared.append(run)
+        return prepare(run, table)
+
+    monkeypatch.setattr(harness, "_runs", counted_runs)
+    monkeypatch.setattr(typesys, "_prepare", counted_prepare)
+    bounds = {"typed_machines": 8, "run_bound": 4}
+    assert run_suites(["idv"], seed=20260808, bounds=bounds).ok
+    assert len(enumerated) == 20  # start configurations
+    assert Counter(map(id, prepared)) == Counter(id(run) for runs in enumerated for run in runs)

@@ -116,7 +116,7 @@ def test_phi_multiplicative_over_composition():
     for cut in range(len(run) + 1):
         left, right = run.subrun(0, cut), run.subrun(cut, len(run))
         assert phi_of_run(m, run) == m.mul(phi_of_run(m, left), phi_of_run(m, right))
-        assert left.compose(right) == run
+        assert left.read_word + right.read_word == run.read_word
 
 
 def test_phi_of_run_shape_classes():

@@ -15,10 +15,13 @@ from hopad.core import (
     Transition,
     apply_operation,
     from_nested,
+    recompose,
+    spine,
     stack_sizes,
     step,
     to_nested,
     top_atom,
+    top_stack,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -146,3 +149,13 @@ def test_stack_literals_round_trip(case):
     text = render_stack(stack, level)
     assert parse_stack_literal(text, level, collapsible) == stack
     assert render_stack(parse_stack_literal(text, level, collapsible), level) == text
+
+
+@PROPERTY
+@given(st.data())
+def test_the_recomposed_upper_spine_is_the_topmost_stack(data):
+    level, _, nested = data.draw(nested_with_level())
+    stack = from_nested(nested, level)
+    k = data.draw(st.integers(0, level))
+    r = data.draw(st.integers(k, level))
+    assert recompose(spine(stack, level, k)[level - r :]) == top_stack(stack, level, r)

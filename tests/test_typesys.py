@@ -285,11 +285,11 @@ def test_run2type_example_chain_all_configs():
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), [5])
     assert report.ok
     assert report.verified >= 1
     # a value absent from the stack and never readable: vacuous
-    vac = check_idv(cfg, table, runs_from(aut, cfg, 2, (0, 1), True), 9)
+    vac = check_idv(cfg, table, runs_from(aut, cfg, 2, (0, 1), True), [9])
     assert vac.ok and vac.verified == 0
 
 
@@ -301,20 +301,20 @@ def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     with pytest.raises(ValueError, match="start"):
         check_run2type(cfg, table, foreign)
     with pytest.raises(ValueError, match="start"):
-        check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, 5)
+        check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, [5])
 
 
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    assert not check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), 0).ok
+    assert not check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), [0]).ok
 
 
 def test_idv_excursion_buried_value():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 7)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), [7])
     assert report.ok, report.hard_failures
     assert report.verified >= 1
 
@@ -327,7 +327,7 @@ def test_correspondence_checks_on_random_machines():
 
         cfg = initial_configuration(aut)
         assert check_run2type(cfg, table, runs_from(aut, cfg, 5, (0, 1), False)).ok
-        assert check_idv(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), 1).ok
+        assert check_idv(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), [1]).ok
 
 
 def test_goal_space_covers_materialized_goals(single_pop):
@@ -414,7 +414,7 @@ def test_empty_result_sets_force_reading():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
-    report = check_idv(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), [5])
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
     assert not report.unwitnessed
@@ -426,7 +426,7 @@ def test_value_unreachable_from_outer_state_is_vacuous():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), 5)
+    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), [5])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
