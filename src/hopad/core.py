@@ -16,8 +16,11 @@ stack_sizes cost O(level) and consecutive configurations of a run share
 their stacks almost entirely (collapse also walks past the (i-1)-stacks
 it removes).  A run made by :func:`extend_run` points at the run it
 extends, so recording a step costs O(1); its tuples are built on first
-read, and the pointer is dropped then.  Configurations and runs can be
-stored and shared freely, across threads too.
+read, and the pointer is dropped then.  An automaton builds its rule
+tables and its initial configuration on first use and shares them.
+Configurations and runs can be stored and shared freely, across threads
+too: values filled in on first use are the same whichever thread fills
+them in.
 
 Nested tuples (a k-stack as a tuple of (k-1)-stacks, top at the right)
 are the literal and I/O form only: :func:`from_nested` and
@@ -225,6 +228,14 @@ class Automaton:
     def uses_collapse(self) -> bool:
         return any(t.op.kind == "collapse" for t in self.transitions)
 
+    @cached_property
+    def _initial_configuration(self) -> "Configuration":
+        links = (1,) * self.level if self.collapsible else None
+        stack: Stack = Atom(self.initial_symbol, NO_DATA, links)
+        for _ in range(self.level):
+            stack = Node(None, stack)
+        return Configuration(self.initial_state, stack)
+
 
 class Configuration(NamedTuple):
     state: str
@@ -283,11 +294,8 @@ def validate_automaton(aut: Automaton) -> Automaton:
 
 
 def initial_configuration(aut: Automaton) -> Configuration:
-    links = (1,) * aut.level if aut.collapsible else None
-    stack: Stack = Atom(aut.initial_symbol, NO_DATA, links)
-    for _ in range(aut.level):
-        stack = Node(None, stack)
-    return Configuration(aut.initial_state, stack)
+    """The initial configuration, built once per automaton and shared."""
+    return aut._initial_configuration
 
 
 def top_atom(stack: Stack, level: int) -> Atom:
@@ -332,14 +340,6 @@ def stack_values(stack: Optional[Stack], level: int) -> set:
             todo.append((node.top, lvl - 1))
             node = node.below
     return out
-
-
-def is_well_formed(stack: Stack, level: int) -> bool:
-    """Every k-stack is a Node of (k-1)-stacks and every 0-stack an Atom
-    (a Node is nonempty by construction)."""
-    if level == 0:
-        return isinstance(stack, Atom)
-    return isinstance(stack, Node) and all(is_well_formed(s, level - 1) for s in stack)
 
 
 def spine(stack: Stack, level: int, k: int) -> tuple[Stack, ...]:
@@ -391,28 +391,27 @@ def apply_operation(
     k_i - 1 of its (i-1)-stacks remain, k_i taken from the top atom.
     """
     k = op.level
-    target = top_stack(stack, level, k)
-    if op.kind == "pop":
+    kind = op.kind
+    target = stack
+    for _ in range(level - k):
+        target = target.top
+    if kind == "pop":
         if target.below is None:
             raise IllFormed(f"{op} would empty the topmost {k}-stack")
-        return _replace_top(stack, level - k, target.below)
-
-    if op.kind == "push":
+        new = target.below
+    elif kind == "push":
+        links = None
         if collapsible:
             sizes = stack_sizes(stack, level)
-            links = tuple(
-                sz + (1 if lvl == k else 0) for lvl, sz in enumerate(sizes, start=1)
-            )
-        else:
-            links = None
+            links = sizes[: k - 1] + (sizes[k - 1] + 1,) + sizes[k:]
         atom = Atom(op.symbol, data, links)
-        copy = _replace_top(target.top, k - 1, atom)
-        return _replace_top(stack, level - k, Node(target, copy))
-
-    if op.kind == "collapse":
+        new = Node(target, _replace_top(target.top, k - 1, atom))
+    elif kind == "collapse":
         if not collapsible:
             raise CollapseUnavailable(f"{op} on a non-collapsible stack")
-        atom = top_atom(stack, level)
+        atom = target
+        for _ in range(k):
+            atom = atom.top
         if atom.links is None or len(atom.links) < k:
             raise IllFormed(f"{op} on an atom without a level-{k} link")
         keep = atom.links[k - 1] - 1
@@ -420,11 +419,12 @@ def apply_operation(
             raise IllFormed(f"{op} would empty the topmost {k}-stack")
         if keep > target.size:
             raise IllFormed(f"{op} link {keep + 1} exceeds current size {target.size}")
+        new = target
         for _ in range(target.size - keep):
-            target = target.below
-        return _replace_top(stack, level - k, target)
-
-    raise ValueError(f"unknown operation kind {op.kind!r}")
+            new = new.below
+    else:
+        raise ValueError(f"unknown operation kind {op.kind!r}")
+    return _replace_top(stack, level - k, new)
 
 
 class Step(NamedTuple):
@@ -450,7 +450,9 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
     the topmost atom.
     """
     state, stack = config
-    atom = top_atom(stack, aut.level)
+    atom = stack
+    for _ in range(aut.level):
+        atom = atom.top
     rule = aut.eps_rules.get((state, atom.symbol))
     if rule is not None:
         try:
@@ -608,17 +610,18 @@ def execute_word(
     run ends with exactly `eps_budget` consecutive epsilon steps.
     """
     run = empty_run(aut, initial_configuration(aut) if start is None else start)
+    n = len(word)
+    accepting = aut.accepting
     pos = 0
     streak = 0
     while True:
         config = run.last
-        if pos == len(word) and config.state in aut.accepting:
+        if pos == n and config.state in accepting:
             return Outcome("accepted", run)
-        nxt = word[pos] if pos < len(word) else None
-        res = step(aut, config, nxt)
-        if isinstance(res, Stuck):
-            if pos < len(word):
-                reason = f"{res.reason}, {len(word) - pos} letters unconsumed"
+        res = step(aut, config, word[pos] if pos < n else None)
+        if res.__class__ is Stuck:
+            if pos < n:
+                reason = f"{res.reason}, {n - pos} letters unconsumed"
             else:
                 reason = res.reason
             return Outcome("rejected", run, reason)

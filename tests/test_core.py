@@ -1,12 +1,18 @@
+import dataclasses
+import itertools
+
 import pytest
 
+from hopad import core
 from hopad.core import (
     MAX_LEVEL,
     Atom,
     Automaton,
     Configuration,
+    DEFAULT_EPS_BUDGET,
     IllFormed,
     InvalidAutomaton,
+    Node,
     Run,
     Stuck,
     Step,
@@ -17,7 +23,6 @@ from hopad.core import (
     execute_word,
     from_nested,
     initial_configuration,
-    is_well_formed,
     pop,
     project_word,
     push,
@@ -45,6 +50,13 @@ def nested2(stack):
     return to_nested(stack, 2)
 
 
+def _nest(leaf, level):
+    """`leaf` as the only element of a level-`level` nested stack."""
+    for _ in range(level):
+        leaf = (leaf,)
+    return leaf
+
+
 def test_initial_configuration_levels():
     aut1 = Automaton(
         1, frozenset("a"), frozenset("X"), "X", frozenset({"q"}), "q", frozenset(), ()
@@ -66,6 +78,24 @@ def test_initial_links_when_collapsible():
     # collapsing from the unpushed initial atom would empty the stack
     with pytest.raises(IllFormed):
         apply_operation(cfg.stack, 2, collapse(2), None, collapsible=True)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+@pytest.mark.parametrize("collapsible", (False, True))
+def test_the_initial_configuration_is_built_once_per_automaton(level, collapsible):
+    aut = Automaton(
+        level, frozenset("a"), frozenset("XZ"), "X", frozenset({"q"}), "q", frozenset(), (),
+        collapsible,
+    )
+    first = initial_configuration(aut)
+    assert initial_configuration(aut) is first
+    assert execute_word(aut, ()).run.at(0) is first
+    literal = _nest(atom("X", None, (1,) * level if collapsible else None), level)
+    assert first == Configuration("q", from_nested(literal, level))
+    assert initial_configuration(dataclasses.replace(aut)) is not first
+    renamed = initial_configuration(dataclasses.replace(aut, initial_symbol="Z"))
+    assert top_atom(renamed.stack, level).symbol == "Z"
+    assert initial_configuration(aut) is first
 
 
 def test_push2_copies_and_rewrites_top():
@@ -141,14 +171,16 @@ def test_spine_and_recompose():
 
 
 def test_well_formedness():
-    assert is_well_formed(AB_CD, 2)
-    assert not is_well_formed(AB_CD, 1)
-    assert not is_well_formed(AB_CD_NESTED, 2)  # tuples are the literal form only
+    assert from_nested(to_nested(AB_CD, 2), 2) == AB_CD
+    with pytest.raises(IllFormed):  # a 1-stack of 1-stacks, not of atoms
+        from_nested(to_nested(AB_CD, 1), 1)
+    with pytest.raises(IllFormed):  # nodes are not the literal form
+        from_nested(AB_CD, 2)
     with pytest.raises(IllFormed):
         from_nested(((),), 2)
     with pytest.raises(IllFormed):
         from_nested((), 1)
-    assert is_well_formed(atom("X"), 0)
+    assert from_nested(atom("X"), 0) == atom("X")
 
 
 def single_pop_automaton():
@@ -228,6 +260,49 @@ def test_execute_word_outcomes():
         assert replay(out.run)
 
 
+def _fold_over_step(aut, word, eps_budget):
+    """What execute_word returns, folded over `step` from the initial
+    configuration: (kind, reason, labels, operations, last configuration)."""
+    config, labels, ops = initial_configuration(aut), [], []
+    pos = streak = 0
+    while not (pos == len(word) and config.state in aut.accepting):
+        res = step(aut, config, word[pos] if pos < len(word) else None)
+        if isinstance(res, Stuck):
+            left = len(word) - pos
+            reason = f"{res.reason}, {left} letters unconsumed" if left else res.reason
+            return "rejected", reason, tuple(labels), tuple(ops), config
+        if res.label[0] is None:
+            streak += 1
+            if streak > eps_budget:
+                return "budget-exhausted", None, tuple(labels), tuple(ops), config
+        else:
+            pos, streak = pos + 1, 0
+        config = res.config
+        labels.append(res.label)
+        ops.append(res.transition.op)
+    return "accepted", None, tuple(labels), tuple(ops), config
+
+
+def test_execute_word_is_a_fold_over_step():
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    letters = [(a, d) for a in "[]$" for d in (0, 1, 2)]
+    cases = [
+        (word, DEFAULT_EPS_BUDGET) for n in range(5) for word in itertools.product(letters, repeat=n)
+    ]
+    cases += [((("[", 1), ("$", 0), ("]", 1)), budget) for budget in range(4)]
+    kinds, unconsumed = set(), set()
+    for word, budget in cases:
+        out = execute_word(aut, word, eps_budget=budget)
+        got = (out.kind, out.reason, out.run.labels, out.run.operations(), out.run.last)
+        assert got == _fold_over_step(aut, word, budget), (word, budget)
+        kinds.add(out.kind)
+        unconsumed.add(out.reason is not None and "unconsumed" in out.reason)
+    assert kinds == {"accepted", "rejected", "budget-exhausted"}
+    assert unconsumed == {False, True}
+
+
 def test_execute_word_from_a_start_configuration():
     aut = single_pop_automaton()
     cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
@@ -257,7 +332,7 @@ def test_reachable_configurations_stay_well_formed():
     out = execute_word(aut, word)
     assert out.accepted
     for cfg in out.run.configs:
-        assert is_well_formed(cfg.stack, aut.level)
+        assert from_nested(to_nested(cfg.stack, aut.level), aut.level) == cfg.stack
         if aut.collapsible:
             assert all(
                 a.links is not None for c in out.run.configs for a in _atoms(c.stack, 2)
@@ -467,3 +542,37 @@ def test_a_run_built_by_another_thread_is_not_walked_again():
     assert run._parent is None
     # what a thread does when it lost the race to build them
     assert Run.__getattr__(run, "labels") is labels
+
+
+def _wide_stack(level, width):
+    """A collapsible stack whose topmost k-stacks are all `width` wide."""
+    stack = from_nested(_nest(atom("g", None, (1,) * level), level), level)
+    for k in range(1, level + 1):
+        for _ in range(width - 1):
+            stack = apply_operation(stack, level, push(k, "g"), None, collapsible=True)
+    return stack
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
+    width = 1000
+    stack = _wide_stack(level, width)
+    assert stack_sizes(stack, level) == (width,) * level
+    built = []
+
+    class CountingNode(Node):
+        def __init__(self, below, top):
+            built.append(self)
+            super().__init__(below, top)
+
+    monkeypatch.setattr(core, "Node", CountingNode)
+    for k in range(1, level + 1):
+        for op, nodes, size in (
+            (pop(k), level - k, width - 1),
+            (collapse(k), level - k, width - 1),
+            (push(k, "h"), level, width + 1),
+        ):
+            built.clear()
+            out = apply_operation(stack, level, op, 4, collapsible=True)
+            assert len(built) == nodes, op
+            assert stack_sizes(out, level)[k - 1] == size, op
