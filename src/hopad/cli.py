@@ -44,10 +44,10 @@ from .core import (
     validate_automaton,
 )
 from .harness import SUITE_NAMES, run_suites
-from .lineage import classification_table, decompose_upper, instrument_lineage
+from .lineage import classification_table, instrument_lineage
 from .monoid import monoid_by_name
 from .srcsets import compute_src
-from .typesys import ResourceCapExceeded, saturate_level0, type_of_stack
+from .typesys import ResourceCapExceeded, StartRuns, saturate_level0
 from .ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 
@@ -478,11 +478,13 @@ def _cmd_src(args) -> int:
     if not 0 <= k <= n:
         raise CliError(f"--k {k} outside 0..{n}")
     table = _table_for(args, scenario)  # rejects collapse, which no derivation covers
-    if decompose_upper(run, k) is None:
-        raise CliError(f"the driven run is not {k}-upper")
-    final = type_of_stack(run.last.stack, k, table)
+    start = StartRuns(run.at(0), table, [run])
+    final = start.typing(run.last.stack, k)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-    result = compute_src(run, k, sigmas, table)
+    try:
+        result = compute_src(run, k, sigmas, start)
+    except ValueError as exc:  # the run is not k-upper
+        raise CliError(str(exc)) from None
     uni = table.universe
     for i in range(k + 1, n + 1):
         ids = sorted(result.sets.get(i, ()))

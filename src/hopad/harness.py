@@ -49,10 +49,10 @@ from .monoid import classify_word, presence_monoid, shape_monoid, validate_monoi
 from .srcsets import check_idv_upper, check_origin
 from .typesys import (
     ResourceCapExceeded,
+    StartRuns,
     check_idv,
     check_run2type,
     saturate_level0,
-    type_of_stack,
 )
 from .ulang import build_u_recognizer, gen_w, in_u
 
@@ -378,12 +378,6 @@ def _corpus(seed: int, count: int):
         yield f"random-{i}", aut, seeded_configurations(aut, 3, (0, 1, 2), 4)
 
 
-def _machine_monoid(name: str, aut: Automaton):
-    if name == "u-fragment":
-        return shape_monoid()
-    return presence_monoid(aut.input_alphabet)
-
-
 def _suite_monoid_laws(seed, bounds):
     mon = shape_monoid()
     hard = list(validate_monoid(mon))
@@ -573,13 +567,21 @@ def _fold(reports):
     return hard, soft, stats
 
 
+def _starts(seed, machines, bound, base, normalized):
+    """Per start configuration of the first `machines` corpus machines,
+    each saturated once: the machine's name, the StartRuns of its runs up
+    to `bound` (``_runs``), and the nonzero values its stack stores."""
+    for name, aut, cfgs in _corpus(seed, machines):
+        monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
+        table = saturate_level0(aut, monoid)
+        for cfg in cfgs:
+            runs = _runs(aut, cfg, bound, base, normalized)
+            yield name, StartRuns(cfg, table, runs), stack_values(cfg.stack, aut.level) - {0}
+
+
 def _suite_run2type(seed, bounds):
-    bound = bounds["run_bound"]
-    hard, soft, stats = _fold(
-        (name, check_run2type(cfg, table, _runs(aut, cfg, bound, (0, 1), False)))
-        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"])
-        for cfg in cfgs
-    )
+    starts = _starts(seed, bounds["typed_machines"], bounds["run_bound"], (0, 1), False)
+    hard, soft, stats = _fold((name, check_run2type(start)) for name, start, _ in starts)
     misses = sum(line.startswith("single-pop: ") for line in soft)
     if misses:
         hard.append(f"single-pop machine must be fully witnessed, {misses} misses")
@@ -587,12 +589,8 @@ def _suite_run2type(seed, bounds):
 
 
 def _suite_idv(seed, bounds):
-    reports = []
-    for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["typed_machines"]):
-        for cfg in cfgs:
-            runs = _runs(aut, cfg, bounds["run_bound"], (0, 1, 2), True)
-            d_values = sorted({1, 2} | (stack_values(cfg.stack, aut.level) - {0}))[:4]
-            reports.append((name, check_idv(cfg, table, runs, d_values)))
+    starts = _starts(seed, bounds["typed_machines"], bounds["run_bound"], (0, 1, 2), True)
+    reports = [(name, check_idv(start, sorted({1, 2} | stored)[:4])) for name, start, stored in starts]
     hard, soft, stats = _fold(reports)
     if not any(rep.verified for name, rep in reports if name == "single-pop"):
         hard.append("single-pop worked example (d=5 read and important) not verified")
@@ -601,35 +599,28 @@ def _suite_idv(seed, bounds):
 
 def _suite_origin(seed, bounds):
     def reports():
-        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
-            n = aut.level
-            for cfg in cfgs:
-                runs = _runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
-                d_values = sorted({1, 2} | (stack_values(cfg.stack, n) - {0}))[:4]
-                for run in runs:  # the check decides whether the run is k-upper
-                    for k in range(0, n):
-                        final = type_of_stack(run.last.stack, k, table)
+        starts = _starts(seed, bounds["corpus_machines"], bounds["src_bound"], (0, 1, 2), True)
+        for name, start, stored in starts:
+            values, n = sorted({1, 2} | stored)[:4], start.table.automaton.level
+            for run in start.runs:  # the check decides whether the run is k-upper
+                for k in range(0, n):
+                    sigmas = {}  # read only when the run is k-upper
+                    if start.upper(run, k) is not None:
+                        final = start.typing(run.last.stack, k)
                         sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-                        yield name, check_origin(run, k, sigmas, table, d_values, runs)
+                    yield name, check_origin(run, k, sigmas, start, values)
 
     return _fold(reports())
 
 
-def _corpus_with_tables(seed, count):
-    for name, aut, cfgs in _corpus(seed, count):
-        yield name, aut, cfgs, saturate_level0(aut, _machine_monoid(name, aut))
-
-
 def _suite_idv_upper(seed, bounds):
     def reports():
-        for name, aut, cfgs, table in _corpus_with_tables(seed, bounds["corpus_machines"]):
-            n = aut.level
-            for cfg in cfgs:
-                runs = _runs(aut, cfg, bounds["src_bound"], (0, 1, 2), True)
-                d_values = sorted({1, 2, 3} | (stack_values(cfg.stack, n) - {0}))[:5]
-                for run in runs:  # the check decides whether the run is k-upper
-                    for k in range(0, n + 1):
-                        yield name, check_idv_upper(run, k, table, d_values, runs)
+        starts = _starts(seed, bounds["corpus_machines"], bounds["src_bound"], (0, 1, 2), True)
+        for name, start, stored in starts:
+            values = sorted({1, 2, 3} | stored)[:5]
+            for run in start.runs:  # the check decides whether the run is k-upper
+                for k in range(0, start.table.automaton.level + 1):
+                    yield name, check_idv_upper(run, k, start, values)
 
     return _fold(reports())
 

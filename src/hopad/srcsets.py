@@ -5,10 +5,11 @@ final spine pieces, the src sets name the descriptors of the *initial*
 spine pieces from which the final important data values originate.  The
 computation follows the run's k-upper derivation (``decompose_upper``):
 segments that never touch levels above k pass the sets through
-unchanged; a push closes them backward
-through composers over the initial pieces; a push followed by a return
-closes over the descriptors of the post-push topmost k-stack that
-realize the return; compositions chain right to left.
+unchanged; a push closes them backward through composers over the
+initial pieces; a push followed by a return closes over the descriptors
+of the post-push topmost k-stack that realize the return; compositions
+chain right to left.  Derivations, typings and the runs the transfer
+checks search come from a :class:`~hopad.typesys.StartRuns`.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import Run, stack_values, top_stack
-from .lineage import DecompositionTree, decompose_upper, is_normalized
+from .lineage import DecompositionTree, is_normalized
 from .monoid import phi_of_run
 from .typesys import (
     NE,
     CheckReport,
-    Level0TypeTable,
     StackTyping,
+    StartRuns,
     _held,
     _important,
-    _require_start,
     stack_typing,
-    type_of_stack,
 )
 
 
@@ -60,19 +59,18 @@ def _promote(uni, src: dict, members, r: int, st: StackTyping, k: int) -> None:
                 src[i] |= set(ids)
 
 
-def _src(node: DecompositionTree, sig: dict, run: Run, k: int, table: Level0TypeTable) -> dict:
+def _src(node: DecompositionTree, sig: dict, run: Run, k: int, start: StartRuns) -> dict:
     """The src sets of the derivation `node` of a k-upper subrun, for the
     assumption sets `sig` (level -> frozenset, k+1..n) at its end."""
     if node.case == 1:
         return sig
     if node.case == 4:
         left, right = node.children
-        return _src(left, _src(right, sig, run, k, table), run, k, table)
-    uni = table.universe
-    n = run.automaton.level
+        return _src(left, _src(right, sig, run, k, start), run, k, start)
+    table, uni, n = start.table, start.table.universe, run.automaton.level
     i, j = node.span
     r = run.transitions[i].op.level
-    st = type_of_stack(run.at(i).stack, k, table)
+    st = start.typing(run.at(i).stack, k)
     if node.case == 2:  # a single push^r
         src = {lvl: set(ids) if lvl != r else set() for lvl, ids in sig.items()}
         members = sig[r]
@@ -109,34 +107,38 @@ def compute_src(
     run: Run,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
-    table: Level0TypeTable,
+    start: StartRuns,
 ) -> SrcResult:
     """Source sets of a k-upper run for final assumption sets `sigmas`
     (level -> descriptor ids over levels k+1..n), by induction on the
-    run's k-upper derivation (`decompose_upper`)."""
+    run's k-upper derivation (`decompose_upper`).  The derivation and
+    the typings come from `start`, the runs of the run's start."""
     aut = run.automaton
     if aut.uses_collapse:
         raise ValueError("src sets cover collapse-free automata only")
     n = aut.level
-    tree = decompose_upper(run, k)
+    tree = start.upper(run, k)
     if tree is None:
         raise ValueError(f"the run is not {k}-upper")
-    final = type_of_stack(run.last.stack, k, table)
+    final = start.typing(run.last.stack, k)
     for i in range(k + 1, n + 1):
         for sid in sigmas.get(i, ()):
             if sid not in final.typing(i):
                 raise ValueError(f"assumption {sid} not in the final level-{i} typing")
     sig = {i: frozenset(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
-    return SrcResult(k, _src(tree, sig, run, k, table), tree)
+    return SrcResult(k, _src(tree, sig, run, k, start), tree)
 
 
-def _run_hypotheses(run: Run, k: int, runs, report: CheckReport) -> None:
+def _run_hypotheses(run: Run, k: int, start: StartRuns, report: CheckReport) -> None:
     """Name the run-level hypotheses of both transfer checks that fail;
-    k-upper-ness is that of the run's derivation (``decompose_upper``)."""
-    _require_start(runs, run.at(0))
+    k-upper-ness is that of the run's derivation (``decompose_upper``).
+    A run that does not start at `start`'s configuration raises
+    ValueError."""
+    if run.at(0) != start.config:
+        raise ValueError("the run does not start at the start configuration")
     if not is_normalized(run):
         report.errors.append("run is not normalized")
-    if decompose_upper(run, k) is None:
+    if start.upper(run, k) is None:
         report.errors.append(f"run is not {k}-upper")
 
 
@@ -162,9 +164,8 @@ def check_origin(
     run: Run,
     k: int,
     sigmas: Mapping[int, Sequence[int]],
-    table: Level0TypeTable,
+    start: StartRuns,
     values: Sequence[int],
-    runs: Sequence[Run],
 ) -> CheckReport:
     """The origin transfer for each data value d of `values`.
 
@@ -173,25 +174,26 @@ def check_origin(
     Part 2 (bounded search): when d is important under src initially,
     some normalized k-upper run with matching read class, final topmost
     k-stack, and held assumptions reads d or keeps it important.  The
-    search goes through `runs`, which must be every normalized run from
-    the run's start up to the bound; a run starting elsewhere raises
-    ValueError.  A failed hypothesis is named in the report's errors: on
-    the run (normalized, k-upper) it skips every value, on a value (0,
-    or stored in the initial topmost k-stack) it skips that value.
+    search goes through the runs of `start`, which must be every
+    normalized run from the run's start up to the bound; a run starting
+    elsewhere raises ValueError.  A failed hypothesis is named in the
+    report's errors: on the run (normalized, k-upper) it skips every
+    value, on a value (0, or stored in the initial topmost k-stack) it
+    skips that value.
     """
     report = CheckReport("origin")
-    _run_hypotheses(run, k, runs, report)
+    _run_hypotheses(run, k, start, report)
     if report.errors:
         return report
-    n = table.automaton.level
+    n = start.table.automaton.level
     fresh = _usable_values(run, k, n, values, (), report)
     if not fresh:
         return report
 
     sigmas = {i: tuple(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
-    src = compute_src(run, k, sigmas, table)
-    at_end = _important(type_of_stack(run.last.stack, k, table), sigmas)
-    at_start = _important(type_of_stack(run.at(0).stack, k, table), src.sets)
+    src = compute_src(run, k, sigmas, start)
+    at_end = _important(start.typing(run.last.stack, k), sigmas)
+    at_start = _important(start.typing(start.config.stack, k), src.sets)
     report.checked += len(fresh)
     report.hard_failures += [
         f"k={k} d={d}: important in a final piece but in no initial piece under src"
@@ -202,24 +204,18 @@ def check_origin(
     wanted = [d for d in fresh if d in at_start]
     if not wanted:
         return report
-    # search the runs from the run's own start until every wanted value
-    # is read or kept important by a transferred run
+    # search the runs with the run's end state and read class until every
+    # wanted value is read or kept important by a transferred run
     missing = set(wanted)
     target_topk = top_stack(run.last.stack, n, k)
-    phi_r = phi_of_run(table.monoid, run)
-    for cand in runs:
+    for cand in start.runs_with(run.last.state, start.phi(run)):
         if not missing:
             break
-        if not (
-            cand.last.state == run.last.state
-            and top_stack(cand.last.stack, n, k) == target_topk
-            and phi_of_run(table.monoid, cand) == phi_r
-            and decompose_upper(cand, k) is not None
-        ):
+        if top_stack(cand.last.stack, n, k) != target_topk or start.upper(cand, k) is None:
             continue
-        ct = type_of_stack(cand.last.stack, k, table)
+        ct = start.typing(cand.last.stack, k)
         if _held(ct, sigmas):
-            missing -= {val for _, val in cand.read_word} | _important(ct, sigmas)
+            missing -= start.reads(cand) | _important(ct, sigmas)
     report.verified += len(wanted) - len(missing)
     report.unwitnessed += [
         f"k={k} d={d}: important under src but no transferred run" for d in wanted if d in missing
@@ -240,9 +236,8 @@ def _split(st: StackTyping, k: int, n: int, d: int, d_prime: int) -> Optional[tu
 def check_idv_upper(
     run: Run,
     k: int,
-    table: Level0TypeTable,
+    start: StartRuns,
     values: Sequence[int],
-    runs: Sequence[Run],
 ) -> CheckReport:
     """Indistinguishability transfer along a k-upper run, for every pair
     d < d' of `values`.
@@ -250,23 +245,24 @@ def check_idv_upper(
     Hypotheses (violations are named in the report's errors, not counted
     as failures): the run is normalized and k-upper; d and d' are
     nonzero, unread, absent from the initial topmost k-stack, and
-    indistinguishable in every initial idv set; among `runs` the run is
-    the only one with its end state and read class.  A failed hypothesis
-    skips the pairs it concerns.  Conclusion checked: both stay absent
-    from the final topmost k-stack and remain indistinguishable in every
-    final idv set.  `runs` must be every normalized run from the run's
-    start up to the bound, so uniqueness is known only up to that bound;
-    a run starting elsewhere raises ValueError.
+    indistinguishable in every initial idv set; among the runs of
+    `start` the run is the only one with its end state and read class.
+    A failed hypothesis skips the pairs it concerns.  Conclusion
+    checked: both stay absent from the final topmost k-stack and remain
+    indistinguishable in every final idv set.  The runs of `start` must
+    be every normalized run from the run's start up to the bound, so
+    uniqueness is known only up to that bound; a run starting elsewhere
+    raises ValueError.
     """
     report = CheckReport("idv-upper")
-    _run_hypotheses(run, k, runs, report)
+    _run_hypotheses(run, k, start, report)
     if report.errors:
         return report
-    n = table.automaton.level
-    reads = {val for _, val in run.read_word}
-    init = type_of_stack(run.at(0).stack, k, table)
+    n = start.table.automaton.level
+    init = start.typing(start.config.stack, k)
     pairs = []
-    for d, d_prime in itertools.combinations(_usable_values(run, k, n, values, reads, report), 2):
+    usable = _usable_values(run, k, n, values, start.reads(run), report)
+    for d, d_prime in itertools.combinations(usable, 2):
         split = _split(init, k, n, d, d_prime)
         if split is None:
             pairs.append((d, d_prime))
@@ -279,20 +275,15 @@ def check_idv_upper(
         return report
 
     # uniqueness hypothesis, among the runs up to the bound
-    phi_r = phi_of_run(table.monoid, run)
-    for cand in runs:
-        if (
-            cand.last.state == run.last.state
-            and phi_of_run(table.monoid, cand) == phi_r
-            and (cand.labels, cand.transitions) != (run.labels, run.transitions)
-        ):
-            report.errors.append(
-                "hypothesis: another normalized run with the same end state and read class"
-            )
-            return report
+    alike = start.runs_with(run.last.state, start.phi(run))
+    if any((c.labels, c.transitions) != (run.labels, run.transitions) for c in alike):
+        report.errors.append(
+            "hypothesis: another normalized run with the same end state and read class"
+        )
+        return report
 
     final_topk = stack_values(top_stack(run.last.stack, n, k), k)
-    final = type_of_stack(run.last.stack, k, table)
+    final = start.typing(run.last.stack, k)
     for d, d_prime in pairs:
         report.checked += 1
         if d in final_topk or d_prime in final_topk:

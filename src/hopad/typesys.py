@@ -22,6 +22,9 @@ goal's promised sets) are instantiated from the fixed slot universe
 {{}, {ne}} at every level.  For automata of level <= 2 this is
 complete: no descriptor can live at level n, so the level-n universe is
 exactly {ne} and every subset of it is covered.
+
+The two soundness checks take a :class:`StartRuns`: the runs of one start
+configuration, with what the checks ask of each worked out once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import decompose_return
+from .lineage import DecompositionTree, decompose_return, decompose_upper
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -581,14 +584,81 @@ def _promised(uni: Universe, g: Goal) -> dict[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# agreement and the two soundness checks
+# the runs of one start configuration, and the two soundness checks
 
 
-def agrees(run: Run, goal_id: int, table: Level0TypeTable) -> bool:
-    """phi matches, the run is an r-return into the right state, and the
-    final spine pieces above r carry the promised descriptor sets."""
-    g = table.universe.goal(goal_id)
-    return _run_agrees(_prepare(run, table), g, _promised(table.universe, g))
+class StartRuns:
+    """The runs of one start configuration up to a bound, and what the
+    soundness checks ask of them, each worked out once, on first ask:
+    per run its monoid class and read values, per (operations, level)
+    its derivations (which read nothing else), per (stack, level) its
+    typing.  Runs and stacks are keyed by identity and held by their
+    entries.  A given run starting elsewhere raises ValueError."""
+
+    def __init__(self, config: Configuration, table: Level0TypeTable, runs: Sequence[Run]):
+        for run in runs:
+            if run.at(0) != config:
+                raise ValueError("a given run does not start at the start configuration")
+        self.config, self.table, self.runs = config, table, runs
+        self._facts: dict[int, tuple] = {}  # id(run) -> (run, operations, class, reads)
+        self._derived: dict[tuple, Optional[DecompositionTree]] = {}
+        self._typed: dict[tuple[int, int], tuple] = {}  # (id(stack), k) -> (stack, typing)
+        self._classes: Optional[dict[tuple[str, str], list[Run]]] = None
+
+    def _of(self, run: Run) -> tuple:
+        facts = self._facts.get(id(run))
+        if facts is None:
+            reads = frozenset(d for _, d in run.read_word)
+            phi = phi_of_run(self.table.monoid, run)
+            facts = self._facts[id(run)] = (run, run.operations(), phi, reads)
+        return facts
+
+    def phi(self, run: Run) -> str:
+        return self._of(run)[2]
+
+    def reads(self, run: Run) -> frozenset:
+        return self._of(run)[3]
+
+    def upper(self, run: Run, k: int) -> Optional[DecompositionTree]:
+        """The run's k-upper derivation (``decompose_upper``), or None."""
+        key = ("upper", self._of(run)[1], k)
+        if key not in self._derived:
+            self._derived[key] = decompose_upper(run, k)
+        return self._derived[key]
+
+    def returns(self, run: Run, r: int) -> Optional[DecompositionTree]:
+        """The run's r-return derivation (``decompose_return``), or None."""
+        key = ("return", self._of(run)[1], r)
+        if key not in self._derived:
+            self._derived[key] = decompose_return(run, r)
+        return self._derived[key]
+
+    def typing(self, stack: Stack, k: int) -> StackTyping:
+        """``type_of_stack(stack, k, table)``."""
+        hit = self._typed.get((id(stack), k))
+        if hit is None:
+            hit = self._typed[(id(stack), k)] = (stack, type_of_stack(stack, k, self.table))
+        return hit[1]
+
+    def runs_with(self, state: str, m: str) -> list[Run]:
+        """The runs ending in `state` with monoid class `m`, in order."""
+        if self._classes is None:
+            self._classes = {}
+            for run in self.runs:
+                self._classes.setdefault((run.last.state, self.phi(run)), []).append(run)
+        return self._classes.get((state, m), [])
+
+    def agrees(self, run: Run, goal_id: int) -> bool:
+        """phi matches, the run is an r-return into the right state, and the
+        final spine pieces above r carry the promised descriptor sets."""
+        uni = self.table.universe
+        g = uni.goal(goal_id)
+        return (
+            self.phi(run) == g.m
+            and run.last.state == g.q
+            and self.returns(run, g.r) is not None
+            and _held(self.typing(run.last.stack, g.r), _promised(uni, g))
+        )
 
 
 @dataclass
@@ -631,25 +701,19 @@ def goal_space(table: Level0TypeTable) -> list[int]:
     return sorted(out)
 
 
-def find_witness(
-    table: Level0TypeTable,
-    config: Configuration,
-    k: int,
-    goal_id: int,
-    d: Optional[int] = None,
-) -> Optional[int]:
-    """A descriptor of type(s^k) matching the configuration's state and
-    the goal, with all assumption sets held by the spine pieces; when a
-    data value `d` is given, it must additionally be important under the
-    descriptor or one of its assumption descriptors."""
-    uni = table.universe
-    n = table.automaton.level
-    st = type_of_stack(config.stack, k, table)
+def find_witness(start: StartRuns, k: int, goal_id: int, d: Optional[int] = None) -> Optional[int]:
+    """A descriptor of type(s^k) of the start configuration matching its
+    state and the goal, with all assumption sets held by the spine
+    pieces; when a data value `d` is given, it must additionally be
+    important under the descriptor or one of its assumption descriptors."""
+    uni = start.table.universe
+    n = start.table.automaton.level
+    st = start.typing(start.config.stack, k)
     for did, idv in st.typing(k).items():
         if did == NE:
             continue
         desc = uni.desc(did)
-        if desc.state != config.state or desc.goal != goal_id:
+        if desc.state != start.config.state or desc.goal != goal_id:
             continue
         psis = {i: uni.psi_at(desc, i) for i in range(k + 1, n + 1)}
         if _held(st, psis) and (d is None or d in idv or d in _important(st, psis)):
@@ -657,82 +721,44 @@ def find_witness(
     return None
 
 
-def _require_start(runs: Iterable[Run], start: Configuration) -> None:
-    for run in runs:
-        if run.at(0) != start:
-            raise ValueError("a given run does not start at the start configuration")
-
-
-def _prepare(run: Run, table: Level0TypeTable) -> dict:
-    """What agreement with any goal needs to know about one run; its
-    r-returns are read off its derivations (``decompose_return``)."""
-    n = table.automaton.level
-    final = run.last
-    info = {
-        "run": run,
-        "phi": phi_of_run(table.monoid, run),
-        "state": final.state,
-        "returns": {r: decompose_return(run, r) is not None for r in range(1, n + 1)},
-        "final_typing": {},
-        "reads": frozenset(d for a, d in run.read_word),
-    }
-    for r in range(1, n + 1):
-        if info["returns"][r]:
-            info["final_typing"][r] = type_of_stack(final.stack, r, table)
-    return info
-
-
-def _run_agrees(info, g: Goal, promised: Mapping[int, Iterable[int]]) -> bool:
-    return (
-        info["phi"] == g.m
-        and info["state"] == g.q
-        and info["returns"][g.r]
-        and _held(info["final_typing"][g.r], promised)
-    )
-
-
 def _describe_run(run: Run) -> str:
     ops = ",".join(str(op) for op in run.operations())
-    word = " ".join(
-        f"{a}@{d}" for a, d in run.read_word
-    )
+    word = " ".join(f"{a}@{d}" for a, d in run.read_word)
     return f"len={len(run)} ops=[{ops}] word=[{word}]"
 
 
-def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, values, hard, soft):
-    """For each value d of `values`, every goal and every level k below
-    its return level: the runs that agree with the goal (and, for a
-    value d, use it: read it or keep it important under the promised
-    sets) against a descriptor of type(s^k) witnessing it (and carrying
-    d); None stands for no value.  Runs without a witness are hard
-    failures, a witness without runs is unwitnessed; `hard` and `soft`
-    format those lines from k, d, goal and run or witness.  A value 0 is
-    named in the report's errors and skipped."""
-    _require_start(runs, config)
+def _correspondence(name, start: StartRuns, values, hard, soft):
+    """For each distinct value d of `values`, every goal and every level
+    k below its return level: the runs that agree with the goal (and,
+    for a value d, use it: read it or keep it important under the
+    promised sets) against a descriptor of type(s^k) witnessing it (and
+    carrying d); None stands for no value.  Runs without a witness are
+    hard failures, a witness without runs is unwitnessed; `hard` and
+    `soft` format those lines from k, d, goal and run or witness.  A
+    value 0 is named in the report's errors and skipped."""
     report = CheckReport(name)
-    uni = table.universe
-    prepared = [_prepare(run, table) for run in runs]
+    uni = start.table.universe
     goals = []
-    for gid in goal_space(table):
+    for gid in goal_space(start.table):
         g = uni.goal(gid)
-        promised = _promised(uni, g)
-        agreeing = [info for info in prepared if _run_agrees(info, g, promised)]
-        goals.append((gid, g, promised, agreeing))
-    for d in values:
+        agreeing = [run for run in start.runs_with(g.q, g.m) if start.agrees(run, gid)]
+        goals.append((gid, g, _promised(uni, g), agreeing))
+    for d in sorted(set(values)):
         if d == 0:
             report.errors.append("d must differ from the normalization value 0")
             continue
         for gid, g, promised, hits in goals:
             if d is not None:
                 hits = [
-                    info for info in hits
-                    if d in info["reads"] or d in _important(info["final_typing"][g.r], promised)
+                    run for run in hits
+                    if d in start.reads(run)
+                    or d in _important(start.typing(run.last.stack, g.r), promised)
                 ]
             for k in range(0, g.r):
                 report.checked += 1
-                witness = find_witness(table, config, k, gid, d)
+                witness = find_witness(start, k, gid, d)
                 if hits and witness is None:
-                    run = _describe_run(hits[0]["run"])
+                    run = _describe_run(hits[0])
                     line = hard.format(k=k, d=d, goal=uni.render_goal(gid), run=run)
                     report.hard_failures.append(line)
                 elif witness is not None and not hits:
@@ -743,41 +769,29 @@ def _correspondence(name, config: Configuration, table: Level0TypeTable, runs, v
     return report
 
 
-def check_run2type(
-    config: Configuration,
-    table: Level0TypeTable,
-    runs: Sequence[Run],
-) -> CheckReport:
-    """Both directions of the run/descriptor correspondence at a bound.
+def check_run2type(start: StartRuns) -> CheckReport:
+    """Both directions of the run/descriptor correspondence over the runs
+    of `start`, every run from its configuration up to a bound.
 
-    `runs` must be every run from `config` up to the bound; a run
-    starting elsewhere raises ValueError.
     1=>2 (hard): every given run agreeing with a goal must be witnessed
     by a matching descriptor with held assumption sets.
     2=>1 (soft): every witnessed (goal, level) pair should exhibit an
     agreeing run within the bound; misses are reported as unwitnessed.
     """
     return _correspondence(
-        "run2type", config, table, runs, (None,),
+        "run2type", start, (None,),
         "k={k} goal={goal} has an agreeing run ({run}) but no witnessing descriptor",
         "k={k} goal={goal} witnessed by descriptor {witness} but no agreeing run",
     )
 
 
-def check_idv(
-    config: Configuration,
-    table: Level0TypeTable,
-    runs: Sequence[Run],
-    values: Sequence[int],
-) -> CheckReport:
-    """The important-data-value correspondence for each value d of
-    `values`; a value 0 is named in the report's errors and skipped.
-
-    `runs` must be every normalized run from `config` up to the bound;
-    a run starting elsewhere raises ValueError.
-    """
+def check_idv(start: StartRuns, values: Sequence[int]) -> CheckReport:
+    """The important-data-value correspondence for each distinct value d
+    of `values`, over the runs of `start` (every normalized run from its
+    configuration up to the bound); a value 0 is named in the report's
+    errors and skipped."""
     return _correspondence(
-        "idv", config, table, runs, values,
+        "idv", start, values,
         "k={k} d={d} goal={goal} used by {run} but no descriptor carries it",
         "k={k} d={d} goal={goal} carried by descriptor {witness} "
         "but no agreeing normalized run uses it",

@@ -186,6 +186,29 @@ def test_src_command():
     assert "".join(outputs) == (GOLDEN / "excursion-src.txt").read_text()
 
 
+NOT_ONE_UPPER = """level 2
+input-alphabet a b
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g in a q push 1 g
+trans q g in b p pop 2
+start-state q
+start-stack [[(g,-)] [(g,-)]]
+"""
+
+
+def test_src_rejects_a_run_that_is_not_k_upper(tmp_path):
+    # push^1 then pop^2: the pop^2 step is in no 1-upper derivation
+    path = tmp_path / "pop2.scenario"
+    path.write_text(NOT_ONE_UPPER)
+    code, err = run_cli_stderr(
+        "src", str(path), "--word", "a@0 b@0", "--k", "1", "--monoid", "trivial"
+    )
+    assert code == 2
+    assert err == "the run is not 1-upper\n"
+
+
 def test_gen_word_command():
     assert run_cli("gen-word", "--k", "0") == (0, "[][\n")
     assert run_cli("gen-word", "--k", "1", "--n", "2") == (0, "[][[][]][\n")

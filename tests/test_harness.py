@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hopad import harness, typesys
+from hopad import harness, srcsets, typesys
 from hopad.core import Atom, Configuration, extend_run, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
@@ -26,7 +26,7 @@ from hopad.lineage import (
     remark_k_return,
 )
 from hopad.monoid import presence_monoid
-from hopad.typesys import agrees, saturate_level0
+from hopad.typesys import StartRuns, saturate_level0
 
 
 def test_universe_must_contain_zero():
@@ -281,11 +281,10 @@ def test_find_agreeing_runs():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
     space = EnumerationSpace(aut, single_pop_config(), 2, (0, 5))
+    start = StartRuns(space.start, table, enumerate_runs(space))
 
     def agreeing_runs(goal):
-        return [
-            run for run in enumerate_runs(space) if agrees(run, goal, table)
-        ]
+        return [run for run in start.runs if start.agrees(run, goal)]
 
     goal = uni.intern_goal("SOME", 1, (), "qf")
     agreeing = agreeing_runs(goal)
@@ -374,7 +373,7 @@ def test_transfer_checks_run_once_per_run_and_level(monkeypatch):
 
     def spy(name, check):
         def spied(run, k, *rest):
-            calls[name].append((run, k, rest[-1]))
+            calls[name].append((run, k, rest[-2]))
             return check(run, k, *rest)
 
         return spied
@@ -389,28 +388,53 @@ def test_transfer_checks_run_once_per_run_and_level(monkeypatch):
         made = Counter((id(run), k) for run, k, _ in calls[name])
         expected = Counter(
             (id(run), k)
-            for runs in {id(runs): runs for _, _, runs in calls[name]}.values()
-            for run in runs
+            for start in {id(start): start for _, _, start in calls[name]}.values()
+            for run in start.runs
             for k in range(run.automaton.level + above)
         )
         assert made and made == expected, name
 
 
-def test_idv_prepares_each_run_once_per_start_configuration(monkeypatch):
-    enumerated, prepared = [], []
-    runs_of, prepare = harness._runs, typesys._prepare
+@pytest.mark.parametrize("suite", ["run2type", "idv", "origin", "idv-upper"])
+def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
+    # per start configuration: one monoid class per run, one start typing
+    # per k, and one derivation per (operations, level)
+    starts, calls = [], {"phi": [], "type": [], "upper": [], "return": []}
+    runs_of = harness._runs
 
-    def counted_runs(*args):
-        enumerated.append(runs_of(*args))
-        return enumerated[-1]
+    def counted_runs(aut, cfg, *rest):
+        starts.append((cfg, runs_of(aut, cfg, *rest)))
+        return starts[-1][1]
 
-    def counted_prepare(run, table):
-        prepared.append(run)
-        return prepare(run, table)
+    def spy(name, module, function):
+        original = getattr(module, function)
+
+        def spied(*args):
+            calls[name].append((len(starts), *args))  # the arguments stay alive
+            return original(*args)
+
+        monkeypatch.setattr(module, function, spied)
 
     monkeypatch.setattr(harness, "_runs", counted_runs)
-    monkeypatch.setattr(typesys, "_prepare", counted_prepare)
-    bounds = {"typed_machines": 8, "run_bound": 4}
-    assert run_suites(["idv"], seed=20260808, bounds=bounds).ok
-    assert len(enumerated) == 20  # start configurations
-    assert Counter(map(id, prepared)) == Counter(id(run) for runs in enumerated for run in runs)
+    spy("phi", typesys, "phi_of_run")
+    spy("phi", srcsets, "phi_of_run")
+    spy("type", typesys, "type_of_stack")
+    spy("upper", typesys, "decompose_upper")
+    spy("return", typesys, "decompose_return")
+    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
+    assert run_suites([suite], seed=20260808, bounds=bounds).ok
+    assert len(starts) == 20
+
+    enumerated = {id(run) for _, runs in starts for run in runs}
+    per_run = Counter(id(run) for _, _, run in calls["phi"] if id(run) in enumerated)
+    assert per_run and max(per_run.values()) == 1
+    start_typings = Counter(
+        (index, k) for index, stack, k, _ in calls["type"] if stack is starts[index - 1][0].stack
+    )
+    assert start_typings and max(start_typings.values()) == 1
+    derived = Counter(
+        (shape, index, run.operations(), level)
+        for shape in ("upper", "return")
+        for index, run, level in calls[shape]
+    )
+    assert derived and max(derived.values()) == 1

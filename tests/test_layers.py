@@ -1,9 +1,12 @@
 """The checks in `typesys` and `srcsets` take the runs the harness
 enumerates; only the entry points may depend on the harness.  The checks
 classify runs by derivation, never by copy lineage.  Every module states
-its dependencies at its top, none inside a function."""
+its dependencies at its top, none inside a function.  Every function
+the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import hopad
@@ -59,3 +62,17 @@ def test_no_module_imports_inside_a_function():
         if (lines := function_local_imports(ast.parse(path.read_text())))
     }
     assert not found, found
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer wraps these by name; a rename must fail here
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{function}"
+        for module, function in tracer.TRACED
+        if not callable(getattr(importlib.import_module(f"hopad.{module}"), function, None))
+    ]
+    assert tracer.TRACED and not missing, missing

@@ -16,7 +16,7 @@ from hopad.harness import (
 from hopad.lineage import instrument_lineage, is_k_return, is_k_upper
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.srcsets import check_idv_upper, check_origin, compute_src
-from hopad.typesys import NE, saturate_level0, type_of_stack
+from hopad.typesys import NE, StartRuns, saturate_level0, type_of_stack
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,11 @@ def normalized_runs(aut, cfg, bound):
     return _runs(aut, cfg, bound, (0, 1, 2), True)
 
 
+def alone(run, table):
+    """The run as the only run of its start configuration."""
+    return StartRuns(run.at(0), table, [run])
+
+
 def excursion_prefix(aut):
     """push^2, eps pop^1, pop^2 reading a@7: restores the original top."""
     cfg = excursion_config()
@@ -51,7 +56,7 @@ def test_case1_passes_sigma_through():
     run = classification_example_run().subrun(3, 5)  # pop^1, push^1: levels <= 1
     final = type_of_stack(run.configs[-1].stack, 1, table)
     sigmas = {2: tuple(final.typing(2))}
-    result = compute_src(run, 1, sigmas, table)
+    result = compute_src(run, 1, sigmas, alone(run, table))
     assert result.provenance.case == 1
     assert result.sets[2] == frozenset(sigmas[2])
 
@@ -60,8 +65,8 @@ def test_empty_sigma_single_push_gives_empty_src():
     aut = excursion_machine()
     cfg = excursion_config()
     run = drive(aut, cfg, [("c", 0)])
-    result = compute_src(run, 1, {2: ()}, table=saturate_level0(
-        aut, presence_monoid(aut.input_alphabet)))
+    table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    result = compute_src(run, 1, {2: ()}, alone(run, table))
     assert result.provenance.case == 2
     assert result.sets[2] == frozenset()
 
@@ -73,7 +78,7 @@ def test_excursion_case3_collects_pop_chain(excursion):
     assert is_k_upper(lrun, 0) and is_k_upper(lrun, 1)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    result = compute_src(run, 0, sigmas, table)
+    result = compute_src(run, 0, sigmas, alone(run, table))
     assert result.provenance.case == 3
     # the sources at level 1 include the chain descriptors that carry
     # the buried values 7 and 5
@@ -90,8 +95,8 @@ def test_src_deterministic_and_contained(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    first = compute_src(run, 0, sigmas, table)
-    second = compute_src(run, 0, sigmas, table)
+    first = compute_src(run, 0, sigmas, alone(run, table))
+    second = compute_src(run, 0, sigmas, alone(run, table))
     assert first.sets == second.sets
     init = type_of_stack(run.at(0).stack, 0, table)
     for i in (1, 2):
@@ -103,7 +108,7 @@ def test_src_requires_upper(excursion):
     cfg = excursion_config()
     full = drive(aut, cfg, [("c", 0), None, ("a", 7), ("b", 9)])  # a 1-return
     with pytest.raises(ValueError):
-        compute_src(full, 0, {1: (), 2: ()}, table)
+        compute_src(full, 0, {1: (), 2: ()}, alone(full, table))
 
 
 def test_src_rejects_bad_sigma(excursion):
@@ -113,7 +118,7 @@ def test_src_rejects_bad_sigma(excursion):
     gid = uni.intern_goal("SOME", 1, ((),), "q4")
     alien = uni.intern_desc(1, ((),), "q4", uni.intern_goal("SOME", 2, (), "q4"))
     with pytest.raises(ValueError):
-        compute_src(run, 0, {1: (alien,), 2: ()}, table)
+        compute_src(run, 0, {1: (alien,), 2: ()}, alone(run, table))
 
 
 def test_origin_part1_and_part2_positive(excursion):
@@ -122,7 +127,7 @@ def test_origin_part1_and_part2_positive(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, table, [7], runs)
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs), [7])
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
@@ -131,9 +136,9 @@ def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 4)
-    report = check_origin(run, 0, {1: (), 2: ()}, table, [0], runs)
+    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [0])
     assert report.errors and not report.ok
-    report = check_origin(run, 0, {1: (), 2: ()}, table, [9], runs)
+    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [9])
     assert any("topmost" in e for e in report.errors)
 
 
@@ -143,7 +148,7 @@ def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
     runs = normalized_runs(aut, run.at(0), 5)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, table, [0, 9, 7, 4], runs)
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs), [0, 9, 7, 4])
     assert len(report.errors) == 2
     assert any("d=0" in e for e in report.errors)
     assert any("d=9" in e and "topmost" in e for e in report.errors)
@@ -157,8 +162,8 @@ def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
     # the bounce push^1 reads 1, so the run is not normalized
     run = drive(aut, cfg, [("b", 1), ("a", 1)])
     runs = [run]
-    origin = check_origin(run, 0, {1: (), 2: ()}, table, [4, 6], runs)
-    upper = check_idv_upper(run, 0, table, [4, 6], runs)
+    origin = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [4, 6])
+    upper = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [4, 6])
     for report in (origin, upper):
         assert report.errors == ["run is not normalized"]
         assert report.checked == 0
@@ -169,7 +174,8 @@ def test_origin_vacuous_when_value_absent(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, table, [4], normalized_runs(aut, run.at(0), 4))
+    start = StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 4))
+    report = check_origin(run, 0, sigmas, start, [4])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -178,15 +184,15 @@ def test_origin_exhaustive_over_fragment():
     table = saturate_level0(frag, shape_monoid())
     hard = 0
     for cfg in cfgs:
-        runs = normalized_runs(frag, cfg, 4)
-        for run in runs:
+        start = StartRuns(cfg, table, normalized_runs(frag, cfg, 4))
+        for run in start.runs:
             lrun = instrument_lineage(run)
             for k in (0, 1):
                 if not is_k_upper(lrun, k):
                     continue
                 final = type_of_stack(run.configs[-1].stack, k, table)
                 sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-                report = check_origin(run, k, sigmas, table, [1, 2], runs)
+                report = check_origin(run, k, sigmas, start, [1, 2])
                 hard += len(report.hard_failures)
     assert hard == 0
 
@@ -196,11 +202,13 @@ def test_transfer_checks_reject_runs_from_another_start(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    foreign = normalized_runs(aut, run.last, 3)
+    foreign = StartRuns(run.last, table, normalized_runs(aut, run.last, 3))
     with pytest.raises(ValueError, match="start"):
-        check_origin(run, 0, sigmas, table, [7], foreign)
+        check_origin(run, 0, sigmas, foreign, [7])
     with pytest.raises(ValueError, match="start"):
-        check_idv_upper(run, 0, table, [4, 6], normalized_runs(aut, run.at(0), 3) + foreign)
+        check_idv_upper(run, 0, foreign, [4, 6])
+    with pytest.raises(ValueError, match="start"):
+        StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 3) + foreign.runs)
 
 
 def test_idv_upper_conclusion_holds(excursion):
@@ -210,9 +218,9 @@ def test_idv_upper_conclusion_holds(excursion):
     # at bound 3 the run is the unique one with its read class and state
     # (at bound 5 a bounce-prefixed run shares both and must be flagged)
     short, long = normalized_runs(aut, run.at(0), 3), normalized_runs(aut, run.at(0), 5)
-    report = check_idv_upper(run, 0, table, [4, 6], short)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, short), [4, 6])
     assert report.ok and report.verified == 1
-    longer = check_idv_upper(run, 0, table, [4, 6], long)
+    longer = check_idv_upper(run, 0, StartRuns(run.at(0), table, long), [4, 6])
     assert any("another normalized run" in e for e in longer.errors)
 
 
@@ -221,15 +229,15 @@ def test_idv_upper_hypothesis_failures_named(excursion):
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 5)
     # 5 is important where 6 is not: distinguishable hypothesis fails
-    report = check_idv_upper(run, 0, table, [5, 6], runs)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [5, 6])
     assert report.errors and any("distinguishable" in e for e in report.errors)
     # 9 appears in the initial topmost 0-stack
-    report = check_idv_upper(run, 0, table, [9, 6], runs)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [9, 6])
     assert any("topmost" in e for e in report.errors)
     # values read by the run are out
-    report = check_idv_upper(run, 0, table, [7, 6], runs)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [7, 6])
     assert any("read" in e for e in report.errors)
-    report = check_idv_upper(run, 0, table, [0, 6], runs)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [0, 6])
     assert report.errors
 
 
@@ -237,7 +245,7 @@ def test_idv_upper_checks_every_pair_that_meets_the_hypotheses(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 3)
-    report = check_idv_upper(run, 0, table, [9, 4, 5, 7, 6, 0], runs)
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [9, 4, 5, 7, 6, 0])
     # 0, 9 (stored on top) and 7 (read) are named once each; 5 splits
     # from 4 and from 6; only the pair (4, 6) is checked
     assert sum("d=0" in e for e in report.errors) == 1
@@ -268,7 +276,7 @@ def test_idv_upper_uniqueness_counterexample():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
     run = drive(aut, cfg, [None])
-    report = check_idv_upper(run, 0, table, [1, 2], normalized_runs(aut, cfg, 3))
+    report = check_idv_upper(run, 0, StartRuns(cfg, table, normalized_runs(aut, cfg, 3)), [1, 2])
     assert any("another normalized run" in e for e in report.errors)
 
 
@@ -296,7 +304,7 @@ def test_all_decomposition_cases_exercised():
                 continue
             final = type_of_stack(run.configs[-1].stack, k, table)
             sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-            walk(compute_src(run, k, sigmas, table).provenance)
+            walk(compute_src(run, k, sigmas, alone(run, table)).provenance)
     assert set(cases) == {1, 2, 3, 4}
 
 
@@ -327,7 +335,7 @@ def test_src_derivations_agree_with_lineage_on_subruns(corpus):
                     continue
                 final = type_of_stack(run.last.stack, k, table)
                 sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, aut.level + 1)}
-                for node in _upper_nodes(compute_src(run, k, sigmas, table).provenance):
+                for node in _upper_nodes(compute_src(run, k, sigmas, alone(run, table)).provenance):
                     i, j = node.span
                     assert is_k_upper(lrun, k, i, j)
                     if node.case == 3:

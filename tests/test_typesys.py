@@ -19,6 +19,7 @@ from hopad.harness import (
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.typesys import (
     NE,
+    StartRuns,
     Universe,
     atom_typing,
     check_composer,
@@ -251,7 +252,7 @@ def test_resource_cap():
 def test_run2type_single_pop_exact(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_run2type(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, False))
+    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, False)))
     assert report.ok
     assert report.unwitnessed == []
     assert report.verified >= 1
@@ -267,7 +268,7 @@ def test_run2type_empty_machine_vacuous():
     )
     table = saturate_level0(aut, presence_monoid("a"))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
-    report = check_run2type(cfg, table, runs_from(aut, cfg, 3, DEFAULT_UNIVERSE, False))
+    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 3, DEFAULT_UNIVERSE, False)))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -277,7 +278,7 @@ def test_run2type_example_chain_all_configs():
     run = classification_example_run()
     for i in range(len(run) + 1):
         cfg = run.at(i)
-        report = check_run2type(cfg, table, runs_from(aut, cfg, 6, DEFAULT_UNIVERSE, False))
+        report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, DEFAULT_UNIVERSE, False)))
         assert report.ok, report.hard_failures
         assert not report.unwitnessed
 
@@ -285,11 +286,11 @@ def test_run2type_example_chain_all_configs():
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True)), [5])
     assert report.ok
     assert report.verified >= 1
     # a value absent from the stack and never readable: vacuous
-    vac = check_idv(cfg, table, runs_from(aut, cfg, 2, (0, 1), True), [9])
+    vac = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, (0, 1), True)), [9])
     assert vac.ok and vac.verified == 0
 
 
@@ -299,22 +300,34 @@ def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     bare = Configuration("q", from_nested((Atom("g0", None),), 1))
     foreign = runs_from(aut, bare, 2, DEFAULT_UNIVERSE, True)
     with pytest.raises(ValueError, match="start"):
-        check_run2type(cfg, table, foreign)
+        StartRuns(cfg, table, foreign)
     with pytest.raises(ValueError, match="start"):
-        check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign, [5])
+        StartRuns(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True) + foreign)
+
+
+def test_idv_checks_each_distinct_value_once(single_pop):
+    aut, _, table = single_pop
+    cfg = single_pop_config()
+    start = StartRuns(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True))
+    once, twice = check_idv(start, [5]), check_idv(start, [5, 5])
+    assert twice.checked == once.checked and twice.verified == once.verified
+    assert twice.hard_failures == once.hard_failures and twice.unwitnessed == once.unwitnessed
+    zeros = check_idv(start, [0, 0, 5])
+    assert zeros.errors == ["d must differ from the normalization value 0"]
+    assert zeros.checked == once.checked
 
 
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    assert not check_idv(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True), [0]).ok
+    assert not check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, DEFAULT_UNIVERSE, True)), [0]).ok
 
 
 def test_idv_excursion_buried_value():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), [7])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True)), [7])
     assert report.ok, report.hard_failures
     assert report.verified >= 1
 
@@ -326,8 +339,8 @@ def test_correspondence_checks_on_random_machines():
         from hopad.core import initial_configuration
 
         cfg = initial_configuration(aut)
-        assert check_run2type(cfg, table, runs_from(aut, cfg, 5, (0, 1), False)).ok
-        assert check_idv(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), [1]).ok
+        assert check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False))).ok
+        assert check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True)), [1]).ok
 
 
 def test_goal_space_covers_materialized_goals(single_pop):
@@ -357,7 +370,6 @@ def test_universe_interning_and_level_checks():
 
 def test_agrees_examples(single_pop):
     from hopad.core import Step, empty_run, extend_run, step
-    from hopad.typesys import agrees
 
     aut, _, table = single_pop
     uni = table.universe
@@ -366,14 +378,15 @@ def test_agrees_examples(single_pop):
     res = step(aut, cfg, ("a", 5))
     assert isinstance(res, Step)
     run = extend_run(base, res)
+    start = StartRuns(cfg, table, [base, run])
     good = uni.intern_goal("SOME", 1, (), "qf")
     wrong_state = uni.intern_goal("SOME", 1, (), "q")
     wrong_class = uni.intern_goal("ID", 1, (), "qf")
-    assert agrees(run, good, table)
-    assert not agrees(run, wrong_state, table)
-    assert not agrees(run, wrong_class, table)
+    assert start.agrees(run, good)
+    assert not start.agrees(run, wrong_state)
+    assert not start.agrees(run, wrong_class)
     # a non-return run agrees with nothing
-    assert not agrees(base, good, table)
+    assert not start.agrees(base, good)
 
 
 def test_agrees_via_composed_descriptor_goal():
@@ -381,7 +394,7 @@ def test_agrees_via_composed_descriptor_goal():
     # is assembled by the push rule chaining a same-level return and a
     # continuation; the goal it agrees with reads the buried values
     from hopad.core import Step, empty_run, extend_run, step
-    from hopad.typesys import agrees, find_witness
+    from hopad.typesys import find_witness
 
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
@@ -392,9 +405,10 @@ def test_agrees_via_composed_descriptor_goal():
         res = step(aut, run.configs[-1], label)
         assert isinstance(res, Step)
         run = extend_run(run, res)
+    start = StartRuns(cfg, table, [run])
     goal = uni.intern_goal("SOME", 1, ((NE,),), "q4")
-    assert agrees(run, goal, table)
-    witness = find_witness(table, cfg, 0, goal)
+    assert start.agrees(run, goal)
+    witness = find_witness(start, 0, goal)
     assert witness is not None
     # and the witness carries both read values as important
     st = type_of_stack(cfg.stack, 0, table)
@@ -414,7 +428,7 @@ def test_empty_result_sets_force_reading():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
-    report = check_idv(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True)), [5])
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
     assert not report.unwitnessed
@@ -426,7 +440,7 @@ def test_value_unreachable_from_outer_state_is_vacuous():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True)), [5])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -472,7 +486,7 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     table = saturate_level0(frag, shape_monoid())
     boot = cfgs[0]
     assert boot.state == "work" and len(boot.stack) == 2
-    report = check_run2type(boot, table, runs_from(frag, boot, 8, (0, 1), False))
+    report = check_run2type(StartRuns(boot, table, runs_from(frag, boot, 8, (0, 1), False)))
     assert report.ok, report.hard_failures
     # no return completes from the pristine stack within the bound (a
     # bracket cycle needs a counted opening first), so nothing is
@@ -508,7 +522,7 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
     import itertools
 
     from hopad import typesys
-    from hopad.harness import DEFAULT_BOUNDS, _corpus_with_tables
+    from hopad.harness import DEFAULT_BOUNDS, _starts
 
     original = typesys._discharges
     yields = 0
@@ -534,8 +548,8 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
             yield phi_by_level, flag
 
     monkeypatch.setattr(typesys, "_discharges", checked)
-    for _ in _corpus_with_tables(20260808, DEFAULT_BOUNDS["typed_machines"]):
-        pass
+    for _ in _starts(20260808, DEFAULT_BOUNDS["typed_machines"], 0, (0,), True):
+        pass  # saturates each machine once
     assert yields == 235
 
 
@@ -609,23 +623,16 @@ def test_stack_typing_per_node_is_the_fold_over_elements(fragment_openings, open
 def test_stack_typing_is_the_fold_over_elements_on_the_typed_corpus():
     # the u-fragment's stacks above type to {ne} at levels 1 and 2; these
     # carry promoted descriptors and important values there
-    from hopad.harness import (
-        DEFAULT_BOUNDS,
-        EnumerationSpace,
-        _corpus_with_tables,
-        enumerate_runs,
-        universe_for,
-    )
+    from hopad.harness import DEFAULT_BOUNDS, _starts
 
     stacks = promoted = 0
-    for _, aut, cfgs, table in _corpus_with_tables(20260808, DEFAULT_BOUNDS["typed_machines"]):
-        for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 5, universe_for(aut, cfg, (0, 1)))
-            for run in enumerate_runs(space):
-                _assert_typings_are_the_fold(run.last.stack, aut.level, table, {})
-                st = type_of_stack(run.last.stack, 0, table)
-                promoted += any(set(st.typing(i)) - {NE} for i in range(1, aut.level + 1))
-                stacks += 1
+    for _, start, _ in _starts(20260808, DEFAULT_BOUNDS["typed_machines"], 5, (0, 1), False):
+        table, n = start.table, start.table.automaton.level
+        for run in start.runs:
+            _assert_typings_are_the_fold(run.last.stack, n, table, {})
+            st = type_of_stack(run.last.stack, 0, table)
+            promoted += any(set(st.typing(i)) - {NE} for i in range(1, n + 1))
+            stacks += 1
     assert stacks > 1000 and promoted > 500
 
 
