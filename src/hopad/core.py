@@ -14,10 +14,12 @@ operation rebuilds only the path from the root to the rewritten
 substack and shares everything under it with its input, so pop, push and
 stack_sizes cost O(level) and consecutive configurations of a run share
 their stacks almost entirely (collapse also walks past the (i-1)-stacks
-it removes).  A run made by :func:`extend_run` points at the run it
-extends, so recording a step costs O(1); its tuples are built on first
-read, and the pointer is dropped then.  An automaton builds its rule
-tables and its initial configuration on first use and shares them.
+it removes).  A collapsible push reads its links on its one descent;
+:func:`stack_sizes` is their oracle.  A run made by :func:`extend_run`
+points at the run it extends, so recording a step costs O(1); its tuples
+are built on first read, and the pointer is dropped then.  An automaton
+builds its rule tables and its initial configuration on first use and
+shares them.
 Configurations and runs can be stored and shared freely, across threads
 too: values filled in on first use are the same whichever thread fills
 them in.
@@ -151,8 +153,7 @@ def to_nested(stack: Stack, level: int):
     return tuple(to_nested(child, level - 1) for child in stack)
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     kind: str  # "pop" | "push" | "collapse"
     level: int
     symbol: Optional[str] = None
@@ -366,6 +367,9 @@ def recompose(pieces: Iterable[Optional[Stack]]) -> Stack:
     return cur
 
 
+_tuple = tuple.__new__  # namedtuple's `_make` route, past the Python-level __new__
+
+
 def _replace_top(stack: Stack, depth: int, new: Stack) -> Stack:
     """`stack` with the substack `depth` levels down its top path replaced
     by `new`; only the nodes on that path are rebuilt."""
@@ -393,7 +397,9 @@ def apply_operation(
     k = op.level
     kind = op.kind
     target = stack
+    sizes = ()  # (k_{k+1}, ..., k_n): the sizes passed on the way to `target`
     for _ in range(level - k):
+        sizes = (target.size,) + sizes
         target = target.top
     if kind == "pop":
         if target.below is None:
@@ -401,10 +407,13 @@ def apply_operation(
         new = target.below
     elif kind == "push":
         links = None
-        if collapsible:
-            sizes = stack_sizes(stack, level)
-            links = sizes[: k - 1] + (sizes[k - 1] + 1,) + sizes[k:]
-        atom = Atom(op.symbol, data, links)
+        if collapsible:  # the copy makes k_k one larger; descend on to k_1
+            links = (target.size + 1,) + sizes
+            cur = target.top
+            for _ in range(k - 1):
+                links = (cur.size,) + links
+                cur = cur.top
+        atom = _tuple(Atom, (op.symbol, data, links))
         new = Node(target, _replace_top(target.top, k - 1, atom))
     elif kind == "collapse":
         if not collapsible:
@@ -459,7 +468,7 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
             new = apply_operation(stack, aut.level, rule.op, NO_DATA, aut.collapsible)
         except StackError as exc:
             return Stuck(f"ill-formed: {exc}")
-        return Step(Configuration(rule.target, new), (None, None), rule)
+        return _tuple(Step, (_tuple(Configuration, (rule.target, new)), (None, None), rule))
     if next_input is None:
         return Stuck("no-transition")
     letter, value = next_input
@@ -472,7 +481,7 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
         new = apply_operation(stack, aut.level, rule.op, value, aut.collapsible)
     except StackError as exc:
         return Stuck(f"ill-formed: {exc}")
-    return Step(Configuration(rule.target, new), (letter, value), rule)
+    return _tuple(Step, (_tuple(Configuration, (rule.target, new)), (letter, value), rule))
 
 
 class Run:

@@ -93,6 +93,7 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
     """All runs of length <= max_steps from the start configuration, each
     run directly followed by its extensions in input order (depth first)."""
     aut = space.automaton
+    letters = sorted(aut.input_alphabet)
     out: list[Run] = []
     todo = [empty_run(aut, space.start)]
     while todo:
@@ -111,7 +112,7 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
                 todo.append(extend_run(run, res))
             continue
         children = []
-        for letter in sorted(aut.input_alphabet):
+        for letter in letters:
             rule = aut.letter_rules.get((state, atom.symbol, letter))
             if rule is None:
                 continue
@@ -529,9 +530,9 @@ def _suite_classifier_equivalence(seed, bounds):
             mismatches: dict[tuple, list[str]] = {}
             for run in _runs(aut, cfg, bounds["run_bound"], (0, 1), False):
                 ops = run.operations()
-                if ops not in mismatches:
-                    mismatches[ops] = _classifier_mismatches(name, run)
-                hard += mismatches[ops]
+                if (lines := mismatches.get(ops)) is None:
+                    lines = mismatches[ops] = _classifier_mismatches(name, run)
+                hard += lines
                 checked += (n + 1) + 2 * n
     return hard, [], {"checked": checked}
 

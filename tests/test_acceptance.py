@@ -47,7 +47,7 @@ def test_criterion_01_classification_grid_reproduction():
 
 
 def test_criterion_02_u_differential():
-    _criterion(2, "recognizer/oracle differential", 45.0, ["u-differential"])
+    _criterion(2, "recognizer/oracle differential", 30.0, ["u-differential"])
 
 
 def test_criterion_03_classifier_equivalence():

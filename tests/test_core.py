@@ -84,12 +84,32 @@ def test_initial_links_when_collapsible():
 @pytest.mark.parametrize("collapsible", (False, True))
 def test_the_initial_configuration_is_built_once_per_automaton(level, collapsible):
     aut = Automaton(
-        level, frozenset("a"), frozenset("XZ"), "X", frozenset({"q"}), "q", frozenset(), (),
+        level, frozenset("abc"), frozenset("XZ"), "X", frozenset({"q", "r"}), "q",
+        frozenset({"r"}),
+        (
+            Transition("q", "X", "a", "r", push(level, "X")),
+            Transition("q", "X", "b", "q", push(1, "Z")),
+            Transition("q", "Z", None, "q", push(1, "Z")),
+        ),
         collapsible,
     )
     first = initial_configuration(aut)
     assert initial_configuration(aut) is first
-    assert execute_word(aut, ()).run.at(0) is first
+    roots = []
+    outcomes = (("a", "accepted"), ("", "rejected"), ("ac", "rejected"), ("b", "budget-exhausted"))
+    for word, kind in outcomes:
+        out = execute_word(aut, tuple((letter, 0) for letter in word), eps_budget=3)
+        assert out.kind == kind, word
+        root = out.run
+        while root._parent is not None:  # walked before the run's tuples are built
+            root = root._parent
+        assert len(out.run.configs) == len(out.run) + 1
+        assert len(root) == 0 and root.configs == (first,) and root.at(0) is first
+        roots.append(root)
+    # each call starts from a zero-step run of its own
+    assert len({id(root) for root in roots}) == len(roots)
+    start = Configuration("r", first.stack)
+    assert execute_word(aut, (), start=start).run.configs == (start,)
     literal = _nest(atom("X", None, (1,) * level if collapsible else None), level)
     assert first == Configuration("q", from_nested(literal, level))
     assert initial_configuration(dataclasses.replace(aut)) is not first
@@ -301,6 +321,33 @@ def test_execute_word_is_a_fold_over_step():
         unconsumed.add(out.reason is not None and "unconsumed" in out.reason)
     assert kinds == {"accepted", "rejected", "budget-exhausted"}
     assert unconsumed == {False, True}
+
+
+def test_every_step_goes_through_step_apply_operation_and_extend_run(monkeypatch):
+    # the benchmark's per-layer split counts these calls through the module
+    # globals, and keys apply_operation by the op it gets at position 2
+    from hopad.ulang import build_u_recognizer
+
+    calls = {"step": 0, "apply_operation": 0, "extend_run": 0}
+    kinds = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "apply_operation":
+                kinds.append(args[2].kind)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
+    word = (("[", 1), ("[", 2), ("$", 0), ("]", 2), ("]", 1))
+    out = core.execute_word(build_u_recognizer(), word)
+    assert out.accepted
+    assert calls == dict.fromkeys(calls, len(out.run))
+    assert kinds == [t.op.kind for t in out.run.transitions]
+    assert {"push", "pop", "collapse"} == set(kinds)
+    assert {None, "["} <= {label[0] for label in out.run.labels}
 
 
 def test_execute_word_from_a_start_configuration():
