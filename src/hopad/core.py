@@ -17,9 +17,10 @@ their stacks almost entirely (collapse also walks past the (i-1)-stacks
 it removes).  A collapsible push reads its links on its one descent;
 :func:`stack_sizes` is their oracle.  A run made by :func:`extend_run`
 points at the run it extends, so recording a step costs O(1); its tuples
-are built on first read, and the pointer is dropped then.  An automaton
-builds its rule tables and its initial configuration on first use and
-shares them.
+are built on first read, and the pointer is dropped then.
+:meth:`Run.operations` reads the chain without building them.  An
+automaton builds its rule tables and its initial configuration on first
+use and shares them.
 Configurations and runs can be stored and shared freely, across threads
 too: values filled in on first use are the same whichever thread fills
 them in.
@@ -497,7 +498,9 @@ class Run:
     extends.  The first read of `configs`, `labels` or `transitions`
     reaches :meth:`__getattr__`, which builds all three in one walk back
     to the nearest built run (whose `_parent` is None) and only then
-    clears `_parent`.
+    clears `_parent`.  :meth:`operations` walks the same chain for the
+    operations alone and builds nothing, so a caller that reads only
+    those leaves the run unbuilt.
     """
 
     __slots__ = (
@@ -573,7 +576,15 @@ class Run:
         return tuple((a, d) for a, d in self.labels if a is not None)
 
     def operations(self) -> tuple[Op, ...]:
-        return tuple(t.op for t in self.transitions)
+        """The operation of each step, read off the `_parent` chain back to
+        the nearest built run without building this run's tuples."""
+        ops = []
+        run, parent = self, self._parent
+        while parent is not None:  # each `_parent` read once: a thread may clear it
+            ops.append(run._transition.op)
+            run, parent = parent, parent._parent
+        ops.reverse()
+        return tuple([t.op for t in run.transitions] + ops)
 
 
 def empty_run(aut: Automaton, config: Configuration) -> Run:
@@ -592,8 +603,7 @@ def extend_run(run: Run, step_result: Step) -> Run:
     return new
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # "accepted" | "rejected" | "budget-exhausted"
     run: Run
     reason: Optional[str] = None
@@ -626,18 +636,18 @@ def execute_word(
     while True:
         config = run.last
         if pos == n and config.state in accepting:
-            return Outcome("accepted", run)
+            return _tuple(Outcome, ("accepted", run, None))
         res = step(aut, config, word[pos] if pos < n else None)
         if res.__class__ is Stuck:
             if pos < n:
                 reason = f"{res.reason}, {n - pos} letters unconsumed"
             else:
                 reason = res.reason
-            return Outcome("rejected", run, reason)
+            return _tuple(Outcome, ("rejected", run, reason))
         if res.label[0] is None:
             streak += 1
             if streak > eps_budget:
-                return Outcome("budget-exhausted", run)
+                return _tuple(Outcome, ("budget-exhausted", run, None))
         else:
             streak = 0
             pos += 1

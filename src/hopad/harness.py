@@ -542,13 +542,14 @@ def _classifier_mismatches(name, run):
     on the run, for every level."""
     lrun = instrument_lineage(run)
     ops = run.operations()
+    memo = {}  # one per run: its keys carry the shape and the level
     out = []
     for k in range(0, run.automaton.level + 1):
-        if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
+        if is_k_upper(lrun, k) != (decompose_upper(run, k, _memo=memo) is not None):
             out.append(f"{name}: upper mismatch k={k} ops={ops}")
     for r in range(1, run.automaton.level + 1):
         lhs = is_k_return(lrun, r)
-        if lhs != (decompose_return(run, r) is not None):
+        if lhs != (decompose_return(run, r, _memo=memo) is not None):
             out.append(f"{name}: return mismatch r={r} ops={ops}")
         if lhs != remark_k_return(lrun, r):
             out.append(f"{name}: remark mismatch r={r} ops={ops}")

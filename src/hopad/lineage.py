@@ -239,8 +239,7 @@ def is_normalized(run: Run) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DecompositionTree:
+class DecompositionTree(NamedTuple):
     shape: str  # "return" | "upper"
     case: int
     level: int

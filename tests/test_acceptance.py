@@ -51,17 +51,17 @@ def test_criterion_02_u_differential():
 
 
 def test_criterion_03_classifier_equivalence():
-    _criterion(3, "classifier equivalence", 20.0, ["classifier-equivalence"])
+    _criterion(3, "classifier equivalence", 5.0, ["classifier-equivalence"])
 
 
 def test_criterion_04_run_descriptor_soundness():
     # the suite itself escalates unwitnessed single-pop items to hard,
     # so the fully-witnessed requirement on that machine rides on `ok`
-    _criterion(4, "run/descriptor correspondence at bound 6", 300.0, ["run2type"])
+    _criterion(4, "run/descriptor correspondence at bound 6", 5.0, ["run2type"])
 
 
 def test_criterion_05_important_value_soundness():
-    _criterion(5, "important-value correspondence, normalized runs", 300.0, ["idv"])
+    _criterion(5, "important-value correspondence, normalized runs", 5.0, ["idv"])
 
 
 def test_criterion_06_origin_transfer():
@@ -71,11 +71,11 @@ def test_criterion_06_origin_transfer():
             return ["missing soft count"]
         return []
 
-    _criterion(6, "origin transfer at bound 5", 300.0, ["origin"], check=soft_counted)
+    _criterion(6, "origin transfer at bound 5", 5.0, ["origin"], check=soft_counted)
 
 
 def test_criterion_07_indistinguishability_transfer():
-    _criterion(7, "indistinguishability transfer at bound 5", 300.0, ["idv-upper"])
+    _criterion(7, "indistinguishability transfer at bound 5", 5.0, ["idv-upper"])
 
 
 def test_criterion_08_monoid_laws():

@@ -591,6 +591,69 @@ def test_a_run_built_by_another_thread_is_not_walked_again():
     assert Run.__getattr__(run, "labels") is labels
 
 
+def _chain(run):
+    """The runs of an unbuilt `extend_run` chain, from its root to `run`."""
+    runs = [run]
+    while runs[-1]._parent is not None:
+        runs.append(runs[-1]._parent)
+    return runs[::-1]
+
+
+def _spy_builds(monkeypatch):
+    """The runs whose tuples ``Run.__getattr__`` builds from now on."""
+    built = []
+    build = Run.__getattr__
+
+    def spy(run, name):
+        built.append(run)
+        return build(run, name)
+
+    monkeypatch.setattr(Run, "__getattr__", spy)
+    return built
+
+
+def test_operations_read_the_chain_without_building_the_run(monkeypatch):
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    word = (("[", 1), ("[", 2), ("$", 0), ("]", 2))
+    for middle_built_first in (False, True):
+        run = execute_word(aut, word).run
+        chain = _chain(run)
+        assert len(chain) == len(run) + 1 and len({op.kind for op in run.operations()}) > 1
+        if middle_built_first:
+            middle = chain[len(chain) // 2]
+            assert middle.transitions and middle._parent is None
+        built = _spy_builds(monkeypatch)
+        ops = [r.operations() for r in chain]
+        assert built == [] and run._parent is not None
+        monkeypatch.undo()
+        for r, got in zip(chain, ops):
+            assert got == tuple(t.op for t in r.transitions)
+    made = Run(aut, run.configs, run.labels, run.transitions)  # built by __init__
+    assert made.operations() == tuple(t.op for t in run.transitions) == ops[-1]
+
+
+def test_outcomes_are_plain_tuples_with_the_same_fields():
+    aut = single_pop_automaton()
+    eps_loop = dataclasses.replace(
+        aut, transitions=(Transition("q", "g0", None, "q", push(1, "g0")),)
+    )
+    cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
+    cases = (
+        (execute_word(aut, (("a", 5),), start=cfg), "accepted", None),
+        (execute_word(aut, (("a", 4),), start=cfg), "rejected", "data-mismatch, 1 letters unconsumed"),
+        (execute_word(eps_loop, (), eps_budget=2), "budget-exhausted", None),
+    )
+    for out, kind, reason in cases:
+        assert (out.kind, out.reason, out.accepted) == (kind, reason, kind == "accepted")
+        same = core.Outcome(kind, out.run, reason)
+        assert out == same and hash(out) == hash(same)
+        assert out != core.Outcome(kind, out.run, "other")
+        assert repr(out) == f"Outcome(kind={kind!r}, run={out.run!r}, reason={reason!r})"
+    assert core.Outcome("accepted", cases[0][0].run).reason is None
+
+
 def _wide_stack(level, width):
     """A collapsible stack whose topmost k-stacks are all `width` wide."""
     stack = from_nested(_nest(atom("g", None, (1,) * level), level), level)

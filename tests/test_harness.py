@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hopad import harness, srcsets, typesys
-from hopad.core import Atom, Configuration, extend_run, from_nested, replay, to_nested
+from hopad.core import Atom, Configuration, Run, extend_run, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -258,6 +258,51 @@ def test_classifier_equivalence_instruments_once_per_start_and_operations(monkey
     monkeypatch.setattr(harness, "instrument_lineage", counted)
     assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
     assert len(made) == len(set(made)) and set(made) == keys
+
+
+def test_classifier_equivalence_builds_only_the_runs_it_instruments(monkeypatch):
+    # the memo key is read off the run chain; only a run that is decided
+    # (a new operation sequence) has its tuples built
+    built, instrumented = [], []
+    build = Run.__getattr__
+
+    def spy(run, name):
+        built.append(run)
+        return build(run, name)
+
+    def counted(run):
+        instrumented.append(run)
+        return instrument_lineage(run)
+
+    monkeypatch.setattr(Run, "__getattr__", spy)
+    monkeypatch.setattr(harness, "instrument_lineage", counted)
+    bounds = {"corpus_machines": 8, "run_bound": 4}
+    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    decided = {id(run) for run in instrumented}
+    assert built and {id(run) for run in built} <= decided
+
+
+def test_classifier_equivalence_shares_one_memo_per_run(monkeypatch):
+    # a tree from the run's shared memo equals the tree from a fresh one;
+    # trees read only the operations, and the suite decides every distinct
+    # operation sequence of every start configuration
+    memos, compared = {}, []
+
+    def checked(decompose):
+        def derive(run, level, _memo):
+            assert memos.setdefault(id(run), (run, _memo))[1] is _memo
+            tree = decompose(run, level, _memo=_memo)
+            assert tree == decompose(run, level), (run.operations(), level)
+            compared.append(tree is not None)
+            return tree
+
+        return derive
+
+    monkeypatch.setattr(harness, "decompose_upper", checked(decompose_upper))
+    monkeypatch.setattr(harness, "decompose_return", checked(decompose_return))
+    bounds = {"corpus_machines": harness.DEFAULT_BOUNDS["corpus_machines"], "run_bound": 6}
+    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    assert len(memos) > 1000 and set(compared) == {False, True}
 
 
 def test_soundness_suites_instrument_no_lineage(monkeypatch):

@@ -17,6 +17,7 @@ from hopad.harness import (
     enumerate_runs,
 )
 from hopad.lineage import (
+    DecompositionTree,
     classification_table,
     decompose_return,
     decompose_upper,
@@ -310,3 +311,15 @@ def test_classification_table_of_533_steps_within_budget():
     start = time.perf_counter()
     classification_table(lrun)
     assert time.perf_counter() - start < 2.0
+
+
+def test_decomposition_trees_keep_their_fields_defaults_and_repr():
+    leaf = DecompositionTree("return", 1, 2, (3, 4))
+    assert (leaf.split, leaf.children) == (None, ())
+    assert repr(leaf) == (
+        "DecompositionTree(shape='return', case=1, level=2, span=(3, 4), split=None, children=())"
+    )
+    tree = DecompositionTree("upper", 3, 1, (2, 4), children=(leaf,))
+    assert tree == DecompositionTree("upper", 3, 1, (2, 4), None, (leaf,))
+    assert hash(tree) == hash(DecompositionTree("upper", 3, 1, (2, 4), children=(leaf,)))
+    assert tree.render("  ") == "  case 3 [2..4]"
