@@ -6,10 +6,11 @@ spine pieces from which the final important data values originate.  The
 computation follows the run's k-upper derivation (``decompose_upper``):
 segments that never touch levels above k pass the sets through
 unchanged; a push closes them backward through composers over the
-initial pieces; a push followed by a return closes over the descriptors
-of the post-push topmost k-stack that realize the return; compositions
-chain right to left.  Derivations, typings and the runs the transfer
-checks search come from a :class:`~hopad.typesys.StartRuns`.
+initial pieces, whose realizers come from ``Universe.realizers``; a
+push followed by a return closes over the descriptors of the post-push
+topmost k-stack that realize the return; compositions chain right to
+left.  Derivations, typings and the runs the transfer checks search
+come from a :class:`~hopad.typesys.StartRuns`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .core import Run, stack_values, top_stack
 from .lineage import DecompositionTree, is_normalized
-from .monoid import phi_of_run
+from .monoid import classify_word
 from .typesys import (
     NE,
     CheckReport,
@@ -41,22 +42,19 @@ class SrcResult:
 
 def _promote(uni, src: dict, members, r: int, st: StackTyping, k: int) -> None:
     """Add to `src` the sets, levels k+1..r, of every composer realizing
-    one of the level-r descriptors `members` over the pieces s^r..s^k:
-    level-k descriptors of s^k whose level-r drop is a member and whose
-    intermediate slots hold."""
+    the level-r descriptors `members` over the pieces s^r..s^k: the union
+    over the realizers of each member in s^k (``Universe.realizers``)
+    whose intermediate slots hold."""
     members = set(members) - {NE}
     if not members:
         return
-    for cand in st.typing(k):
-        if cand == NE:
-            continue
-        d = uni.desc(cand)
-        if uni.goal(d.goal).r < r + 1 or uni.drop(cand, r) not in members:
-            continue
-        psis = {i: uni.psi_at(d, i) for i in range(k + 1, r + 1)}
-        if _held(st, psis):
-            for i, ids in psis.items():
-                src[i] |= set(ids)
+    index = uni.realizers(st.typing(k), r)
+    for member in members:
+        for cand in index.get(member, ()):
+            psis = {i: uni.psi_at(uni.desc(cand), i) for i in range(k + 1, r + 1)}
+            if _held(st, psis):
+                for i, ids in psis.items():
+                    src[i] |= set(ids)
 
 
 def _src(node: DecompositionTree, sig: dict, run: Run, k: int, start: StartRuns) -> dict:
@@ -77,7 +75,7 @@ def _src(node: DecompositionTree, sig: dict, run: Run, k: int, start: StartRuns)
     else:  # case 3: push^r followed by an r-return
         src = {lvl: set(ids) if lvl <= r else set() for lvl, ids in sig.items()}
         goal_id = uni.intern_goal(
-            phi_of_run(table.monoid, run.subrun(i + 1, j)),
+            classify_word(table.monoid, (a for a, _ in run.labels[i + 1 : j] if a is not None)),
             r,
             (sig[lvl] for lvl in range(n, r, -1)),
             run.at(j).state,

@@ -17,6 +17,13 @@ same entry, without (2a) or with (2b) a same-level continuation.  The
 `idv` flag rides along: it marks descriptors whose described runs can
 actually use the atom's own data value.
 
+A composer realizes each non-ne member of a level-r slot by a
+lower-level descriptor whose level-r drop it is.  One realizer index,
+:meth:`Universe.realizers`, answers which candidates realize a member,
+for rules 2a/2b, for :func:`goal_space` and for the src sets' promotion
+(``srcsets``).  :func:`check_composer` decides the composer condition
+on its own and is the oracle the tests hold both production paths to.
+
 Free assumption-set positions (rule 1a's slots, which must mirror the
 goal's promised sets) are instantiated from the fixed slot universe
 {{}, {ne}} at every level.  For automata of level <= 2 this is
@@ -38,6 +45,7 @@ from .lineage import DecompositionTree, decompose_return, decompose_upper
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
+COMPOSER_STATE_CAP = 50_000  # distinct composer vectors one push slot may reach
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,16 @@ class Universe:
         if self.goal(d.goal).r < k + 1:
             return None
         return self.intern_desc(k, d.psis[: self.level - k], d.state, d.goal)
+
+    def realizers(self, dids: Iterable[int], k: int) -> dict[int, list[int]]:
+        """The realizer index of `dids`: each level-k drop to the
+        descriptors of `dids` that drop to it, in order.  ne and the
+        descriptors whose goal forbids the drop are left out."""
+        index: dict[int, list[int]] = {}
+        for did in dids:
+            if did != NE and (dropped := self.drop(did, k)) is not None:
+                index.setdefault(dropped, []).append(did)
+        return index
 
     def struct_key(self, did: int):
         """Order-independent structural form, for cross-run comparisons."""
@@ -302,62 +320,39 @@ def saturate_level0(
                     src_entry = entries[src_key]
                     if not entries[pushed_key]:
                         continue
-                    drop_index: dict[int, list[int]] = {}
+                    drop_index = uni.realizers(src_entry, k)
                     chi_index: dict[tuple, list[int]] = {}
                     for did in src_entry:
                         d = uni.desc(did)
-                        dr = uni.drop(did, k)
-                        if dr is not None:
-                            drop_index.setdefault(dr, []).append(did)
                         if uni.goal(d.goal).r <= k:
-                            chi_index.setdefault(
-                                (d.state, d.psis[: n - k]), []
-                            ).append(did)
+                            chi_index.setdefault((d.state, d.psis[: n - k]), []).append(did)
                     for tau_id in list(entries[pushed_key]):
                         tau = uni.desc(tau_id)
                         if tau.state != tr.target:
                             continue  # the continuation starts where the push lands
                         g1 = uni.goal(tau.goal)
+                        m1 = monoid.mul(phi(tr.letter), g1.m)
                         if g1.r != k:
-                            gid = uni.intern_goal(
-                                monoid.mul(phi(tr.letter), g1.m),
-                                g1.r,
-                                g1.sigmas,
-                                g1.q,
-                            )
-                            chis: list[Optional[int]] = [None]
+                            gid = uni.intern_goal(m1, g1.r, g1.sigmas, g1.q)
+                            chis: Sequence[Optional[int]] = (None,)
                         else:
-                            chis = list(chi_index.get((g1.q, g1.sigmas), ()))
+                            chis = chi_index.get((g1.q, g1.sigmas), ())
                             if not chis:
                                 continue
                         for phi_by_level, used_flag in _discharges(
                             uni, uni.psi_at(tau, k), src_entry, drop_index, k
                         ):
                             for chi_id in chis:
-                                if chi_id is None:
-                                    psis = _merge_psis(uni, n, k, tau, phi_by_level, None)
-                                    add(
-                                        src_key,
-                                        uni.intern_desc(0, psis, tr.state, gid),
-                                        used_flag,
-                                    )
-                                else:
+                                chi, flag = None, used_flag
+                                if chi_id is not None:
                                     chi = uni.desc(chi_id)
                                     g2 = uni.goal(chi.goal)
-                                    psis = _merge_psis(uni, n, k, tau, phi_by_level, chi)
-                                    gid2 = uni.intern_goal(
-                                        monoid.mul(
-                                            monoid.mul(phi(tr.letter), g1.m), g2.m
-                                        ),
-                                        g2.r,
-                                        g2.sigmas,
-                                        g2.q,
+                                    gid = uni.intern_goal(
+                                        monoid.mul(m1, g2.m), g2.r, g2.sigmas, g2.q
                                     )
-                                    add(
-                                        src_key,
-                                        uni.intern_desc(0, psis, tr.state, gid2),
-                                        used_flag or src_entry[chi_id],
-                                    )
+                                    flag = used_flag or src_entry[chi_id]
+                                psis = _merge_psis(uni, n, k, tau, phi_by_level, chi)
+                                add(src_key, uni.intern_desc(0, psis, tr.state, gid), flag)
     except ResourceCapExceeded as exc:
         raise ResourceCapExceeded(str(exc), _snap_stats(stats, uni, entries)) from None
     return Level0TypeTable(aut, monoid, uni, entries, _snap_stats(stats, uni, entries))
@@ -385,7 +380,7 @@ def _merge_psis(uni, n, k, tau, phi_by_level, chi) -> tuple:
     return tuple(psis)
 
 
-def _discharges(uni, psi_k, flags, drop_index, k, state_cap=50_000):
+def _discharges(uni, psi_k, flags, drop_index, k):
     """Composers for the level-k slot against level-0 descriptors.
 
     ne members are dischargeable for free; every other member needs a
@@ -418,9 +413,9 @@ def _discharges(uni, psi_k, flags, drop_index, k, state_cap=50_000):
                 )
                 nf = flag or cflag
                 nxt[merged] = nxt.get(merged, False) or nf
-        if len(nxt) > state_cap:
+        if len(nxt) > COMPOSER_STATE_CAP:
             raise ResourceCapExceeded(
-                f"composer state space exceeds {state_cap}", SaturationStats()
+                f"composer state space exceeds {COMPOSER_STATE_CAP}", SaturationStats()
             )
         states = nxt
     for vec, flag in states.items():
@@ -683,14 +678,10 @@ def goal_space(table: Level0TypeTable) -> list[int]:
     n = table.automaton.level
     out = {d.goal for d in uni.descriptors[1:] if d is not None}
     seen = sorted({did for entry in table.entries.values() for did in entry})
-    level_opts: dict[int, list] = {}
-    for i in range(1, n + 1):
-        opts = {(), (NE,)}
-        for did in seen:
-            dropped = uni.drop(did, i) if uni.desc(did).level < i else None
-            if dropped is not None:
-                opts.add((dropped,))
-        level_opts[i] = sorted(opts)
+    level_opts = {
+        i: sorted({(), (NE,)} | {(dropped,) for dropped in uni.realizers(seen, i)})
+        for i in range(1, n + 1)
+    }
     for r in range(1, n + 1):
         for m in table.monoid.carrier:
             for q in sorted(table.automaton.states):

@@ -160,16 +160,31 @@ def test_classify_subrun_span():
 
 
 def test_types_output_is_stable():
-    code, first = run_cli(
-        "types", str(GOLDEN / "excursion.scenario"), "--monoid", "presence"
-    )
-    assert code == 0
-    assert "entry g data" in first
-    assert "(desc" in first and "idv" in first
-    _, second = run_cli(
-        "types", str(GOLDEN / "excursion.scenario"), "--monoid", "presence"
-    )
-    assert first == second
+    # the golden pins descriptor and goal ids, which number them in
+    # interning order, and the stats line; a second call gives the same
+    golden = (GOLDEN / "excursion-types.txt").read_text()
+    for _ in range(2):
+        code, out = run_cli("types", str(GOLDEN / "excursion.scenario"), "--monoid", "presence")
+        assert (code, out) == (0, golden)
+
+
+def test_composer_state_cap_is_reported(monkeypatch, tmp_path):
+    # random-5 of the corpus discharges push slots with non-ne members, so
+    # a cap of 0 composer vectors is hit during saturation
+    from hopad import typesys
+    from hopad.harness import random_machine
+    from hopad.monoid import presence_monoid
+
+    aut = random_machine(20260808, 5)
+    monkeypatch.setattr(typesys, "COMPOSER_STATE_CAP", 0)
+    with pytest.raises(typesys.ResourceCapExceeded) as caught:
+        typesys.saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    assert caught.value.stats.descriptors > 0
+    path = tmp_path / "random-5.aut"
+    path.write_text(format_automaton(aut))
+    code, err = run_cli_stderr("types", str(path), "--monoid", "presence")
+    assert code == 2
+    assert err == "composer state space exceeds 0\n"
 
 
 def test_src_command():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hopad import harness, srcsets, typesys
+from hopad import harness, typesys
 from hopad.core import Atom, Configuration, Run, extend_run, from_nested, replay, to_nested
 from hopad.harness import (
     EnumerationSpace,
@@ -462,7 +462,6 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
 
     monkeypatch.setattr(harness, "_runs", counted_runs)
     spy("phi", typesys, "phi_of_run")
-    spy("phi", srcsets, "phi_of_run")
     spy("type", typesys, "type_of_stack")
     spy("upper", typesys, "decompose_upper")
     spy("return", typesys, "decompose_return")

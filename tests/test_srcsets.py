@@ -16,7 +16,7 @@ from hopad.harness import (
 from hopad.lineage import instrument_lineage, is_k_return, is_k_upper
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.srcsets import check_idv_upper, check_origin, compute_src
-from hopad.typesys import NE, StartRuns, saturate_level0, type_of_stack
+from hopad.typesys import NE, StackTyping, StartRuns, Universe, saturate_level0, type_of_stack
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +345,84 @@ def test_src_derivations_agree_with_lineage_on_subruns(corpus):
                         assert is_k_upper(lrun, k, node.split, j)
                     seen[node.case] += 1
     assert seen[3] and seen[4]
+
+
+def test_origin_suite_builds_no_subrun(monkeypatch):
+    # case 3 of the src sets classifies the return span from the run's
+    # labels, so the origin suite copies no subrun out of a run
+    from hopad.core import Run
+    from hopad.harness import run_suites
+
+    built = []
+    subrun = Run.subrun
+
+    def counted(run, i, j):
+        built.append((i, j))
+        return subrun(run, i, j)
+
+    monkeypatch.setattr(Run, "subrun", counted)
+    assert run_suites(["origin"], seed=20260808).ok
+    assert built == []
+
+
+def test_check_composer_is_the_oracle_for_promote(monkeypatch):
+    # _promote closes src sets over the realizers of each member whose
+    # slots hold; on every call of the origin suite its added sets must be
+    # the union over every composer check_composer accepts when each
+    # member picks one held descriptor of s^k, the drop left to the oracle
+    import itertools
+
+    from hopad import srcsets
+    from hopad.harness import run_suites
+    from hopad.typesys import check_composer
+
+    original = srcsets._promote
+    calls = Counter()
+
+    def checked(uni, src, members, r, st, k):
+        added = {lvl: set() for lvl in src}
+        original(uni, added, members, r, st, k)
+        targets = tuple(sorted(set(members)))
+        slots = {
+            c: [uni.psi_at(uni.desc(c), i) for i in range(r, k, -1)]
+            for c in st.typing(k)
+            if c != NE
+        }
+        held = [
+            c
+            for c, psis in slots.items()
+            if all(t in st.typing(i) for i, ids in zip(range(r, k, -1), psis) for t in ids)
+        ]
+        union = {lvl: set() for lvl in src}
+        non_ne = [m for m in targets if m != NE]
+        for combo in itertools.product(held, repeat=len(non_ne)):
+            chosen = set(combo)
+            phis = [set().union(*(slots[c][idx] for c in chosen)) for idx in range(r - k)]
+            if check_composer(uni, r, k, phis + [chosen], targets) is not None:
+                for idx, i in enumerate(range(r, k, -1)):
+                    union[i] |= phis[idx]
+        assert added == union, (targets, r, k)
+        calls["all"] += 1
+        calls["members"] += len(non_ne) >= 1
+        calls["several"] += len(non_ne) >= 2
+        for lvl, ids in added.items():
+            src[lvl] |= ids
+
+    monkeypatch.setattr(srcsets, "_promote", checked)
+    assert run_suites(["origin"], seed=20260808).ok
+    assert calls == {"all": 3614, "members": 62, "several": 57}
+    # every realizer in the suite holds its slots: two realizers of one
+    # member, of which only the one whose level-1 slot holds contributes
+    uni = Universe(2)
+    goal = uni.intern_goal("m", 2, (), "qf")
+    x = uni.intern_desc(1, ((),), "s", goal)
+    held = uni.intern_desc(0, ((), (NE,)), "p", goal)
+    unheld = uni.intern_desc(0, ((), (x,)), "p", goal)
+    member = uni.drop(held, 1)
+    assert uni.drop(unheld, 1) == member
+    no_values = frozenset()
+    pieces = ({NE: no_values}, {NE: no_values}, {held: no_values, unheld: no_values})
+    st = StackTyping(2, 0, pieces)
+    src = {1: set(), 2: set()}
+    checked(uni, src, {member}, 1, st, 0)
+    assert src == {1: {NE}, 2: set()}

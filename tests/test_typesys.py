@@ -518,25 +518,28 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
     # saturation discharges push slots through the member-by-member
     # search in _discharges; each vector it yields must have a choice of
     # drop_index entries that check_composer accepts, and its idv flag
-    # must be the disjunction over exactly those choices
+    # must be the disjunction over exactly those choices; and every
+    # choice must have its per-level union among the yielded vectors
     import itertools
 
     from hopad import typesys
     from hopad.harness import DEFAULT_BOUNDS, _starts
 
     original = typesys._discharges
-    yields = 0
+    yields = choices_seen = 0
 
-    def checked(uni, psi_k, flags, drop_index, k, *args, **kwargs):
-        nonlocal yields
+    def checked(uni, psi_k, flags, drop_index, k):
+        nonlocal yields, choices_seen
         flags = dict(flags)  # saturation may raise a flag while we iterate
         members = [m for m in psi_k if m != NE]
         choices = {
             frozenset(combo)
             for combo in itertools.product(*(drop_index.get(m, ()) for m in members))
         }
-        for phi_by_level, flag in original(uni, psi_k, flags, drop_index, k, *args, **kwargs):
+        yielded = {}
+        for phi_by_level, flag in original(uni, psi_k, flags, drop_index, k):
             yields += 1
+            yielded[tuple(phi_by_level[i] for i in range(1, k + 1))] = flag
             phis = [phi_by_level[i] for i in range(k, 0, -1)]
             witnesses = [
                 chosen
@@ -546,11 +549,18 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
             assert witnesses, (psi_k, phi_by_level)
             assert any(flags[did] for chosen in witnesses for did in chosen) == flag
             yield phi_by_level, flag
+        for chosen in choices:
+            choices_seen += 1
+            union = tuple(
+                tuple(sorted(set().union(*(uni.psi_at(uni.desc(did), i) for did in chosen))))
+                for i in range(1, k + 1)
+            )
+            assert union in yielded, (psi_k, sorted(chosen))
 
     monkeypatch.setattr(typesys, "_discharges", checked)
     for _ in _starts(20260808, DEFAULT_BOUNDS["typed_machines"], 0, (0,), True):
         pass  # saturates each machine once
-    assert yields == 235
+    assert yields == 235 and choices_seen == 235
 
 
 def _folded(stack, level, table, prefixes):
