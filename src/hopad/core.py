@@ -498,9 +498,7 @@ class Run:
     extends.  The first read of `configs`, `labels` or `transitions`
     reaches :meth:`__getattr__`, which builds all three in one walk back
     to the nearest built run (whose `_parent` is None) and only then
-    clears `_parent`.  :meth:`operations` walks the same chain for the
-    operations alone and builds nothing, so a caller that reads only
-    those leaves the run unbuilt.
+    clears `_parent`.
     """
 
     __slots__ = (
@@ -576,15 +574,7 @@ class Run:
         return tuple((a, d) for a, d in self.labels if a is not None)
 
     def operations(self) -> tuple[Op, ...]:
-        """The operation of each step, read off the `_parent` chain back to
-        the nearest built run without building this run's tuples."""
-        ops = []
-        run, parent = self, self._parent
-        while parent is not None:  # each `_parent` read once: a thread may clear it
-            ops.append(run._transition.op)
-            run, parent = parent, parent._parent
-        ops.reverse()
-        return tuple([t.op for t in run.transitions] + ops)
+        return tuple(t.op for t in self.transitions)
 
 
 def empty_run(aut: Automaton, config: Configuration) -> Run:

@@ -5,7 +5,12 @@ correspondence suites: all runs up to a step bound from a start configuration,
 branching over input choices only.  Pop reads are forced to the topmost
 data value, push reads branch over a finite data universe (or just {0}
 when restricted to normalized runs), epsilon steps are forced by
-determinism.
+determinism.  The correspondence suites read values, so they take these
+concrete runs.  Classifier-equivalence reads only the operations, and
+walks one representative run per value-free branch, weighted by the
+number of concrete runs it stands for: only a pop's guard reads a value,
+and that value is forced, so a value read by a push or a collapse never
+changes which operations can follow.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .core import (
     Atom,
@@ -89,18 +93,25 @@ def universe_for(aut: Automaton, config: Configuration, base=DEFAULT_UNIVERSE):
     return tuple(sorted(set(base) | stack_values(config.stack, aut.level)))
 
 
-def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
-    """All runs of length <= max_steps from the start configuration, each
-    run directly followed by its extensions in input order (depth first)."""
+def walk_runs(space: EnumerationSpace, cap: int = 500_000, representative: bool = False):
+    """(run, weight) for every run of length <= max_steps from the start
+    configuration, each directly followed by its extensions in input order.
+
+    A letter pop reads the top atom's value, a normalized push reads 0.
+    At a free letter step (any other push, a collapse) the concrete walk
+    branches over every value with weight 1; the representative walk
+    reads 0 and multiplies the weight by the number of values.  The
+    weights sum to the concrete run count, which `cap` bounds."""
     aut = space.automaton
     letters = sorted(aut.input_alphabet)
-    out: list[Run] = []
-    todo = [empty_run(aut, space.start)]
+    total = 0
+    todo = [(empty_run(aut, space.start), 1)]
     while todo:
-        run = todo.pop()
-        out.append(run)
-        if len(out) > cap:
+        run, weight = todo.pop()
+        total += weight
+        if total > cap:
             raise EnumerationCapExceeded(f"more than {cap} runs at the bound")
+        yield run, weight
         if len(run) == space.max_steps:
             continue
         config = run.last
@@ -109,7 +120,7 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
         if (state, atom.symbol) in aut.eps_rules:
             res = step(aut, config, None)
             if isinstance(res, Step):
-                todo.append(extend_run(run, res))
+                todo.append((extend_run(run, res), weight))
             continue
         children = []
         for letter in letters:
@@ -119,17 +130,25 @@ def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
             if rule.op.kind == "pop":
                 if atom.data is None:
                     continue  # no data value can match a bare atom
-                values: Iterable[int] = (atom.data,)
+                values, each = (atom.data,), weight
             elif rule.op.kind == "push" and space.normalized_only:
-                values = (0,)
+                values, each = (0,), weight
+            elif representative:
+                values, each = (0,), weight * len(space.values)
             else:
-                values = space.values
+                values, each = space.values, weight
             for d in values:
                 res = step(aut, config, (letter, d))
                 if isinstance(res, Step):
-                    children.append(extend_run(run, res))
+                    children.append((extend_run(run, res), each))
         todo += reversed(children)
-    return out
+
+
+def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
+    """All runs of length <= max_steps from the start configuration, each
+    run directly followed by its extensions in input order (depth first):
+    the concrete :func:`walk_runs`."""
+    return [run for run, _ in walk_runs(space, cap)]
 
 
 def seeded_configurations(
@@ -526,14 +545,17 @@ def _suite_classifier_equivalence(seed, bounds):
         n = aut.level
         for cfg in cfgs:
             # both routes read the start stack's shape and the operations,
-            # never a data value, so runs with equal operations share verdicts
+            # never a data value, so one representative run decides all the
+            # concrete runs it stands for (see walk_runs)
+            space = EnumerationSpace(aut, cfg, bounds["run_bound"], universe_for(aut, cfg, (0, 1)))
             mismatches: dict[tuple, list[str]] = {}
-            for run in _runs(aut, cfg, bounds["run_bound"], (0, 1), False):
+            for run, weight in walk_runs(space, representative=True):
                 ops = run.operations()
-                if (lines := mismatches.get(ops)) is None:
-                    lines = mismatches[ops] = _classifier_mismatches(name, run)
-                hard += lines
-                checked += (n + 1) + 2 * n
+                if ops not in mismatches:
+                    mismatches[ops] = _classifier_mismatches(name, run)
+                checked += weight * (3 * n + 1)
+            if any(mismatches.values()):  # one line per concrete run, in its order
+                hard += [line for run in enumerate_runs(space) for line in mismatches[run.operations()]]
     return hard, [], {"checked": checked}
 
 

@@ -51,7 +51,7 @@ def test_criterion_02_u_differential():
 
 
 def test_criterion_03_classifier_equivalence():
-    _criterion(3, "classifier equivalence", 5.0, ["classifier-equivalence"])
+    _criterion(3, "classifier equivalence", 2.0, ["classifier-equivalence"])
 
 
 def test_criterion_04_run_descriptor_soundness():

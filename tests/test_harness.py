@@ -5,10 +5,23 @@ from collections import Counter
 import pytest
 
 from hopad import harness, typesys
-from hopad.core import Atom, Configuration, Run, extend_run, from_nested, replay, to_nested
+from hopad.core import (
+    Atom,
+    Configuration,
+    Step,
+    empty_run,
+    extend_run,
+    from_nested,
+    replay,
+    step,
+    to_nested,
+)
 from hopad.harness import (
+    EnumerationCapExceeded,
     EnumerationSpace,
     enumerate_runs,
+    universe_for,
+    walk_runs,
     random_machine,
     run_suites,
     seeded_configurations,
@@ -165,16 +178,26 @@ def test_renaming_invariance():
     assert base_words == other_words
 
 
+def _representative_runs(space, cap=500_000):
+    return list(walk_runs(space, cap, representative=True))
+
+
 def test_enumeration_cap():
-    from hopad.harness import EnumerationCapExceeded
-
-    from hopad.harness import universe_for
-
     aut = excursion_machine()
     cfg = excursion_config()
     space = EnumerationSpace(aut, cfg, 4, universe_for(aut, cfg, (0, 1)))
     with pytest.raises(EnumerationCapExceeded):
         enumerate_runs(space, cap=3)
+    # the representative walk passes and fails the cap at the concrete run count
+    n = len(enumerate_runs(space))
+    assert max(weight for _, weight in _representative_runs(space, cap=n)) > 1
+    for cap in (3, n - 1):
+        messages = []
+        for walk in (enumerate_runs, _representative_runs):
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                walk(space, cap=cap)
+            messages.append(str(exc.value))
+        assert messages == [f"more than {cap} runs at the bound"] * 2
 
 
 def test_enumeration_is_depth_first_in_input_order():
@@ -260,26 +283,86 @@ def test_classifier_equivalence_instruments_once_per_start_and_operations(monkey
     assert len(made) == len(set(made)) and set(made) == keys
 
 
-def test_classifier_equivalence_builds_only_the_runs_it_instruments(monkeypatch):
-    # the memo key is read off the run chain; only a run that is decided
-    # (a new operation sequence) has its tuples built
-    built, instrumented = [], []
-    build = Run.__getattr__
+def test_classifier_equivalence_extends_only_representative_runs(monkeypatch):
+    # with every operation sequence agreeing, the suite extends the runs of
+    # one representative walk per start configuration and of the seeding
+    # walks, and no concrete run of a start configuration
+    walks, extended = [], []
+    walk = harness.walk_runs
 
-    def spy(run, name):
-        built.append(run)
-        return build(run, name)
+    def spied(space, cap=500_000, representative=False):
+        walks.append((space, representative))
+        return walk(space, cap, representative)
 
-    def counted(run):
-        instrumented.append(run)
-        return instrument_lineage(run)
+    def counted(run, res):
+        extended.append(run)
+        return extend_run(run, res)
 
-    monkeypatch.setattr(Run, "__getattr__", spy)
-    monkeypatch.setattr(harness, "instrument_lineage", counted)
+    monkeypatch.setattr(harness, "walk_runs", spied)
+    monkeypatch.setattr(harness, "extend_run", counted)
     bounds = {"corpus_machines": 8, "run_bound": 4}
     assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
-    decided = {id(run) for run in instrumented}
-    assert built and {id(run) for run in built} <= decided
+    monkeypatch.undo()
+    starts = [space for space, representative in walks if representative]
+    seeding = [space for space, representative in walks if not representative]
+    weighted = [pair for space in starts for pair in _representative_runs(space)]
+    seeded = sum(len(enumerate_runs(space)) for space in seeding)
+    assert len(extended) == len(weighted) - len(starts) + seeded - len(seeding)
+    concrete = sum(len(enumerate_runs(space)) for space in starts)
+    assert sum(weight for _, weight in weighted) == concrete > 4 * len(weighted)
+
+
+def _classifier_spaces(seed):
+    """The start configurations' spaces of classifier-equivalence at the
+    default bounds."""
+    bound = harness.DEFAULT_BOUNDS["run_bound"]
+    for _, aut, cfgs in harness._corpus(seed, harness.DEFAULT_BOUNDS["corpus_machines"]):
+        for cfg in cfgs:
+            yield EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, (0, 1)))
+
+
+def _runs_by_recursion(space):
+    """The concrete runs, depth first: a run, then the runs extending it by
+    each input step in (letter, value) order, a normalized push reading 0."""
+    aut = space.automaton
+
+    def extensions(run):
+        yield run
+        if len(run) == space.max_steps:
+            return
+        inputs = [None] + [(a, d) for a in sorted(aut.input_alphabet) for d in space.values]
+        for x in inputs:
+            res = step(aut, run.last, x)
+            if not isinstance(res, Step) or (x is None) != (res.label == (None, None)):
+                continue  # an epsilon step is taken on no input only
+            if space.normalized_only and res.transition.op.kind == "push" and x and x[1] != 0:
+                continue
+            yield from extensions(extend_run(run, res))
+            if x is None:
+                return  # an epsilon step excludes letter steps
+
+    return list(extensions(empty_run(aut, space.start)))
+
+
+@pytest.mark.parametrize("seed", [20260808, 1, 7])
+def test_representative_walk_weighs_the_concrete_operation_sequences(seed):
+    # per classifier-equivalence space, the representative runs weighted by
+    # their counts have the operation sequences of the concrete runs, and
+    # the concrete walk is every run in depth-first input order
+    spaces = representatives = 0
+    for space in _classifier_spaces(seed):
+        concrete = enumerate_runs(space)
+        weighted = Counter()
+        for run, weight in walk_runs(space, representative=True):
+            weighted[run.operations()] += weight
+            representatives += 1
+        assert weighted == Counter(run.operations() for run in concrete)
+        expected = _runs_by_recursion(space)
+        assert [(r.labels, r.transitions) for r in concrete] == [
+            (r.labels, r.transitions) for r in expected
+        ]
+        spaces += 1
+    assert spaces > 90 and representatives > 500
 
 
 def test_classifier_equivalence_shares_one_memo_per_run(monkeypatch):
@@ -303,6 +386,42 @@ def test_classifier_equivalence_shares_one_memo_per_run(monkeypatch):
     bounds = {"corpus_machines": harness.DEFAULT_BOUNDS["corpus_machines"], "run_bound": 6}
     assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
     assert len(memos) > 1000 and set(compared) == {False, True}
+
+
+def _concrete_classifier_equivalence(seed, bounds):
+    """Classifier-equivalence over every concrete run, one decision per
+    operation sequence: the oracle of the representative walk's report."""
+    hard, checked = [], 0
+    for name, aut, cfgs in harness._corpus(seed, bounds["corpus_machines"]):
+        for cfg in cfgs:
+            mismatches = {}
+            for run in harness._runs(aut, cfg, bounds["run_bound"], (0, 1), False):
+                ops = run.operations()
+                if ops not in mismatches:
+                    mismatches[ops] = harness._classifier_mismatches(name, run)
+                hard += mismatches[ops]
+                checked += 3 * aut.level + 1
+    return hard, [], {"checked": checked}
+
+
+def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch):
+    # a failing start configuration repeats its lines once per concrete
+    # run, in the concrete depth-first order
+    def disagreeing(run, k, _memo):
+        tree = decompose_upper(run, k, _memo=_memo)
+        if k == 1 and [op.kind for op in run.operations()[:2]] == ["push", "pop"]:
+            return None if tree is not None else "disagrees"
+        return tree
+
+    monkeypatch.setattr(harness, "decompose_upper", disagreeing)
+    bounds = {"corpus_machines": 8, "run_bound": 4}
+    got = run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds)
+    monkeypatch.setitem(
+        harness._SUITE_FUNCTIONS, "classifier-equivalence", _concrete_classifier_equivalence
+    )
+    expected = run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds)
+    assert expected.hard_total > 20 and len(set(expected.lines[1:])) > 1
+    assert got.text() == expected.text()
 
 
 def test_soundness_suites_instrument_no_lineage(monkeypatch):
@@ -365,16 +484,19 @@ def test_run_suites_unknown_name():
 )
 def test_suites_enumerate_once_per_start_configuration(monkeypatch, suite):
     calls = []
+    walk = harness.walk_runs
 
-    def counted(space, *args, **kwargs):
-        calls.append(space)
-        return enumerate_runs(space, *args, **kwargs)
+    def counted(space, cap=500_000, representative=False):
+        calls.append(representative)
+        return walk(space, cap, representative)
 
-    monkeypatch.setattr(harness, "enumerate_runs", counted)
+    monkeypatch.setattr(harness, "walk_runs", counted)
     bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
     assert run_suites([suite], seed=20260808, bounds=bounds).ok
-    # 20 start configurations, plus one seeding call per random machine
+    # 20 start configurations, plus one seeding call per random machine;
+    # classifier-equivalence walks each start configuration's representatives
     assert len(calls) == 28
+    assert calls.count(True) == (20 if suite == "classifier-equivalence" else 0)
 
 
 def test_quick_suites_pass_and_report_shape():
