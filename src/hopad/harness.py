@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .core import (
     Atom,
@@ -61,6 +61,7 @@ from .typesys import (
 from .ulang import build_u_recognizer, gen_w, in_u
 
 DEFAULT_UNIVERSE = (0, 1, 2, 3)
+ENUMERATION_CAP = 500_000  # concrete runs one enumeration may walk
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -69,31 +70,26 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationSpace:
+    """The runs of length <= max_steps from `start`.  Their data universe
+    `values` is the base universe with the values the start stack stores."""
+
     automaton: Automaton
     start: Configuration
     max_steps: int
-    values: tuple[int, ...] = DEFAULT_UNIVERSE
+    base: InitVar[tuple[int, ...]] = DEFAULT_UNIVERSE
     normalized_only: bool = False
+    values: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, base):
         if self.max_steps < 0:
             raise ValueError("the step bound must be nonnegative")
+        stored = stack_values(self.start.stack, self.automaton.level)
+        object.__setattr__(self, "values", tuple(sorted(set(base) | stored)))
         if 0 not in self.values:
             raise ValueError("the data universe must contain 0")
-        stored = stack_values(self.start.stack, self.automaton.level)
-        if not stored <= set(self.values):
-            raise ValueError(
-                f"start configuration stores {sorted(stored - set(self.values))} "
-                "outside the data universe"
-            )
 
 
-def universe_for(aut: Automaton, config: Configuration, base=DEFAULT_UNIVERSE):
-    """The base universe extended by the values stored in the start stack."""
-    return tuple(sorted(set(base) | stack_values(config.stack, aut.level)))
-
-
-def walk_runs(space: EnumerationSpace, cap: int = 500_000, representative: bool = False):
+def walk_runs(space: EnumerationSpace, representative: bool = False):
     """(run, weight) for every run of length <= max_steps from the start
     configuration, each directly followed by its extensions in input order.
 
@@ -101,7 +97,7 @@ def walk_runs(space: EnumerationSpace, cap: int = 500_000, representative: bool 
     At a free letter step (any other push, a collapse) the concrete walk
     branches over every value with weight 1; the representative walk
     reads 0 and multiplies the weight by the number of values.  The
-    weights sum to the concrete run count, which `cap` bounds."""
+    weights sum to the concrete run count, which ENUMERATION_CAP bounds."""
     aut = space.automaton
     letters = sorted(aut.input_alphabet)
     total = 0
@@ -109,8 +105,8 @@ def walk_runs(space: EnumerationSpace, cap: int = 500_000, representative: bool 
     while todo:
         run, weight = todo.pop()
         total += weight
-        if total > cap:
-            raise EnumerationCapExceeded(f"more than {cap} runs at the bound")
+        if total > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(f"more than {ENUMERATION_CAP} runs at the bound")
         yield run, weight
         if len(run) == space.max_steps:
             continue
@@ -144,29 +140,26 @@ def walk_runs(space: EnumerationSpace, cap: int = 500_000, representative: bool 
         todo += reversed(children)
 
 
-def enumerate_runs(space: EnumerationSpace, cap: int = 500_000) -> list[Run]:
+def enumerate_runs(space: EnumerationSpace) -> list[Run]:
     """All runs of length <= max_steps from the start configuration, each
     run directly followed by its extensions in input order (depth first):
     the concrete :func:`walk_runs`."""
-    return [run for run, _ in walk_runs(space, cap)]
+    return [run for run, _ in walk_runs(space)]
 
 
 def seeded_configurations(
-    aut: Automaton,
-    depth: int = 3,
-    values: tuple[int, ...] = (0, 1, 2),
-    cap: int = 10,
+    aut: Automaton, depth: int, base: tuple[int, ...], count: int
 ) -> list[Configuration]:
-    """Distinct configurations reachable within a few steps; returns can
-    only start from stacks of size >= 2, so checks anchored at the bare
-    initial configuration would be vacuous."""
-    space = EnumerationSpace(aut, initial_configuration(aut), depth, values)
+    """The first `count` distinct configurations reachable within `depth`
+    steps; returns can only start from stacks of size >= 2, so checks
+    anchored at the bare initial configuration would be vacuous."""
+    space = EnumerationSpace(aut, initial_configuration(aut), depth, base)
     seen: list[Configuration] = []
     for run in enumerate_runs(space):
         cfg = run.last
         if cfg not in seen:
             seen.append(cfg)
-        if len(seen) >= cap:
+        if len(seen) >= count:
             break
     return seen
 
@@ -531,13 +524,6 @@ def _suite_u_differential(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _runs(aut, cfg, bound, base, normalized):
-    """The runs of a start configuration up to the bound over the base
-    universe, every push reading 0 when `normalized`."""
-    space = EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, base), normalized)
-    return enumerate_runs(space)
-
-
 def _suite_classifier_equivalence(seed, bounds):
     hard = []
     checked = 0
@@ -547,7 +533,7 @@ def _suite_classifier_equivalence(seed, bounds):
             # both routes read the start stack's shape and the operations,
             # never a data value, so one representative run decides all the
             # concrete runs it stands for (see walk_runs)
-            space = EnumerationSpace(aut, cfg, bounds["run_bound"], universe_for(aut, cfg, (0, 1)))
+            space = EnumerationSpace(aut, cfg, bounds["run_bound"], (0, 1))
             mismatches: dict[tuple, list[str]] = {}
             for run, weight in walk_runs(space, representative=True):
                 ops = run.operations()
@@ -564,14 +550,13 @@ def _classifier_mismatches(name, run):
     on the run, for every level."""
     lrun = instrument_lineage(run)
     ops = run.operations()
-    memo = {}  # one per run: its keys carry the shape and the level
     out = []
     for k in range(0, run.automaton.level + 1):
-        if is_k_upper(lrun, k) != (decompose_upper(run, k, _memo=memo) is not None):
+        if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
             out.append(f"{name}: upper mismatch k={k} ops={ops}")
     for r in range(1, run.automaton.level + 1):
         lhs = is_k_return(lrun, r)
-        if lhs != (decompose_return(run, r, _memo=memo) is not None):
+        if lhs != (decompose_return(run, r) is not None):
             out.append(f"{name}: return mismatch r={r} ops={ops}")
         if lhs != remark_k_return(lrun, r):
             out.append(f"{name}: remark mismatch r={r} ops={ops}")
@@ -594,12 +579,13 @@ def _fold(reports):
 def _starts(seed, machines, bound, base, normalized):
     """Per start configuration of the first `machines` corpus machines,
     each saturated once: the machine's name, the StartRuns of its runs up
-    to `bound` (``_runs``), and the nonzero values its stack stores."""
+    to `bound` over the base universe, every push reading 0 when
+    `normalized`, and the nonzero values its stack stores."""
     for name, aut, cfgs in _corpus(seed, machines):
         monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
         table = saturate_level0(aut, monoid)
         for cfg in cfgs:
-            runs = _runs(aut, cfg, bound, base, normalized)
+            runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, base, normalized))
             yield name, StartRuns(cfg, table, runs), stack_values(cfg.stack, aut.level) - {0}
 
 

@@ -46,6 +46,7 @@ from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
 COMPOSER_STATE_CAP = 50_000  # distinct composer vectors one push slot may reach
+DESCRIPTOR_CAP = 50_000  # descriptors one saturation may intern
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,8 @@ class SaturationStats:
 class Universe:
     """Interning pool for the descriptors and goals of one saturation."""
 
-    def __init__(self, level: int, cap: Optional[int] = None):
+    def __init__(self, level: int):
         self.level = level
-        self.cap = cap
         self.descriptors: list[Optional[RunDescriptor]] = [None]  # id 0 = ne
         self._desc_ids: dict[RunDescriptor, int] = {}
         self.goals: list[Goal] = []
@@ -131,9 +131,9 @@ class Universe:
         d = RunDescriptor(level, psis, state, goal_id)
         did = self._desc_ids.get(d)
         if did is None:
-            if self.cap is not None and len(self.descriptors) > self.cap:
+            if len(self.descriptors) > DESCRIPTOR_CAP:
                 raise ResourceCapExceeded(
-                    f"descriptor cap {self.cap} exceeded",
+                    f"descriptor cap {DESCRIPTOR_CAP} exceeded",
                     SaturationStats(descriptors=len(self.descriptors) - 1, goals=len(self.goals)),
                 )
             self.descriptors.append(d)
@@ -231,11 +231,7 @@ class Level0TypeTable:
     _typing_cache: dict = field(default_factory=dict, repr=False)
 
 
-def saturate_level0(
-    aut: Automaton,
-    monoid: FiniteMonoid,
-    max_descriptors: int = 50_000,
-) -> Level0TypeTable:
+def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
     """Least fixpoint of the four level-0 rules, by chaotic iteration.
 
     Rules apply in the order of `aut.transitions`; the result does not
@@ -248,7 +244,7 @@ def saturate_level0(
     if unmapped:
         raise ValueError(f"monoid {monoid.name} maps no letter {' '.join(sorted(unmapped))}")
     n = aut.level
-    uni = Universe(n, cap=max_descriptors)
+    uni = Universe(n)
     entries: dict[tuple[str, bool], dict[int, bool]] = {
         (sym, hd): {} for sym in sorted(aut.stack_alphabet) for hd in (False, True)
     }

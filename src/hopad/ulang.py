@@ -139,9 +139,10 @@ def build_u_recognizer() -> Automaton:
 
 
 GEN_W_MAX_K = 6
+GEN_W_MAX_LEN = 1_000_000
 
 
-def gen_w(k: int, n_reps: int, max_len: int = 1_000_000) -> str:
+def gen_w(k: int, n_reps: int) -> str:
     """The bracket-word family w_0 = "[][", w_{k+1} = w_k^N ]^N [."""
     if k < 0 or k > GEN_W_MAX_K:
         raise ValueError(f"k must be in 0..{GEN_W_MAX_K}, got {k}")
@@ -150,8 +151,8 @@ def gen_w(k: int, n_reps: int, max_len: int = 1_000_000) -> str:
     size = 3
     for _ in range(k):
         size = n_reps * size + n_reps + 1
-        if size > max_len:
-            raise ValueError(f"w_{k} with N={n_reps} exceeds the {max_len} length cap")
+        if size > GEN_W_MAX_LEN:
+            raise ValueError(f"w_{k} with N={n_reps} exceeds the {GEN_W_MAX_LEN} length cap")
     w = "[]["
     for _ in range(k):
         w = w * n_reps + "]" * n_reps + "["

@@ -238,6 +238,27 @@ def test_verify_command_smoke():
 
 
 @pytest.mark.parametrize(
+    "suite, cap, message",
+    [
+        ("classifier-equivalence", "hopad.harness.ENUMERATION_CAP", "more than 10 runs at the bound"),
+        ("run2type", "hopad.typesys.DESCRIPTOR_CAP", "descriptor cap 10 exceeded"),
+    ],
+    ids=["enumeration-cap", "descriptor-cap"],
+)
+def test_a_cap_hit_is_reported_not_raised(monkeypatch, suite, cap, message):
+    from hopad.harness import run_suites
+
+    monkeypatch.setattr(cap, 10)
+    report = run_suites([suite], seed=20260808)
+    expected = f"suite={suite} status=fail hard=1 soft=0\n  hard: aborted: {message}\n"
+    assert not report.ok and report.text() == expected
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--suite", suite, "--seed", "20260808"])
+    assert (code, out.getvalue(), err.getvalue()) == (1, expected, "")
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "level \u00b2\n",

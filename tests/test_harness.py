@@ -20,7 +20,6 @@ from hopad.harness import (
     EnumerationCapExceeded,
     EnumerationSpace,
     enumerate_runs,
-    universe_for,
     walk_runs,
     random_machine,
     run_suites,
@@ -49,17 +48,24 @@ def test_universe_must_contain_zero():
 
 def test_step_bound_must_be_nonnegative():
     aut, cfg = excursion_machine(), excursion_config()
-    values = harness.universe_for(aut, cfg)
     with pytest.raises(ValueError, match="step bound"):
-        EnumerationSpace(aut, cfg, -1, values)
-    runs = enumerate_runs(EnumerationSpace(aut, cfg, 0, values))
+        EnumerationSpace(aut, cfg, -1)
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 0))
     assert len(runs) == 1 and len(runs[0]) == 0
 
 
-def test_universe_must_cover_stored_values():
-    with pytest.raises(ValueError):
-        EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (0, 1))
-    EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (0, 5))
+def test_universe_adds_the_stored_values_to_the_base():
+    aut, cfg = single_pop_machine(), single_pop_config()
+    space = EnumerationSpace(aut, cfg, 2, (0, 1))
+    assert space.values == (0, 1, 5)
+    assert space == EnumerationSpace(aut, cfg, 2, (0, 1, 5))
+    runs = [(run.labels, run.transitions) for run in enumerate_runs(space)]
+    assert runs == [
+        (run.labels, run.transitions)
+        for run in enumerate_runs(EnumerationSpace(aut, cfg, 2, (0, 1, 5)))
+    ]
+    assert (("a", 5),) in [labels for labels, _ in runs]
+    assert EnumerationSpace(aut, cfg, 2).values == (0, 1, 2, 3, 5)
 
 
 def test_empty_machine_enumerates_only_the_empty_run():
@@ -130,21 +136,13 @@ def test_normalized_restricts_push_reads():
 
 
 def test_every_enumerated_run_replays():
-    from hopad.harness import universe_for
-
-    aut = excursion_machine()
-    cfg = excursion_config()
-    space = EnumerationSpace(aut, cfg, 4, universe_for(aut, cfg, (0, 1)))
+    space = EnumerationSpace(excursion_machine(), excursion_config(), 4, (0, 1))
     for run in enumerate_runs(space):
         assert replay(run)
 
 
 def test_prefix_closure():
-    from hopad.harness import universe_for
-
-    aut = excursion_machine()
-    cfg = excursion_config()
-    runs = enumerate_runs(EnumerationSpace(aut, cfg, 3, universe_for(aut, cfg, (0, 1))))
+    runs = enumerate_runs(EnumerationSpace(excursion_machine(), excursion_config(), 3, (0, 1)))
     keys = {(run.labels, run.transitions) for run in runs}
     for run in runs:
         for cut in range(len(run)):
@@ -162,14 +160,10 @@ def test_renaming_invariance():
             return Atom(stack.symbol, data, stack.links)
         return tuple(rename_stack(s, level - 1) for s in stack)
 
-    from hopad.harness import universe_for
-
     renamed = rename_stack(to_nested(cfg.stack, 2), 2)
     renamed_cfg = Configuration(cfg.state, from_nested(renamed, 2))
-    base = enumerate_runs(EnumerationSpace(aut, cfg, 3, universe_for(aut, cfg, (0, 1, 2))))
-    other = enumerate_runs(
-        EnumerationSpace(aut, renamed_cfg, 3, universe_for(aut, renamed_cfg, (0, 1, 2)))
-    )
+    base = enumerate_runs(EnumerationSpace(aut, cfg, 3, (0, 1, 2)))
+    other = enumerate_runs(EnumerationSpace(aut, renamed_cfg, 3, (0, 1, 2)))
     assert len(base) == len(other)
     base_words = sorted(
         tuple((a, perm.get(d, d)) for a, d in run.read_word) for run in base
@@ -178,31 +172,33 @@ def test_renaming_invariance():
     assert base_words == other_words
 
 
-def _representative_runs(space, cap=500_000):
-    return list(walk_runs(space, cap, representative=True))
+def _representative_runs(space):
+    return list(walk_runs(space, representative=True))
 
 
-def test_enumeration_cap():
-    aut = excursion_machine()
-    cfg = excursion_config()
-    space = EnumerationSpace(aut, cfg, 4, universe_for(aut, cfg, (0, 1)))
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_runs(space, cap=3)
-    # the representative walk passes and fails the cap at the concrete run count
+def test_enumeration_cap(monkeypatch):
+    space = EnumerationSpace(excursion_machine(), excursion_config(), 4, (0, 1))
     n = len(enumerate_runs(space))
-    assert max(weight for _, weight in _representative_runs(space, cap=n)) > 1
+    monkeypatch.setattr(harness, "ENUMERATION_CAP", 3)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_runs(space)
+    # both walks pass and fail the cap at the concrete run count
+    monkeypatch.setattr(harness, "ENUMERATION_CAP", n)
+    assert len(enumerate_runs(space)) == n
+    assert max(weight for _, weight in _representative_runs(space)) > 1
     for cap in (3, n - 1):
+        monkeypatch.setattr(harness, "ENUMERATION_CAP", cap)
         messages = []
         for walk in (enumerate_runs, _representative_runs):
             with pytest.raises(EnumerationCapExceeded) as exc:
-                walk(space, cap=cap)
+                walk(space)
             messages.append(str(exc.value))
         assert messages == [f"more than {cap} runs at the bound"] * 2
 
 
 def test_enumeration_is_depth_first_in_input_order():
     aut, cfg = excursion_machine(), excursion_config()
-    runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1))))
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, (0, 1)))
     # a run comes right before its extensions, which come in (letter, value) order
     words = [run.labels for run in runs]
     assert len(set(words)) == len(words) > 20
@@ -211,7 +207,7 @@ def test_enumeration_is_depth_first_in_input_order():
 
 def test_enumerated_runs_die_with_their_list(monkeypatch):
     aut, cfg = excursion_machine(), excursion_config()
-    space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+    space = EnumerationSpace(aut, cfg, 4, (0, 1))
     made = []
 
     def recorded(run, res):
@@ -226,8 +222,9 @@ def test_enumerated_runs_die_with_their_list(monkeypatch):
         del runs
         assert last() is None
         monkeypatch.setattr(harness, "extend_run", recorded)
+        monkeypatch.setattr(harness, "ENUMERATION_CAP", 10)
         try:
-            enumerate_runs(space, cap=10)
+            enumerate_runs(space)
         except harness.EnumerationCapExceeded:
             pass
         assert made and all(ref() is None for ref in made)
@@ -241,7 +238,7 @@ def test_runs_with_equal_operations_share_lineage_and_verdicts():
     for _, aut, cfgs in harness._corpus(20260808, harness.DEFAULT_BOUNDS["corpus_machines"]):
         n = aut.level
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+            space = EnumerationSpace(aut, cfg, 4, (0, 1))
             first = {}
             for run in enumerate_runs(space):
                 lrun = instrument_lineage(run)
@@ -270,7 +267,7 @@ def test_classifier_equivalence_instruments_once_per_start_and_operations(monkey
     keys = set()
     for _, aut, cfgs in harness._corpus(20260808, bounds["corpus_machines"]):
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 4, harness.universe_for(aut, cfg, (0, 1)))
+            space = EnumerationSpace(aut, cfg, 4, (0, 1))
             keys |= {(aut, cfg, run.operations()) for run in enumerate_runs(space)}
     made = []
 
@@ -290,9 +287,9 @@ def test_classifier_equivalence_extends_only_representative_runs(monkeypatch):
     walks, extended = [], []
     walk = harness.walk_runs
 
-    def spied(space, cap=500_000, representative=False):
+    def spied(space, representative=False):
         walks.append((space, representative))
-        return walk(space, cap, representative)
+        return walk(space, representative)
 
     def counted(run, res):
         extended.append(run)
@@ -318,7 +315,7 @@ def _classifier_spaces(seed):
     bound = harness.DEFAULT_BOUNDS["run_bound"]
     for _, aut, cfgs in harness._corpus(seed, harness.DEFAULT_BOUNDS["corpus_machines"]):
         for cfg in cfgs:
-            yield EnumerationSpace(aut, cfg, bound, universe_for(aut, cfg, (0, 1)))
+            yield EnumerationSpace(aut, cfg, bound, (0, 1))
 
 
 def _runs_by_recursion(space):
@@ -365,27 +362,27 @@ def test_representative_walk_weighs_the_concrete_operation_sequences(seed):
     assert spaces > 90 and representatives > 500
 
 
-def test_classifier_equivalence_shares_one_memo_per_run(monkeypatch):
-    # a tree from the run's shared memo equals the tree from a fresh one;
-    # trees read only the operations, and the suite decides every distinct
-    # operation sequence of every start configuration
-    memos, compared = {}, []
+def test_classifier_equivalence_derives_once_per_operations_and_level(monkeypatch):
+    # the suite asks each derivation with the run and the level alone, once
+    # per (start configuration, operations) at every level of both shapes
+    derived, outcomes = [], set()
 
-    def checked(decompose):
-        def derive(run, level, _memo):
-            assert memos.setdefault(id(run), (run, _memo))[1] is _memo
-            tree = decompose(run, level, _memo=_memo)
-            assert tree == decompose(run, level), (run.operations(), level)
-            compared.append(tree is not None)
+    def counted(shape, decompose):
+        def derive(run, level):
+            derived.append((shape, run.automaton, run.at(0), run.operations(), level))
+            tree = decompose(run, level)
+            outcomes.add(tree is not None)
             return tree
 
         return derive
 
-    monkeypatch.setattr(harness, "decompose_upper", checked(decompose_upper))
-    monkeypatch.setattr(harness, "decompose_return", checked(decompose_return))
-    bounds = {"corpus_machines": harness.DEFAULT_BOUNDS["corpus_machines"], "run_bound": 6}
+    monkeypatch.setattr(harness, "decompose_upper", counted("upper", decompose_upper))
+    monkeypatch.setattr(harness, "decompose_return", counted("return", decompose_return))
+    bounds = {"corpus_machines": 8, "run_bound": 4}
     assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
-    assert len(memos) > 1000 and set(compared) == {False, True}
+    sequences = {key[1:4] for key in derived}
+    assert len(derived) == len(set(derived)) > 400 and outcomes == {False, True}
+    assert len(derived) == sum(2 * aut.level + 1 for aut, _, _ in sequences)
 
 
 def _concrete_classifier_equivalence(seed, bounds):
@@ -395,7 +392,7 @@ def _concrete_classifier_equivalence(seed, bounds):
     for name, aut, cfgs in harness._corpus(seed, bounds["corpus_machines"]):
         for cfg in cfgs:
             mismatches = {}
-            for run in harness._runs(aut, cfg, bounds["run_bound"], (0, 1), False):
+            for run in enumerate_runs(EnumerationSpace(aut, cfg, bounds["run_bound"], (0, 1))):
                 ops = run.operations()
                 if ops not in mismatches:
                     mismatches[ops] = harness._classifier_mismatches(name, run)
@@ -407,8 +404,8 @@ def _concrete_classifier_equivalence(seed, bounds):
 def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch):
     # a failing start configuration repeats its lines once per concrete
     # run, in the concrete depth-first order
-    def disagreeing(run, k, _memo):
-        tree = decompose_upper(run, k, _memo=_memo)
+    def disagreeing(run, k):
+        tree = decompose_upper(run, k)
         if k == 1 and [op.kind for op in run.operations()[:2]] == ["push", "pop"]:
             return None if tree is not None else "disagrees"
         return tree
@@ -486,9 +483,9 @@ def test_suites_enumerate_once_per_start_configuration(monkeypatch, suite):
     calls = []
     walk = harness.walk_runs
 
-    def counted(space, cap=500_000, representative=False):
+    def counted(space, representative=False):
         calls.append(representative)
-        return walk(space, cap, representative)
+        return walk(space, representative)
 
     monkeypatch.setattr(harness, "walk_runs", counted)
     bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
@@ -567,11 +564,10 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
     # per start configuration: one monoid class per run, one start typing
     # per k, and one derivation per (operations, level)
     starts, calls = [], {"phi": [], "type": [], "upper": [], "return": []}
-    runs_of = harness._runs
 
-    def counted_runs(aut, cfg, *rest):
-        starts.append((cfg, runs_of(aut, cfg, *rest)))
-        return starts[-1][1]
+    def counted_start(cfg, table, runs):
+        starts.append((cfg, runs))
+        return StartRuns(cfg, table, runs)
 
     def spy(name, module, function):
         original = getattr(module, function)
@@ -582,7 +578,7 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
 
         monkeypatch.setattr(module, function, spied)
 
-    monkeypatch.setattr(harness, "_runs", counted_runs)
+    monkeypatch.setattr(harness, "StartRuns", counted_start)
     spy("phi", typesys, "phi_of_run")
     spy("type", typesys, "type_of_stack")
     spy("upper", typesys, "decompose_upper")

@@ -174,11 +174,9 @@ def test_classifiers_equal_decompositions_on_corpus():
     for i in range(6):
         aut = random_machine(99, i)
         corpora.append((aut, seeded_configurations(aut, 3, (0, 1), 3)))
-    from hopad.harness import universe_for
-
     for aut, cfgs in corpora:
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 5, universe_for(aut, cfg, (0, 1)))
+            space = EnumerationSpace(aut, cfg, 5, (0, 1))
             for run in enumerate_runs(space):
                 lrun = instrument_lineage(run)
                 for k in range(0, aut.level + 1):
@@ -260,12 +258,12 @@ def test_classification_table_is_the_definition_on_the_example(example_run):
 
 def test_classification_table_is_the_definition_on_the_corpus():
     # one run per (machine, start, operations): lineage reads no data value
-    from hopad.harness import DEFAULT_BOUNDS, _corpus, universe_for
+    from hopad.harness import DEFAULT_BOUNDS, _corpus
 
     runs = 0
     for _, aut, cfgs in _corpus(20260808, DEFAULT_BOUNDS["corpus_machines"]):
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 6, universe_for(aut, cfg, (0, 1)))
+            space = EnumerationSpace(aut, cfg, 6, (0, 1))
             seen = set()
             for run in enumerate_runs(space):
                 if run.operations() not in seen:

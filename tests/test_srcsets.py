@@ -5,7 +5,6 @@ import pytest
 from hopad.core import Step, empty_run, extend_run, step
 from hopad.harness import (
     EnumerationSpace,
-    _runs,
     enumerate_runs,
     excursion_config,
     excursion_machine,
@@ -36,7 +35,7 @@ def drive(aut, cfg, labels):
 
 
 def normalized_runs(aut, cfg, bound):
-    return _runs(aut, cfg, bound, (0, 1, 2), True)
+    return enumerate_runs(EnumerationSpace(aut, cfg, bound, (0, 1, 2), True))
 
 
 def alone(run, table):
@@ -281,8 +280,6 @@ def test_idv_upper_uniqueness_counterexample():
 
 
 def test_all_decomposition_cases_exercised():
-    from hopad.harness import universe_for
-
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
@@ -294,9 +291,7 @@ def test_all_decomposition_cases_exercised():
             if child.shape == "upper":
                 walk(child)
 
-    space = EnumerationSpace(
-        aut, cfg, 5, universe_for(aut, cfg, (0, 1, 2)), normalized_only=True
-    )
+    space = EnumerationSpace(aut, cfg, 5, (0, 1, 2), normalized_only=True)
     for run in enumerate_runs(space):
         lrun = instrument_lineage(run)
         for k in (0, 1):

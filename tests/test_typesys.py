@@ -6,7 +6,8 @@ import pytest
 from hopad.core import Atom, Configuration, from_nested, spine
 from hopad.harness import (
     DEFAULT_UNIVERSE,
-    _runs,
+    EnumerationSpace,
+    enumerate_runs,
     excursion_config,
     excursion_machine,
     random_machine,
@@ -33,8 +34,8 @@ from hopad.typesys import (
 )
 
 
-def runs_from(aut, cfg, bound, values, normalized):
-    return _runs(aut, cfg, bound, values, normalized)
+def runs_from(aut, cfg, bound, base, normalized):
+    return enumerate_runs(EnumerationSpace(aut, cfg, bound, base, normalized))
 
 
 @pytest.fixture(scope="module")
@@ -241,12 +242,13 @@ def test_collapse_rules_rejected():
         saturate_level0(build_u_recognizer(), shape_monoid())
 
 
-def test_resource_cap():
-    from hopad.typesys import ResourceCapExceeded
+def test_resource_cap(monkeypatch):
+    from hopad import typesys
 
     aut = excursion_machine()
-    with pytest.raises(ResourceCapExceeded):
-        saturate_level0(aut, presence_monoid(aut.input_alphabet), max_descriptors=2)
+    monkeypatch.setattr(typesys, "DESCRIPTOR_CAP", 2)
+    with pytest.raises(typesys.ResourceCapExceeded):
+        saturate_level0(aut, presence_monoid(aut.input_alphabet))
 
 
 def test_run2type_single_pop_exact(single_pop):

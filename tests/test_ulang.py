@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hopad.core import execute_word, top_atom
+from hopad import ulang
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 
@@ -108,7 +109,7 @@ def test_accepting_run_reads_the_word_exactly():
         assert out.accepted and out.run.read_word == word
 
 
-def test_gen_w():
+def test_gen_w(monkeypatch):
     assert gen_w(0, 1) == "[]["
     assert gen_w(0, 5) == "[]["
     assert gen_w(1, 2) == "[][[][]]["
@@ -122,8 +123,9 @@ def test_gen_w():
         gen_w(9, 2)
     with pytest.raises(ValueError):
         gen_w(0, 0)
-    with pytest.raises(ValueError):
-        gen_w(6, 3, max_len=1000)
+    monkeypatch.setattr(ulang, "GEN_W_MAX_LEN", 1000)
+    with pytest.raises(ValueError, match="w_6 with N=3 exceeds the 1000 length cap"):
+        gen_w(6, 3)
 
 
 def test_decorate_distinct():
