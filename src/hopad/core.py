@@ -15,12 +15,17 @@ substack and shares everything under it with its input, so pop, push and
 stack_sizes cost O(level) and consecutive configurations of a run share
 their stacks almost entirely (collapse also walks past the (i-1)-stacks
 it removes).  A collapsible push reads its links on its one descent;
-:func:`stack_sizes` is their oracle.  A run made by :func:`extend_run`
-points at the run it extends, so recording a step costs O(1); its tuples
-are built on first read, and the pointer is dropped then.
+:func:`stack_sizes` is their oracle.  Operations build their nodes
+through `_node`, past the Python-level `Node.__init__`, and rebuild a
+path of depth 0 or 1 inline rather than by recursion.  A run made by
+:func:`extend_run` points at the run it extends, so recording a step
+costs O(1); its tuples are built on first read, and the pointer is
+dropped then.  A letter step's label is the word's own (letter, value)
+pair, and no :class:`Step` outlives the call that records it.
 :meth:`Run.operations` reads the chain without building them.  An
-automaton builds its rule tables and its initial configuration on first
-use and shares them.
+automaton builds its rule table, keyed by (state, top symbol), and its
+initial configuration on first use and shares them, so :func:`step`
+finds its rule with one keyed lookup and, for a letter, one more.
 Configurations and runs can be stored and shared freely, across threads
 too: values filled in on first use are the same whichever thread fills
 them in.
@@ -125,6 +130,20 @@ class Node:
         return f"Node({list(self)!r})"
 
 
+_new = object.__new__  # allocates past a class's Python-level __init__
+
+
+def _node(below: Optional[Node], top: "Stack") -> Node:
+    """`Node(below, top)` without the Python-level `__init__` call: the
+    one routine through which operations build their nodes."""
+    node = _new(Node)
+    node.below = below
+    node.top = top
+    node.size = 1 if below is None else below.size + 1
+    node._hash = None
+    return node
+
+
 # The empty k-stack, which occurs only as a piece of a `spine`, is None.
 Stack = Union[Atom, Node]
 
@@ -213,18 +232,19 @@ class Automaton:
     collapsible: bool = False
 
     @cached_property
-    def eps_rules(self) -> dict[tuple[str, str], Transition]:
-        return {
-            (t.state, t.symbol): t for t in self.transitions if t.letter is None
-        }
-
-    @cached_property
-    def letter_rules(self) -> dict[tuple[str, str, str], Transition]:
-        return {
-            (t.state, t.symbol, t.letter): t
-            for t in self.transitions
-            if t.letter is not None
-        }
+    def rule_table(self) -> dict[tuple[str, str], Union[Transition, dict[str, Transition]]]:
+        """(state, top symbol) -> the epsilon rule, which always wins, or
+        else a dict from each letter to its letter rule."""
+        table: dict = {}
+        for t in self.transitions:
+            key = (t.state, t.symbol)
+            if t.letter is None:
+                table[key] = t
+            else:
+                letters = table.setdefault(key, {})
+                if letters.__class__ is dict:
+                    letters[t.letter] = t
+        return table
 
     @cached_property
     def uses_collapse(self) -> bool:
@@ -364,7 +384,7 @@ def recompose(pieces: Iterable[Optional[Stack]]) -> Stack:
     pieces = tuple(pieces)
     cur = pieces[-1]
     for piece in reversed(pieces[:-1]):
-        cur = Node(piece, cur)
+        cur = _node(piece, cur)
     return cur
 
 
@@ -373,10 +393,11 @@ _tuple = tuple.__new__  # namedtuple's `_make` route, past the Python-level __ne
 
 def _replace_top(stack: Stack, depth: int, new: Stack) -> Stack:
     """`stack` with the substack `depth` levels down its top path replaced
-    by `new`; only the nodes on that path are rebuilt."""
+    by `new`; only the nodes on that path are rebuilt.  Callers handle
+    depths 0 and 1 inline."""
     if depth == 0:
         return new
-    return Node(stack.below, _replace_top(stack.top, depth - 1, new))
+    return _node(stack.below, _replace_top(stack.top, depth - 1, new))
 
 
 def apply_operation(
@@ -397,31 +418,43 @@ def apply_operation(
     """
     k = op.level
     kind = op.kind
+    depth = level - k
     target = stack
     sizes = ()  # (k_{k+1}, ..., k_n): the sizes passed on the way to `target`
-    for _ in range(level - k):
+    i = depth
+    while i:  # `while` loops, as in `step`
         sizes = (target.size,) + sizes
         target = target.top
+        i -= 1
     if kind == "pop":
-        if target.below is None:
-            raise IllFormed(f"{op} would empty the topmost {k}-stack")
         new = target.below
+        if new is None:
+            raise IllFormed(f"{op} would empty the topmost {k}-stack")
     elif kind == "push":
         links = None
         if collapsible:  # the copy makes k_k one larger; descend on to k_1
             links = (target.size + 1,) + sizes
             cur = target.top
-            for _ in range(k - 1):
+            i = k - 1
+            while i:
                 links = (cur.size,) + links
                 cur = cur.top
+                i -= 1
         atom = _tuple(Atom, (op.symbol, data, links))
-        new = Node(target, _replace_top(target.top, k - 1, atom))
+        if k == 1:
+            new = _node(target, atom)
+        elif k == 2:
+            new = _node(target, _node(target.top.below, atom))
+        else:
+            new = _node(target, _replace_top(target.top, k - 1, atom))
     elif kind == "collapse":
         if not collapsible:
             raise CollapseUnavailable(f"{op} on a non-collapsible stack")
         atom = target
-        for _ in range(k):
+        i = k
+        while i:
             atom = atom.top
+            i -= 1
         if atom.links is None or len(atom.links) < k:
             raise IllFormed(f"{op} on an atom without a level-{k} link")
         keep = atom.links[k - 1] - 1
@@ -430,11 +463,17 @@ def apply_operation(
         if keep > target.size:
             raise IllFormed(f"{op} link {keep + 1} exceeds current size {target.size}")
         new = target
-        for _ in range(target.size - keep):
+        i = target.size - keep
+        while i:
             new = new.below
+            i -= 1
     else:
         raise ValueError(f"unknown operation kind {op.kind!r}")
-    return _replace_top(stack, level - k, new)
+    if depth == 0:
+        return new
+    if depth == 1:
+        return _node(stack.below, new)
+    return _replace_top(stack, depth, new)
 
 
 class Step(NamedTuple):
@@ -449,6 +488,9 @@ class Stuck(NamedTuple):
 
 StepResult = Union[Step, Stuck]
 
+_NO_TRANSITION = Stuck("no-transition")
+_DATA_MISMATCH = Stuck("data-mismatch")
+
 
 def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
     """Take the unique next step, if any.
@@ -457,32 +499,36 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
     input, pushes store NO_DATA, and pops are unconditional.  Otherwise a
     letter rule matching `next_input = (letter, value)` fires; a push
     stores the value, a pop additionally requires it to equal the data of
-    the topmost atom.
+    the topmost atom.  A letter step's label is `next_input` itself when
+    it is a tuple, else a tuple of its two items.
     """
     state, stack = config
     atom = stack
-    for _ in range(aut.level):
+    level = i = aut.level
+    while i:  # not `for ... in range`: CPython 3.11 does not specialise range iteration
         atom = atom.top
-    rule = aut.eps_rules.get((state, atom.symbol))
-    if rule is not None:
-        try:
-            new = apply_operation(stack, aut.level, rule.op, NO_DATA, aut.collapsible)
-        except StackError as exc:
-            return Stuck(f"ill-formed: {exc}")
-        return _tuple(Step, (_tuple(Configuration, (rule.target, new)), (None, None), rule))
-    if next_input is None:
-        return Stuck("no-transition")
-    letter, value = next_input
-    rule = aut.letter_rules.get((state, atom.symbol, letter))
-    if rule is None:
-        return Stuck("no-transition")
-    if rule.op.kind == "pop" and atom.data != value:
-        return Stuck("data-mismatch")
+        i -= 1
+    rule = aut.rule_table.get((state, atom.symbol))
+    if rule.__class__ is dict:
+        if next_input is None:
+            return _NO_TRANSITION
+        letter, value = next_input
+        rule = rule.get(letter)
+        if rule is None:
+            return _NO_TRANSITION
+        if rule.op.kind == "pop" and atom.data != value:
+            return _DATA_MISMATCH
+        label = next_input if next_input.__class__ is tuple else (letter, value)
+    elif rule is None:
+        return _NO_TRANSITION
+    else:
+        value = NO_DATA
+        label = (None, None)
     try:
-        new = apply_operation(stack, aut.level, rule.op, value, aut.collapsible)
+        new = apply_operation(stack, level, rule.op, value, aut.collapsible)
     except StackError as exc:
         return Stuck(f"ill-formed: {exc}")
-    return _tuple(Step, (_tuple(Configuration, (rule.target, new)), (letter, value), rule))
+    return _tuple(Step, (_tuple(Configuration, (rule.target, new)), label, rule))
 
 
 class Run:
@@ -578,12 +624,20 @@ class Run:
 
 
 def empty_run(aut: Automaton, config: Configuration) -> Run:
-    return Run(aut, (config,), (), ())
+    """The zero-step run at `config`, without `Run.__init__`'s copies."""
+    run = _new(Run)
+    run.automaton = aut
+    run.configs = (config,)
+    run.labels = run.transitions = ()
+    run.last = config
+    run._length = 0
+    run._parent = None
+    return run
 
 
 def extend_run(run: Run, step_result: Step) -> Run:
     """`run` followed by one step, in O(1): the new run points at `run`."""
-    new = object.__new__(Run)
+    new = _new(Run)
     new.automaton = run.automaton
     new.last = step_result.config
     new._length = run._length + 1

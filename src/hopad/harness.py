@@ -113,14 +113,17 @@ def walk_runs(space: EnumerationSpace, representative: bool = False):
         config = run.last
         state, stack = config
         atom = top_atom(stack, aut.level)
-        if (state, atom.symbol) in aut.eps_rules:
+        rules = aut.rule_table.get((state, atom.symbol))
+        if isinstance(rules, Transition):  # an epsilon rule
             res = step(aut, config, None)
             if isinstance(res, Step):
                 todo.append((extend_run(run, res), weight))
             continue
+        if rules is None:
+            continue
         children = []
         for letter in letters:
-            rule = aut.letter_rules.get((state, atom.symbol, letter))
+            rule = rules.get(letter)
             if rule is None:
                 continue
             if rule.op.kind == "pop":

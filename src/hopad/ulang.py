@@ -36,47 +36,56 @@ class UMembershipReport:
     failed_condition: str  # dollar-count | bracket-wellformedness | suffix-symmetry | none
 
 
+_DOLLAR_COUNT = UMembershipReport(False, "dollar-count")
+_BRACKET_WELLFORMEDNESS = UMembershipReport(False, "bracket-wellformedness")
+_SUFFIX_SYMMETRY = UMembershipReport(False, "suffix-symmetry")
+_MEMBER = UMembershipReport(True, "none")
+
+
 def in_u(word: DataWord) -> UMembershipReport:
-    """Decide membership directly from the three defining conditions.
+    """Decide membership directly from the three defining conditions,
+    reported in that order, in one pass over the word.
 
     The mirrored prefix is the one ending on the last opening bracket
     left unmatched before the dollar (empty when all are matched), so
     the suffix after the dollar is uniquely determined by the rest of
     the word; the suffix must have exactly that length and match it
-    position by position.
+    position by position.  A letter outside the alphabet raises
+    ValueError wherever it stands.
     """
-    letters = [a for a, _ in word]
-    for a in letters:
-        if a not in ALPHABET:
-            raise ValueError(f"letter {a!r} outside the {{[,],$}} alphabet")
-    if letters.count("$") != 1:
-        return UMembershipReport(False, "dollar-count")
-    depth = 0
-    for a in letters:
+    dollars = dollar = depth = 0
+    wellformed = True
+    opens = []  # positions of the opening brackets unmatched so far, before the dollar
+    for i, (a, _) in enumerate(word):
         if a == "[":
             depth += 1
+            if not dollars:
+                opens.append(i)
         elif a == "]":
             depth -= 1
             if depth < 0:
-                return UMembershipReport(False, "bracket-wellformedness")
-    if depth != 0:
-        return UMembershipReport(False, "bracket-wellformedness")
-    dollar = letters.index("$")
-    open_positions = []
-    for i, a in enumerate(letters[:dollar]):
-        if a == "[":
-            open_positions.append(i)
-        elif a == "]":
-            open_positions.pop()
-    prefix_len = open_positions[-1] + 1 if open_positions else 0
-    if len(word) - 1 - dollar != prefix_len:
-        return UMembershipReport(False, "suffix-symmetry")
+                wellformed = False
+            elif wellformed and not dollars:
+                opens.pop()
+        elif a == "$":
+            dollars += 1
+            dollar = i
+        else:
+            raise ValueError(f"letter {a!r} outside the {{[,],$}} alphabet")
+    if dollars != 1:
+        return _DOLLAR_COUNT
+    if not wellformed or depth:
+        return _BRACKET_WELLFORMEDNESS
+    prefix_len = opens[-1] + 1 if opens else 0
+    last = len(word) - 1
+    if last - dollar != prefix_len:
+        return _SUFFIX_SYMMETRY
     for i in range(prefix_len):
         ai, vi = word[i]
-        aj, vj = word[len(word) - 1 - i]
-        if vi != vj or {ai, aj} != {"[", "]"}:
-            return UMembershipReport(False, "suffix-symmetry")
-    return UMembershipReport(True, "none")
+        aj, vj = word[last - i]
+        if vi != vj or ai == aj:  # two brackets: they pair up iff they differ
+            return _SUFFIX_SYMMETRY
+    return _MEMBER
 
 
 def build_u_recognizer() -> Automaton:

@@ -12,7 +12,6 @@ from hopad.core import (
     DEFAULT_EPS_BUDGET,
     IllFormed,
     InvalidAutomaton,
-    Node,
     Run,
     Stuck,
     Step,
@@ -252,6 +251,35 @@ def test_step_epsilon_priority():
     assert res.label == (None, None)
 
 
+@pytest.mark.parametrize("epsilon_first", (True, False))
+def test_an_epsilon_rule_wins_over_a_letter_rule_on_the_same_state_and_symbol(epsilon_first):
+    # only an unvalidated automaton holds both; `step`, `execute_word` and
+    # the enumeration read the one rule table
+    from hopad.harness import EnumerationSpace, walk_runs
+
+    eps = Transition("q", "g", None, "p", push(1, "g"))
+    letter = Transition("q", "g", "a", "r", pop(1))
+    aut = Automaton(
+        1,
+        frozenset({"a"}),
+        frozenset({"g"}),
+        "g",
+        frozenset({"q", "p", "r"}),
+        "q",
+        frozenset({"p"}),
+        (eps, letter) if epsilon_first else (letter, eps),
+    )
+    assert [d.rule for d in automaton_diagnostics(aut)] == ["epsilon-conflict"]
+    cfg = initial_configuration(aut)
+    for next_input in (None, ("a", 1)):
+        res = step(aut, cfg, next_input)
+        assert isinstance(res, Step) and res.transition == eps and res.label == (None, None)
+    out = execute_word(aut, ())
+    assert out.accepted and out.run.transitions == (eps,)
+    runs = [run for run, _ in walk_runs(EnumerationSpace(aut, cfg, 3, (0, 1)))]
+    assert [run.transitions for run in runs] == [(), (eps,)]
+
+
 def test_step_determinism_and_purity():
     aut = single_pop_automaton()
     cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
@@ -348,6 +376,32 @@ def test_every_step_goes_through_step_apply_operation_and_extend_run(monkeypatch
     assert kinds == [t.op.kind for t in out.run.transitions]
     assert {"push", "pop", "collapse"} == set(kinds)
     assert {None, "["} <= {label[0] for label in out.run.labels}
+
+
+def test_a_recorded_run_keeps_no_step_and_labels_with_the_words_own_pairs():
+    # a `Step` kept alive per recorded step cost long runs time and memory
+    import gc
+
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    opens = tuple(("[", i) for i in range(1, 31))
+    word = opens + (("$", 0),) + tuple(("]", i) for _, i in reversed(opens))
+    gc.collect()
+    out = execute_word(aut, word)
+    assert out.accepted and len(out.run) >= 100
+    held = [o for o in gc.get_objects() if isinstance(o, Step)]
+    configs = {id(config) for config in out.run.configs}
+    assert not [s for s in held if id(s.config) in configs]
+    letter_labels = [label for label in out.run.labels if label[0] is not None]
+    assert len(letter_labels) == len(word)
+    assert all(label is pair for label, pair in zip(letter_labels, word))
+    # a pair that is not a tuple is copied into one before it is recorded
+    lists = execute_word(aut, [list(pair) for pair in word])
+    assert lists.accepted and lists.run.labels == out.run.labels
+    assert all(type(label) is tuple for label in lists.run.labels)
+    res = step(aut, Configuration("work", initial_configuration(aut).stack), ["[", 1])
+    assert isinstance(res, Step) and type(res.label) is tuple and res.label == ("[", 1)
 
 
 def test_execute_word_from_a_start_configuration():
@@ -654,13 +708,13 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
     stack = _wide_stack(level, width)
     assert stack_sizes(stack, level) == (width,) * level
     built = []
+    make_node = core._node
 
-    class CountingNode(Node):
-        def __init__(self, below, top):
-            built.append(self)
-            super().__init__(below, top)
+    def counting_node(below, top):
+        built.append(make_node(below, top))
+        return built[-1]
 
-    monkeypatch.setattr(core, "Node", CountingNode)
+    monkeypatch.setattr(core, "_node", counting_node)
     for k in range(1, level + 1):
         for op, nodes, size in (
             (pop(k), level - k, width - 1),

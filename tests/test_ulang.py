@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -51,6 +52,92 @@ def test_mirrored_prefix_ends_on_last_unmatched_open():
 def test_alphabet_guard():
     with pytest.raises(ValueError):
         in_u((("x", 1),))
+
+
+def _in_u_by_definition(word):
+    """(member, failed_condition) from the three defining conditions, each
+    checked on a pass of its own: the oracle of the one-pass `in_u`."""
+    letters = [a for a, _ in word]
+    for a in letters:
+        if a not in ulang.ALPHABET:
+            raise ValueError(f"letter {a!r} outside the {{[,],$}} alphabet")
+    if letters.count("$") != 1:
+        return False, "dollar-count"
+    depth = 0
+    for a in letters:
+        if a == "[":
+            depth += 1
+        elif a == "]":
+            depth -= 1
+            if depth < 0:
+                return False, "bracket-wellformedness"
+    if depth != 0:
+        return False, "bracket-wellformedness"
+    dollar = letters.index("$")
+    open_positions = []
+    for i, a in enumerate(letters[:dollar]):
+        if a == "[":
+            open_positions.append(i)
+        elif a == "]":
+            open_positions.pop()
+    prefix_len = open_positions[-1] + 1 if open_positions else 0
+    if len(word) - 1 - dollar != prefix_len:
+        return False, "suffix-symmetry"
+    for i in range(prefix_len):
+        ai, vi = word[i]
+        aj, vj = word[len(word) - 1 - i]
+        if vi != vj or {ai, aj} != {"[", "]"}:
+            return False, "suffix-symmetry"
+    return True, "none"
+
+
+def _near_member(rng, symbols, max_len):
+    """A member of at most `max_len` letters with up to two letters redrawn."""
+    body, depth = [], 0
+    for _ in range(rng.randint(0, (max_len - 1) // 2)):
+        a = "]" if depth and rng.random() < 0.45 else "["
+        depth += 1 if a == "[" else -1
+        body.append((a, rng.randint(0, 2)))
+    opens = []
+    for i, (a, _) in enumerate(body):
+        if a == "[":
+            opens.append(i)
+        else:
+            opens.pop()
+    mirrored = opens[-1] + 1 if opens else 0
+    word = body + [("$", rng.randint(0, 2))]
+    word += [("]" if body[i][0] == "[" else "[", body[i][1]) for i in range(mirrored - 1, -1, -1)]
+    for _ in range(rng.randint(0, 2)):
+        word[rng.randrange(len(word))] = rng.choice(symbols)
+    return tuple(word[:max_len])
+
+
+def test_in_u_agrees_with_the_three_conditions():
+    symbols = [(a, d) for a in ulang.ALPHABET for d in (0, 1, 2)]
+    words = [word for n in range(6) for word in itertools.product(symbols, repeat=n)]
+    rng = random.Random(18)
+    for _ in range(10_000):
+        words.append(tuple(rng.choice(symbols) for _ in range(rng.randint(0, 14))))
+        words.append(_near_member(rng, symbols, 14))
+    seen = Counter()
+    for word in words:
+        report = in_u(word)
+        assert (report.member, report.failed_condition) == _in_u_by_definition(word), word
+        seen[report.failed_condition] += 1
+    assert len(words) == 66_430 + 20_000 and max(map(len, words)) == 14
+    assert set(seen) == {"none", "dollar-count", "bracket-wellformedness", "suffix-symmetry"}
+    assert min(seen.values()) > 1000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("x@1", "$@0 $@1 x@2", "]@1 x@2", "]@1 $@0 $@0 ]@2 x@3 [@4", "[@1 $@0 ]@1 x@1"),
+)
+def test_a_letter_outside_the_alphabet_raises_wherever_it_stands(text):
+    # neither a second dollar nor an unmatched closing bracket ends the scan
+    for decide in (in_u, _in_u_by_definition):
+        with pytest.raises(ValueError, match="letter 'x' outside"):
+            decide(w(text))
 
 
 def test_renaming_invariance():
