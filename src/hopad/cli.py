@@ -522,19 +522,18 @@ def _cmd_gen_word(args) -> int:
 
 def _cmd_verify(args) -> int:
     selection = args.suite if args.suite else list(SUITE_NAMES)
-    bounds = {}
-    if args.max_steps is not None:
-        bounds["run_bound"] = args.max_steps
-        bounds["src_bound"] = min(args.max_steps, 5)
-    report = run_suites(selection, seed=args.seed, bounds=bounds or None)
+    report = run_suites(selection, seed=args.seed, max_steps=args.max_steps)
     sys.stdout.write(report.text())
     return 0 if report.ok else 1
 
 
-def _nonnegative(text: str) -> int:
-    if not _is_number(text):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        if not _is_number(text) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -557,7 +556,7 @@ def main(argv=None) -> int:
         return p
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--eps-budget", type=_nonnegative, default=DEFAULT_EPS_BUDGET)
+    budget.add_argument("--eps-budget", type=_at_least(0), default=DEFAULT_EPS_BUDGET)
     monoid = argparse.ArgumentParser(add_help=False)
     monoid.add_argument("--monoid", default="shape", choices=("shape", "trivial", "presence"))
 
@@ -598,7 +597,7 @@ def main(argv=None) -> int:
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=_nonnegative, default=None)
+    p.add_argument("--max-steps", type=_at_least(1), default=None)
 
     try:
         args = parser.parse_args(argv)

@@ -321,28 +321,28 @@ def initial_configuration(aut: Automaton) -> Configuration:
 
 
 def top_atom(stack: Stack, level: int) -> Atom:
-    cur = stack
-    for _ in range(level):
-        cur = cur.top
-    return cur
+    while level:  # the descents are `while` loops, as in `step`
+        stack = stack.top
+        level -= 1
+    return stack
 
 
 def top_stack(stack: Stack, level: int, k: int) -> Stack:
     """The topmost k-stack of a level-`level` stack."""
-    cur = stack
-    for _ in range(level - k):
-        cur = cur.top
-    return cur
+    while level > k:
+        stack = stack.top
+        level -= 1
+    return stack
 
 
 def stack_sizes(stack: Stack, level: int) -> tuple[int, ...]:
     """Sizes (k_1, ..., k_n) of the topmost i-stacks, i = 1..level."""
-    sizes = [0] * level
-    cur = stack
-    for lvl in range(level, 0, -1):
-        sizes[lvl - 1] = cur.size
-        cur = cur.top
-    return tuple(sizes)
+    sizes = ()
+    while level:
+        sizes = (stack.size,) + sizes
+        stack = stack.top
+        level -= 1
+    return sizes
 
 
 def stack_values(stack: Optional[Stack], level: int) -> set:
@@ -372,11 +372,11 @@ def spine(stack: Stack, level: int, k: int) -> tuple[Stack, ...]:
     empty).  ``recompose`` inverts this decomposition.
     """
     pieces = []
-    cur = stack
-    for _ in range(level, k, -1):
-        pieces.append(cur.below)
-        cur = cur.top
-    pieces.append(cur)
+    while level > k:
+        pieces.append(stack.below)
+        stack = stack.top
+        level -= 1
+    pieces.append(stack)
     return tuple(pieces)
 
 

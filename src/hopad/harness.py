@@ -60,8 +60,16 @@ from .typesys import (
 )
 from .ulang import build_u_recognizer, gen_w, in_u
 
-DEFAULT_UNIVERSE = (0, 1, 2, 3)
 ENUMERATION_CAP = 500_000  # concrete runs one enumeration may walk
+
+# the suites' acceptance bounds; see run_suites
+RUN_BOUND = 6
+SRC_BOUND = 5
+WORD_LENGTH = 6
+RANDOM_WORDS = 10_000
+RANDOM_WORD_LENGTH = 20
+TYPED_MACHINES = 20
+CORPUS_MACHINES = 50
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -76,7 +84,7 @@ class EnumerationSpace:
     automaton: Automaton
     start: Configuration
     max_steps: int
-    base: InitVar[tuple[int, ...]] = DEFAULT_UNIVERSE
+    base: InitVar[tuple[int, ...]]
     normalized_only: bool = False
     values: tuple[int, ...] = field(init=False)
 
@@ -358,17 +366,6 @@ def random_machine(seed: int, index: int) -> Automaton:
 # ---------------------------------------------------------------------------
 # verification suites
 
-DEFAULT_BOUNDS = {
-    "run_bound": 6,
-    "src_bound": 5,
-    "word_length": 6,
-    "random_words": 10_000,
-    "random_word_length": 20,
-    "typed_machines": 20,
-    "corpus_machines": 50,
-}
-
-
 @dataclass
 class SuiteReport:
     lines: list[str] = field(default_factory=list)
@@ -394,7 +391,7 @@ def _corpus(seed: int, count: int):
         yield f"random-{i}", aut, seeded_configurations(aut, 3, (0, 1, 2), 4)
 
 
-def _suite_monoid_laws(seed, bounds):
+def _suite_monoid_laws(seed, run_bound, src_bound):
     mon = shape_monoid()
     hard = list(validate_monoid(mon))
     letters = ("[", "]", "$")
@@ -422,7 +419,7 @@ def _suite_monoid_laws(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _suite_w_recurrence(seed, bounds):
+def _suite_w_recurrence(seed, run_bound, src_bound):
     hard = []
     checked = 0
     for reps in (1, 2, 3):
@@ -440,7 +437,7 @@ def _suite_w_recurrence(seed, bounds):
     return hard, [], {"checked": checked}
 
 
-def _suite_table1(seed, bounds):
+def _suite_table1(seed, run_bound, src_bound):
     run = classification_example_run()
     lrun = instrument_lineage(run)
     table = classification_table(lrun)
@@ -462,8 +459,8 @@ def _suite_table1(seed, bounds):
     return hard, [], {"rows": 7}
 
 
-def _all_data_words(max_len, letters=("[", "]", "$"), values=(0, 1, 2)):
-    symbols = [(a, d) for a in letters for d in values]
+def _all_data_words(max_len):
+    symbols = [(a, d) for a in ("[", "]", "$") for d in (0, 1, 2)]
     for length in range(max_len + 1):
         yield from itertools.product(symbols, repeat=length)
 
@@ -511,32 +508,32 @@ def _near_member_words(rng: random.Random, count: int, max_len: int):
     return out
 
 
-def _suite_u_differential(seed, bounds):
+def _suite_u_differential(seed, run_bound, src_bound):
     aut = build_u_recognizer()
     hard = []
     checked = 0
-    for word in _all_data_words(bounds["word_length"]):
+    for word in _all_data_words(WORD_LENGTH):
         checked += 1
         if execute_word(aut, word).accepted != in_u(word).member:
             hard.append(f"disagreement on {word}")
     rng = random.Random(f"{seed}:u-differential")
-    for word in _near_member_words(rng, bounds["random_words"], bounds["random_word_length"]):
+    for word in _near_member_words(rng, RANDOM_WORDS, RANDOM_WORD_LENGTH):
         checked += 1
         if execute_word(aut, word).accepted != in_u(word).member:
             hard.append(f"disagreement on {word}")
     return hard, [], {"checked": checked}
 
 
-def _suite_classifier_equivalence(seed, bounds):
+def _suite_classifier_equivalence(seed, run_bound, src_bound):
     hard = []
     checked = 0
-    for name, aut, cfgs in _corpus(seed, bounds["corpus_machines"]):
+    for name, aut, cfgs in _corpus(seed, CORPUS_MACHINES):
         n = aut.level
         for cfg in cfgs:
             # both routes read the start stack's shape and the operations,
             # never a data value, so one representative run decides all the
             # concrete runs it stands for (see walk_runs)
-            space = EnumerationSpace(aut, cfg, bounds["run_bound"], (0, 1))
+            space = EnumerationSpace(aut, cfg, run_bound, (0, 1))
             mismatches: dict[tuple, list[str]] = {}
             for run, weight in walk_runs(space, representative=True):
                 ops = run.operations()
@@ -592,8 +589,8 @@ def _starts(seed, machines, bound, base, normalized):
             yield name, StartRuns(cfg, table, runs), stack_values(cfg.stack, aut.level) - {0}
 
 
-def _suite_run2type(seed, bounds):
-    starts = _starts(seed, bounds["typed_machines"], bounds["run_bound"], (0, 1), False)
+def _suite_run2type(seed, run_bound, src_bound):
+    starts = _starts(seed, TYPED_MACHINES, run_bound, (0, 1), False)
     hard, soft, stats = _fold((name, check_run2type(start)) for name, start, _ in starts)
     misses = sum(line.startswith("single-pop: ") for line in soft)
     if misses:
@@ -601,8 +598,8 @@ def _suite_run2type(seed, bounds):
     return hard, soft, stats
 
 
-def _suite_idv(seed, bounds):
-    starts = _starts(seed, bounds["typed_machines"], bounds["run_bound"], (0, 1, 2), True)
+def _suite_idv(seed, run_bound, src_bound):
+    starts = _starts(seed, TYPED_MACHINES, run_bound, (0, 1, 2), True)
     reports = [(name, check_idv(start, sorted({1, 2} | stored)[:4])) for name, start, stored in starts]
     hard, soft, stats = _fold(reports)
     if not any(rep.verified for name, rep in reports if name == "single-pop"):
@@ -610,9 +607,9 @@ def _suite_idv(seed, bounds):
     return hard, soft, stats
 
 
-def _suite_origin(seed, bounds):
+def _suite_origin(seed, run_bound, src_bound):
     def reports():
-        starts = _starts(seed, bounds["corpus_machines"], bounds["src_bound"], (0, 1, 2), True)
+        starts = _starts(seed, CORPUS_MACHINES, src_bound, (0, 1, 2), True)
         for name, start, stored in starts:
             values, n = sorted({1, 2} | stored)[:4], start.table.automaton.level
             for run in start.runs:  # the check decides whether the run is k-upper
@@ -626,9 +623,9 @@ def _suite_origin(seed, bounds):
     return _fold(reports())
 
 
-def _suite_idv_upper(seed, bounds):
+def _suite_idv_upper(seed, run_bound, src_bound):
     def reports():
-        starts = _starts(seed, bounds["corpus_machines"], bounds["src_bound"], (0, 1, 2), True)
+        starts = _starts(seed, CORPUS_MACHINES, src_bound, (0, 1, 2), True)
         for name, start, stored in starts:
             values = sorted({1, 2, 3} | stored)[:5]
             for run in start.runs:  # the check decides whether the run is k-upper
@@ -653,24 +650,27 @@ _SUITE_FUNCTIONS = {
 SUITE_NAMES = tuple(_SUITE_FUNCTIONS)
 
 
-def run_suites(selection=None, seed: int = 0, bounds=None) -> SuiteReport:
+def run_suites(selection=None, seed: int = 0, max_steps=None) -> SuiteReport:
     """Run the named verification suites; deterministic given the seed.
 
+    The runs the suites enumerate take at most `max_steps` steps
+    (RUN_BOUND when None), and at most SRC_BOUND in the transfer suites.
     Failures are data, not exceptions: every suite contributes one
     line `suite=<name> status=<pass|fail> hard=<n> soft=<n> ...` plus
     one detail line per hard failure.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"the step bound must be at least 1, got {max_steps}")
     if selection is None:
         selection = SUITE_NAMES
-    merged = dict(DEFAULT_BOUNDS)
-    if bounds:
-        merged.update(bounds)
+    run_bound = RUN_BOUND if max_steps is None else max_steps
+    src_bound = min(run_bound, SRC_BOUND)
     report = SuiteReport()
     for name in selection:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}")
         try:
-            hard, soft, stats = _SUITE_FUNCTIONS[name](seed, merged)
+            hard, soft, stats = _SUITE_FUNCTIONS[name](seed, run_bound, src_bound)
         except (EnumerationCapExceeded, ResourceCapExceeded) as exc:
             # resource blow-ups are reported as failures, not tracebacks
             hard, soft, stats = [f"aborted: {exc}"], [], {}

@@ -91,8 +91,9 @@ def instrument_lineage(run: Run) -> LineageRun:
 
 
 def _descend(node: LNode, times: int) -> LNode:
-    for _ in range(times):
+    while times:  # `while`, as in core's descents
         node = node.children[-1]
+        times -= 1
     return node
 
 

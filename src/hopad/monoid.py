@@ -108,7 +108,7 @@ def presence_monoid(letters: Iterable[str]) -> FiniteMonoid:
     )
 
 
-def monoid_by_name(name: str, letters: Iterable[str] = ("[", "]", "$")) -> FiniteMonoid:
+def monoid_by_name(name: str, letters: Iterable[str]) -> FiniteMonoid:
     if name == "shape":
         return shape_monoid()
     if name == "trivial":

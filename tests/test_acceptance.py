@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from hopad.harness import DEFAULT_BOUNDS, SUITE_NAMES, run_suites
+from hopad import harness
+from hopad.harness import SUITE_NAMES, run_suites
 
 SEED = 20260808
 GOLDEN_REPORT = pathlib.Path(__file__).parent / "golden" / f"verify-{SEED}.txt"
@@ -86,21 +87,13 @@ def test_criterion_09_word_family_recurrence():
     _criterion(9, "bracket family length recurrence", 30.0, ["w-recurrence"])
 
 
-def test_criterion_10_deterministic_reports():
+def test_criterion_10_deterministic_reports(monkeypatch):
     start = time.time()
-    bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(
-        {
-            "run_bound": 5,
-            "src_bound": 4,
-            "word_length": 4,
-            "random_words": 1000,
-            "typed_machines": 8,
-            "corpus_machines": 8,
-        }
-    )
-    first = run_suites(list(SUITE_NAMES), seed=SEED, bounds=bounds)
-    second = run_suites(list(SUITE_NAMES), seed=SEED, bounds=bounds)
+    for name, value in (("SRC_BOUND", 4), ("WORD_LENGTH", 4), ("RANDOM_WORDS", 1000),
+                        ("TYPED_MACHINES", 8), ("CORPUS_MACHINES", 8)):
+        monkeypatch.setattr(harness, name, value)
+    first = run_suites(list(SUITE_NAMES), seed=SEED, max_steps=5)
+    second = run_suites(list(SUITE_NAMES), seed=SEED, max_steps=5)
     elapsed = time.time() - start
     identical = first.text() == second.text()
     status = "PASS" if identical and first.ok else "FAIL"

@@ -157,6 +157,10 @@ def test_classify_subrun_span():
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # header plus j=0..2
+    code, err = run_cli_stderr(
+        "classify", str(GOLDEN / "classification-example.scenario"), "--from", "3", "--to", "1"
+    )
+    assert (code, err) == (2, "span 3..1 outside 0..6\n")
 
 
 def test_types_output_is_stable():
@@ -235,6 +239,28 @@ def test_verify_command_smoke():
     code, out = run_cli("verify", "--suite", "monoid-laws", "--suite", "w-recurrence")
     assert code == 0
     assert out.splitlines()[0].startswith("suite=monoid-laws status=pass")
+
+
+def test_verify_max_steps_sets_the_run_bound():
+    from hopad.harness import run_suites
+
+    suites = ["run2type", "origin"]
+    code, out = run_cli("verify", "--suite", "run2type", "--suite", "origin",
+                        "--seed", "20260808", "--max-steps", "3")
+    assert code == 0
+    assert out == run_suites(suites, seed=20260808, max_steps=3).text()
+    assert out != run_suites(suites, seed=20260808).text()
+
+
+def test_verify_max_steps_leaves_the_transfer_suites_at_their_cap():
+    # origin and idv-upper take at most harness.SRC_BOUND (5) steps, so a
+    # larger --max-steps reproduces their lines at the default bounds
+    golden = (GOLDEN / "verify-20260808.txt").read_text().splitlines()
+    code, out = run_cli("verify", "--suite", "origin", "--suite", "idv-upper",
+                        "--seed", "20260808", "--max-steps", "7")
+    assert code == 0
+    expected = [line for line in golden if line.startswith(("suite=origin ", "suite=idv-upper "))]
+    assert out.splitlines() == expected
 
 
 @pytest.mark.parametrize(
@@ -358,13 +384,15 @@ def test_negative_eps_budget_is_a_usage_error(command):
 
 
 def test_negative_max_steps_is_a_usage_error():
-    # a negative bound never stops the enumeration before its run cap
-    err = io.StringIO()
-    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "run2type", "--max-steps", "-1"])
-    assert exc.value.code == 2
-    assert "--max-steps" in err.getvalue() and "nonnegative" in err.getvalue()
-    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    # a negative bound never stops the enumeration before its run cap, and
+    # at 0 the suites' one-step worked examples cannot be witnessed
+    for bound in ("-1", "0"):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "run2type", "--max-steps", bound])
+        assert exc.value.code == 2
+        assert "--max-steps" in err.getvalue() and ">= 1" in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 DEEP = """level {level}

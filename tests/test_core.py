@@ -425,6 +425,34 @@ def test_execute_word_purity_and_replay():
     assert replay(first.run)
 
 
+def test_replay_rejects_a_tampered_run():
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    run = execute_word(aut, (("[", 1), ("$", 0), ("]", 1))).run
+    configs, labels, transitions = list(run.configs), list(run.labels), list(run.transitions)
+    assert labels[0] == (None, None) and labels[6] == ("]", 1)
+    assert replay(Run(aut, configs, labels, transitions))
+
+    def tampered(index, items, value):
+        items = list(items)
+        items[index] = value
+        return items
+
+    bad = [
+        # a final configuration that the last step does not reach
+        Run(aut, tampered(-1, configs, configs[0]), labels, transitions),
+        # the rule of another step
+        Run(aut, configs, labels, tampered(0, transitions, transitions[2])),
+        # a letter on an epsilon step, which the epsilon rule ignores
+        Run(aut, configs, tampered(0, labels, ("[", 1)), transitions),
+        # a pop whose value is not the stored one is stuck
+        Run(aut, configs, tampered(6, labels, ("]", 2)), transitions),
+    ]
+    assert step(aut, configs[6], ("]", 2)) == Stuck("data-mismatch")
+    assert [replay(r) for r in bad] == [False] * 4
+
+
 def test_reachable_configurations_stay_well_formed():
     from hopad.ulang import build_u_recognizer
 

@@ -41,6 +41,12 @@ from hopad.monoid import presence_monoid
 from hopad.typesys import StartRuns, saturate_level0
 
 
+def _eight_machines(monkeypatch):
+    """Shrink the suites' corpus to its first eight machines, typed or not."""
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
+    monkeypatch.setattr(harness, "TYPED_MACHINES", 8)
+
+
 def test_universe_must_contain_zero():
     with pytest.raises(ValueError):
         EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (1, 2, 5))
@@ -49,8 +55,8 @@ def test_universe_must_contain_zero():
 def test_step_bound_must_be_nonnegative():
     aut, cfg = excursion_machine(), excursion_config()
     with pytest.raises(ValueError, match="step bound"):
-        EnumerationSpace(aut, cfg, -1)
-    runs = enumerate_runs(EnumerationSpace(aut, cfg, 0))
+        EnumerationSpace(aut, cfg, -1, (0, 1, 2, 3))
+    runs = enumerate_runs(EnumerationSpace(aut, cfg, 0, (0, 1, 2, 3)))
     assert len(runs) == 1 and len(runs[0]) == 0
 
 
@@ -65,7 +71,7 @@ def test_universe_adds_the_stored_values_to_the_base():
         for run in enumerate_runs(EnumerationSpace(aut, cfg, 2, (0, 1, 5)))
     ]
     assert (("a", 5),) in [labels for labels, _ in runs]
-    assert EnumerationSpace(aut, cfg, 2).values == (0, 1, 2, 3, 5)
+    assert EnumerationSpace(aut, cfg, 2, (0, 1, 2, 3)).values == (0, 1, 2, 3, 5)
 
 
 def test_empty_machine_enumerates_only_the_empty_run():
@@ -76,9 +82,8 @@ def test_empty_machine_enumerates_only_the_empty_run():
             1, frozenset("a"), frozenset("g"), "g", frozenset({"q"}), "q", frozenset(), ()
         )
     )
-    runs = enumerate_runs(
-        EnumerationSpace(aut, Configuration("q", from_nested((Atom("g", None),), 1)), 4)
-    )
+    start = Configuration("q", from_nested((Atom("g", None),), 1))
+    runs = enumerate_runs(EnumerationSpace(aut, start, 4, (0, 1, 2, 3)))
     assert len(runs) == 1 and len(runs[0]) == 0
 
 
@@ -235,7 +240,7 @@ def test_enumerated_runs_die_with_their_list(monkeypatch):
 def test_runs_with_equal_operations_share_lineage_and_verdicts():
     # the classifier-equivalence suite decides one run per (start, operations)
     repeats = 0
-    for _, aut, cfgs in harness._corpus(20260808, harness.DEFAULT_BOUNDS["corpus_machines"]):
+    for _, aut, cfgs in harness._corpus(20260808, harness.CORPUS_MACHINES):
         n = aut.level
         for cfg in cfgs:
             space = EnumerationSpace(aut, cfg, 4, (0, 1))
@@ -263,9 +268,9 @@ def test_runs_with_equal_operations_share_lineage_and_verdicts():
 
 
 def test_classifier_equivalence_instruments_once_per_start_and_operations(monkeypatch):
-    bounds = {"corpus_machines": 8, "run_bound": 4}
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
     keys = set()
-    for _, aut, cfgs in harness._corpus(20260808, bounds["corpus_machines"]):
+    for _, aut, cfgs in harness._corpus(20260808, 8):
         for cfg in cfgs:
             space = EnumerationSpace(aut, cfg, 4, (0, 1))
             keys |= {(aut, cfg, run.operations()) for run in enumerate_runs(space)}
@@ -276,7 +281,7 @@ def test_classifier_equivalence_instruments_once_per_start_and_operations(monkey
         return instrument_lineage(run)
 
     monkeypatch.setattr(harness, "instrument_lineage", counted)
-    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    assert run_suites(["classifier-equivalence"], seed=20260808, max_steps=4).ok
     assert len(made) == len(set(made)) and set(made) == keys
 
 
@@ -297,8 +302,8 @@ def test_classifier_equivalence_extends_only_representative_runs(monkeypatch):
 
     monkeypatch.setattr(harness, "walk_runs", spied)
     monkeypatch.setattr(harness, "extend_run", counted)
-    bounds = {"corpus_machines": 8, "run_bound": 4}
-    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
+    assert run_suites(["classifier-equivalence"], seed=20260808, max_steps=4).ok
     monkeypatch.undo()
     starts = [space for space, representative in walks if representative]
     seeding = [space for space, representative in walks if not representative]
@@ -312,10 +317,9 @@ def test_classifier_equivalence_extends_only_representative_runs(monkeypatch):
 def _classifier_spaces(seed):
     """The start configurations' spaces of classifier-equivalence at the
     default bounds."""
-    bound = harness.DEFAULT_BOUNDS["run_bound"]
-    for _, aut, cfgs in harness._corpus(seed, harness.DEFAULT_BOUNDS["corpus_machines"]):
+    for _, aut, cfgs in harness._corpus(seed, harness.CORPUS_MACHINES):
         for cfg in cfgs:
-            yield EnumerationSpace(aut, cfg, bound, (0, 1))
+            yield EnumerationSpace(aut, cfg, harness.RUN_BOUND, (0, 1))
 
 
 def _runs_by_recursion(space):
@@ -378,21 +382,21 @@ def test_classifier_equivalence_derives_once_per_operations_and_level(monkeypatc
 
     monkeypatch.setattr(harness, "decompose_upper", counted("upper", decompose_upper))
     monkeypatch.setattr(harness, "decompose_return", counted("return", decompose_return))
-    bounds = {"corpus_machines": 8, "run_bound": 4}
-    assert run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds).ok
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
+    assert run_suites(["classifier-equivalence"], seed=20260808, max_steps=4).ok
     sequences = {key[1:4] for key in derived}
     assert len(derived) == len(set(derived)) > 400 and outcomes == {False, True}
     assert len(derived) == sum(2 * aut.level + 1 for aut, _, _ in sequences)
 
 
-def _concrete_classifier_equivalence(seed, bounds):
+def _concrete_classifier_equivalence(seed, run_bound, src_bound):
     """Classifier-equivalence over every concrete run, one decision per
     operation sequence: the oracle of the representative walk's report."""
     hard, checked = [], 0
-    for name, aut, cfgs in harness._corpus(seed, bounds["corpus_machines"]):
+    for name, aut, cfgs in harness._corpus(seed, harness.CORPUS_MACHINES):
         for cfg in cfgs:
             mismatches = {}
-            for run in enumerate_runs(EnumerationSpace(aut, cfg, bounds["run_bound"], (0, 1))):
+            for run in enumerate_runs(EnumerationSpace(aut, cfg, run_bound, (0, 1))):
                 ops = run.operations()
                 if ops not in mismatches:
                     mismatches[ops] = harness._classifier_mismatches(name, run)
@@ -411,12 +415,12 @@ def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch
         return tree
 
     monkeypatch.setattr(harness, "decompose_upper", disagreeing)
-    bounds = {"corpus_machines": 8, "run_bound": 4}
-    got = run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds)
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
+    got = run_suites(["classifier-equivalence"], seed=20260808, max_steps=4)
     monkeypatch.setitem(
         harness._SUITE_FUNCTIONS, "classifier-equivalence", _concrete_classifier_equivalence
     )
-    expected = run_suites(["classifier-equivalence"], seed=20260808, bounds=bounds)
+    expected = run_suites(["classifier-equivalence"], seed=20260808, max_steps=4)
     assert expected.hard_total > 20 and len(set(expected.lines[1:])) > 1
     assert got.text() == expected.text()
 
@@ -431,9 +435,9 @@ def test_soundness_suites_instrument_no_lineage(monkeypatch):
         return instrument_lineage(run)
 
     monkeypatch.setattr(harness, "instrument_lineage", counted)
-    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
+    _eight_machines(monkeypatch)
     suites = ["run2type", "idv", "origin", "idv-upper"]
-    assert run_suites(suites, seed=20260808, bounds=bounds).ok
+    assert run_suites(suites, seed=20260808, max_steps=4).ok
     assert made == []
 
 
@@ -476,6 +480,12 @@ def test_run_suites_unknown_name():
         run_suites(["no-such-suite"])
 
 
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_run_suites_needs_a_positive_step_bound(max_steps):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suites(["table1"], max_steps=max_steps)
+
+
 @pytest.mark.parametrize(
     "suite", ["classifier-equivalence", "run2type", "idv", "origin", "idv-upper"]
 )
@@ -488,8 +498,8 @@ def test_suites_enumerate_once_per_start_configuration(monkeypatch, suite):
         return walk(space, representative)
 
     monkeypatch.setattr(harness, "walk_runs", counted)
-    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
-    assert run_suites([suite], seed=20260808, bounds=bounds).ok
+    _eight_machines(monkeypatch)
+    assert run_suites([suite], seed=20260808, max_steps=4).ok
     # 20 start configurations, plus one seeding call per random machine;
     # classifier-equivalence walks each start configuration's representatives
     assert len(calls) == 28
@@ -505,11 +515,12 @@ def test_quick_suites_pass_and_report_shape():
         assert line.startswith("suite=") and "status=pass" in line
 
 
-def test_suite_reports_are_reproducible():
-    bounds = {"run_bound": 4, "src_bound": 3, "word_length": 3,
-              "random_words": 50, "typed_machines": 3, "corpus_machines": 3}
-    first = run_suites(seed=42, bounds=bounds)
-    second = run_suites(seed=42, bounds=bounds)
+def test_suite_reports_are_reproducible(monkeypatch):
+    for name, value in (("SRC_BOUND", 3), ("WORD_LENGTH", 3), ("RANDOM_WORDS", 50),
+                        ("TYPED_MACHINES", 3), ("CORPUS_MACHINES", 3)):
+        monkeypatch.setattr(harness, name, value)
+    first = run_suites(seed=42, max_steps=4)
+    second = run_suites(seed=42, max_steps=4)
     assert first.text() == second.text()
 
 
@@ -544,8 +555,9 @@ def test_transfer_checks_run_once_per_run_and_level(monkeypatch):
 
     monkeypatch.setattr(harness, "check_origin", spy("origin", harness.check_origin))
     monkeypatch.setattr(harness, "check_idv_upper", spy("idv-upper", harness.check_idv_upper))
-    bounds = {"corpus_machines": 8, "src_bound": 4}
-    assert run_suites(["origin", "idv-upper"], seed=20260808, bounds=bounds).ok
+    monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
+    monkeypatch.setattr(harness, "SRC_BOUND", 4)
+    assert run_suites(["origin", "idv-upper"], seed=20260808).ok
     # origin checks k < level, idv-upper k <= level; the checks decide
     # k-upper-ness themselves, so every run is checked at every such k
     for name, above in (("origin", 0), ("idv-upper", 1)):
@@ -583,8 +595,8 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
     spy("type", typesys, "type_of_stack")
     spy("upper", typesys, "decompose_upper")
     spy("return", typesys, "decompose_return")
-    bounds = {"corpus_machines": 8, "typed_machines": 8, "run_bound": 4, "src_bound": 4}
-    assert run_suites([suite], seed=20260808, bounds=bounds).ok
+    _eight_machines(monkeypatch)
+    assert run_suites([suite], seed=20260808, max_steps=4).ok
     assert len(starts) == 20
 
     enumerated = {id(run) for _, runs in starts for run in runs}

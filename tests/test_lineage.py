@@ -258,10 +258,10 @@ def test_classification_table_is_the_definition_on_the_example(example_run):
 
 def test_classification_table_is_the_definition_on_the_corpus():
     # one run per (machine, start, operations): lineage reads no data value
-    from hopad.harness import DEFAULT_BOUNDS, _corpus
+    from hopad.harness import CORPUS_MACHINES, _corpus
 
     runs = 0
-    for _, aut, cfgs in _corpus(20260808, DEFAULT_BOUNDS["corpus_machines"]):
+    for _, aut, cfgs in _corpus(20260808, CORPUS_MACHINES):
         for cfg in cfgs:
             space = EnumerationSpace(aut, cfg, 6, (0, 1))
             seen = set()
