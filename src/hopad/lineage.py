@@ -259,13 +259,7 @@ class DecompositionTree(NamedTuple):
         )
 
 
-def decompose_return(
-    run: Run,
-    r: int,
-    i: int = 0,
-    j: Optional[int] = None,
-    _memo: Optional[dict] = None,
-) -> Optional[DecompositionTree]:
+def decompose_return(run: Run, r: int) -> Optional[DecompositionTree]:
     """Derivation of r-return-ness by recursion on the operation sequence.
 
     Case 1: a single pop^r step.  Case 2: a leading pop^k (k < r) or
@@ -273,85 +267,61 @@ def decompose_return(
     (k >= r) followed by a k-return composed with an r-return.  Collapse
     steps admit no case; the characterization covers collapse-free runs.
     """
-    if j is None:
-        j = len(run)
-    if _memo is None:
-        _memo = {}
-    key = ("return", i, j, r)
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = None  # cycles are impossible; this is just the default
-    result = None
-    if j > i:
-        first = run.transitions[i].op
-        if j - i == 1 and first.kind == "pop" and first.level == r:
-            result = DecompositionTree("return", 1, r, (i, j))
-        if result is None and (
-            (first.kind == "pop" and first.level < r)
-            or (first.kind == "push" and first.level != r)
-        ):
-            sub = decompose_return(run, r, i + 1, j, _memo)
-            if sub is not None:
-                result = DecompositionTree("return", 2, r, (i, j), children=(sub,))
-        if result is None and first.kind == "push" and first.level >= r:
-            k = first.level
-            for m in range(i + 2, j):
-                left = decompose_return(run, k, i + 1, m, _memo)
-                if left is None:
-                    continue
-                right = decompose_return(run, r, m, j, _memo)
-                if right is not None:
-                    result = DecompositionTree(
-                        "return", 3, r, (i, j), split=m, children=(left, right)
-                    )
-                    break
-    _memo[key] = result
-    return result
+    ops = run.operations()
+    return _derive(ops, {}, "return", r, 0, len(ops))
 
 
-def decompose_upper(
-    run: Run,
-    k: int,
-    i: int = 0,
-    j: Optional[int] = None,
-    _memo: Optional[dict] = None,
-) -> Optional[DecompositionTree]:
+def decompose_upper(run: Run, k: int) -> Optional[DecompositionTree]:
     """Derivation of k-upper-ness by recursion on the operation sequence.
 
     Case 1: only operations of level at most k (the empty run included).
     Case 2: a single push^r, r >= k+1.  Case 3: a leading push^r
     (r >= k+1) followed by an r-return.  Case 4: a composition of two
-    nonempty k-upper runs.  Case 3 shares the memo with
-    ``decompose_return``; keys carry the shape, (shape, i, j, level).
+    nonempty k-upper runs.
     """
-    if j is None:
-        j = len(run)
-    if _memo is None:
-        _memo = {}
-    key = ("upper", i, j, k)
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = None
-    result = None
-    ops = [run.transitions[t].op for t in range(i, j)]
-    if all(op.level <= k for op in ops):
-        result = DecompositionTree("upper", 1, k, (i, j))
-    if result is None and j - i == 1 and ops[0].kind == "push" and ops[0].level >= k + 1:
-        result = DecompositionTree("upper", 2, k, (i, j))
-    if result is None and ops and ops[0].kind == "push" and ops[0].level >= k + 1:
-        sub = decompose_return(run, ops[0].level, i + 1, j, _memo)
-        if sub is not None:
-            result = DecompositionTree("upper", 3, k, (i, j), children=(sub,))
-    if result is None:
-        for m in range(i + 1, j):
-            left = decompose_upper(run, k, i, m, _memo)
-            if left is None:
-                continue
-            right = decompose_upper(run, k, m, j, _memo)
-            if right is not None:
-                result = DecompositionTree(
-                    "upper", 4, k, (i, j), split=m, children=(left, right)
-                )
+    ops = run.operations()
+    return _derive(ops, {}, "upper", k, 0, len(ops))
+
+
+def _derive(
+    ops: tuple, memo: dict, shape: str, level: int, i: int, j: int
+) -> Optional[DecompositionTree]:
+    """The derivation of ops[i:j] as a `level`-upper or `level`-return run
+    (`shape`), or None; `memo` holds each (shape, level, i, j) searched.
+    Cases are tried in order, and a composition takes its leftmost split:
+    upper case 4 splits into two parts of the same shape and level,
+    return case 3 into a return at the level of the leading push (after
+    it) and a `level`-return."""
+    key = (shape, level, i, j)
+    if key in memo:
+        return memo[key]
+    tree = composition = None  # composition: (case, level of the left part, its start)
+    first = ops[i] if i < j else None
+    if shape == "upper":
+        if all(op.level <= level for op in ops[i:j]):
+            tree = DecompositionTree(shape, 1, level, (i, j))
+        elif first.kind == "push" and first.level > level:
+            if j - i == 1:
+                tree = DecompositionTree(shape, 2, level, (i, j))
+            elif (sub := _derive(ops, memo, "return", first.level, i + 1, j)) is not None:
+                tree = DecompositionTree(shape, 3, level, (i, j), children=(sub,))
+        composition = (4, level, i)
+    elif first is not None:
+        if j - i == 1 and first.kind == "pop" and first.level == level:
+            tree = DecompositionTree(shape, 1, level, (i, j))
+        elif (first.kind == "pop" and first.level < level) or (
+            first.kind == "push" and first.level != level
+        ):
+            if (sub := _derive(ops, memo, shape, level, i + 1, j)) is not None:
+                tree = DecompositionTree(shape, 2, level, (i, j), children=(sub,))
+        if first.kind == "push" and first.level >= level:
+            composition = (3, first.level, i + 1)
+    if tree is None and composition is not None:
+        case, left_level, start = composition
+        for m in range(start + 1, j):
+            left = _derive(ops, memo, shape, left_level, start, m)
+            if left is not None and (right := _derive(ops, memo, shape, level, m, j)) is not None:
+                tree = DecompositionTree(shape, case, level, (i, j), m, (left, right))
                 break
-    _memo[key] = result
-    return result
+    memo[key] = tree
+    return tree

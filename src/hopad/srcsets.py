@@ -22,15 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .core import Run, stack_values, top_stack
 from .lineage import DecompositionTree, is_normalized
 from .monoid import classify_word
-from .typesys import (
-    NE,
-    CheckReport,
-    StackTyping,
-    StartRuns,
-    _held,
-    _important,
-    stack_typing,
-)
+from .typesys import NE, CheckReport, StackTyping, StartRuns, _held, _important, _witnesses
 
 
 @dataclass(frozen=True)
@@ -80,23 +72,14 @@ def _src(node: DecompositionTree, sig: dict, run: Run, k: int, start: StartRuns)
             (sig[lvl] for lvl in range(n, r, -1)),
             run.at(j).state,
         )
-        post = stack_typing(top_stack(run.at(i + 1).stack, n, k), k, table)
-        # the level-r slot of a realizing descriptor holds against the
-        # topmost r-stack s^r : ... : s^k
-        partial = stack_typing(top_stack(run.at(i).stack, n, r), r, table)
-        held_in = StackTyping(n, k, st.typings[: n - r] + (partial,) + st.typings[n - r + 1 :])
+        # after the push, the level-r piece is the whole topmost r-stack
+        # before it, against which a realizer's level-r slot holds
+        after = start.typing(run.at(i + 1).stack, k)
         members = set()
-        for rho_id in post:
-            if rho_id == NE:
-                continue
-            rho = uni.desc(rho_id)
-            if rho.state != run.at(i + 1).state or rho.goal != goal_id:
-                continue
-            psis = {lvl: uni.psi_at(rho, lvl) for lvl in range(k + 1, n + 1)}
-            if _held(held_in, psis):
-                members |= set(psis.pop(r))
-                for lvl, ids in psis.items():
-                    src[lvl] |= set(ids)
+        for _, _, psis in _witnesses(uni, after, run.at(i + 1).state, goal_id):
+            members |= set(psis.pop(r))
+            for lvl, ids in psis.items():
+                src[lvl] |= set(ids)
     _promote(uni, src, members, r, st, k)
     return {lvl: frozenset(ids) for lvl, ids in src.items()}
 

@@ -31,7 +31,9 @@ complete: no descriptor can live at level n, so the level-n universe is
 exactly {ne} and every subset of it is covered.
 
 The two soundness checks take a :class:`StartRuns`: the runs of one start
-configuration, with what the checks ask of each worked out once.
+configuration, with what the checks ask of each worked out once.  One
+witness search (``_witnesses``) serves :func:`find_witness` and the src
+sets' push-then-return case.
 """
 
 from __future__ import annotations
@@ -237,9 +239,8 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
     Rules apply in the order of `aut.transitions`; the result does not
     depend on that order (asserted by the shuffled-order tests).
     """
-    for t in aut.transitions:
-        if t.op.kind == "collapse":
-            raise ValueError("the type system covers collapse-free automata only")
+    if aut.uses_collapse:
+        raise ValueError("the type system covers collapse-free automata only")
     unmapped = aut.input_alphabet - monoid.letter_map.keys()
     if unmapped:
         raise ValueError(f"monoid {monoid.name} maps no letter {' '.join(sorted(unmapped))}")
@@ -494,12 +495,9 @@ def combine_types(rest: Typing, top: Typing, k: int, table: Level0TypeTable) -> 
     for did, idv in top.items():
         if did == NE:
             continue
-        d = uni.desc(did)
-        if uni.goal(d.goal).r < k + 1:
-            continue  # the descriptor's goal retires at its return level
-        need = uni.psi_at(d, k)
-        if all(t in rest for t in need):
-            pid = uni.intern_desc(k, d.psis[:-1], d.state, d.goal)
+        need = uni.psi_at(uni.desc(did), k)
+        # a descriptor whose goal retires at its return level has no drop
+        if all(t in rest for t in need) and (pid := uni.drop(did, k)) is not None:
             acc = out.setdefault(pid, set())
             acc |= idv
             for t in need:
@@ -567,6 +565,20 @@ def _held(st: StackTyping, sets: Mapping[int, Iterable[int]]) -> bool:
 def _important(st: StackTyping, sets: Mapping[int, Iterable[int]]) -> frozenset:
     """The values important in the typing under `sets` (level -> descriptor ids)."""
     return frozenset().union(*(st.typing(i).get(t, ()) for i, ids in sets.items() for t in ids))
+
+
+def _witnesses(uni: Universe, st: StackTyping, state: str, goal_id: int):
+    """The descriptors of the level-k typing of `st` that start in `state`
+    with goal `goal_id` and whose assumption sets, levels k+1..n, hold in
+    `st`; yields (descriptor id, important values, assumption sets)."""
+    for did, idv in st.typing(st.k).items():
+        if did == NE:
+            continue
+        desc = uni.desc(did)
+        if desc.state == state and desc.goal == goal_id:
+            psis = {i: uni.psi_at(desc, i) for i in range(st.k + 1, st.level + 1)}
+            if _held(st, psis):
+                yield did, idv, psis
 
 
 def _promised(uni: Universe, g: Goal) -> dict[int, tuple[int, ...]]:
@@ -693,17 +705,9 @@ def find_witness(start: StartRuns, k: int, goal_id: int, d: Optional[int] = None
     state and the goal, with all assumption sets held by the spine
     pieces; when a data value `d` is given, it must additionally be
     important under the descriptor or one of its assumption descriptors."""
-    uni = start.table.universe
-    n = start.table.automaton.level
     st = start.typing(start.config.stack, k)
-    for did, idv in st.typing(k).items():
-        if did == NE:
-            continue
-        desc = uni.desc(did)
-        if desc.state != start.config.state or desc.goal != goal_id:
-            continue
-        psis = {i: uni.psi_at(desc, i) for i in range(k + 1, n + 1)}
-        if _held(st, psis) and (d is None or d in idv or d in _important(st, psis)):
+    for did, idv, psis in _witnesses(start.table.universe, st, start.config.state, goal_id):
+        if d is None or d in idv or d in _important(st, psis):
             return did
     return None
 

@@ -1,8 +1,8 @@
 """The checks in `typesys` and `srcsets` take the runs the harness
 enumerates; only the entry points may depend on the harness.  The checks
 classify runs by derivation, never by copy lineage.  Every module states
-its dependencies at its top, none inside a function.  Only `lineage`'s
-own recursion passes a derivation memo.  Every function the benchmark's
+its dependencies at its top, none inside a function.  `srcsets` reads
+typings only through a `StartRuns`.  Every function the benchmark's
 tracer wraps exists."""
 
 import ast
@@ -65,27 +65,18 @@ def test_no_module_imports_inside_a_function():
     assert not found, found
 
 
-def memo_passes(tree: ast.AST) -> list[int]:
-    """The lines of the calls that pass `_memo`, by keyword or by name."""
-    return [
+def test_srcsets_reads_typings_only_through_start_runs():
+    tree = ast.parse((PACKAGE / "srcsets.py").read_text())
+    used = imported_names(tree, "typesys")
+    assert not used & {"*", "stack_typing", "type_of_stack"}, sorted(used)
+    builds = [
         call.lineno
         for call in ast.walk(tree)
         if isinstance(call, ast.Call)
-        and (
-            any(kw.arg == "_memo" for kw in call.keywords)
-            or any(isinstance(arg, ast.Name) and arg.id == "_memo" for arg in call.args)
-        )
+        and isinstance(call.func, (ast.Name, ast.Attribute))
+        and (call.func.id if isinstance(call.func, ast.Name) else call.func.attr) == "StackTyping"
     ]
-
-
-def test_only_lineage_passes_a_derivation_memo():
-    found = {
-        path.name: lines
-        for path in PACKAGE.glob("*.py")
-        if path.name != "lineage.py" and (lines := memo_passes(ast.parse(path.read_text())))
-    }
-    assert not found, found
-    assert memo_passes(ast.parse((PACKAGE / "lineage.py").read_text()))
+    assert not builds, builds
 
 
 def test_every_traced_function_exists():

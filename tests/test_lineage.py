@@ -138,16 +138,16 @@ def test_upper_closed_under_composition(example_run):
 def test_decomposition_examples(example_run):
     run, lrun = example_run
     # pop^1 then pop^2: case 2 over a case-1 leaf
-    tree = decompose_return(run, 2, 1, 3)
+    tree = decompose_return(run.subrun(1, 3), 2)
     assert tree.case == 2
     assert tree.children[0].case == 1
     # push^2 then a 2-return: upper case 3
-    tree = decompose_upper(run, 1, 0, 3)
+    tree = decompose_upper(run.subrun(0, 3), 1)
     assert tree.case == 3
     # no derivation for the whole run as a 1-return
-    assert decompose_return(run, 1, 0, 6) is None
+    assert decompose_return(run, 1) is None
     # all-level<=k segment: case-1 leaf
-    assert decompose_upper(run, 1, 3, 5).case == 1
+    assert decompose_upper(run.subrun(3, 5), 1).case == 1
 
 
 def test_is_normalized():
@@ -212,6 +212,27 @@ def test_collapse_lineage_on_recognizer_run():
     table = classification_table(lrun)
     for j in range(len(out.run) + 1):
         assert set(table.upper[(j, 2)]) == set(range(j + 1))
+
+
+def test_remark_k_return_rejects_a_collapse_that_removes_several_stacks():
+    # the final collapse^2 of spans 3..14 to 6..14 exposes the traced
+    # 1-stack, a 2-return, but removes more than one 1-stack at once
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    word = (("[", 1), ("[", 2), ("]", 2), ("$", 0), ("]", 1))
+    run = execute_word(aut, word).run
+    assert run.transitions[13].op.kind == "collapse" and run.transitions[13].op.level == 2
+    lrun = instrument_lineage(run)
+    diverging = {
+        (r, i, j)
+        for r in (1, 2)
+        for j in range(len(run) + 1)
+        for i in range(j + 1)
+        if is_k_return(lrun, r, i, j) != remark_k_return(lrun, r, i, j)
+    }
+    assert diverging == {(2, i, 14) for i in (3, 4, 5, 6)}
+    assert all(is_k_return(lrun, 2, i, 14) for i in (3, 4, 5, 6))
 
 
 def test_instrumenting_leaves_no_reference_cycles():

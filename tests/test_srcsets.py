@@ -1,8 +1,9 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from hopad.core import Step, empty_run, extend_run, step
+from hopad.core import Step, Transition, empty_run, extend_run, pop, push, step, validate_automaton
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -194,6 +195,33 @@ def test_origin_exhaustive_over_fragment():
                 report = check_origin(run, k, sigmas, start, [1, 2])
                 hard += len(report.hard_failures)
     assert hard == 0
+
+
+def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
+    # a pop^1, push^1 detour (a@9, then c@0) also ends in q3 with the read
+    # class SOME and the final pieces below the top that keep 7 important
+    # under the run's assumptions, but its top atom is a fresh g@0 and it
+    # is not 0-upper: given it alone, the search finds no transferred run
+    base = excursion_machine()
+    detour = (
+        Transition("q", "g", "a", "qx", pop(1)),
+        Transition("qx", "g", "c", "q3", push(1, "g")),
+    )
+    aut = validate_automaton(
+        dataclasses.replace(
+            base, states=base.states | {"qx"}, transitions=base.transitions + detour
+        )
+    )
+    table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    run = excursion_prefix(aut)
+    other = drive(aut, run.at(0), [("a", 9), ("c", 0)])
+    final = type_of_stack(run.last.stack, 0, table)
+    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
+    with_run = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [run, other]), [7])
+    assert with_run.ok and with_run.verified == 2 and not with_run.unwitnessed
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [other]), [7])
+    assert report.ok and report.verified == 1
+    assert report.unwitnessed == ["k=0 d=7: important under src but no transferred run"]
 
 
 def test_transfer_checks_reject_runs_from_another_start(excursion):

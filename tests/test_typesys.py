@@ -298,6 +298,24 @@ def test_idv_worked_example(single_pop):
     assert vac.ok and vac.verified == 0
 
 
+def test_correspondence_hard_lines_name_the_unwitnessed_run():
+    # with the g1@5 entry emptied, the pop reading a@5 agrees with its goal
+    # but no descriptor of the start stack witnesses it
+    aut, cfg = single_pop_machine(), single_pop_config()
+    table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    table.entries[("g1", True)] = {}
+    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False)))
+    assert run2type.hard_failures == [
+        "k=0 goal=(goal SOME 1 qf) has an agreeing run (len=1 ops=[pop^1] word=[a@5]) "
+        "but no witnessing descriptor"
+    ]
+    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, True)), [5])
+    assert idv.hard_failures == [
+        "k=0 d=5 goal=(goal SOME 1 qf) used by len=1 ops=[pop^1] word=[a@5] "
+        "but no descriptor carries it"
+    ]
+
+
 def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
