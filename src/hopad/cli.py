@@ -22,6 +22,7 @@ tokens.  Stacks render as nested brackets of atoms `(sym,data)` with
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -210,16 +211,13 @@ def parse_automaton_text(text: str) -> Scenario:
         "accepting": [],
     }
     transitions: list[Transition] = []
-    start_state = None
-    start_stack_text = None
+    start_state = start_stack_text = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         where = f"line {lineno}"
-        tokens = line.split()
-        key = tokens[0]
-        rest = tokens[1:]
+        key, *rest = line.split()
         if key == "level":
             if len(rest) != 1 or not _is_number(rest[0]):
                 raise CliError(f"{where}: level needs one number")
@@ -241,11 +239,9 @@ def parse_automaton_text(text: str) -> Scenario:
                 raise CliError(f"{where}: trans needs source, symbol, input, target, op")
             source, symbol = rest[0], rest[1]
             if rest[2] == "eps":
-                letter = None
-                target_idx = 3
+                letter, target_idx = None, 3
             elif rest[2] == "in" and len(rest) >= 5:
-                letter = rest[3]
-                target_idx = 4
+                letter, target_idx = rest[3], 4
             else:
                 raise CliError(f"{where}: expected 'eps' or 'in <letter>'")
             target = rest[target_idx]
@@ -414,28 +410,21 @@ def _cmd_classify(args) -> int:
     run = run.subrun(lo, hi)
     table = classification_table(instrument_lineage(run))
     n = run.automaton.level
-    header = ["j", "stack"]
-    for k in range(0, n + 1):
-        header.append(f"{k}-upper")
-    for k in range(1, n + 1):
-        header.append(f"{k}-return")
-    rows = [header]
+    uppers, returns = range(n + 1), range(1, n + 1)
+    rows = [["j", "stack"] + [f"{k}-upper" for k in uppers] + [f"{k}-return" for k in returns]]
     for j in range(len(run) + 1):
-        row = [str(j), render_stack(run.at(j).stack, n)]
-        for k in range(0, n + 1):
-            row.append(_render_set(table.upper[(j, k)]))
-        for k in range(1, n + 1):
-            row.append(_render_set(table.returns[(j, k)]))
-        rows.append(row)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+        rows.append(
+            [str(j), render_stack(run.at(j).stack, n)]
+            + [_render_set(table.upper[(j, k)]) for k in uppers]
+            + [_render_set(table.returns[(j, k)]) for k in returns]
+        )
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
 
 
 def _render_set(values) -> str:
-    if not values:
-        return "{}"
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
@@ -485,6 +474,8 @@ def _cmd_src(args) -> int:
         result = compute_src(run, k, sigmas, start)
     except ValueError as exc:  # the run is not k-upper
         raise CliError(str(exc)) from None
+    except RecursionError:  # the derivation search recurses with the run length
+        raise CliError(f"a run of {len(run)} steps is too long to derive") from None
     uni = table.universe
     for i in range(k + 1, n + 1):
         ids = sorted(result.sets.get(i, ()))
@@ -608,7 +599,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:  # the reader went away, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,16 +19,16 @@ actually use the atom's own data value.
 
 A composer realizes each non-ne member of a level-r slot by a
 lower-level descriptor whose level-r drop it is.  One realizer index,
-:meth:`Universe.realizers`, answers which candidates realize a member,
-for rules 2a/2b, for :func:`goal_space` and for the src sets' promotion
-(``srcsets``).  :func:`check_composer` decides the composer condition
-on its own and is the oracle the tests hold both production paths to.
+:meth:`Universe.realizers`, finds the drops of every saturation rule,
+of :func:`goal_space` and of the src sets' promotion (``srcsets``).
+:func:`check_composer` decides the composer condition on its own and
+is the oracle the tests hold both production paths to.
 
-Free assumption-set positions (rule 1a's slots, which must mirror the
-goal's promised sets) are instantiated from the fixed slot universe
-{{}, {ne}} at every level.  For automata of level <= 2 this is
-complete: no descriptor can live at level n, so the level-n universe is
-exactly {ne} and every subset of it is covered.
+Rule 1a's free slots and :func:`goal_space`'s promised sets range over
+one slot universe per level (``_slot_options``): {}, {ne} and each
+singleton level-i drop of the table.  Slots of two or more descriptors
+are not shown complete.  At level <= 2 that is all there is: no
+descriptor lives at level n, so the level-n universe is exactly {ne}.
 
 The two soundness checks take a :class:`StartRuns`: the runs of one start
 configuration, with what the checks ask of each worked out once.  One
@@ -279,9 +279,10 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
             changed = False
             stats.passes += 1
             # rule 1a: the pop step itself is a k-return
+            opts = _slot_options(uni, entries)
             for tr in pops:
                 k = tr.op.level
-                for high in itertools.product(((), (NE,)), repeat=n - k):
+                for high in itertools.product(*(opts[i] for i in range(n, k, -1))):
                     gid = uni.intern_goal(phi(tr.letter), k, high, tr.target)
                     psis = high + ((NE,),) + ((),) * (k - 1)
                     did = uni.intern_desc(0, psis, tr.state, gid)
@@ -292,13 +293,8 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
             seen_dids = sorted({d for entry in entries.values() for d in entry})
             for tr in pops:
                 k = tr.op.level
-                for sid in seen_dids:
-                    s0 = uni.desc(sid)
-                    if s0.state != tr.target:
-                        continue
-                    tau_id = uni.drop(sid, k)
-                    if tau_id is None:
-                        continue
+                landing = [sid for sid in seen_dids if uni.desc(sid).state == tr.target]
+                for tau_id in uni.realizers(landing, k):
                     tau = uni.desc(tau_id)
                     g = uni.goal(tau.goal)
                     gid = uni.intern_goal(
@@ -353,6 +349,16 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
     except ResourceCapExceeded as exc:
         raise ResourceCapExceeded(str(exc), _snap_stats(stats, uni, entries)) from None
     return Level0TypeTable(aut, monoid, uni, entries, _snap_stats(stats, uni, entries))
+
+
+def _slot_options(uni: Universe, entries) -> dict[int, list[tuple[int, ...]]]:
+    """Per level 2..n, the sets a free slot ranges over: {}, {ne} and the
+    singleton of each level-i drop of the descriptors of `entries`."""
+    seen = sorted({did for entry in entries.values() for did in entry})
+    return {
+        i: sorted({(), (NE,)} | {(x,) for x in uni.realizers(seen, i)})
+        for i in range(2, uni.level + 1)
+    }
 
 
 def _snap_stats(stats, uni, entries) -> SaturationStats:
@@ -680,16 +686,13 @@ class CheckReport:
 
 def goal_space(table: Level0TypeTable) -> list[int]:
     """Goals the soundness checks quantify over: every goal materialized
-    during saturation plus all goals assembled from {{}, {ne}} and
-    singleton drops per level (complete for levels <= 2)."""
+    during saturation plus all goals whose promised sets come from rule
+    1a's slot universe (sets of two or more descriptors only if
+    saturation materialized them)."""
     uni = table.universe
     n = table.automaton.level
     out = {d.goal for d in uni.descriptors[1:] if d is not None}
-    seen = sorted({did for entry in table.entries.values() for did in entry})
-    level_opts = {
-        i: sorted({(), (NE,)} | {(dropped,) for dropped in uni.realizers(seen, i)})
-        for i in range(1, n + 1)
-    }
+    level_opts = _slot_options(uni, table.entries)
     for r in range(1, n + 1):
         for m in table.monoid.carrier:
             for q in sorted(table.automaton.states):

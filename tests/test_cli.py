@@ -1,10 +1,14 @@
 import io
+import os
 import re
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hopad
 from hopad.cli import (
     CliError,
     format_automaton,
@@ -15,7 +19,8 @@ from hopad.cli import (
     parse_stack_literal,
     render_stack,
 )
-from hopad.core import MAX_LEVEL, Atom, automaton_diagnostics, to_nested, top_atom
+from hopad.core import MAX_LEVEL, Atom, automaton_diagnostics, decollapse, to_nested, top_atom
+from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -226,6 +231,44 @@ def test_src_rejects_a_run_that_is_not_k_upper(tmp_path):
     )
     assert code == 2
     assert err == "the run is not 1-upper\n"
+
+
+def test_src_on_a_run_too_long_to_derive_is_one_line(tmp_path):
+    # 1,500 push^1 steps, then pop^2: the derivation search recurses
+    # deeper than the interpreter allows before it decides
+    path = tmp_path / "chain.scenario"
+    path.write_text(NOT_ONE_UPPER)
+    word = " ".join(["a@0"] * 1500 + ["b@0"])
+    code, err = run_cli_stderr("src", str(path), "--word", word, "--k", "1", "--monoid", "trivial")
+    assert (code, err) == (2, "a run of 1501 steps is too long to derive\n")
+
+
+def hopad_process(argv, stdout):
+    """`hopad argv` in a fresh interpreter, through the console entry point."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hopad.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-c", "from hopad.cli import entry; entry()", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def test_a_closed_pipe_ends_a_command_without_a_traceback(tmp_path):
+    # `hopad run --dump | head -1`: the dump (181 kB) fills the pipe, so
+    # the writes after the reader closes it fail
+    word = format_data_word(decorate_distinct(gen_w(3, 2)))
+    proc = hopad_process(["run", str(GOLDEN / "u-machine.aut"), "--word", word, "--dump"], subprocess.PIPE)
+    assert proc.stdout.readline().startswith("i=0 ")
+    proc.stdout.close()
+    assert (proc.communicate(timeout=60)[1], proc.returncode) == ("", 1)
+    # `hopad types` on the recognizer's collapse-free fragment (41 lines),
+    # the reader gone before the first write
+    frag = tmp_path / "frag.aut"
+    frag.write_text(format_automaton(decollapse(build_u_recognizer())))
+    read, write = os.pipe()
+    os.close(read)
+    proc = hopad_process(["types", str(frag)], write)
+    os.close(write)
+    assert (proc.communicate(timeout=60)[1], proc.returncode) == ("", 1)
 
 
 def test_gen_word_command():

@@ -2,7 +2,8 @@
 enumerates; only the entry points may depend on the harness.  The checks
 classify runs by derivation, never by copy lineage.  Every module states
 its dependencies at its top, none inside a function.  `srcsets` reads
-typings only through a `StartRuns`.  Every function the benchmark's
+typings only through a `StartRuns`.  Saturation and the goal space find
+drops only through the realizer index.  Every function the benchmark's
 tracer wraps exists."""
 
 import ast
@@ -91,3 +92,37 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"hopad.{module}"), function, None))
     ]
     assert tracer.TRACED and not missing, missing
+
+
+def functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def drop_calls(node: ast.AST) -> int:
+    return sum(
+        isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "drop"
+        for call in ast.walk(node)
+    )
+
+
+def test_drops_are_found_through_the_realizer_index():
+    # rules 1a/1b and the goal space ask `Universe.realizers`; only the
+    # promotion of one typing descriptor and the composer oracle drop
+    # on their own
+    callers, outside = set(), 0
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        outside += drop_calls(tree)
+        for name, fn in functions(tree):
+            if found := drop_calls(fn):
+                callers.add(f"{path.stem}.{name}")
+                outside -= found
+    assert callers == {
+        "typesys.Universe.realizers", "typesys.combine_types", "typesys.check_composer"
+    }, sorted(callers)
+    assert outside == 0, "a drop outside every function and method"

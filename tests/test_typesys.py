@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hopad.core import Atom, Configuration, from_nested, spine
+from hopad.cli import parse_automaton_text, parse_stack_literal
+from hopad.core import Atom, Configuration, from_nested, spine, validate_automaton
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -34,6 +35,27 @@ from hopad.typesys import (
 
 
 BASE = (0, 1, 2, 3)  # the data universe of the worked examples
+
+# a seeded level-3 machine: from q1 a pop^1 agrees with a goal whose
+# level-2 promised set is one level-2 drop of the table, so rule 1a must
+# fill free slots with such drops, not only with {} and {ne}
+LEVEL3_MACHINE = """level 3
+input-alphabet a b
+stack-alphabet g0 g1
+initial-state q0
+initial-symbol g0
+accepting q1
+trans q0 g0 eps q0 push 1 g1
+trans q0 g1 in a q0 push 1 g1
+trans q0 g1 in b q1 pop 1
+trans q1 g0 in a q1 push 2 g1
+trans q1 g0 in b q0 pop 1
+trans q1 g1 eps q0 pop 3
+"""
+
+
+def level3_machine():
+    return validate_automaton(parse_automaton_text(LEVEL3_MACHINE).automaton)
 
 
 def runs_from(aut, cfg, bound, base, normalized):
@@ -468,10 +490,11 @@ def test_value_unreachable_from_outer_state_is_vacuous():
 
 def test_shuffled_confluence_on_random_machines():
     # on machines 91:0 and 174:0, saturation records some descriptors
-    # without the idv flag before another rule raises it, in most orders
+    # without the idv flag before another rule raises it, in most orders;
+    # on the level-3 machine, rule 1a fills slots with level-2 drops
     rng = random.Random(17)
-    for seed, i in [(23, i) for i in range(10)] + [(91, 0), (174, 0)]:
-        aut = random_machine(seed, i)
+    seeds = [(23, i) for i in range(10)] + [(91, 0), (174, 0)]
+    for aut in [random_machine(seed, i) for seed, i in seeds] + [level3_machine()]:
         mon = presence_monoid(aut.input_alphabet)
         base = _structural(saturate_level0(aut, mon))
         for _ in range(4):
@@ -479,6 +502,23 @@ def test_shuffled_confluence_on_random_machines():
             rng.shuffle(order)
             shuffled = dataclasses.replace(aut, transitions=tuple(order))
             assert _structural(saturate_level0(shuffled, mon)) == base
+
+
+@pytest.mark.parametrize(
+    "stack",
+    ["[[[(g0,-) (g1,1)] [(g0,-) (g0,2)]]]", "[[[(g0,-)]] [[(g0,-) (g1,1)] [(g0,-) (g0,2)]]]"],
+)
+def test_level_three_runs_are_witnessed_from_two_column_starts(stack):
+    # from q1, pop^1 and push^3 pop^1 agree with goals whose level-2 slot
+    # holds one level-2 descriptor; rule 1a must build their witnesses
+    aut = level3_machine()
+    table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
+    cfg = Configuration("q1", parse_stack_literal(stack, 3))
+    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False)))
+    assert not run2type.hard_failures
+    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True)), [1, 2])
+    assert not idv.hard_failures
+    assert run2type.verified and idv.verified
 
 
 def test_goal_space_complete_at_level_two():
