@@ -401,7 +401,7 @@ def _cmd_accept(args) -> int:
 
 def _cmd_classify(args) -> int:
     scenario = load_scenario(args.file)
-    word = parse_data_word(args.word) if args.word else ()
+    word = parse_data_word(args.word)
     run = drive_run(scenario, word, args.eps_budget)
     lo = args.span_from if args.span_from is not None else 0
     hi = args.span_to if args.span_to is not None else len(run)
@@ -460,7 +460,7 @@ def _cmd_types(args) -> int:
 
 def _cmd_src(args) -> int:
     scenario = load_scenario(args.file)
-    word = parse_data_word(args.word) if args.word else ()
+    word = parse_data_word(args.word)
     run = drive_run(scenario, word, args.eps_budget)
     k = args.k
     n = scenario.automaton.level

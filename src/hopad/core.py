@@ -22,7 +22,7 @@ path of depth 0 or 1 inline rather than by recursion.  A run made by
 costs O(1); its tuples are built on first read, and the pointer is
 dropped then.  A letter step's label is the word's own (letter, value)
 pair, and no :class:`Step` outlives the call that records it.
-:meth:`Run.operations` reads the chain without building them.  An
+:meth:`Run.operations` reads `transitions`, so it builds the tuples too.  An
 automaton builds its rule table, keyed by (state, top symbol), and its
 initial configuration on first use and shares them, so :func:`step`
 finds its rule with one keyed lookup and, for a letter, one more.

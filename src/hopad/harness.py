@@ -394,12 +394,8 @@ def _corpus(seed: int, count: int):
 def _suite_monoid_laws(seed, run_bound, src_bound):
     mon = shape_monoid()
     hard = list(validate_monoid(mon))
-    letters = ("[", "]", "$")
-    words = [()]
-    for length in range(1, 5):
-        words += list(itertools.product(letters, repeat=length))
     checked = 0
-    for w in words:
+    for w in _words(("[", "]", "$"), 4):
         for cut in range(len(w) + 1):
             u, v = w[:cut], w[cut:]
             checked += 1
@@ -459,8 +455,8 @@ def _suite_table1(seed, run_bound, src_bound):
     return hard, [], {"rows": 7}
 
 
-def _all_data_words(max_len):
-    symbols = [(a, d) for a in ("[", "]", "$") for d in (0, 1, 2)]
+def _words(symbols, max_len):
+    """Every word over `symbols` of at most `max_len` letters, shortest first."""
     for length in range(max_len + 1):
         yield from itertools.product(symbols, repeat=length)
 
@@ -512,12 +508,11 @@ def _suite_u_differential(seed, run_bound, src_bound):
     aut = build_u_recognizer()
     hard = []
     checked = 0
-    for word in _all_data_words(WORD_LENGTH):
-        checked += 1
-        if execute_word(aut, word).accepted != in_u(word).member:
-            hard.append(f"disagreement on {word}")
     rng = random.Random(f"{seed}:u-differential")
-    for word in _near_member_words(rng, RANDOM_WORDS, RANDOM_WORD_LENGTH):
+    for word in itertools.chain(
+        _words([(a, d) for a in ("[", "]", "$") for d in (0, 1, 2)], WORD_LENGTH),
+        _near_member_words(rng, RANDOM_WORDS, RANDOM_WORD_LENGTH),
+    ):
         checked += 1
         if execute_word(aut, word).accepted != in_u(word).member:
             hard.append(f"disagreement on {word}")

@@ -4,8 +4,9 @@ Every nested stack occurrence of every configuration of a run gets a
 unique id.  Operations of level j leave the ids of all enclosing stacks
 (levels >= j) untouched; a push duplicates the topmost (j-1)-stack with
 fresh ids, each linked copy-of its source, and the rewritten top atom of
-the duplicate is linked copy-of the atom it replaces; pops and collapses
-destroy ids and create none.  The copy-of links form a forest, and the
+the duplicate is linked copy-of the atom it replaces; a pop or collapse
+keeps the (j-1)-stacks the concrete step kept, destroys the ids of the
+others and creates none.  The copy-of links form a forest, and the
 classifiers below are reachability questions in it:
 
 * a run is k-upper when the final topmost k-stack, traced backward
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from .core import Run, top_atom
+from .core import Run, top_stack
 
 
 class LNode(NamedTuple):
@@ -75,16 +76,14 @@ def instrument_lineage(run: Run) -> LineageRun:
     parent: dict[int, int] = {}
     created: dict[int, int] = {}
     snaps = [_annotate(run.at(0).stack, n, ids, created)]
-    for idx, tr in enumerate(run.transitions, start=1):
+    for idx, (tr, config) in enumerate(zip(run.transitions, run.configs[1:]), start=1):
         op = tr.op
-        if op.kind == "pop":
-            rewrite = lambda s: LNode(s.uid, s.children[:-1])  # noqa: E731
-        elif op.kind == "push":
+        if op.kind == "push":
             rewrite = lambda s: LNode(  # noqa: E731
                 s.uid, s.children + (_copy(s.children[-1], idx, ids, parent, created),)
             )
-        else:  # collapse; link values live in the concrete stack, not the id tree
-            keep = top_atom(run.at(idx - 1).stack, n).links[op.level - 1] - 1
+        else:  # pop or collapse: keep what the concrete step kept
+            keep = top_stack(config.stack, n, op.level).size
             rewrite = lambda s: LNode(s.uid, s.children[:keep])  # noqa: E731
         snaps.append(_modify_top(snaps[-1], n - op.level, rewrite))
     return LineageRun(run, tuple(snaps), parent, created)
@@ -157,27 +156,19 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
         j = len(lrun.run)
     if j <= i:
         return False
-    top_i = _descend(lrun.snapshots[i], n - k)
-    top_j = _descend(lrun.snapshots[j], n - k)
-    if _alive(lrun, top_j.uid, i) != top_i.uid:
-        return False
-    if len(top_j.children) != len(top_i.children) - 1:
-        return False
-    for pos, child in enumerate(top_j.children):
-        if _alive(lrun, child.uid, i) != top_i.children[pos].uid:
-            return False
-    # the removal happens in the last step, and what it removes is the
-    # traced copy of the initial topmost (k-1)-stack
     last = lrun.run.transitions[j - 1].op
     if last.level != k or last.kind == "push":
         return False
+    # a pop^k or collapse^k leaves a prefix of the children before it, so
+    # the lengths and one trace per earlier child cover the removed top
+    top_i = _descend(lrun.snapshots[i], n - k)
+    top_j = _descend(lrun.snapshots[j], n - k)
     before = _descend(lrun.snapshots[j - 1], n - k)
-    if len(before.children) != len(top_j.children) + 1:
+    if _alive(lrun, top_j.uid, i) != top_i.uid:
         return False
-    removed = before.children[-1]
-    if _alive(lrun, removed.uid, i) != top_i.children[-1].uid:
+    if not len(top_j.children) + 1 == len(before.children) == len(top_i.children):
         return False
-    return True
+    return all(_alive(lrun, c.uid, i) == c0.uid for c, c0 in zip(before.children, top_i.children))
 
 
 @dataclass

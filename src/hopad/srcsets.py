@@ -110,24 +110,24 @@ def compute_src(
     return SrcResult(k, _src(tree, sig, run, k, start), tree)
 
 
-def _run_hypotheses(run: Run, k: int, start: StartRuns, report: CheckReport) -> None:
-    """Name the run-level hypotheses of both transfer checks that fail;
-    k-upper-ness is that of the run's derivation (``decompose_upper``).
-    A run that does not start at `start`'s configuration raises
-    ValueError."""
+def _hypotheses(name, run: Run, k: int, start: StartRuns, values, bar_reads=False) -> tuple:
+    """The report of a transfer check, with its failed hypotheses named in
+    its errors, and the values it may use: none if the run is not
+    normalized or not k-upper (by its derivation, ``decompose_upper``),
+    else the distinct nonzero values outside the initial topmost k-stack
+    and, with `bar_reads`, not read by the run, in order.  A run that does
+    not start at `start`'s configuration raises ValueError."""
     if run.at(0) != start.config:
         raise ValueError("the run does not start at the start configuration")
+    report = CheckReport(name)
     if not is_normalized(run):
         report.errors.append("run is not normalized")
     if start.upper(run, k) is None:
         report.errors.append(f"run is not {k}-upper")
-
-
-def _usable_values(run: Run, k: int, n: int, values, barred, report: CheckReport) -> list[int]:
-    """The distinct nonzero values outside `barred` (read by the run) and
-    the initial topmost k-stack, in order; the others are named in the
-    report's errors."""
-    init_topk = stack_values(top_stack(run.at(0).stack, n, k), k)
+    if report.errors:
+        return report, []
+    barred = start.reads(run) if bar_reads else ()
+    init_topk = stack_values(top_stack(run.at(0).stack, start.table.automaton.level, k), k)
     usable = []
     for d in sorted(set(values)):
         if d == 0:
@@ -138,7 +138,7 @@ def _usable_values(run: Run, k: int, n: int, values, barred, report: CheckReport
             report.errors.append(f"d={d} occurs in the initial topmost {k}-stack")
         else:
             usable.append(d)
-    return usable
+    return report, usable
 
 
 def check_origin(
@@ -162,14 +162,10 @@ def check_origin(
     value, on a value (0, or stored in the initial topmost k-stack) it
     skips that value.
     """
-    report = CheckReport("origin")
-    _run_hypotheses(run, k, start, report)
-    if report.errors:
-        return report
-    n = start.table.automaton.level
-    fresh = _usable_values(run, k, n, values, (), report)
+    report, fresh = _hypotheses("origin", run, k, start, values)
     if not fresh:
         return report
+    n = start.table.automaton.level
 
     sigmas = {i: tuple(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
     src = compute_src(run, k, sigmas, start)
@@ -235,14 +231,12 @@ def check_idv_upper(
     uniqueness is known only up to that bound; a run starting elsewhere
     raises ValueError.
     """
-    report = CheckReport("idv-upper")
-    _run_hypotheses(run, k, start, report)
-    if report.errors:
+    report, usable = _hypotheses("idv-upper", run, k, start, values, bar_reads=True)
+    if not usable:
         return report
     n = start.table.automaton.level
     init = start.typing(start.config.stack, k)
     pairs = []
-    usable = _usable_values(run, k, n, values, start.reads(run), report)
     for d, d_prime in itertools.combinations(usable, 2):
         split = _split(init, k, n, d, d_prime)
         if split is None:

@@ -231,6 +231,7 @@ class Level0TypeTable:
     entries: dict[tuple[str, bool], dict[int, bool]]
     stats: SaturationStats
     _typing_cache: dict = field(default_factory=dict, repr=False)
+    _goal_space: Optional[list[int]] = field(default=None, repr=False)
 
 
 def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
@@ -731,9 +732,11 @@ def _correspondence(name, start: StartRuns, values, hard, soft):
     `soft` format those lines from k, d, goal and run or witness.  A
     value 0 is named in the report's errors and skipped."""
     report = CheckReport(name)
-    uni = start.table.universe
+    table, uni = start.table, start.table.universe
+    if table._goal_space is None:  # the starts of a machine share its table
+        table._goal_space = goal_space(table)
     goals = []
-    for gid in goal_space(start.table):
+    for gid in table._goal_space:
         g = uni.goal(gid)
         agreeing = [run for run in start.runs_with(g.q, g.m) if start.agrees(run, gid)]
         goals.append((gid, g, _promised(uni, g), agreeing))

@@ -1,4 +1,5 @@
 import gc
+import pathlib
 import weakref
 from collections import Counter
 
@@ -439,6 +440,24 @@ def test_soundness_suites_instrument_no_lineage(monkeypatch):
     suites = ["run2type", "idv", "origin", "idv-upper"]
     assert run_suites(suites, seed=20260808, max_steps=4).ok
     assert made == []
+
+
+def test_the_goal_space_is_built_once_per_table(monkeypatch):
+    # the starts of one machine share its table, and so its goal space
+    built = []
+    goal_space = typesys.goal_space
+
+    def counted(table):
+        built.append(table)
+        return goal_space(table)
+
+    monkeypatch.setattr(typesys, "goal_space", counted)
+    report = run_suites(["run2type", "idv"], seed=20260808)
+    assert len(built) == len({id(table) for table in built}) == 48
+    golden = (pathlib.Path(__file__).parent / "golden" / "verify-20260808.txt").read_text()
+    assert report.lines == [
+        line for line in golden.splitlines() if line.startswith(("suite=run2type ", "suite=idv "))
+    ]
 
 
 def test_find_agreeing_runs():

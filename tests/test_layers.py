@@ -3,8 +3,8 @@ enumerates; only the entry points may depend on the harness.  The checks
 classify runs by derivation, never by copy lineage.  Every module states
 its dependencies at its top, none inside a function.  `srcsets` reads
 typings only through a `StartRuns`.  Saturation and the goal space find
-drops only through the realizer index.  Every function the benchmark's
-tracer wraps exists."""
+drops only through the realizer index.  Only `core` reads a collapse
+link by index.  Every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -126,3 +126,17 @@ def test_drops_are_found_through_the_realizer_index():
         "typesys.Universe.realizers", "typesys.combine_types", "typesys.check_composer"
     }, sorted(callers)
     assert outside == 0, "a drop outside every function and method"
+
+
+def test_only_core_indexes_collapse_links():
+    # lineage follows the recorded step; it never reads a link itself
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "links"
+    ]
+    assert not found, found

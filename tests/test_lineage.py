@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from hopad.core import Step, empty_run, execute_word, extend_run, step
+from hopad.core import Step, empty_run, execute_word, extend_run, step, to_nested
 from hopad.harness import (
     CLASSIFICATION_EXAMPLE_GRID,
     excursion_config,
@@ -277,21 +277,26 @@ def test_classification_table_is_the_definition_on_the_example(example_run):
     _assert_table_is_the_definition(example_run[0])
 
 
-def test_classification_table_is_the_definition_on_the_corpus():
+@pytest.fixture(scope="module")
+def corpus_runs():
     # one run per (machine, start, operations): lineage reads no data value
     from hopad.harness import CORPUS_MACHINES, _corpus
 
-    runs = 0
+    runs = []
     for _, aut, cfgs in _corpus(20260808, CORPUS_MACHINES):
         for cfg in cfgs:
-            space = EnumerationSpace(aut, cfg, 6, (0, 1))
             seen = set()
-            for run in enumerate_runs(space):
+            for run in enumerate_runs(EnumerationSpace(aut, cfg, 6, (0, 1))):
                 if run.operations() not in seen:
                     seen.add(run.operations())
-                    _assert_table_is_the_definition(run)
-                    runs += 1
-    assert runs == 1083
+                    runs.append(run)
+    return runs
+
+
+def test_classification_table_is_the_definition_on_the_corpus(corpus_runs):
+    for run in corpus_runs:
+        _assert_table_is_the_definition(run)
+    assert len(corpus_runs) == 1083
 
 
 def _w3_prefix(letters):
@@ -300,7 +305,8 @@ def _w3_prefix(letters):
     return decorate_distinct(gen_w(3, 3))[:letters]
 
 
-def test_classification_table_is_the_definition_on_recognizer_runs():
+@pytest.fixture(scope="module")
+def recognizer_runs():
     # prefixes of w_3 hold no dollar, so their mirrored completions add
     # the collapse steps
     from hopad.ulang import build_u_recognizer
@@ -311,13 +317,34 @@ def test_classification_table_is_the_definition_on_recognizer_runs():
         prefix = _w3_prefix(letters)
         mirror = tuple(("]" if a == "[" else "[", d) for a, d in reversed(prefix))
         words.append(prefix + (("$", 0),) + mirror)
-    runs = [execute_word(aut, word).run for word in words]
+    return [execute_word(aut, word).run for word in words]
+
+
+def test_classification_table_is_the_definition_on_recognizer_runs(recognizer_runs):
+    runs = recognizer_runs
     assert len(runs[1]) == 161
     assert [any(tr.op.kind == "collapse" for tr in run.transitions) for run in runs] == [
         False, False, True, True, True, True
     ]
     for run in runs:
         _assert_table_is_the_definition(run)
+
+
+def _lineage_shape(node):
+    return None if node.children is None else tuple(_lineage_shape(c) for c in node.children)
+
+
+def _stack_shape(nested, level):
+    return None if level == 0 else tuple(_stack_shape(s, level - 1) for s in nested)
+
+
+def test_lineage_has_the_shape_of_the_concrete_stack(corpus_runs, recognizer_runs):
+    # every pop and collapse keeps as many stacks as the concrete step kept
+    for run in corpus_runs + recognizer_runs:
+        n = run.automaton.level
+        for t, snap in enumerate(instrument_lineage(run).snapshots):
+            stack = to_nested(run.at(t).stack, n)
+            assert _lineage_shape(snap) == _stack_shape(stack, n), (run.operations(), t)
 
 
 def test_classification_table_of_533_steps_within_budget():

@@ -3,7 +3,9 @@ from collections import Counter
 
 import pytest
 
-from hopad.core import Step, Transition, empty_run, extend_run, pop, push, step, validate_automaton
+from hopad.core import (
+    Step, Transition, empty_run, execute_word, extend_run, pop, push, step, validate_automaton
+)
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -236,6 +238,19 @@ def test_transfer_checks_reject_runs_from_another_start(excursion):
         check_idv_upper(run, 0, foreign, [4, 6])
     with pytest.raises(ValueError, match="start"):
         StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 3) + foreign.runs)
+
+
+def test_transfer_checks_test_the_start_before_reading_the_run(excursion):
+    # the u-fragment run reads brackets, which the excursion machine's
+    # monoid does not map: the start test must come before any read
+    aut, table = excursion
+    frag, _ = u_fragment_corpus()
+    run = execute_word(frag, (("[", 1), ("]", 1))).run
+    start = StartRuns(excursion_config(), table, [])
+    with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
+        check_idv_upper(run, 0, start, [4, 6])
+    with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
+        check_origin(run, 0, {}, start, [4])
 
 
 def test_idv_upper_conclusion_holds(excursion):
