@@ -41,6 +41,7 @@ from .core import (
     Transition,
     execute_word,
     from_nested,
+    rule_states,
     to_nested,
     validate_automaton,
 )
@@ -262,16 +263,12 @@ def parse_automaton_text(text: str) -> Scenario:
         raise CliError("missing level directive")
     if fields["initial-state"] is None or fields["initial-symbol"] is None:
         raise CliError("missing initial-state or initial-symbol")
-    states = {fields["initial-state"], *fields["accepting"]}
-    for t in transitions:
-        states.add(t.state)
-        states.add(t.target)
     aut = Automaton(
         level=fields["level"],
         input_alphabet=frozenset(fields["input-alphabet"]),
         stack_alphabet=frozenset(fields["stack-alphabet"]),
         initial_symbol=fields["initial-symbol"],
-        states=frozenset(states),
+        states=rule_states(transitions) | {fields["initial-state"], *fields["accepting"]},
         initial_state=fields["initial-state"],
         accepting=frozenset(fields["accepting"]),
         transitions=tuple(transitions),
@@ -394,7 +391,7 @@ def _cmd_run(args) -> int:
 def _cmd_accept(args) -> int:
     scenario = load_scenario(args.file)
     word = parse_data_word(args.word)
-    outcome = execute_word(scenario.automaton, word, args.eps_budget)
+    outcome = execute_word(scenario.automaton, word, args.eps_budget, scenario.start)
     print(outcome.kind)
     return 0 if outcome.accepted else 1
 
@@ -481,7 +478,7 @@ def _cmd_src(args) -> int:
         ids = sorted(result.sets.get(i, ()))
         print(f"src^{i} =", "{" + ", ".join(uni.render(x) for x in ids) + "}")
     print("derivation:")
-    print(result.provenance.render("  "))
+    print(result.provenance.render())
     return 0
 
 

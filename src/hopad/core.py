@@ -37,7 +37,7 @@ are the literal and I/O form only: :func:`from_nested` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -305,6 +305,11 @@ def automaton_diagnostics(aut: Automaton) -> list[Diagnostic]:
     for pair in sorted(eps_keys & letter_keys):
         out.append(Diagnostic("epsilon-conflict", f"at ({pair[0]},{pair[1]})"))
     return out
+
+
+def rule_states(transitions: Iterable[Transition]) -> frozenset[str]:
+    """The states that the rules name, as source or target."""
+    return frozenset(q for t in transitions for q in (t.state, t.target))
 
 
 def validate_automaton(aut: Automaton) -> Automaton:
@@ -731,14 +736,5 @@ def strip_links(stack: Stack, level: int) -> Stack:
 
 def decollapse(aut: Automaton) -> Automaton:
     """The collapse-free fragment: drop collapse rules and the links."""
-    return Automaton(
-        level=aut.level,
-        input_alphabet=aut.input_alphabet,
-        stack_alphabet=aut.stack_alphabet,
-        initial_symbol=aut.initial_symbol,
-        states=aut.states,
-        initial_state=aut.initial_state,
-        accepting=aut.accepting,
-        transitions=tuple(t for t in aut.transitions if t.op.kind != "collapse"),
-        collapsible=False,
-    )
+    rules = tuple(t for t in aut.transitions if t.op.kind != "collapse")
+    return replace(aut, transitions=rules, collapsible=False)

@@ -34,6 +34,7 @@ from .core import (
     initial_configuration,
     pop,
     push,
+    rule_states,
     stack_values,
     step,
     strip_links,
@@ -181,16 +182,17 @@ def seeded_configurations(
 
 def single_pop_machine() -> Automaton:
     """Level 1, one rule: read `a` with the stored value and pop."""
+    rules = (Transition("q", "g1", "a", "qf", pop(1)),)
     return validate_automaton(
         Automaton(
             level=1,
             input_alphabet=frozenset({"a"}),
             stack_alphabet=frozenset({"g0", "g1"}),
             initial_symbol="g0",
-            states=frozenset({"q", "qf"}),
+            states=rule_states(rules),
             initial_state="q",
             accepting=frozenset({"qf"}),
-            transitions=(Transition("q", "g1", "a", "qf", pop(1)),),
+            transitions=rules,
         )
     )
 
@@ -213,7 +215,7 @@ def classification_example_machine() -> Automaton:
             input_alphabet=frozenset({"a"}),
             stack_alphabet=frozenset({"a", "b", "c", "d", "e"}),
             initial_symbol="a",
-            states=frozenset({f"t{i}" for i in range(7)}),
+            states=rule_states(rules),
             initial_state="t0",
             accepting=frozenset({"t6"}),
             transitions=rules,
@@ -259,7 +261,7 @@ def excursion_machine() -> Automaton:
             input_alphabet=frozenset({"a", "b", "c"}),
             stack_alphabet=frozenset({"g", "h"}),
             initial_symbol="g",
-            states=frozenset({"q", "q1", "q2", "q3", "q4", "qp"}),
+            states=rule_states(rules),
             initial_state="q",
             accepting=frozenset({"q4"}),
             transitions=rules,

@@ -1,13 +1,15 @@
 """Copy-lineage instrumentation of runs and run classification.
 
 Every nested stack occurrence of every configuration of a run gets a
-unique id.  Operations of level j leave the ids of all enclosing stacks
-(levels >= j) untouched; a push duplicates the topmost (j-1)-stack with
-fresh ids, each linked copy-of its source, and the rewritten top atom of
-the duplicate is linked copy-of the atom it replaces; a pop or collapse
-keeps the (j-1)-stacks the concrete step kept, destroys the ids of the
-others and creates none.  The copy-of links form a forest, and the
-classifiers below are reachability questions in it:
+unique id, and ids count in creation order: an id was created after step
+t exactly when it is larger than the last id created by step t.
+Operations of level j leave the ids of all enclosing stacks (levels >=
+j) untouched; a push duplicates the topmost (j-1)-stack with fresh ids,
+each linked copy-of its source, and the rewritten top atom of the
+duplicate is linked copy-of the atom it replaces; a pop or collapse keeps
+the (j-1)-stacks the concrete step kept, destroys the ids of the others
+and creates none.  The copy-of links form a forest, and the classifiers
+below are reachability questions in it:
 
 * a run is k-upper when the final topmost k-stack, traced backward
   through the forest, is the initial topmost k-stack;
@@ -23,9 +25,8 @@ suite tests them against the definitions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .core import Run, top_stack
 
@@ -39,8 +40,8 @@ class LNode(NamedTuple):
 class LineageRun:
     run: Run
     snapshots: tuple[LNode, ...]
-    parent: Mapping[int, int]  # fresh id -> the id it was copied from
-    created: Mapping[int, int]  # id -> index of the step that created it
+    parent: Sequence[Optional[int]]  # id -> the id it copies, None for the start stack's
+    born: Sequence[int]  # step t -> the last id created by step t
 
 
 def _modify_top(node: LNode, depth: int, fn) -> LNode:
@@ -50,43 +51,40 @@ def _modify_top(node: LNode, depth: int, fn) -> LNode:
     return LNode(node.uid, kids[:-1] + (_modify_top(kids[-1], depth - 1, fn),))
 
 
-def _annotate(stack, level: int, ids, created: dict) -> LNode:
-    """The initial stack with fresh ids, created at step 0."""
-    uid = next(ids)
-    created[uid] = 0
+def _annotate(stack, level: int, parent: list) -> LNode:
+    """The initial stack with fresh ids; appending to `parent` allocates one."""
+    uid = len(parent)
+    parent.append(None)
     if level == 0:
         return LNode(uid, None)
-    return LNode(uid, tuple(_annotate(s, level - 1, ids, created) for s in stack))
+    return LNode(uid, tuple(_annotate(s, level - 1, parent) for s in stack))
 
 
-def _copy(node: LNode, idx: int, ids, parent: dict, created: dict) -> LNode:
-    """A duplicate of `node` with ids fresh at step `idx`, each linked
-    copy-of the id it duplicates (the top atom to the atom it overwrites)."""
-    uid = next(ids)
-    created[uid] = idx
-    parent[uid] = node.uid
+def _copy(node: LNode, parent: list) -> LNode:
+    """A duplicate of `node` with fresh ids, each linked copy-of the id it
+    duplicates (the top atom to the atom it overwrites)."""
+    uid = len(parent)
+    parent.append(node.uid)
     if node.children is None:
         return LNode(uid, None)
-    return LNode(uid, tuple(_copy(c, idx, ids, parent, created) for c in node.children))
+    return LNode(uid, tuple(_copy(c, parent) for c in node.children))
 
 
 def instrument_lineage(run: Run) -> LineageRun:
     n = run.automaton.level
-    ids = itertools.count(1)
-    parent: dict[int, int] = {}
-    created: dict[int, int] = {}
-    snaps = [_annotate(run.at(0).stack, n, ids, created)]
-    for idx, (tr, config) in enumerate(zip(run.transitions, run.configs[1:]), start=1):
+    parent: list[Optional[int]] = []
+    snaps = [_annotate(run.at(0).stack, n, parent)]
+    born = [len(parent) - 1]
+    for tr, config in zip(run.transitions, run.configs[1:]):
         op = tr.op
         if op.kind == "push":
-            rewrite = lambda s: LNode(  # noqa: E731
-                s.uid, s.children + (_copy(s.children[-1], idx, ids, parent, created),)
-            )
+            rewrite = lambda s: LNode(s.uid, s.children + (_copy(s.children[-1], parent),))  # noqa: E731
         else:  # pop or collapse: keep what the concrete step kept
             keep = top_stack(config.stack, n, op.level).size
             rewrite = lambda s: LNode(s.uid, s.children[:keep])  # noqa: E731
         snaps.append(_modify_top(snaps[-1], n - op.level, rewrite))
-    return LineageRun(run, tuple(snaps), parent, created)
+        born.append(len(parent) - 1)
+    return LineageRun(run, tuple(snaps), parent, born)
 
 
 def _descend(node: LNode, times: int) -> LNode:
@@ -111,11 +109,11 @@ def _second_topmost_uid(lrun: LineageRun, t: int, k: int) -> Optional[int]:
 
 
 def _alive(lrun: LineageRun, uid: int, t: int) -> int:
-    """The element of `uid`'s copy-of chain alive at time t; creation
-    times decrease along the chain, which ends at an id of the start
-    stack, created at step 0."""
-    while lrun.created[uid] > t:
-        uid = lrun.parent[uid]
+    """The element of `uid`'s copy-of chain alive at time t: ids decrease
+    along the chain, which ends at an id of the start stack."""
+    born, parent = lrun.born[t], lrun.parent
+    while uid > born:
+        uid = parent[uid]
     return uid
 
 
@@ -188,7 +186,7 @@ def classification_table(lrun: LineageRun) -> ClassificationTable:
 
     Per (j, k), one walk t = j, j-1, ..., 0 down the copy-of chain of the
     topmost k-stack at j gives rep(t), the chain element alive at t.
-    Creation times strictly decrease along the chain, so the walk costs
+    Ids strictly decrease along the chain, so the walk costs
     amortised O(1) per t.  The walk answers two columns:
 
     * R[i..j] is k-upper iff rep(i) is the topmost k-stack at i;
@@ -198,7 +196,7 @@ def classification_table(lrun: LineageRun) -> ClassificationTable:
     """
     n = lrun.run.automaton.level
     m = len(lrun.run)
-    parent, created = lrun.parent, lrun.created
+    parent, born = lrun.parent, lrun.born
     top = [[_topmost_uid(lrun, t, k) for k in range(n + 1)] for t in range(m + 1)]
     second = [[_second_topmost_uid(lrun, t, k) for k in range(n)] + [None] for t in range(m + 1)]
     upper = {}
@@ -209,8 +207,8 @@ def classification_table(lrun: LineageRun) -> ClassificationTable:
             ups, rets = [j], []
             exposed = False  # rep(t) was topmost at some t in [i, j): L(j, k+1) >= i
             for t in range(j - 1, -1, -1):
-                # every chain ends at an id of the start stack, created at 0
-                while created[rep] > t:
+                # every chain ends at an id of the start stack, born at 0
+                while rep > born[t]:
                     rep = parent[rep]
                 if rep == top[t][k]:
                     ups.append(t)
@@ -239,15 +237,20 @@ class DecompositionTree(NamedTuple):
     split: Optional[int] = None
     children: tuple["DecompositionTree", ...] = ()
 
-    def render(self, indent: str) -> str:
-        """One line per node of this tree's shape, children indented; the
-        return derivation under an upper case 3 is left out."""
-        head = f"{indent}case {self.case} [{self.span[0]}..{self.span[1]}]"
-        if self.split is not None:
-            head += f" split {self.split}"
-        return "\n".join(
-            [head] + [c.render(indent + "  ") for c in self.children if c.shape == self.shape]
-        )
+    def render(self) -> str:
+        """One line per node of this tree's shape, two spaces deeper per
+        level from the root's two; the return derivation under an upper
+        case 3 is left out.  The walk keeps its own stack."""
+        lines = []
+        todo = [(self, "  ")]
+        while todo:
+            node, indent = todo.pop()
+            line = f"{indent}case {node.case} [{node.span[0]}..{node.span[1]}]"
+            if node.split is not None:
+                line += f" split {node.split}"
+            lines.append(line)
+            todo += [(c, indent + "  ") for c in reversed(node.children) if c.shape == node.shape]
+        return "\n".join(lines)
 
 
 def decompose_return(run: Run, r: int) -> Optional[DecompositionTree]:

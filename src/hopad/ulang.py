@@ -24,6 +24,7 @@ from .core import (
     collapse,
     pop,
     push,
+    rule_states,
     validate_automaton,
 )
 
@@ -125,20 +126,7 @@ def build_u_recognizer() -> Automaton:
         input_alphabet=frozenset(ALPHABET),
         stack_alphabet=frozenset({"X", "Y", "[", "]"}),
         initial_symbol="X",
-        states=frozenset(
-            {
-                "start",
-                "work",
-                "copy-open",
-                "drop-open",
-                "count-open",
-                "copy-close",
-                "drop-close",
-                "uncount-close",
-                "mirror",
-                "accept",
-            }
-        ),
+        states=rule_states(t),
         initial_state="start",
         accepting=frozenset({"accept"}),
         transitions=tuple(t),

@@ -11,6 +11,7 @@ import pytest
 import hopad
 from hopad.cli import (
     CliError,
+    Scenario,
     format_automaton,
     format_data_word,
     main,
@@ -20,6 +21,12 @@ from hopad.cli import (
     render_stack,
 )
 from hopad.core import MAX_LEVEL, Atom, automaton_diagnostics, decollapse, to_nested, top_atom
+from hopad.harness import (
+    classification_example_config,
+    classification_example_machine,
+    excursion_config,
+    excursion_machine,
+)
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -105,6 +112,25 @@ def test_u_machine_golden():
     assert out == (GOLDEN / "u-machine.aut").read_text()
 
 
+def test_the_u_recognizer_has_the_states_of_its_golden_file():
+    # format_automaton prints no state set, so the golden text cannot see one
+    parsed = parse_automaton_text((GOLDEN / "u-machine.aut").read_text()).automaton
+    assert build_u_recognizer().states == parsed.states
+
+
+def test_the_golden_scenarios_are_the_harness_machines():
+    # the CLI goldens and the suites check the same machines from the same starts
+    for name, aut, start in (
+        ("excursion.scenario", excursion_machine(), excursion_config()),
+        (
+            "classification-example.scenario",
+            classification_example_machine(),
+            classification_example_config(),
+        ),
+    ):
+        assert parse_automaton_text((GOLDEN / name).read_text()) == Scenario(aut, start), name
+
+
 def test_validate_exit_codes(tmp_path):
     code, out = run_cli("validate", str(GOLDEN / "u-machine.aut"))
     assert code == 0 and out.startswith("ok:")
@@ -124,6 +150,14 @@ def test_accept_and_u_check_exit_codes():
     assert run_cli("u-check", "--word", "[@1 $@0 ]@1")[0] == 0
     code, out = run_cli("u-check", "--word", "[@1 ]@1")
     assert code == 1 and "dollar-count" in out
+
+
+def test_accept_starts_from_the_scenario_start():
+    # the pop^2 reading a@7 needs the value stored only in the seeded start stack
+    path = str(GOLDEN / "excursion.scenario")
+    stopped = "stopped in state q4 after 4 steps\n"
+    assert run_cli("run", path, "--word", "c@0 a@7 b@9") == (0, stopped)
+    assert run_cli("accept", path, "--word", "c@0 a@7 b@9") == (0, "accepted\n")
 
 
 def test_run_dump_golden():

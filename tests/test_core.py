@@ -573,6 +573,21 @@ def test_u_recognizer_is_valid():
     assert automaton_diagnostics(build_u_recognizer()) == []
 
 
+def test_the_fragment_keeps_every_field_but_the_rules_and_collapsibility():
+    from hopad.ulang import build_u_recognizer
+
+    full = build_u_recognizer()
+    assert full.uses_collapse and full.rule_table  # filled in before the fragment is made
+    frag = core.decollapse(full)
+    for f in dataclasses.fields(Automaton):
+        if f.name not in ("transitions", "collapsible"):
+            assert getattr(frag, f.name) == getattr(full, f.name), f.name
+    assert frag.transitions == tuple(t for t in full.transitions if t.op.kind != "collapse")
+    assert (frag.collapsible, frag.uses_collapse) == (False, False)
+    # the collapse rule reads $ on (work, Y); the fragment builds its own table
+    assert "$" in full.rule_table[("work", "Y")] and "$" not in frag.rule_table[("work", "Y")]
+
+
 def test_run_accessors_and_subrun_lengths():
     from hopad.harness import classification_example_run
 

@@ -251,7 +251,7 @@ def test_runs_with_equal_operations_share_lineage_and_verdicts():
                 seen = (
                     lrun.snapshots,
                     lrun.parent,
-                    lrun.created,
+                    lrun.born,
                     [(is_k_upper(lrun, k), decompose_upper(run, k)) for k in range(n + 1)],
                     [
                         (is_k_return(lrun, r), remark_k_return(lrun, r), decompose_return(run, r))

@@ -66,7 +66,7 @@ def test_lineage_identity_across_copy_and_pop(example_run):
     # the push at step 1 created a fresh duplicate linked to it
     dup = lrun.snapshots[1].children[-1]
     assert lrun.parent[dup.uid] == n1.uid
-    assert lrun.created[dup.uid] == 1
+    assert lrun.born[0] < dup.uid <= lrun.born[1]
     # fresh atoms inside the duplicate link to their sources
     for child, source in zip(dup.children, n1.children):
         assert lrun.parent[child.uid] == source.uid
@@ -207,7 +207,7 @@ def test_collapse_lineage_on_recognizer_run():
     before = {c.uid for c in lrun.snapshots[idx - 1].children}
     after = {c.uid for c in lrun.snapshots[idx].children}
     assert after < before
-    assert max(lrun.created.values()) <= len(out.run)
+    assert len(lrun.born) == len(out.run) + 1
     # classification still works: the collapse run is 2-upper everywhere
     table = classification_table(lrun)
     for j in range(len(out.run) + 1):
@@ -347,6 +347,19 @@ def test_lineage_has_the_shape_of_the_concrete_stack(corpus_runs, recognizer_run
             assert _lineage_shape(snap) == _stack_shape(stack, n), (run.operations(), t)
 
 
+def test_ids_count_in_creation_order(corpus_runs, recognizer_runs):
+    # a copy is younger than its source, and only a push creates ids
+    for run in corpus_runs + recognizer_runs:
+        lrun = instrument_lineage(run)
+        assert all(source < uid for uid, source in enumerate(lrun.parent) if source is not None)
+        born = lrun.born
+        assert len(born) == len(run) + 1
+        for t, tr in enumerate(run.transitions, start=1):
+            assert born[t] >= born[t - 1]
+            assert (born[t] > born[t - 1]) == (tr.op.kind == "push"), (run.operations(), t)
+        assert born[-1] == len(lrun.parent) - 1
+
+
 def test_classification_table_of_533_steps_within_budget():
     import time
 
@@ -368,4 +381,18 @@ def test_decomposition_trees_keep_their_fields_defaults_and_repr():
     tree = DecompositionTree("upper", 3, 1, (2, 4), children=(leaf,))
     assert tree == DecompositionTree("upper", 3, 1, (2, 4), None, (leaf,))
     assert hash(tree) == hash(DecompositionTree("upper", 3, 1, (2, 4), children=(leaf,)))
-    assert tree.render("  ") == "  case 3 [2..4]"
+    assert tree.render() == "  case 3 [2..4]"
+
+
+def test_a_derivation_as_deep_as_a_long_run_renders():
+    # a right-leaning chain of compositions, one level per split
+    tree = DecompositionTree("upper", 1, 0, (4999, 5000))
+    for i in range(4998, -1, -1):
+        leaf = DecompositionTree("upper", 1, 0, (i, i + 1))
+        tree = DecompositionTree("upper", 4, 0, (i, 5000), i + 1, (leaf, tree))
+    text = tree.render()  # about 50 million characters, mostly indentation
+    assert text.count("\n") == 9998
+    assert text.startswith(
+        "  case 4 [0..5000] split 1\n    case 1 [0..1]\n    case 4 [1..5000] split 2\n"
+    )
+    assert text.endswith("\n" + " " * 10000 + "case 1 [4999..5000]")
