@@ -421,8 +421,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _render_set(values) -> str:
-    return "{" + ",".join(str(v) for v in sorted(values)) + "}"
+def _render_set(starts) -> str:
+    return "{" + ",".join(map(str, starts)) + "}"  # a column iterates in ascending order
 
 
 def _table_for(args, scenario):

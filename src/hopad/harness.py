@@ -441,18 +441,13 @@ def _suite_table1(seed, run_bound, src_bound):
     table = classification_table(lrun)
     hard = []
     for j, (u0, u1, r1, r2) in CLASSIFICATION_EXAMPLE_GRID.items():
-        got = (
-            set(table.upper[(j, 0)]),
-            set(table.upper[(j, 1)]),
-            set(table.returns[(j, 1)]),
-            set(table.returns[(j, 2)]),
-        )
+        got = (table.upper[(j, 0)], table.upper[(j, 1)], table.returns[(j, 1)], table.returns[(j, 2)])
         if got != (u0, u1, r1, r2):
-            hard.append(f"row j={j}: got {got}")
+            hard.append(f"row j={j}: got {tuple(map(set, got))}")
     if is_k_return(lrun, 1):
         hard.append("the whole example run must not be a 1-return")
     for j in range(7):
-        if set(table.upper[(j, 2)]) != set(range(j + 1)):
+        if table.upper[(j, 2)] != set(range(j + 1)):
             hard.append(f"every subrun must be 2-upper at j={j}")
     return hard, [], {"rows": 7}
 

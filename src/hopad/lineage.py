@@ -17,15 +17,22 @@ below are reachability questions in it:
   the initial *second* topmost (k-1)-stack and the traced occurrence is
   never the topmost (k-1)-stack before the last step, which exposes it.
 
-These are the definitions.  ``decompose_return`` and ``decompose_upper``
-characterize collapse-free runs by recursion on the operation sequence;
-the soundness checks classify with them, and the classifier-equivalence
-suite tests them against the definitions.
+These are the definitions.  ``classification_table`` answers them for
+every span of a run of m steps at level n at once: it keeps each cell as
+an int bitmask of start indices (``Starts``), folded per k along the
+copy-of forest in O(m * n + ids) steps of Python and O(m^2 * n) bits of
+int arithmetic, so a 3,001-step run takes tens of milliseconds and a few
+megabytes.  ``decompose_return`` and ``decompose_upper`` characterize
+collapse-free runs by recursion on the operation sequence; the soundness
+checks classify with them, and the classifier-equivalence suite tests
+them against the definitions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from .core import Run, top_stack
@@ -117,7 +124,14 @@ def _alive(lrun: LineageRun, uid: int, t: int) -> int:
     return uid
 
 
+def _check_level(run: Run, level: int, lowest: int) -> None:
+    n = run.automaton.level
+    if not lowest <= level <= n:
+        raise ValueError(f"level {level} outside {lowest}..{n}")
+
+
 def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
+    _check_level(lrun.run, k, 0)
     if j is None:
         j = len(lrun.run)
     final = _topmost_uid(lrun, j, k)
@@ -126,6 +140,7 @@ def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) ->
 
 
 def is_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
+    _check_level(lrun.run, k, 1)
     if j is None:
         j = len(lrun.run)
     if j <= i:
@@ -149,6 +164,7 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
     Equivalent to ``is_k_return`` on collapse-free runs only: a final
     collapse may expose the traced stack while removing several
     (k-1)-stacks at once, which this single-removal reading rejects."""
+    _check_level(lrun.run, k, 1)
     n = lrun.run.automaton.level
     if j is None:
         j = len(lrun.run)
@@ -169,56 +185,108 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
     return all(_alive(lrun, c.uid, i) == c0.uid for c, c0 in zip(before.children, top_i.children))
 
 
+class Starts(Set):
+    """One column of the classification table: a set of start indices
+    held as an int whose bit i is set iff i is a member.  Iteration is
+    ascending, and it equals any set with the same members."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int) -> None:
+        self.bits = bits
+
+    def __contains__(self, i) -> bool:
+        return isinstance(i, int) and i >= 0 and self.bits >> i & 1 == 1
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        # the binary digits, lowest first, as bytes 0 and 1 to select by
+        digits = bin(self.bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return compress(range(len(digits)), digits)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Starts):
+            return self.bits == other.bits
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return "Starts({" + ", ".join(map(str, self)) + "})"
+
+    @classmethod
+    def _from_iterable(cls, members) -> frozenset:
+        return frozenset(members)  # the results of &, |, - and ^
+
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass
 class ClassificationTable:
-    """Per (j, k): the sets {i : R[i..j] is k-upper} and {i : ... k-return}."""
+    """Per (j, k): the starts {i : R[i..j] is k-upper} and {i : ... k-return}."""
 
     length: int
     level: int
-    upper: dict[tuple[int, int], frozenset[int]]
-    returns: dict[tuple[int, int], frozenset[int]]
+    upper: dict[tuple[int, int], Starts]
+    returns: dict[tuple[int, int], Starts]
 
 
 def classification_table(lrun: LineageRun) -> ClassificationTable:
     """Every cell of ``is_k_upper`` and ``is_k_return`` for a run of m
-    steps at level n, in O(m^2 * n); asking the two cell by cell costs
-    O(m^3 * n).
-
-    Per (j, k), one walk t = j, j-1, ..., 0 down the copy-of chain of the
-    topmost k-stack at j gives rep(t), the chain element alive at t.
-    Ids strictly decrease along the chain, so the walk costs
-    amortised O(1) per t.  The walk answers two columns:
-
-    * R[i..j] is k-upper iff rep(i) is the topmost k-stack at i;
-    * with L(j, k+1) the last t < j at which rep(t) is the topmost
-      k-stack, R[i..j] is a (k+1)-return iff L(j, k+1) < i and rep(i) is
-      the second topmost k-stack at i.
-    """
+    steps at level n, folded per k by ``_spans``: O(m * n + ids) steps of
+    Python and O(m^2 * n) bits of int arithmetic, where asking the two
+    cell by cell costs O(m^3 * n)."""
     n = lrun.run.automaton.level
-    m = len(lrun.run)
-    parent, born = lrun.parent, lrun.born
-    top = [[_topmost_uid(lrun, t, k) for k in range(n + 1)] for t in range(m + 1)]
-    second = [[_second_topmost_uid(lrun, t, k) for k in range(n)] + [None] for t in range(m + 1)]
     upper = {}
     returns = {}
-    for j in range(m + 1):
-        for k in range(n + 1):
-            rep = top[j][k]
-            ups, rets = [j], []
-            exposed = False  # rep(t) was topmost at some t in [i, j): L(j, k+1) >= i
-            for t in range(j - 1, -1, -1):
-                # every chain ends at an id of the start stack, born at 0
-                while rep > born[t]:
-                    rep = parent[rep]
-                if rep == top[t][k]:
-                    ups.append(t)
-                    exposed = True
-                elif not exposed and rep == second[t][k]:
-                    rets.append(t)
-            upper[(j, k)] = frozenset(ups)
+    for k in range(n + 1):
+        for j, (ups, rets) in enumerate(_spans(lrun, k)):
+            upper[(j, k)] = Starts(ups)
             if k < n:
-                returns[(j, k + 1)] = frozenset(rets)
-    return ClassificationTable(m, n, upper, returns)
+                returns[(j, k + 1)] = Starts(rets)
+    return ClassificationTable(len(lrun.run), n, upper, returns)
+
+
+def _spans(lrun: LineageRun, k: int) -> Iterator[tuple[int, int]]:
+    """Per end j = 0..m, the bitmasks of the starts i at which R[i..j] is
+    k-upper and at which it is a (k+1)-return (0 when k = n).
+
+    rep(t), the element alive at t of the copy-of chain of the topmost
+    k-stack at j, decides both: R[i..j] is k-upper iff rep(i) is the
+    topmost k-stack at i, and a (k+1)-return iff rep(i) is the second
+    topmost k-stack at i and rep(t) is not the topmost at any t in
+    [i, j).  A k-stack keeps its place among the living ones and a copy
+    is made above its source, so no older element of the chain is the
+    topmost k-stack at t, nor the second topmost unless rep(t) is the
+    topmost.  An id's column, the times at which an element of its chain
+    is the topmost (and the second topmost) k-stack, is therefore its
+    own times OR-ed with its copy-of parent's column.  Every id is folded
+    once, and each cell is a mask and a shift of its top's column."""
+    n, parent = lrun.run.automaton.level, lrun.parent
+    tops = [_topmost_uid(lrun, t, k) for t in range(len(lrun.born))]
+    own_top: dict[int, int] = {}
+    own_second: dict[int, int] = {}
+    for t, uid in enumerate(tops):
+        own_top[uid] = own_top.get(uid, 0) | 1 << t
+        if k < n and (second := _second_topmost_uid(lrun, t, k)) is not None:
+            own_second[second] = own_second.get(second, 0) | 1 << t
+    columns: dict[Optional[int], tuple[int, int]] = {None: (0, 0)}  # the start stack's ids copy None
+    for j, uid in enumerate(tops):
+        chain = []
+        while uid not in columns:
+            chain.append(uid)
+            uid = parent[uid]
+        ups, seconds = columns[uid]
+        for uid in reversed(chain):
+            ups |= own_top.get(uid, 0)
+            seconds |= own_second.get(uid, 0)
+            columns[uid] = ups, seconds
+        exposed = (ups & ((1 << j) - 1)).bit_length()  # 1 + the last t < j with rep(t) topmost
+        yield ups & ((2 << j) - 1), (seconds & ((1 << j) - 1)) >> exposed << exposed
 
 
 def is_normalized(run: Run) -> bool:
@@ -261,6 +329,7 @@ def decompose_return(run: Run, r: int) -> Optional[DecompositionTree]:
     (k >= r) followed by a k-return composed with an r-return.  Collapse
     steps admit no case; the characterization covers collapse-free runs.
     """
+    _check_level(run, r, 1)
     ops = run.operations()
     return _derive(ops, {}, "return", r, 0, len(ops))
 
@@ -273,6 +342,7 @@ def decompose_upper(run: Run, k: int) -> Optional[DecompositionTree]:
     (r >= k+1) followed by an r-return.  Case 4: a composition of two
     nonempty k-upper runs.
     """
+    _check_level(run, k, 0)
     ops = run.operations()
     return _derive(ops, {}, "upper", k, 0, len(ops))
 

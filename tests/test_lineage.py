@@ -1,8 +1,26 @@
 import gc
+import itertools
+import random
+import time
+import tracemalloc
 
 import pytest
 
-from hopad.core import Step, empty_run, execute_word, extend_run, step, to_nested
+from hopad.cli import parse_automaton_text, parse_stack_literal
+from hopad.core import (
+    Automaton,
+    Configuration,
+    Step,
+    Transition,
+    empty_run,
+    execute_word,
+    extend_run,
+    pop,
+    push,
+    step,
+    to_nested,
+    validate_automaton,
+)
 from hopad.harness import (
     CLASSIFICATION_EXAMPLE_GRID,
     excursion_config,
@@ -15,9 +33,11 @@ from hopad.harness import (
     u_fragment_corpus,
     EnumerationSpace,
     enumerate_runs,
+    walk_runs,
 )
 from hopad.lineage import (
     DecompositionTree,
+    Starts,
     classification_table,
     decompose_return,
     decompose_upper,
@@ -55,6 +75,28 @@ def test_every_run_is_top_level_upper(example_run):
     for i in range(len(run) + 1):
         for j in range(i, len(run) + 1):
             assert is_k_upper(lrun, 2, i, j)
+
+
+LEVEL_CHECKED = {
+    # entry point -> (ask it at a level, the lowest level it accepts)
+    "is_k_upper": (lambda run, lrun, k: is_k_upper(lrun, k), 0),
+    "is_k_return": (lambda run, lrun, r: is_k_return(lrun, r), 1),
+    "remark_k_return": (lambda run, lrun, r: remark_k_return(lrun, r), 1),
+    "decompose_upper": (lambda run, lrun, k: decompose_upper(run, k), 0),
+    "decompose_return": (lambda run, lrun, r: decompose_return(run, r), 1),
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_CHECKED)
+def test_a_level_outside_the_run_is_rejected(example_run, entry):
+    ask, lowest = LEVEL_CHECKED[entry]
+    run, lrun = example_run
+    assert run.automaton.level == 2
+    for level in (lowest - 1, 3, -1):
+        with pytest.raises(ValueError, match=rf"^level {level} outside {lowest}\.\.2$"):
+            ask(run, lrun, level)
+    for level in range(lowest, 3):
+        ask(run, lrun, level)
 
 
 def test_lineage_identity_across_copy_and_pop(example_run):
@@ -271,6 +313,7 @@ def _assert_table_is_the_definition(run):
     table = classification_table(lrun)
     assert (table.length, table.level) == (len(run), run.automaton.level)
     assert (table.upper, table.returns) == _table_by_definition(lrun), run.operations()
+    return table
 
 
 def test_classification_table_is_the_definition_on_the_example(example_run):
@@ -330,6 +373,75 @@ def test_classification_table_is_the_definition_on_recognizer_runs(recognizer_ru
         _assert_table_is_the_definition(run)
 
 
+def _level3_machine(seed, index):
+    """A seeded deterministic level-3 machine that draws every operation
+    kind: pop^1 20%, pop^2 15%, pop^3 15%, push^1 20%, push^2 15%,
+    push^3 15%."""
+    rng = random.Random(f"{seed}:{index}:l3")
+    states, syms = ("q0", "q1"), ("g0", "g1")
+    kinds = (
+        (0.20, "pop", 1), (0.35, "pop", 2), (0.50, "pop", 3),
+        (0.70, "push", 1), (0.85, "push", 2), (1.0, "push", 3),
+    )
+
+    def random_op():
+        roll = rng.random()
+        _, kind, level = next(bound for bound in kinds if roll < bound[0])
+        return pop(level) if kind == "pop" else push(level, rng.choice(syms))
+
+    rules = []
+    for q in states:
+        for g in syms:
+            if rng.random() < 0.3:
+                rules.append(Transition(q, g, None, rng.choice(states), random_op()))
+            else:
+                rules += [Transition(q, g, a, rng.choice(states), random_op()) for a in "ab"]
+    return validate_automaton(
+        Automaton(3, frozenset("ab"), frozenset(syms), "g0", frozenset(states), "q0", frozenset(), tuple(rules))
+    )
+
+
+def test_classification_table_is_the_definition_at_level_three():
+    # starts whose topmost 2-stack has two columns, so that pop^2 and the
+    # 3-returns it ends are reached
+    starts = ("[[[(g0,-) (g1,1)] [(g0,-) (g0,2)]]]", "[[[(g0,-)]] [[(g0,-) (g1,1)] [(g0,-) (g0,2)]]]")
+    runs = []
+    for index in range(6):
+        aut = _level3_machine(20260808, index)
+        for q, literal in itertools.product(sorted(aut.states), starts):
+            cfg = Configuration(q, parse_stack_literal(literal, 3))
+            seen = set()
+            for run, _ in walk_runs(EnumerationSpace(aut, cfg, 5, (0, 1)), representative=True):
+                if run.operations() not in seen:
+                    seen.add(run.operations())
+                    runs.append(run)
+    ops = {(op.kind, op.level) for run in runs for op in run.operations()}
+    assert ops == {(kind, level) for kind in ("pop", "push") for level in (1, 2, 3)}
+    returns = set()
+    for run in runs:
+        table = _assert_table_is_the_definition(run)
+        returns |= {k for (_, k), starts in table.returns.items() if starts}
+    assert returns == {1, 2, 3}
+    assert len(runs) > 200
+
+
+def test_a_column_is_a_set_of_starts(example_run):
+    run, lrun = example_run
+    m = len(run)
+    table = classification_table(lrun)
+    for column in [*table.upper.values(), *table.returns.values()]:
+        members = frozenset(column)
+        assert column == members and members == column and not column != members
+        assert column == set(members) and set(members) == column
+        assert column != members | {m + 1} and members | {m + 1} != column
+        assert -1 not in column and m + 5 not in column and "0" not in column
+        assert [i for i in range(m + 1) if i in column] == list(column) == sorted(members)
+        assert len(column) == len(members)
+        assert hash(column) == hash(members)
+    assert list(Starts(1 << 3000 | 1)) == [0, 3000] and len(Starts((1 << 3001) - 1)) == 3001
+    assert Starts(0) == frozenset() and not Starts(0) and Starts(0b101) & {2, 5} == {2}
+
+
 def _lineage_shape(node):
     return None if node.children is None else tuple(_lineage_shape(c) for c in node.children)
 
@@ -361,15 +473,46 @@ def test_ids_count_in_creation_order(corpus_runs, recognizer_runs):
 
 
 def test_classification_table_of_533_steps_within_budget():
-    import time
-
     from hopad.ulang import build_u_recognizer
 
     lrun = instrument_lineage(execute_word(build_u_recognizer(), _w3_prefix(160)).run)
     assert len(lrun.run) == 533
     start = time.perf_counter()
     classification_table(lrun)
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 0.1
+
+
+PUSH_CHAIN = """level 2
+input-alphabet a b
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g in a q push 1 g
+trans q g in b p pop 2
+start-state q
+start-stack [[(g,-)] [(g,-)]]
+"""
+
+
+def test_classification_table_of_a_3001_step_chain_within_budget():
+    # 3,000 push^1 steps, then a pop^2 that exposes the start's first
+    # 1-stack: a table of one start set per cell held about 1.1 GB here
+    scenario = parse_automaton_text(PUSH_CHAIN)
+    word = (("a", 0),) * 3000 + (("b", 0),)
+    lrun = instrument_lineage(execute_word(scenario.automaton, word, start=scenario.start).run)
+    assert len(lrun.run) == 3001
+    start = time.perf_counter()
+    classification_table(lrun)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        table = classification_table(lrun)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert table.upper[(3000, 0)] == set(range(3001)) and table.upper[(3001, 0)] == {3001}
+    assert table.returns[(3001, 2)] == set(range(3001)) and table.returns[(3001, 1)] == set()
 
 
 def test_decomposition_trees_keep_their_fields_defaults_and_repr():
