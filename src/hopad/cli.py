@@ -408,21 +408,56 @@ def _cmd_classify(args) -> int:
     table = classification_table(instrument_lineage(run))
     n = run.automaton.level
     uppers, returns = range(n + 1), range(1, n + 1)
-    rows = [["j", "stack"] + [f"{k}-upper" for k in uppers] + [f"{k}-return" for k in returns]]
-    for j in range(len(run) + 1):
-        rows.append(
-            [str(j), render_stack(run.at(j).stack, n)]
-            + [_render_set(table.upper[(j, k)]) for k in uppers]
-            + [_render_set(table.returns[(j, k)]) for k in returns]
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    for row in rows:
+    columns = [(table.upper, k) for k in uppers] + [(table.returns, k) for k in returns]
+    ends = range(len(run) + 1)
+    # the rows are O(m^2) text, so the widths come from lengths alone and
+    # each row is printed as it is rendered
+    header = ["j", "stack"] + [f"{k}-upper" for k in uppers] + [f"{k}-return" for k in returns]
+    inner: dict[int, int] = {}
+    widths = [len(str(len(run))), max(_stack_width(run.at(j).stack, n, inner) for j in ends)]
+    widths += [max(_set_width(cells[(j, k)].bits) for j in ends) for cells, k in columns]
+    widths = [max(w, len(name)) for w, name in zip(widths, header)]
+
+    def show(row):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+    show(header)
+    for j in ends:
+        show([str(j), render_stack(run.at(j).stack, n)] + [_render_set(cells[(j, k)]) for cells, k in columns])
     return 0
+
+
+def _stack_width(stack: Stack, level: int, inner: dict[int, int]) -> int:
+    """``len(render_stack(stack, level))``.  A node's elements are those
+    of the node below it and its top, so `inner` keeps, by node
+    identity, the length of each node's elements joined by spaces: every
+    node is measured once, while the stacks it is in are alive."""
+    if level == 0:
+        return len(render_atom(stack))
+    chain, node = [], stack
+    while node is not None and id(node) not in inner:
+        chain.append(node)
+        node = node.below
+    length = -1 if node is None else inner[id(node)]  # -1: no space before the bottom element
+    for node in reversed(chain):
+        length = inner[id(node)] = length + 1 + _stack_width(node.top, level - 1, inner)
+    return length + 2
 
 
 def _render_set(starts) -> str:
     return "{" + ",".join(map(str, starts)) + "}"  # a column iterates in ascending order
+
+
+def _set_width(bits: int) -> int:
+    """``len(_render_set(Starts(bits)))``: the braces, a comma between
+    members, and the members' digits, one popcount per band of members
+    with the same number of decimal digits."""
+    width = 2 + max(bits.bit_count() - 1, 0)
+    low, high, digits = 0, 10, 1
+    while bits >> low:
+        width += digits * ((bits >> low) & ((1 << (high - low)) - 1)).bit_count()
+        low, high, digits = high, high * 10, digits + 1
+    return width
 
 
 def _table_for(args, scenario):
@@ -464,7 +499,7 @@ def _cmd_src(args) -> int:
     if not 0 <= k <= n:
         raise CliError(f"--k {k} outside 0..{n}")
     table = _table_for(args, scenario)  # rejects collapse, which no derivation covers
-    start = StartRuns(run.at(0), table, [run])
+    start = StartRuns(run.at(0), table, [run], {})
     final = start.typing(run.last.stack, k)
     sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
     try:

@@ -519,6 +519,7 @@ def _suite_u_differential(seed, run_bound, src_bound):
 def _suite_classifier_equivalence(seed, run_bound, src_bound):
     hard = []
     checked = 0
+    verdicts: dict[tuple, bool] = {}  # shared by every start configuration
     for name, aut, cfgs in _corpus(seed, CORPUS_MACHINES):
         n = aut.level
         for cfg in cfgs:
@@ -530,25 +531,35 @@ def _suite_classifier_equivalence(seed, run_bound, src_bound):
             for run, weight in walk_runs(space, representative=True):
                 ops = run.operations()
                 if ops not in mismatches:
-                    mismatches[ops] = _classifier_mismatches(name, run)
+                    mismatches[ops] = _classifier_mismatches(name, run, ops, verdicts)
                 checked += weight * (3 * n + 1)
             if any(mismatches.values()):  # one line per concrete run, in its order
                 hard += [line for run in enumerate_runs(space) for line in mismatches[run.operations()]]
     return hard, [], {"checked": checked}
 
 
-def _classifier_mismatches(name, run):
+def _classifier_mismatches(name, run, ops, verdicts):
     """Where lineage classification and syntactic decomposition disagree
-    on the run, for every level."""
+    on the run, whose operations are `ops`, for every level.  Lineage
+    reads the start stack, a derivation only the operations: `verdicts`
+    keeps whether each derivation exists by (shape, operations,
+    automaton level, level), for runs from any start configuration."""
     lrun = instrument_lineage(run)
-    ops = run.operations()
+    n = run.automaton.level
+
+    def derives(shape, decompose, level):
+        key = (shape, ops, n, level)
+        if key not in verdicts:
+            verdicts[key] = decompose(run, level) is not None
+        return verdicts[key]
+
     out = []
-    for k in range(0, run.automaton.level + 1):
-        if is_k_upper(lrun, k) != (decompose_upper(run, k) is not None):
+    for k in range(0, n + 1):
+        if is_k_upper(lrun, k) != derives("upper", decompose_upper, k):
             out.append(f"{name}: upper mismatch k={k} ops={ops}")
-    for r in range(1, run.automaton.level + 1):
+    for r in range(1, n + 1):
         lhs = is_k_return(lrun, r)
-        if lhs != (decompose_return(run, r) is not None):
+        if lhs != derives("return", decompose_return, r):
             out.append(f"{name}: return mismatch r={r} ops={ops}")
         if lhs != remark_k_return(lrun, r):
             out.append(f"{name}: remark mismatch r={r} ops={ops}")
@@ -572,13 +583,15 @@ def _starts(seed, machines, bound, base, normalized):
     """Per start configuration of the first `machines` corpus machines,
     each saturated once: the machine's name, the StartRuns of its runs up
     to `bound` over the base universe, every push reading 0 when
-    `normalized`, and the nonzero values its stack stores."""
+    `normalized`, and the nonzero values its stack stores.  The StartRuns
+    of one call share their derivations."""
+    derived: dict = {}
     for name, aut, cfgs in _corpus(seed, machines):
         monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
         table = saturate_level0(aut, monoid)
         for cfg in cfgs:
             runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, base, normalized))
-            yield name, StartRuns(cfg, table, runs), stack_values(cfg.stack, aut.level) - {0}
+            yield name, StartRuns(cfg, table, runs, derived), stack_values(cfg.stack, aut.level) - {0}
 
 
 def _suite_run2type(seed, run_bound, src_bound):

@@ -600,18 +600,30 @@ def _promised(uni: Universe, g: Goal) -> dict[int, tuple[int, ...]]:
 class StartRuns:
     """The runs of one start configuration up to a bound, and what the
     soundness checks ask of them, each worked out once, on first ask:
-    per run its monoid class and read values, per (operations, level)
-    its derivations (which read nothing else), per (stack, level) its
+    per run its monoid class and read values, per (stack, level) its
     typing.  Runs and stacks are keyed by identity and held by their
-    entries.  A given run starting elsewhere raises ValueError."""
+    entries.  A given run starting elsewhere raises ValueError.
 
-    def __init__(self, config: Configuration, table: Level0TypeTable, runs: Sequence[Run]):
+    A derivation reads nothing of a run but its operations, so `derived`
+    holds them by (shape, operations, automaton level, level) and may be
+    shared by the StartRuns of many start configurations and machines
+    (the automaton level bounds the levels a derivation is asked at): a
+    derivation missing there is made by ``decompose_upper`` or
+    ``decompose_return`` and kept."""
+
+    def __init__(
+        self,
+        config: Configuration,
+        table: Level0TypeTable,
+        runs: Sequence[Run],
+        derived: dict[tuple, Optional[DecompositionTree]],
+    ):
         for run in runs:
             if run.at(0) != config:
                 raise ValueError("a given run does not start at the start configuration")
         self.config, self.table, self.runs = config, table, runs
         self._facts: dict[int, tuple] = {}  # id(run) -> (run, operations, class, reads)
-        self._derived: dict[tuple, Optional[DecompositionTree]] = {}
+        self._derived = derived
         self._typed: dict[tuple[int, int], tuple] = {}  # (id(stack), k) -> (stack, typing)
         self._classes: Optional[dict[tuple[str, str], list[Run]]] = None
 
@@ -631,14 +643,14 @@ class StartRuns:
 
     def upper(self, run: Run, k: int) -> Optional[DecompositionTree]:
         """The run's k-upper derivation (``decompose_upper``), or None."""
-        key = ("upper", self._of(run)[1], k)
+        key = ("upper", self._of(run)[1], run.automaton.level, k)
         if key not in self._derived:
             self._derived[key] = decompose_upper(run, k)
         return self._derived[key]
 
     def returns(self, run: Run, r: int) -> Optional[DecompositionTree]:
         """The run's r-return derivation (``decompose_return``), or None."""
-        key = ("return", self._of(run)[1], r)
+        key = ("return", self._of(run)[1], run.automaton.level, r)
         if key not in self._derived:
             self._derived[key] = decompose_return(run, r)
         return self._derived[key]

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import hopad
+from hopad import cli
 from hopad.cli import (
     CliError,
     Scenario,
@@ -20,13 +21,22 @@ from hopad.cli import (
     parse_stack_literal,
     render_stack,
 )
-from hopad.core import MAX_LEVEL, Atom, automaton_diagnostics, decollapse, to_nested, top_atom
+from hopad.core import (
+    MAX_LEVEL,
+    Atom,
+    automaton_diagnostics,
+    decollapse,
+    execute_word,
+    to_nested,
+    top_atom,
+)
 from hopad.harness import (
     classification_example_config,
     classification_example_machine,
     excursion_config,
     excursion_machine,
 )
+from hopad.lineage import Starts
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -200,6 +210,55 @@ def test_classify_subrun_span():
         "classify", str(GOLDEN / "classification-example.scenario"), "--from", "3", "--to", "1"
     )
     assert (code, err) == (2, "span 3..1 outside 0..6\n")
+
+
+PUSH_CHAIN = """level 2
+collapsible false
+input-alphabet a b
+stack-alphabet g
+initial-state q
+initial-symbol g
+trans q g in a q push 1 g
+trans q g in b p pop 2
+start-state q
+start-stack [[(g,-)] [(g,-)]]
+"""
+
+
+def test_classify_columns_are_as_wide_as_their_widest_cell(tmp_path):
+    # the rows are printed as they are rendered, from widths worked out
+    # beforehand; realigning the printed cells must change nothing, with
+    # members of one, two and three digits
+    path = tmp_path / "push-chain.scenario"
+    path.write_text(PUSH_CHAIN)
+    code, out = run_cli("classify", str(path), "--word", " ".join(["a@0"] * 119 + ["b@0"]))
+    assert code == 0
+    rows = [re.split(r" {2,}", line) for line in out.splitlines()]
+    assert len(rows) == 122 and {len(row) for row in rows} == {7}
+    assert rows[-1][4] == "{" + ",".join(map(str, range(121))) + "}"
+    widths = [max(len(row[c]) for row in rows) for c in range(7)]
+    assert out == "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "members", [(), (0,), (9,), (10,), (0, 9, 10, 99, 100), (999, 1000, 1001), tuple(range(0, 2500, 7))]
+)
+def test_a_set_cells_width_is_read_off_its_bits(members):
+    bits = sum(1 << i for i in members)
+    assert cli._set_width(bits) == len(cli._render_set(Starts(bits))) == len(cli._render_set(members))
+
+
+def test_a_stack_cells_width_is_its_rendered_length():
+    # one memo of node widths serves every configuration of the run,
+    # collapse links included
+    aut = build_u_recognizer()
+    run = execute_word(aut, parse_data_word("[@1 [@2 ]@3 $@0 ]@3 ]@2 [@1")).run
+    inner = {}
+    for config in run.configs:
+        assert cli._stack_width(config.stack, aut.level, inner) == len(render_stack(config.stack, aut.level))
+    assert len(run) > 10 and any(atom.links for config in run.configs for atom in config.stack.top)
 
 
 def test_types_output_is_stable():

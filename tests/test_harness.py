@@ -368,13 +368,15 @@ def test_representative_walk_weighs_the_concrete_operation_sequences(seed):
 
 
 def test_classifier_equivalence_derives_once_per_operations_and_level(monkeypatch):
-    # the suite asks each derivation with the run and the level alone, once
-    # per (start configuration, operations) at every level of both shapes
+    # a derivation reads only the operations, so the suite asks each with
+    # the run and the level alone, once per (operations, automaton level)
+    # at every level of both shapes, whichever start configuration or
+    # machine the run comes from
     derived, outcomes = [], set()
 
     def counted(shape, decompose):
         def derive(run, level):
-            derived.append((shape, run.automaton, run.at(0), run.operations(), level))
+            derived.append((shape, run.operations(), run.automaton.level, level))
             tree = decompose(run, level)
             outcomes.add(tree is not None)
             return tree
@@ -385,9 +387,13 @@ def test_classifier_equivalence_derives_once_per_operations_and_level(monkeypatc
     monkeypatch.setattr(harness, "decompose_return", counted("return", decompose_return))
     monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
     assert run_suites(["classifier-equivalence"], seed=20260808, max_steps=4).ok
-    sequences = {key[1:4] for key in derived}
-    assert len(derived) == len(set(derived)) > 400 and outcomes == {False, True}
-    assert len(derived) == sum(2 * aut.level + 1 for aut, _, _ in sequences)
+    sequences = {key[1:3] for key in derived}
+    assert len(derived) == len(set(derived)) and outcomes == {False, True}
+    assert len(derived) == sum(2 * level + 1 for _, level in sequences)
+    # the single-pop machine is of level 1, the others of level 2, and
+    # a sequence of it recurs at level 2
+    assert {ops for ops, level in sequences if level == 1} & {ops for ops, level in sequences if level == 2}
+    assert len(derived) > 150
 
 
 def _concrete_classifier_equivalence(seed, run_bound, src_bound):
@@ -400,10 +406,51 @@ def _concrete_classifier_equivalence(seed, run_bound, src_bound):
             for run in enumerate_runs(EnumerationSpace(aut, cfg, run_bound, (0, 1))):
                 ops = run.operations()
                 if ops not in mismatches:
-                    mismatches[ops] = harness._classifier_mismatches(name, run)
+                    mismatches[ops] = harness._classifier_mismatches(name, run, ops, {})
                 hard += mismatches[ops]
                 checked += 3 * aut.level + 1
     return hard, [], {"checked": checked}
+
+
+def test_shared_derivations_are_the_asking_runs_own(monkeypatch):
+    # one memo serves every run of a suite: each tree a StartRuns serves,
+    # and each verdict classifier-equivalence compares, is what
+    # decompose_* makes on the asking run, and a level above the run's
+    # machine is refused as decompose_* refuses it.  The corpus is walked
+    # backwards, so the level-2 machines derive before the level-1
+    # single-pop machine asks for the same operations
+    corpus = list(harness._corpus(20260808, harness.CORPUS_MACHINES))[::-1]
+    monkeypatch.setattr(harness, "_corpus", lambda seed, count: iter(corpus))
+    starts = harness._starts(20260808, harness.CORPUS_MACHINES, harness.RUN_BOUND, (0,), True)
+    served = 0
+    for _, start, _ in starts:
+        for run in start.runs:
+            for ask, decompose, levels in (
+                (start.upper, decompose_upper, range(3)),
+                (start.returns, decompose_return, range(1, 3)),
+            ):
+                for level in levels:
+                    if level > run.automaton.level:
+                        with pytest.raises(ValueError):
+                            decompose(run, level)
+                        with pytest.raises(ValueError):
+                            ask(run, level)
+                    else:
+                        assert ask(run, level) == decompose(run, level), (run.operations(), level)
+                        served += 1
+    assert served > 7_000
+
+    # with lineage answering by fresh derivations, a mismatch line is a
+    # served verdict that differs from the asking run's own
+    monkeypatch.setattr(harness, "is_k_upper", lambda lrun, k: decompose_upper(lrun.run, k) is not None)
+    monkeypatch.setattr(harness, "is_k_return", lambda lrun, r: decompose_return(lrun.run, r) is not None)
+    verdicts, asked = {}, 0
+    for name, aut, cfgs in corpus:
+        for cfg in cfgs:
+            for run, _ in walk_runs(EnumerationSpace(aut, cfg, harness.RUN_BOUND, (0, 1)), True):
+                assert harness._classifier_mismatches(name, run, run.operations(), verdicts) == []
+                asked += 2 * aut.level + 1
+    assert asked > 4 * len(verdicts) > 7_000
 
 
 def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch):
@@ -465,7 +512,7 @@ def test_find_agreeing_runs():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
     space = EnumerationSpace(aut, single_pop_config(), 2, (0, 5))
-    start = StartRuns(space.start, table, enumerate_runs(space))
+    start = StartRuns(space.start, table, enumerate_runs(space), {})
 
     def agreeing_runs(goal):
         return [run for run in start.runs if start.agrees(run, goal)]
@@ -592,13 +639,23 @@ def test_transfer_checks_run_once_per_run_and_level(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["run2type", "idv", "origin", "idv-upper"])
 def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
-    # per start configuration: one monoid class per run, one start typing
-    # per k, and one derivation per (operations, level)
-    starts, calls = [], {"phi": [], "type": [], "upper": [], "return": []}
+    # per start configuration: one monoid class per run and one start
+    # typing per k; per suite: one derivation per (shape, operations,
+    # automaton level, level), all start configurations sharing one memo
+    starts, memos, calls = [], set(), {"phi": [], "type": [], "upper": [], "return": []}
+    asked = set()
 
-    def counted_start(cfg, table, runs):
+    def counted_start(cfg, table, runs, derived):
         starts.append((cfg, runs))
-        return StartRuns(cfg, table, runs)
+        memos.add(id(derived))
+        return StartRuns(cfg, table, runs, derived)
+
+    def spy_ask(shape, method):
+        def ask(self, run, level):
+            asked.add((shape, run.operations(), run.automaton.level, level))
+            return method(self, run, level)
+
+        monkeypatch.setattr(StartRuns, method.__name__, ask)
 
     def spy(name, module, function):
         original = getattr(module, function)
@@ -614,9 +671,11 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
     spy("type", typesys, "type_of_stack")
     spy("upper", typesys, "decompose_upper")
     spy("return", typesys, "decompose_return")
+    spy_ask("upper", StartRuns.upper)
+    spy_ask("return", StartRuns.returns)
     _eight_machines(monkeypatch)
     assert run_suites([suite], seed=20260808, max_steps=4).ok
-    assert len(starts) == 20
+    assert len(starts) == 20 and len(memos) == 1
 
     enumerated = {id(run) for _, runs in starts for run in runs}
     per_run = Counter(id(run) for _, _, run in calls["phi"] if id(run) in enumerated)
@@ -626,8 +685,8 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
     )
     assert start_typings and max(start_typings.values()) == 1
     derived = Counter(
-        (shape, index, run.operations(), level)
+        (shape, run.operations(), run.automaton.level, level)
         for shape in ("upper", "return")
-        for index, run, level in calls[shape]
+        for _, run, level in calls[shape]
     )
-    assert derived and max(derived.values()) == 1
+    assert derived and max(derived.values()) == 1 and set(derived) == asked

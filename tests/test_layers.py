@@ -4,11 +4,13 @@ classify runs by derivation, never by copy lineage.  Every module states
 its dependencies at its top, none inside a function.  `srcsets` reads
 typings only through a `StartRuns`.  Saturation and the goal space find
 drops only through the realizer index.  Only `core` reads a collapse
-link by index.  Every function the benchmark's tracer wraps exists."""
+link by index.  Every function the benchmark's tracer wraps is a
+function of the module it is named under."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import hopad
@@ -81,7 +83,9 @@ def test_srcsets_reads_typings_only_through_start_runs():
 
 
 def test_every_traced_function_exists():
-    # the benchmark's tracer wraps these by name; a rename must fail here
+    # the benchmark's tracer wraps these by name and reports them under
+    # it; a rename, or a name that only re-exports another module's
+    # function or is a class, must fail here
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -89,7 +93,8 @@ def test_every_traced_function_exists():
     missing = [
         f"{module}.{function}"
         for module, function in tracer.TRACED
-        if not callable(getattr(importlib.import_module(f"hopad.{module}"), function, None))
+        if not inspect.isfunction(fn := getattr(importlib.import_module(f"hopad.{module}"), function, None))
+        or fn.__module__ != f"hopad.{module}"
     ]
     assert tracer.TRACED and not missing, missing
 

@@ -43,7 +43,7 @@ def normalized_runs(aut, cfg, bound):
 
 def alone(run, table):
     """The run as the only run of its start configuration."""
-    return StartRuns(run.at(0), table, [run])
+    return StartRuns(run.at(0), table, [run], {})
 
 
 def excursion_prefix(aut):
@@ -129,7 +129,7 @@ def test_origin_part1_and_part2_positive(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs), [7])
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs, {}), [7])
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
@@ -138,9 +138,9 @@ def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 4)
-    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [0])
+    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [0])
     assert report.errors and not report.ok
-    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [9])
+    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [9])
     assert any("topmost" in e for e in report.errors)
 
 
@@ -150,7 +150,7 @@ def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
     runs = normalized_runs(aut, run.at(0), 5)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs), [0, 9, 7, 4])
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs, {}), [0, 9, 7, 4])
     assert len(report.errors) == 2
     assert any("d=0" in e for e in report.errors)
     assert any("d=9" in e and "topmost" in e for e in report.errors)
@@ -164,8 +164,8 @@ def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
     # the bounce push^1 reads 1, so the run is not normalized
     run = drive(aut, cfg, [("b", 1), ("a", 1)])
     runs = [run]
-    origin = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs), [4, 6])
-    upper = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [4, 6])
+    origin = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [4, 6])
+    upper = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [4, 6])
     for report in (origin, upper):
         assert report.errors == ["run is not normalized"]
         assert report.checked == 0
@@ -176,7 +176,7 @@ def test_origin_vacuous_when_value_absent(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.configs[-1].stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    start = StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 4))
+    start = StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 4), {})
     report = check_origin(run, 0, sigmas, start, [4])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
@@ -186,7 +186,7 @@ def test_origin_exhaustive_over_fragment():
     table = saturate_level0(frag, shape_monoid())
     hard = 0
     for cfg in cfgs:
-        start = StartRuns(cfg, table, normalized_runs(frag, cfg, 4))
+        start = StartRuns(cfg, table, normalized_runs(frag, cfg, 4), {})
         for run in start.runs:
             lrun = instrument_lineage(run)
             for k in (0, 1):
@@ -219,9 +219,9 @@ def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
     other = drive(aut, run.at(0), [("a", 9), ("c", 0)])
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    with_run = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [run, other]), [7])
+    with_run = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [run, other], {}), [7])
     assert with_run.ok and with_run.verified == 2 and not with_run.unwitnessed
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [other]), [7])
+    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [other], {}), [7])
     assert report.ok and report.verified == 1
     assert report.unwitnessed == ["k=0 d=7: important under src but no transferred run"]
 
@@ -231,13 +231,13 @@ def test_transfer_checks_reject_runs_from_another_start(excursion):
     run = excursion_prefix(aut)
     final = type_of_stack(run.last.stack, 0, table)
     sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    foreign = StartRuns(run.last, table, normalized_runs(aut, run.last, 3))
+    foreign = StartRuns(run.last, table, normalized_runs(aut, run.last, 3), {})
     with pytest.raises(ValueError, match="start"):
         check_origin(run, 0, sigmas, foreign, [7])
     with pytest.raises(ValueError, match="start"):
         check_idv_upper(run, 0, foreign, [4, 6])
     with pytest.raises(ValueError, match="start"):
-        StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 3) + foreign.runs)
+        StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 3) + foreign.runs, {})
 
 
 def test_transfer_checks_test_the_start_before_reading_the_run(excursion):
@@ -246,7 +246,7 @@ def test_transfer_checks_test_the_start_before_reading_the_run(excursion):
     aut, table = excursion
     frag, _ = u_fragment_corpus()
     run = execute_word(frag, (("[", 1), ("]", 1))).run
-    start = StartRuns(excursion_config(), table, [])
+    start = StartRuns(excursion_config(), table, [], {})
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
         check_idv_upper(run, 0, start, [4, 6])
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
@@ -260,9 +260,9 @@ def test_idv_upper_conclusion_holds(excursion):
     # at bound 3 the run is the unique one with its read class and state
     # (at bound 5 a bounce-prefixed run shares both and must be flagged)
     short, long = normalized_runs(aut, run.at(0), 3), normalized_runs(aut, run.at(0), 5)
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, short), [4, 6])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, short, {}), [4, 6])
     assert report.ok and report.verified == 1
-    longer = check_idv_upper(run, 0, StartRuns(run.at(0), table, long), [4, 6])
+    longer = check_idv_upper(run, 0, StartRuns(run.at(0), table, long, {}), [4, 6])
     assert any("another normalized run" in e for e in longer.errors)
 
 
@@ -271,15 +271,15 @@ def test_idv_upper_hypothesis_failures_named(excursion):
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 5)
     # 5 is important where 6 is not: distinguishable hypothesis fails
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [5, 6])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [5, 6])
     assert report.errors and any("distinguishable" in e for e in report.errors)
     # 9 appears in the initial topmost 0-stack
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [9, 6])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [9, 6])
     assert any("topmost" in e for e in report.errors)
     # values read by the run are out
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [7, 6])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [7, 6])
     assert any("read" in e for e in report.errors)
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [0, 6])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [0, 6])
     assert report.errors
 
 
@@ -287,7 +287,7 @@ def test_idv_upper_checks_every_pair_that_meets_the_hypotheses(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 3)
-    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs), [9, 4, 5, 7, 6, 0])
+    report = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [9, 4, 5, 7, 6, 0])
     # 0, 9 (stored on top) and 7 (read) are named once each; 5 splits
     # from 4 and from 6; only the pair (4, 6) is checked
     assert sum("d=0" in e for e in report.errors) == 1
@@ -318,7 +318,7 @@ def test_idv_upper_uniqueness_counterexample():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
     run = drive(aut, cfg, [None])
-    report = check_idv_upper(run, 0, StartRuns(cfg, table, normalized_runs(aut, cfg, 3)), [1, 2])
+    report = check_idv_upper(run, 0, StartRuns(cfg, table, normalized_runs(aut, cfg, 3), {}), [1, 2])
     assert any("another normalized run" in e for e in report.errors)
 
 

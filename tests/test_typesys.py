@@ -278,7 +278,7 @@ def test_resource_cap(monkeypatch):
 def test_run2type_single_pop_exact(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, False)))
+    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, False), {}))
     assert report.ok
     assert report.unwitnessed == []
     assert report.verified >= 1
@@ -294,7 +294,7 @@ def test_run2type_empty_machine_vacuous():
     )
     table = saturate_level0(aut, presence_monoid("a"))
     cfg = Configuration("q", from_nested((Atom("g", None),), 1))
-    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 3, BASE, False)))
+    report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 3, BASE, False), {}))
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -304,7 +304,7 @@ def test_run2type_example_chain_all_configs():
     run = classification_example_run()
     for i in range(len(run) + 1):
         cfg = run.at(i)
-        report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False)))
+        report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False), {}))
         assert report.ok, report.hard_failures
         assert not report.unwitnessed
 
@@ -312,11 +312,11 @@ def test_run2type_example_chain_all_configs():
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True)), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {}), [5])
     assert report.ok
     assert report.verified >= 1
     # a value absent from the stack and never readable: vacuous
-    vac = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, (0, 1), True)), [9])
+    vac = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, (0, 1), True), {}), [9])
     assert vac.ok and vac.verified == 0
 
 
@@ -326,12 +326,12 @@ def test_correspondence_hard_lines_name_the_unwitnessed_run():
     aut, cfg = single_pop_machine(), single_pop_config()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     table.entries[("g1", True)] = {}
-    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False)))
+    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False), {}))
     assert run2type.hard_failures == [
         "k=0 goal=(goal SOME 1 qf) has an agreeing run (len=1 ops=[pop^1] word=[a@5]) "
         "but no witnessing descriptor"
     ]
-    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, True)), [5])
+    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, True), {}), [5])
     assert idv.hard_failures == [
         "k=0 d=5 goal=(goal SOME 1 qf) used by len=1 ops=[pop^1] word=[a@5] "
         "but no descriptor carries it"
@@ -344,15 +344,15 @@ def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     bare = Configuration("q", from_nested((Atom("g0", None),), 1))
     foreign = runs_from(aut, bare, 2, BASE, True)
     with pytest.raises(ValueError, match="start"):
-        StartRuns(cfg, table, foreign)
+        StartRuns(cfg, table, foreign, {})
     with pytest.raises(ValueError, match="start"):
-        StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True) + foreign)
+        StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True) + foreign, {})
 
 
 def test_idv_checks_each_distinct_value_once(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    start = StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True))
+    start = StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {})
     once, twice = check_idv(start, [5]), check_idv(start, [5, 5])
     assert twice.checked == once.checked and twice.verified == once.verified
     assert twice.hard_failures == once.hard_failures and twice.unwitnessed == once.unwitnessed
@@ -364,14 +364,14 @@ def test_idv_checks_each_distinct_value_once(single_pop):
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
     cfg = single_pop_config()
-    assert not check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True)), [0]).ok
+    assert not check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {}), [0]).ok
 
 
 def test_idv_excursion_buried_value():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True)), [7])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), {}), [7])
     assert report.ok, report.hard_failures
     assert report.verified >= 1
 
@@ -383,8 +383,8 @@ def test_correspondence_checks_on_random_machines():
         from hopad.core import initial_configuration
 
         cfg = initial_configuration(aut)
-        assert check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False))).ok
-        assert check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True)), [1]).ok
+        assert check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False), {})).ok
+        assert check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), {}), [1]).ok
 
 
 def test_goal_space_covers_materialized_goals(single_pop):
@@ -422,7 +422,7 @@ def test_agrees_examples(single_pop):
     res = step(aut, cfg, ("a", 5))
     assert isinstance(res, Step)
     run = extend_run(base, res)
-    start = StartRuns(cfg, table, [base, run])
+    start = StartRuns(cfg, table, [base, run], {})
     good = uni.intern_goal("SOME", 1, (), "qf")
     wrong_state = uni.intern_goal("SOME", 1, (), "q")
     wrong_class = uni.intern_goal("ID", 1, (), "qf")
@@ -449,7 +449,7 @@ def test_agrees_via_composed_descriptor_goal():
         res = step(aut, run.configs[-1], label)
         assert isinstance(res, Step)
         run = extend_run(run, res)
-    start = StartRuns(cfg, table, [run])
+    start = StartRuns(cfg, table, [run], {})
     goal = uni.intern_goal("SOME", 1, ((NE,),), "q4")
     assert start.agrees(run, goal)
     witness = find_witness(start, 0, goal)
@@ -472,7 +472,7 @@ def test_empty_result_sets_force_reading():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
-    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True)), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), {}), [5])
     assert report.ok, report.hard_failures
     assert report.verified >= 2  # witnessed at both anchoring levels
     assert not report.unwitnessed
@@ -484,7 +484,7 @@ def test_value_unreachable_from_outer_state_is_vacuous():
     aut = excursion_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = excursion_config()
-    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True)), [5])
+    report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), {}), [5])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -514,9 +514,9 @@ def test_level_three_runs_are_witnessed_from_two_column_starts(stack):
     aut = level3_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q1", parse_stack_literal(stack, 3))
-    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False)))
+    run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), False), {}))
     assert not run2type.hard_failures
-    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True)), [1, 2])
+    idv = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 5, (0, 1), True), {}), [1, 2])
     assert not idv.hard_failures
     assert run2type.verified and idv.verified
 
@@ -551,7 +551,7 @@ def test_run2type_recognizer_fragment_at_bound_eight():
     table = saturate_level0(frag, shape_monoid())
     boot = cfgs[0]
     assert boot.state == "work" and len(boot.stack) == 2
-    report = check_run2type(StartRuns(boot, table, runs_from(frag, boot, 8, (0, 1), False)))
+    report = check_run2type(StartRuns(boot, table, runs_from(frag, boot, 8, (0, 1), False), {}))
     assert report.ok, report.hard_failures
     # no return completes from the pristine stack within the bound (a
     # bracket cycle needs a counted opening first), so nothing is
