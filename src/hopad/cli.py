@@ -96,9 +96,17 @@ def render_atom(atom: Atom) -> str:
 
 
 def render_stack(stack: Stack, level: int) -> str:
+    return _render_stack(stack, level, {})
+
+
+def _render_stack(stack: Stack, level: int, atoms: dict[Atom, str]) -> str:
+    """``render_stack(stack, level)``, rendering each distinct atom once into `atoms`."""
     if level == 0:
-        return render_atom(stack)
-    return "[" + " ".join(render_stack(s, level - 1) for s in stack) + "]"
+        text = atoms.get(stack)
+        if text is None:
+            text = atoms[stack] = render_atom(stack)
+        return text
+    return "[" + " ".join(_render_stack(s, level - 1, atoms) for s in stack) + "]"
 
 
 class _StackParser:
@@ -422,8 +430,10 @@ def _cmd_classify(args) -> int:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
     show(header)
+    atoms: dict[Atom, str] = {}
     for j in ends:
-        show([str(j), render_stack(run.at(j).stack, n)] + [_render_set(cells[(j, k)]) for cells, k in columns])
+        stack_text = _render_stack(run.at(j).stack, n, atoms)
+        show([str(j), stack_text] + [_render_set(cells[(j, k)]) for cells, k in columns])
     return 0
 
 
@@ -499,11 +509,8 @@ def _cmd_src(args) -> int:
     if not 0 <= k <= n:
         raise CliError(f"--k {k} outside 0..{n}")
     table = _table_for(args, scenario)  # rejects collapse, which no derivation covers
-    start = StartRuns(run.at(0), table, [run], {})
-    final = start.typing(run.last.stack, k)
-    sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
     try:
-        result = compute_src(run, k, sigmas, start)
+        result = compute_src(run, k, StartRuns(run.at(0), table, [run], {}))
     except ValueError as exc:  # the run is not k-upper
         raise CliError(str(exc)) from None
     except RecursionError:  # the derivation search recurses with the run length

@@ -167,7 +167,7 @@ def seeded_configurations(
     anchored at the bare initial configuration would be vacuous."""
     space = EnumerationSpace(aut, initial_configuration(aut), depth, base)
     seen: list[Configuration] = []
-    for run in enumerate_runs(space):
+    for run, _ in walk_runs(space):
         cfg = run.last
         if cfg not in seen:
             seen.append(cfg)
@@ -616,14 +616,10 @@ def _suite_origin(seed, run_bound, src_bound):
     def reports():
         starts = _starts(seed, CORPUS_MACHINES, src_bound, (0, 1, 2), True)
         for name, start, stored in starts:
-            values, n = sorted({1, 2} | stored)[:4], start.table.automaton.level
+            values = sorted({1, 2} | stored)[:4]
             for run in start.runs:  # the check decides whether the run is k-upper
-                for k in range(0, n):
-                    sigmas = {}  # read only when the run is k-upper
-                    if start.upper(run, k) is not None:
-                        final = start.typing(run.last.stack, k)
-                        sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, n + 1)}
-                    yield name, check_origin(run, k, sigmas, start, values)
+                for k in range(0, start.table.automaton.level):
+                    yield name, check_origin(run, k, start, values)
 
     return _fold(reports())
 

@@ -130,10 +130,18 @@ def _check_level(run: Run, level: int, lowest: int) -> None:
         raise ValueError(f"level {level} outside {lowest}..{n}")
 
 
+def _check_span(run: Run, i: int, j: Optional[int]) -> int:
+    """The span's end, the run's end if `j` is None, once [i..j] is in the run."""
+    m = len(run)
+    j = m if j is None else j
+    if not 0 <= i <= j <= m:
+        raise IndexError(f"span [{i}..{j}] out of range 0..{m}")
+    return j
+
+
 def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
     _check_level(lrun.run, k, 0)
-    if j is None:
-        j = len(lrun.run)
+    j = _check_span(lrun.run, i, j)
     final = _topmost_uid(lrun, j, k)
     initial = _topmost_uid(lrun, i, k)
     return _alive(lrun, final, i) == initial
@@ -141,8 +149,7 @@ def is_k_upper(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) ->
 
 def is_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = None) -> bool:
     _check_level(lrun.run, k, 1)
-    if j is None:
-        j = len(lrun.run)
+    j = _check_span(lrun.run, i, j)
     if j <= i:
         return False
     second = _second_topmost_uid(lrun, i, k - 1)
@@ -165,9 +172,8 @@ def remark_k_return(lrun: LineageRun, k: int, i: int = 0, j: Optional[int] = Non
     collapse may expose the traced stack while removing several
     (k-1)-stacks at once, which this single-removal reading rejects."""
     _check_level(lrun.run, k, 1)
+    j = _check_span(lrun.run, i, j)
     n = lrun.run.automaton.level
-    if j is None:
-        j = len(lrun.run)
     if j <= i:
         return False
     last = lrun.run.transitions[j - 1].op

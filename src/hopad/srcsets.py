@@ -1,16 +1,16 @@
 """Source-set computation for k-upper runs and the two transfer checks.
 
-For a normalized k-upper run and assumption sets on the typing of its
-final spine pieces, the src sets name the descriptors of the *initial*
-spine pieces from which the final important data values originate.  The
-computation follows the run's k-upper derivation (``decompose_upper``):
-segments that never touch levels above k pass the sets through
-unchanged; a push closes them backward through composers over the
-initial pieces, whose realizers come from ``Universe.realizers``; a
-push followed by a return closes over the descriptors of the post-push
-topmost k-stack that realize the return; compositions chain right to
-left.  Derivations, typings and the runs the transfer checks search
-come from a :class:`~hopad.typesys.StartRuns`.
+For a normalized k-upper run, under the assumption sets given by the
+whole typing of its final spine pieces (levels k+1..n), the src sets
+name the descriptors of the *initial* spine pieces from which the final
+important data values originate.  The computation follows the run's
+k-upper derivation (``decompose_upper``): segments that never touch
+levels above k pass the sets through unchanged; a push closes them
+backward through composers over the initial pieces, whose realizers come
+from ``Universe.realizers``; a push followed by a return closes over the
+descriptors of the post-push topmost k-stack that realize the return;
+compositions chain right to left.  Derivations, typings and the runs the
+transfer checks search come from a :class:`~hopad.typesys.StartRuns`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .typesys import NE, CheckReport, StackTyping, StartRuns, _held, _important,
 @dataclass(frozen=True)
 class SrcResult:
     k: int
+    final: Mapping[int, frozenset[int]]  # level -> the final typing's descriptor ids, k+1..n
     sets: Mapping[int, frozenset[int]]  # level -> descriptor ids, k+1..n
     provenance: DecompositionTree
 
@@ -84,30 +85,20 @@ def _src(node: DecompositionTree, sig: dict, run: Run, k: int, start: StartRuns)
     return {lvl: frozenset(ids) for lvl, ids in src.items()}
 
 
-def compute_src(
-    run: Run,
-    k: int,
-    sigmas: Mapping[int, Sequence[int]],
-    start: StartRuns,
-) -> SrcResult:
-    """Source sets of a k-upper run for final assumption sets `sigmas`
-    (level -> descriptor ids over levels k+1..n), by induction on the
-    run's k-upper derivation (`decompose_upper`).  The derivation and
-    the typings come from `start`, the runs of the run's start."""
+def compute_src(run: Run, k: int, start: StartRuns) -> SrcResult:
+    """Source sets of a k-upper run for the assumption sets of its final
+    typing (every descriptor of levels k+1..n), by induction on the run's
+    k-upper derivation (`decompose_upper`).  The derivation and the
+    typings come from `start`, the runs of the run's start."""
     aut = run.automaton
     if aut.uses_collapse:
         raise ValueError("src sets cover collapse-free automata only")
-    n = aut.level
     tree = start.upper(run, k)
     if tree is None:
         raise ValueError(f"the run is not {k}-upper")
     final = start.typing(run.last.stack, k)
-    for i in range(k + 1, n + 1):
-        for sid in sigmas.get(i, ()):
-            if sid not in final.typing(i):
-                raise ValueError(f"assumption {sid} not in the final level-{i} typing")
-    sig = {i: frozenset(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
-    return SrcResult(k, _src(tree, sig, run, k, start), tree)
+    sig = {i: frozenset(final.typing(i)) for i in range(k + 1, aut.level + 1)}
+    return SrcResult(k, sig, _src(tree, sig, run, k, start), tree)
 
 
 def _hypotheses(name, run: Run, k: int, start: StartRuns, values, bar_reads=False) -> tuple:
@@ -141,17 +132,12 @@ def _hypotheses(name, run: Run, k: int, start: StartRuns, values, bar_reads=Fals
     return report, usable
 
 
-def check_origin(
-    run: Run,
-    k: int,
-    sigmas: Mapping[int, Sequence[int]],
-    start: StartRuns,
-    values: Sequence[int],
-) -> CheckReport:
+def check_origin(run: Run, k: int, start: StartRuns, values: Sequence[int]) -> CheckReport:
     """The origin transfer for each data value d of `values`.
 
     Part 1 (exact): d important in a final piece under the assumption
-    sets implies d important in an initial piece under the src sets.
+    sets, the run's final typing at levels k+1..n (``compute_src``),
+    implies d important in an initial piece under the src sets.
     Part 2 (bounded search): when d is important under src initially,
     some normalized k-upper run with matching read class, final topmost
     k-stack, and held assumptions reads d or keeps it important.  The
@@ -166,10 +152,8 @@ def check_origin(
     if not fresh:
         return report
     n = start.table.automaton.level
-
-    sigmas = {i: tuple(sigmas.get(i, ())) for i in range(k + 1, n + 1)}
-    src = compute_src(run, k, sigmas, start)
-    at_end = _important(start.typing(run.last.stack, k), sigmas)
+    src = compute_src(run, k, start)
+    at_end = _important(start.typing(run.last.stack, k), src.final)
     at_start = _important(start.typing(start.config.stack, k), src.sets)
     report.checked += len(fresh)
     report.hard_failures += [
@@ -191,8 +175,8 @@ def check_origin(
         if top_stack(cand.last.stack, n, k) != target_topk or start.upper(cand, k) is None:
             continue
         ct = start.typing(cand.last.stack, k)
-        if _held(ct, sigmas):
-            missing -= start.reads(cand) | _important(ct, sigmas)
+        if _held(ct, src.final):
+            missing -= start.reads(cand) | _important(ct, src.final)
     report.verified += len(wanted) - len(missing)
     report.unwitnessed += [
         f"k={k} d={d}: important under src but no transferred run" for d in wanted if d in missing

@@ -309,10 +309,30 @@ def test_classifier_equivalence_extends_only_representative_runs(monkeypatch):
     starts = [space for space, representative in walks if representative]
     seeding = [space for space, representative in walks if not representative]
     weighted = [pair for space in starts for pair in _representative_runs(space)]
-    seeded = sum(len(enumerate_runs(space)) for space in seeding)
-    assert len(extended) == len(weighted) - len(starts) + seeded - len(seeding)
+    seeded = sum(_stopped_walk_extensions(space, 4) for space in seeding)  # as _corpus seeds
+    assert len(extended) == len(weighted) - len(starts) + seeded
     concrete = sum(len(enumerate_runs(space)) for space in starts)
     assert sum(weight for _, weight in weighted) == concrete > 4 * len(weighted)
+
+
+def _stopped_walk_extensions(space, count):
+    """The extend_run calls of a concrete walk of `space` that stops at its
+    `count`-th distinct end configuration, as seeded_configurations stops
+    it: the walk extends every run it yields before the stop, and in
+    depth-first order a run extends the latest shorter run before it."""
+    runs, ends = enumerate_runs(space), []
+    stop = len(runs)  # an exhausted walk extends every run
+    for t, run in enumerate(runs):
+        if run.last not in ends:
+            ends.append(run.last)
+        if len(ends) >= count:
+            stop = t
+            break
+    latest, made = {}, 0
+    for t, run in enumerate(runs):
+        made += t > 0 and latest[len(run) - 1] < stop
+        latest[len(run)] = t
+    return made
 
 
 def _classifier_spaces(seed):

@@ -2,10 +2,11 @@
 enumerates; only the entry points may depend on the harness.  The checks
 classify runs by derivation, never by copy lineage.  Every module states
 its dependencies at its top, none inside a function.  `srcsets` reads
-typings only through a `StartRuns`.  Saturation and the goal space find
-drops only through the realizer index.  Only `core` reads a collapse
-link by index.  Every function the benchmark's tracer wraps is a
-function of the module it is named under."""
+typings only through a `StartRuns`, and the entry points type no stack,
+so the origin transfer's assumption sets are its own.  Saturation and
+the goal space find drops only through the realizer index.  Only `core`
+reads a collapse link by index.  Every function the benchmark's tracer
+wraps is a function of the module it is named under."""
 
 import ast
 import importlib
@@ -80,6 +81,19 @@ def test_srcsets_reads_typings_only_through_start_runs():
         and (call.func.id if isinstance(call.func, ast.Name) else call.func.attr) == "StackTyping"
     ]
     assert not builds, builds
+
+
+def test_the_entry_points_type_no_stack():
+    # the final typing the origin transfer assumes is worked out in srcsets
+    typers = {"typing", "type_of_stack", "stack_typing"}
+    found = [
+        f"{name}:{call.lineno}"
+        for name in ("harness.py", "cli.py")
+        for call in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(call, ast.Call)
+        and (call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)) in typers
+    ]
+    assert not found, found
 
 
 def test_every_traced_function_exists():

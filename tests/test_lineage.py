@@ -99,6 +99,25 @@ def test_a_level_outside_the_run_is_rejected(example_run, entry):
         ask(run, lrun, level)
 
 
+SPAN_CHECKED = {"is_k_upper": is_k_upper, "is_k_return": is_k_return, "remark_k_return": remark_k_return}
+
+
+@pytest.mark.parametrize("entry", SPAN_CHECKED)
+def test_a_span_outside_the_run_is_rejected(example_run, entry):
+    # negative indices must not wrap around, nor a reversed span get an answer
+    classify, (_, lowest) = SPAN_CHECKED[entry], LEVEL_CHECKED[entry]
+    run, lrun = example_run
+    assert len(run) == 6
+    for i, j in ((0, -1), (-2, 3), (-1, None), (5, 2), (0, 7), (7, None)):
+        end = 6 if j is None else j
+        for level in range(lowest, 3):
+            with pytest.raises(IndexError, match=rf"^span \[{i}\.\.{end}\] out of range 0\.\.6$"):
+                classify(lrun, level, i, j)
+    for i in range(7):
+        for j in range(i, 7):
+            classify(lrun, lowest, i, j)
+
+
 def test_lineage_identity_across_copy_and_pop(example_run):
     run, lrun = example_run
     # the [c d] column untouched by the copy: same occurrence at j=0 and j=3

@@ -52,23 +52,24 @@ def excursion_prefix(aut):
     return drive(aut, cfg, [("c", 0), None, ("a", 7)])
 
 
-def test_case1_passes_sigma_through():
+def test_case1_passes_the_final_typing_through():
     aut = classification_example_machine()
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = classification_example_run().subrun(3, 5)  # pop^1, push^1: levels <= 1
     final = type_of_stack(run.configs[-1].stack, 1, table)
-    sigmas = {2: tuple(final.typing(2))}
-    result = compute_src(run, 1, sigmas, alone(run, table))
+    result = compute_src(run, 1, alone(run, table))
     assert result.provenance.case == 1
-    assert result.sets[2] == frozenset(sigmas[2])
+    assert result.final == {2: frozenset(final.typing(2))}
+    assert result.sets[2] == frozenset(final.typing(2))
 
 
-def test_empty_sigma_single_push_gives_empty_src():
+def test_a_single_push_ending_in_only_ne_gives_empty_src():
     aut = excursion_machine()
     cfg = excursion_config()
     run = drive(aut, cfg, [("c", 0)])
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    result = compute_src(run, 1, {2: ()}, alone(run, table))
+    result = compute_src(run, 1, alone(run, table))
+    assert result.final == {2: frozenset({NE})}  # ne closes over nothing
     assert result.provenance.case == 2
     assert result.sets[2] == frozenset()
 
@@ -78,9 +79,7 @@ def test_excursion_case3_collects_pop_chain(excursion):
     run = excursion_prefix(aut)
     lrun = instrument_lineage(run)
     assert is_k_upper(lrun, 0) and is_k_upper(lrun, 1)
-    final = type_of_stack(run.configs[-1].stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    result = compute_src(run, 0, sigmas, alone(run, table))
+    result = compute_src(run, 0, alone(run, table))
     assert result.provenance.case == 3
     # the sources at level 1 include the chain descriptors that carry
     # the buried values 7 and 5
@@ -95,10 +94,8 @@ def test_excursion_case3_collects_pop_chain(excursion):
 def test_src_deterministic_and_contained(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    final = type_of_stack(run.configs[-1].stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    first = compute_src(run, 0, sigmas, alone(run, table))
-    second = compute_src(run, 0, sigmas, alone(run, table))
+    first = compute_src(run, 0, alone(run, table))
+    second = compute_src(run, 0, alone(run, table))
     assert first.sets == second.sets
     init = type_of_stack(run.at(0).stack, 0, table)
     for i in (1, 2):
@@ -110,26 +107,14 @@ def test_src_requires_upper(excursion):
     cfg = excursion_config()
     full = drive(aut, cfg, [("c", 0), None, ("a", 7), ("b", 9)])  # a 1-return
     with pytest.raises(ValueError):
-        compute_src(full, 0, {1: (), 2: ()}, alone(full, table))
-
-
-def test_src_rejects_bad_sigma(excursion):
-    aut, table = excursion
-    run = excursion_prefix(aut)
-    uni = table.universe
-    gid = uni.intern_goal("SOME", 1, ((),), "q4")
-    alien = uni.intern_desc(1, ((),), "q4", uni.intern_goal("SOME", 2, (), "q4"))
-    with pytest.raises(ValueError):
-        compute_src(run, 0, {1: (alien,), 2: ()}, alone(run, table))
+        compute_src(full, 0, alone(full, table))
 
 
 def test_origin_part1_and_part2_positive(excursion):
     aut, table = excursion
     runs = normalized_runs(aut, excursion_config(), 5)
     run = excursion_prefix(aut)
-    final = type_of_stack(run.configs[-1].stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs, {}), [7])
+    report = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [7])
     assert report.ok, report.hard_failures + report.errors
     assert report.verified == 2  # part 1 exact plus a transferred run found
 
@@ -138,9 +123,9 @@ def test_origin_hypothesis_violations_named(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 4)
-    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [0])
+    report = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [0])
     assert report.errors and not report.ok
-    report = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [9])
+    report = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [9])
     assert any("topmost" in e for e in report.errors)
 
 
@@ -148,9 +133,7 @@ def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
     runs = normalized_runs(aut, run.at(0), 5)
-    final = type_of_stack(run.last.stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, runs, {}), [0, 9, 7, 4])
+    report = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [0, 9, 7, 4])
     assert len(report.errors) == 2
     assert any("d=0" in e for e in report.errors)
     assert any("d=9" in e and "topmost" in e for e in report.errors)
@@ -164,7 +147,7 @@ def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
     # the bounce push^1 reads 1, so the run is not normalized
     run = drive(aut, cfg, [("b", 1), ("a", 1)])
     runs = [run]
-    origin = check_origin(run, 0, {1: (), 2: ()}, StartRuns(run.at(0), table, runs, {}), [4, 6])
+    origin = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [4, 6])
     upper = check_idv_upper(run, 0, StartRuns(run.at(0), table, runs, {}), [4, 6])
     for report in (origin, upper):
         assert report.errors == ["run is not normalized"]
@@ -174,10 +157,8 @@ def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
 def test_origin_vacuous_when_value_absent(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    final = type_of_stack(run.configs[-1].stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
     start = StartRuns(run.at(0), table, normalized_runs(aut, run.at(0), 4), {})
-    report = check_origin(run, 0, sigmas, start, [4])
+    report = check_origin(run, 0, start, [4])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
 
@@ -192,9 +173,7 @@ def test_origin_exhaustive_over_fragment():
             for k in (0, 1):
                 if not is_k_upper(lrun, k):
                     continue
-                final = type_of_stack(run.configs[-1].stack, k, table)
-                sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-                report = check_origin(run, k, sigmas, start, [1, 2])
+                report = check_origin(run, k, start, [1, 2])
                 hard += len(report.hard_failures)
     assert hard == 0
 
@@ -217,11 +196,9 @@ def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = excursion_prefix(aut)
     other = drive(aut, run.at(0), [("a", 9), ("c", 0)])
-    final = type_of_stack(run.last.stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
-    with_run = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [run, other], {}), [7])
+    with_run = check_origin(run, 0, StartRuns(run.at(0), table, [run, other], {}), [7])
     assert with_run.ok and with_run.verified == 2 and not with_run.unwitnessed
-    report = check_origin(run, 0, sigmas, StartRuns(run.at(0), table, [other], {}), [7])
+    report = check_origin(run, 0, StartRuns(run.at(0), table, [other], {}), [7])
     assert report.ok and report.verified == 1
     assert report.unwitnessed == ["k=0 d=7: important under src but no transferred run"]
 
@@ -229,11 +206,9 @@ def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
 def test_transfer_checks_reject_runs_from_another_start(excursion):
     aut, table = excursion
     run = excursion_prefix(aut)
-    final = type_of_stack(run.last.stack, 0, table)
-    sigmas = {i: tuple(final.typing(i)) for i in (1, 2)}
     foreign = StartRuns(run.last, table, normalized_runs(aut, run.last, 3), {})
     with pytest.raises(ValueError, match="start"):
-        check_origin(run, 0, sigmas, foreign, [7])
+        check_origin(run, 0, foreign, [7])
     with pytest.raises(ValueError, match="start"):
         check_idv_upper(run, 0, foreign, [4, 6])
     with pytest.raises(ValueError, match="start"):
@@ -250,7 +225,7 @@ def test_transfer_checks_test_the_start_before_reading_the_run(excursion):
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
         check_idv_upper(run, 0, start, [4, 6])
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
-        check_origin(run, 0, {}, start, [4])
+        check_origin(run, 0, start, [4])
 
 
 def test_idv_upper_conclusion_holds(excursion):
@@ -340,9 +315,7 @@ def test_all_decomposition_cases_exercised():
         for k in (0, 1):
             if not is_k_upper(lrun, k):
                 continue
-            final = type_of_stack(run.configs[-1].stack, k, table)
-            sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, 3)}
-            walk(compute_src(run, k, sigmas, alone(run, table)).provenance)
+            walk(compute_src(run, k, alone(run, table)).provenance)
     assert set(cases) == {1, 2, 3, 4}
 
 
@@ -371,9 +344,7 @@ def test_src_derivations_agree_with_lineage_on_subruns(corpus):
             for k in range(0, aut.level + 1):
                 if not is_k_upper(lrun, k):
                     continue
-                final = type_of_stack(run.last.stack, k, table)
-                sigmas = {i: tuple(final.typing(i)) for i in range(k + 1, aut.level + 1)}
-                for node in _upper_nodes(compute_src(run, k, sigmas, alone(run, table)).provenance):
+                for node in _upper_nodes(compute_src(run, k, alone(run, table)).provenance):
                     i, j = node.span
                     assert is_k_upper(lrun, k, i, j)
                     if node.case == 3:
