@@ -8,8 +8,9 @@ j) untouched; a push duplicates the topmost (j-1)-stack with fresh ids,
 each linked copy-of its source, and the rewritten top atom of the
 duplicate is linked copy-of the atom it replaces; a pop or collapse keeps
 the (j-1)-stacks the concrete step kept, destroys the ids of the others
-and creates none.  The copy-of links form a forest, and the classifiers
-below are reachability questions in it:
+and creates none.  Snapshots share ``core.Node`` chains of children, so
+a step costs O(level) plus the (j-1)-stack a push copies.  The copy-of
+links form a forest, and the classifiers below ask reachability in it:
 
 * a run is k-upper when the final topmost k-stack, traced backward
   through the forest, is the initial topmost k-stack;
@@ -35,12 +36,12 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Run, top_stack
+from .core import Node, Run, top_stack
 
 
 class LNode(NamedTuple):
     uid: int
-    children: Optional[tuple]  # None at level 0
+    children: Optional[Node]  # bottom to top, shared by snapshots; None at level 0
 
 
 @dataclass(frozen=True)
@@ -51,52 +52,51 @@ class LineageRun:
     born: Sequence[int]  # step t -> the last id created by step t
 
 
-def _modify_top(node: LNode, depth: int, fn) -> LNode:
+def _replace_top(node: LNode, depth: int, new: Node) -> LNode:
+    """`node` with the children `depth` levels down its top path set to `new`."""
     if depth == 0:
-        return fn(node)
+        return LNode(node.uid, new)
     kids = node.children
-    return LNode(node.uid, kids[:-1] + (_modify_top(kids[-1], depth - 1, fn),))
+    return LNode(node.uid, Node(kids.below, _replace_top(kids.top, depth - 1, new)))
 
 
-def _annotate(stack, level: int, parent: list) -> LNode:
-    """The initial stack with fresh ids; appending to `parent` allocates one."""
+def _fresh(stack, level: int, parent: list) -> LNode:
+    """`stack` with fresh ids in preorder, each allocated by appending to
+    `parent`: the start stack as a core stack, whose ids copy None, or an
+    LNode a push duplicates, each id linked to the id it duplicates."""
+    copied = isinstance(stack, LNode)
     uid = len(parent)
-    parent.append(None)
+    parent.append(stack.uid if copied else None)
     if level == 0:
         return LNode(uid, None)
-    return LNode(uid, tuple(_annotate(s, level - 1, parent) for s in stack))
-
-
-def _copy(node: LNode, parent: list) -> LNode:
-    """A duplicate of `node` with fresh ids, each linked copy-of the id it
-    duplicates (the top atom to the atom it overwrites)."""
-    uid = len(parent)
-    parent.append(node.uid)
-    if node.children is None:
-        return LNode(uid, None)
-    return LNode(uid, tuple(_copy(c, parent) for c in node.children))
+    kids = None
+    for child in stack.children if copied else stack:
+        kids = Node(kids, _fresh(child, level - 1, parent))
+    return LNode(uid, kids)
 
 
 def instrument_lineage(run: Run) -> LineageRun:
     n = run.automaton.level
     parent: list[Optional[int]] = []
-    snaps = [_annotate(run.at(0).stack, n, parent)]
+    snaps = [_fresh(run.at(0).stack, n, parent)]
     born = [len(parent) - 1]
     for tr, config in zip(run.transitions, run.configs[1:]):
         op = tr.op
+        kids = _descend(snaps[-1], n - op.level).children
         if op.kind == "push":
-            rewrite = lambda s: LNode(s.uid, s.children + (_copy(s.children[-1], parent),))  # noqa: E731
-        else:  # pop or collapse: keep what the concrete step kept
+            kids = Node(kids, _fresh(kids.top, op.level - 1, parent))
+        else:  # pop or collapse: what the concrete step kept is a node of the chain
             keep = top_stack(config.stack, n, op.level).size
-            rewrite = lambda s: LNode(s.uid, s.children[:keep])  # noqa: E731
-        snaps.append(_modify_top(snaps[-1], n - op.level, rewrite))
+            while kids.size > keep:
+                kids = kids.below
+        snaps.append(_replace_top(snaps[-1], n - op.level, kids))
         born.append(len(parent) - 1)
     return LineageRun(run, tuple(snaps), parent, born)
 
 
 def _descend(node: LNode, times: int) -> LNode:
     while times:  # `while`, as in core's descents
-        node = node.children[-1]
+        node = node.children.top
         times -= 1
     return node
 
@@ -109,10 +109,8 @@ def _topmost_uid(lrun: LineageRun, t: int, k: int) -> int:
 def _second_topmost_uid(lrun: LineageRun, t: int, k: int) -> Optional[int]:
     """Id of the second topmost k-stack, or None if the (k+1)-stack is small."""
     n = lrun.run.automaton.level
-    holder = _descend(lrun.snapshots[t], n - k - 1)
-    if len(holder.children) < 2:
-        return None
-    return holder.children[-2].uid
+    below = _descend(lrun.snapshots[t], n - k - 1).children.below
+    return None if below is None else below.top.uid
 
 
 def _alive(lrun: LineageRun, uid: int, t: int) -> int:

@@ -19,6 +19,7 @@ from hopad.core import (
     push,
     step,
     to_nested,
+    top_stack,
     validate_automaton,
 )
 from hopad.harness import (
@@ -121,11 +122,11 @@ def test_a_span_outside_the_run_is_rejected(example_run, entry):
 def test_lineage_identity_across_copy_and_pop(example_run):
     run, lrun = example_run
     # the [c d] column untouched by the copy: same occurrence at j=0 and j=3
-    n1 = lrun.snapshots[0].children[-1]
-    n3 = lrun.snapshots[3].children[-1]
+    n1 = lrun.snapshots[0].children.top
+    n3 = lrun.snapshots[3].children.top
     assert n1.uid == n3.uid
     # the push at step 1 created a fresh duplicate linked to it
-    dup = lrun.snapshots[1].children[-1]
+    dup = lrun.snapshots[1].children.top
     assert lrun.parent[dup.uid] == n1.uid
     assert lrun.born[0] < dup.uid <= lrun.born[1]
     # fresh atoms inside the duplicate link to their sources
@@ -461,6 +462,50 @@ def test_a_column_is_a_set_of_starts(example_run):
     assert Starts(0) == frozenset() and not Starts(0) and Starts(0b101) & {2, 5} == {2}
 
 
+LEVEL3_COLLAPSES = """level 3
+collapsible true
+input-alphabet a b c
+stack-alphabet g h
+initial-state q
+initial-symbol g
+trans q g in a q push 1 h
+trans q g in b q push 2 g
+trans q g in c q pop 1
+trans q h in a q collapse 1
+trans q h in b q collapse 2
+trans q h in c q collapse 3
+start-state q
+start-stack [[[(g,-;1,1,1)]] [[(g,-;1,1,1) (g,-;2,1,2)] [(g,-;1,1,1) (g,-;2,2,2) (h,-;2,2,2) (g,-;4,2,2)]]]
+"""
+
+
+@pytest.fixture(scope="module")
+def collapse_runs():
+    # the start's h, one pop^1 down, collapses two atoms at level 1; a
+    # copy of it under two push^2 collapses three 1-stacks at level 2
+    scenario = parse_automaton_text(LEVEL3_COLLAPSES)
+    runs, seen = [], set()
+    space = EnumerationSpace(scenario.automaton, scenario.start, 6, (0, 1))
+    for run, _ in walk_runs(space, representative=True):
+        if run.operations() not in seen:
+            seen.add(run.operations())
+            runs.append(run)
+    return runs
+
+
+def test_classification_table_is_the_definition_on_level_three_collapses(collapse_runs):
+    removed = set()  # (collapse level, how many stacks it removed)
+    for run in collapse_runs:
+        for t, tr in enumerate(run.transitions):
+            if tr.op.kind == "collapse":
+                sizes = [top_stack(run.at(i).stack, 3, tr.op.level).size for i in (t, t + 1)]
+                removed.add((tr.op.level, sizes[0] - sizes[1]))
+        _assert_table_is_the_definition(run)
+    assert {level for level, _ in removed} == {1, 2, 3}
+    assert (1, 2) in removed and (2, 3) in removed
+    assert len(collapse_runs) == 351
+
+
 def _lineage_shape(node):
     return None if node.children is None else tuple(_lineage_shape(c) for c in node.children)
 
@@ -469,13 +514,32 @@ def _stack_shape(nested, level):
     return None if level == 0 else tuple(_stack_shape(s, level - 1) for s in nested)
 
 
-def test_lineage_has_the_shape_of_the_concrete_stack(corpus_runs, recognizer_runs):
-    # every pop and collapse keeps as many stacks as the concrete step kept
-    for run in corpus_runs + recognizer_runs:
+def _assert_step_shares_the_snapshot_before(before, after, op, n):
+    # levels above the operation's keep their chains below the top path
+    for _ in range(n - op.level):
+        assert after.children.below is before.children.below
+        before, after = before.children.top, after.children.top
+    kids = before.children  # of the topmost op.level-stack
+    if op.kind == "push":
+        assert after.children.below is kids
+        return
+    while kids is not None and kids is not after.children:
+        kids = kids.below
+    assert kids is after.children  # a pop or collapse keeps a node of the chain
+
+
+def test_lineage_has_the_shape_of_the_concrete_stack(corpus_runs, recognizer_runs, collapse_runs):
+    # every pop and collapse keeps as many stacks as the concrete step kept,
+    # and a step shares every node it does not rewrite with the snapshot before
+    for run in corpus_runs + recognizer_runs + collapse_runs:
         n = run.automaton.level
-        for t, snap in enumerate(instrument_lineage(run).snapshots):
+        snaps = instrument_lineage(run).snapshots
+        for t, snap in enumerate(snaps):
             stack = to_nested(run.at(t).stack, n)
             assert _lineage_shape(snap) == _stack_shape(stack, n), (run.operations(), t)
+            if t:
+                op = run.transitions[t - 1].op
+                _assert_step_shares_the_snapshot_before(snaps[t - 1], snap, op, n)
 
 
 def test_ids_count_in_creation_order(corpus_runs, recognizer_runs):
@@ -532,6 +596,27 @@ def test_classification_table_of_a_3001_step_chain_within_budget():
     assert peak < 32 * 2**20
     assert table.upper[(3000, 0)] == set(range(3001)) and table.upper[(3001, 0)] == {3001}
     assert table.returns[(3001, 2)] == set(range(3001)) and table.returns[(3001, 1)] == set()
+
+
+def test_lineage_of_a_12001_step_chain_within_budget():
+    # 12,000 push^1 steps on one 1-stack: copying its children on every
+    # step made the lineage quadratic, 2.3 s and 581 MB on 2 vCPUs
+    scenario = parse_automaton_text(PUSH_CHAIN)
+    word = (("a", 0),) * 12000 + (("b", 0),)
+    run = execute_word(scenario.automaton, word, start=scenario.start).run
+    assert len(run.configs) == 12002
+    start = time.perf_counter()
+    instrument_lineage(run)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        lrun = instrument_lineage(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(lrun.snapshots[12000].children.top.children) == 12001
+    assert len(lrun.snapshots[12001].children) == 1 and len(lrun.parent) == 12005
 
 
 def test_decomposition_trees_keep_their_fields_defaults_and_repr():
