@@ -339,7 +339,25 @@ def load_scenario(path: str) -> Scenario:
         validate_automaton(scenario.automaton)
     except InvalidAutomaton as exc:
         raise CliError(f"invalid automaton: {exc}") from None
+    aut, start = scenario.automaton, scenario.start
+    if start is not None:
+        if start.state not in aut.states:
+            raise CliError(f"start-state {start.state} is not a state of the automaton")
+        for atom in _atoms(start.stack, aut.level):
+            if atom.symbol not in aut.stack_alphabet:
+                raise CliError(
+                    f"start-stack: atom {render_atom(atom)} has a symbol outside stack-alphabet"
+                )
     return scenario
+
+
+def _atoms(stack: Stack, level: int):
+    """Every atom of a level-`level` stack, bottom to top."""
+    if level == 0:
+        yield stack
+        return
+    for child in stack:
+        yield from _atoms(child, level - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ from .core import (
 )
 from .lineage import (
     classification_table,
-    decompose_return,
-    decompose_upper,
+    derivation,
     instrument_lineage,
     is_k_return,
     is_k_upper,
@@ -519,7 +518,7 @@ def _suite_u_differential(seed, run_bound, src_bound):
 def _suite_classifier_equivalence(seed, run_bound, src_bound):
     hard = []
     checked = 0
-    verdicts: dict[tuple, bool] = {}  # shared by every start configuration
+    derived: dict = {}  # shared by every start configuration
     for name, aut, cfgs in _corpus(seed, CORPUS_MACHINES):
         n = aut.level
         for cfg in cfgs:
@@ -531,35 +530,28 @@ def _suite_classifier_equivalence(seed, run_bound, src_bound):
             for run, weight in walk_runs(space, representative=True):
                 ops = run.operations()
                 if ops not in mismatches:
-                    mismatches[ops] = _classifier_mismatches(name, run, ops, verdicts)
+                    mismatches[ops] = _classifier_mismatches(name, run, ops, derived)
                 checked += weight * (3 * n + 1)
             if any(mismatches.values()):  # one line per concrete run, in its order
                 hard += [line for run in enumerate_runs(space) for line in mismatches[run.operations()]]
     return hard, [], {"checked": checked}
 
 
-def _classifier_mismatches(name, run, ops, verdicts):
+def _classifier_mismatches(name, run, ops, derived):
     """Where lineage classification and syntactic decomposition disagree
     on the run, whose operations are `ops`, for every level.  Lineage
-    reads the start stack, a derivation only the operations: `verdicts`
-    keeps whether each derivation exists by (shape, operations,
-    automaton level, level), for runs from any start configuration."""
+    reads the start stack, a derivation only the operations, so the
+    derivations come from the ``lineage.derivation`` memo `derived`,
+    shared by runs from any start configuration."""
     lrun = instrument_lineage(run)
     n = run.automaton.level
-
-    def derives(shape, decompose, level):
-        key = (shape, ops, n, level)
-        if key not in verdicts:
-            verdicts[key] = decompose(run, level) is not None
-        return verdicts[key]
-
     out = []
     for k in range(0, n + 1):
-        if is_k_upper(lrun, k) != derives("upper", decompose_upper, k):
+        if is_k_upper(lrun, k) != (derivation(derived, "upper", run, ops, k) is not None):
             out.append(f"{name}: upper mismatch k={k} ops={ops}")
     for r in range(1, n + 1):
         lhs = is_k_return(lrun, r)
-        if lhs != derives("return", decompose_return, r):
+        if lhs != (derivation(derived, "return", run, ops, r) is not None):
             out.append(f"{name}: return mismatch r={r} ops={ops}")
         if lhs != remark_k_return(lrun, r):
             out.append(f"{name}: remark mismatch r={r} ops={ops}")
@@ -579,10 +571,10 @@ def _fold(reports):
     return hard, soft, stats
 
 
-def _starts(seed, machines, bound, base, normalized):
+def _starts(seed, machines, bound, normalized):
     """Per start configuration of the first `machines` corpus machines,
     each saturated once: the machine's name, the StartRuns of its runs up
-    to `bound` over the base universe, every push reading 0 when
+    to `bound` over the base universe (0, 1), every push reading 0 when
     `normalized`, and the nonzero values its stack stores.  The StartRuns
     of one call share their derivations."""
     derived: dict = {}
@@ -590,12 +582,12 @@ def _starts(seed, machines, bound, base, normalized):
         monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
         table = saturate_level0(aut, monoid)
         for cfg in cfgs:
-            runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, base, normalized))
+            runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, (0, 1), normalized))
             yield name, StartRuns(cfg, table, runs, derived), stack_values(cfg.stack, aut.level) - {0}
 
 
 def _suite_run2type(seed, run_bound, src_bound):
-    starts = _starts(seed, TYPED_MACHINES, run_bound, (0, 1), False)
+    starts = _starts(seed, TYPED_MACHINES, run_bound, False)
     hard, soft, stats = _fold((name, check_run2type(start)) for name, start, _ in starts)
     misses = sum(line.startswith("single-pop: ") for line in soft)
     if misses:
@@ -604,7 +596,7 @@ def _suite_run2type(seed, run_bound, src_bound):
 
 
 def _suite_idv(seed, run_bound, src_bound):
-    starts = _starts(seed, TYPED_MACHINES, run_bound, (0, 1, 2), True)
+    starts = _starts(seed, TYPED_MACHINES, run_bound, True)
     reports = [(name, check_idv(start, sorted({1, 2} | stored)[:4])) for name, start, stored in starts]
     hard, soft, stats = _fold(reports)
     if not any(rep.verified for name, rep in reports if name == "single-pop"):
@@ -614,7 +606,7 @@ def _suite_idv(seed, run_bound, src_bound):
 
 def _suite_origin(seed, run_bound, src_bound):
     def reports():
-        starts = _starts(seed, CORPUS_MACHINES, src_bound, (0, 1, 2), True)
+        starts = _starts(seed, CORPUS_MACHINES, src_bound, True)
         for name, start, stored in starts:
             values = sorted({1, 2} | stored)[:4]
             for run in start.runs:  # the check decides whether the run is k-upper
@@ -626,7 +618,7 @@ def _suite_origin(seed, run_bound, src_bound):
 
 def _suite_idv_upper(seed, run_bound, src_bound):
     def reports():
-        starts = _starts(seed, CORPUS_MACHINES, src_bound, (0, 1, 2), True)
+        starts = _starts(seed, CORPUS_MACHINES, src_bound, True)
         for name, start, stored in starts:
             values = sorted({1, 2, 3} | stored)[:5]
             for run in start.runs:  # the check decides whether the run is k-upper

@@ -24,9 +24,10 @@ an int bitmask of start indices (``Starts``), folded per k along the
 copy-of forest in O(m * n + ids) steps of Python and O(m^2 * n) bits of
 int arithmetic, so a 3,001-step run takes tens of milliseconds and a few
 megabytes.  ``decompose_return`` and ``decompose_upper`` characterize
-collapse-free runs by recursion on the operation sequence; the soundness
-checks classify with them, and the classifier-equivalence suite tests
-them against the definitions.
+collapse-free runs by recursion on the operation sequence; ``derivation``
+keeps their trees in a memo the caller owns, through which the soundness
+checks classify and the classifier-equivalence suite tests them against
+the definitions.
 """
 
 from __future__ import annotations
@@ -349,6 +350,20 @@ def decompose_upper(run: Run, k: int) -> Optional[DecompositionTree]:
     _check_level(run, k, 0)
     ops = run.operations()
     return _derive(ops, {}, "upper", k, 0, len(ops))
+
+
+def derivation(
+    memo: dict, shape: str, run: Run, ops: tuple, level: int
+) -> Optional[DecompositionTree]:
+    """The run's `level`-upper or `level`-return derivation (`shape`), or
+    None.  It reads only the run's operations `ops`, so `memo` keeps it by
+    (shape, ops, automaton level, level) for runs of any start or machine
+    (a level above the machine raises); a miss calls this module's
+    ``decompose_*`` by name, so a wrapper set on them sees every miss."""
+    key = (shape, ops, run.automaton.level, level)
+    if key not in memo:
+        memo[key] = (decompose_upper if shape == "upper" else decompose_return)(run, level)
+    return memo[key]
 
 
 def _derive(

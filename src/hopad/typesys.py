@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
-from .lineage import DecompositionTree, decompose_return, decompose_upper
+from .lineage import DecompositionTree, derivation
 from .monoid import FiniteMonoid, phi_of_run
 
 NE = 0  # interned id of the "nonempty" marker
@@ -602,14 +602,9 @@ class StartRuns:
     soundness checks ask of them, each worked out once, on first ask:
     per run its monoid class and read values, per (stack, level) its
     typing.  Runs and stacks are keyed by identity and held by their
-    entries.  A given run starting elsewhere raises ValueError.
-
-    A derivation reads nothing of a run but its operations, so `derived`
-    holds them by (shape, operations, automaton level, level) and may be
-    shared by the StartRuns of many start configurations and machines
-    (the automaton level bounds the levels a derivation is asked at): a
-    derivation missing there is made by ``decompose_upper`` or
-    ``decompose_return`` and kept."""
+    entries.  A given run starting elsewhere raises ValueError.  Its
+    derivations go into the ``lineage.derivation`` memo `derived`, which
+    the StartRuns of many start configurations and machines may share."""
 
     def __init__(
         self,
@@ -642,18 +637,12 @@ class StartRuns:
         return self._of(run)[3]
 
     def upper(self, run: Run, k: int) -> Optional[DecompositionTree]:
-        """The run's k-upper derivation (``decompose_upper``), or None."""
-        key = ("upper", self._of(run)[1], run.automaton.level, k)
-        if key not in self._derived:
-            self._derived[key] = decompose_upper(run, k)
-        return self._derived[key]
+        """The run's k-upper derivation, or None."""
+        return derivation(self._derived, "upper", run, self._of(run)[1], k)
 
     def returns(self, run: Run, r: int) -> Optional[DecompositionTree]:
-        """The run's r-return derivation (``decompose_return``), or None."""
-        key = ("return", self._of(run)[1], run.automaton.level, r)
-        if key not in self._derived:
-            self._derived[key] = decompose_return(run, r)
-        return self._derived[key]
+        """The run's r-return derivation, or None."""
+        return derivation(self._derived, "return", run, self._of(run)[1], r)
 
     def typing(self, stack: Stack, k: int) -> StackTyping:
         """``type_of_stack(stack, k, table)``."""

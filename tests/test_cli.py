@@ -451,11 +451,14 @@ EXCURSION = str(GOLDEN / "excursion.scenario")
         ("src", EXCURSION, "--k", "3", "--monoid", "presence"),
         *((command, "{latin1}") for command in ("run", "classify", "types", "src")),
         ("accept", "{latin1}", "--word", "a@1"),
+        ("accept", "{no_state}", "--word", "c@1"),
+        ("src", "{bad_symbol}", "--word", "c@1", "--k", "0", "--monoid", "presence"),
     ],
     ids=[
         "start-stack", "u-check-superscript", "u-check-letter", "gen-word-length-cap",
         "gen-word-k-range", "types-unmapped-letters", "src-k-negative", "src-k-above-level",
         "run-not-utf8", "classify-not-utf8", "types-not-utf8", "src-not-utf8", "accept-not-utf8",
+        "start-state-not-a-state", "start-stack-symbol-outside-alphabet",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
@@ -463,7 +466,13 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
     no_stack.write_text(ACCEPTING_WITH_EPS.replace("start-stack [(g,-)]", "start-stack"))
     latin1 = tmp_path / "latin1.aut"
     latin1.write_bytes(EPS_LOOP.replace("initial-state q", "initial-state q\u00e9").encode("latin-1"))
-    code, err = run_cli_stderr(*(a.format(no_stack=no_stack, latin1=latin1) for a in argv))
+    excursion = (GOLDEN / "excursion.scenario").read_text()
+    no_state = tmp_path / "no-state.scenario"
+    no_state.write_text(excursion.replace("start-state q\n", "start-state zz\n"))
+    bad_symbol = tmp_path / "bad-symbol.scenario"
+    bad_symbol.write_text(excursion.replace("(g,9)", "(WHAT,1)"))
+    paths = {"no_stack": no_stack, "latin1": latin1, "no_state": no_state, "bad_symbol": bad_symbol}
+    code, err = run_cli_stderr(*(a.format(**paths) for a in argv))
     assert code == 2
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err

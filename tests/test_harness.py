@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from hopad import harness, typesys
+from hopad import harness, lineage, typesys
 from hopad.core import (
     Atom,
     Configuration,
@@ -403,8 +403,8 @@ def test_classifier_equivalence_derives_once_per_operations_and_level(monkeypatc
 
         return derive
 
-    monkeypatch.setattr(harness, "decompose_upper", counted("upper", decompose_upper))
-    monkeypatch.setattr(harness, "decompose_return", counted("return", decompose_return))
+    monkeypatch.setattr(lineage, "decompose_upper", counted("upper", decompose_upper))
+    monkeypatch.setattr(lineage, "decompose_return", counted("return", decompose_return))
     monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
     assert run_suites(["classifier-equivalence"], seed=20260808, max_steps=4).ok
     sequences = {key[1:3] for key in derived}
@@ -441,7 +441,7 @@ def test_shared_derivations_are_the_asking_runs_own(monkeypatch):
     # single-pop machine asks for the same operations
     corpus = list(harness._corpus(20260808, harness.CORPUS_MACHINES))[::-1]
     monkeypatch.setattr(harness, "_corpus", lambda seed, count: iter(corpus))
-    starts = harness._starts(20260808, harness.CORPUS_MACHINES, harness.RUN_BOUND, (0,), True)
+    starts = harness._starts(20260808, harness.CORPUS_MACHINES, harness.RUN_BOUND, True)
     served = 0
     for _, start, _ in starts:
         for run in start.runs:
@@ -464,13 +464,13 @@ def test_shared_derivations_are_the_asking_runs_own(monkeypatch):
     # served verdict that differs from the asking run's own
     monkeypatch.setattr(harness, "is_k_upper", lambda lrun, k: decompose_upper(lrun.run, k) is not None)
     monkeypatch.setattr(harness, "is_k_return", lambda lrun, r: decompose_return(lrun.run, r) is not None)
-    verdicts, asked = {}, 0
+    derived, asked = {}, 0
     for name, aut, cfgs in corpus:
         for cfg in cfgs:
             for run, _ in walk_runs(EnumerationSpace(aut, cfg, harness.RUN_BOUND, (0, 1)), True):
-                assert harness._classifier_mismatches(name, run, run.operations(), verdicts) == []
+                assert harness._classifier_mismatches(name, run, run.operations(), derived) == []
                 asked += 2 * aut.level + 1
-    assert asked > 4 * len(verdicts) > 7_000
+    assert asked > 4 * len(derived) > 7_000
 
 
 def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch):
@@ -482,7 +482,7 @@ def test_classifier_equivalence_reports_hard_lines_in_concrete_order(monkeypatch
             return None if tree is not None else "disagrees"
         return tree
 
-    monkeypatch.setattr(harness, "decompose_upper", disagreeing)
+    monkeypatch.setattr(lineage, "decompose_upper", disagreeing)
     monkeypatch.setattr(harness, "CORPUS_MACHINES", 8)
     got = run_suites(["classifier-equivalence"], seed=20260808, max_steps=4)
     monkeypatch.setitem(
@@ -689,8 +689,8 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
     monkeypatch.setattr(harness, "StartRuns", counted_start)
     spy("phi", typesys, "phi_of_run")
     spy("type", typesys, "type_of_stack")
-    spy("upper", typesys, "decompose_upper")
-    spy("return", typesys, "decompose_return")
+    spy("upper", lineage, "decompose_upper")
+    spy("return", lineage, "decompose_return")
     spy_ask("upper", StartRuns.upper)
     spy_ask("return", StartRuns.returns)
     _eight_machines(monkeypatch)
@@ -710,3 +710,37 @@ def test_soundness_suites_work_out_each_fact_once(monkeypatch, suite):
         for _, run, level in calls[shape]
     )
     assert derived and max(derived.values()) == 1 and set(derived) == asked
+
+
+@pytest.mark.parametrize("suite", ["classifier-equivalence", "origin"])
+def test_every_derivation_miss_goes_through_the_lineage_module(monkeypatch, suite):
+    # lineage.derivation makes each tree missing from its memo by calling
+    # decompose_* as attributes of lineage, so a spy there (the benchmark
+    # tracer's spans among them) sees one call per key the memo holds
+    memos, made = {}, Counter()
+
+    def counted(shape):
+        decompose = getattr(lineage, f"decompose_{shape}")
+
+        def spied(run, level):
+            made[shape] += 1
+            return decompose(run, level)
+
+        monkeypatch.setattr(lineage, f"decompose_{shape}", spied)
+
+    def kept(ask):
+        def spied(*args):
+            memos[id(args[-1])] = args[-1]
+            return ask(*args)
+
+        return spied
+
+    counted("upper")
+    counted("return")
+    monkeypatch.setattr(harness, "_classifier_mismatches", kept(harness._classifier_mismatches))
+    monkeypatch.setattr(harness, "StartRuns", kept(StartRuns))
+    _eight_machines(monkeypatch)
+    assert run_suites([suite], seed=20260808, max_steps=4).ok
+    (memo,) = memos.values()
+    keys = Counter(shape for shape, *_ in memo)
+    assert keys == made and min(made.values()) > 20, (keys, made)

@@ -623,7 +623,7 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
             assert union in yielded, (psi_k, sorted(chosen))
 
     monkeypatch.setattr(typesys, "_discharges", checked)
-    for _ in _starts(20260808, TYPED_MACHINES, 0, (0,), True):
+    for _ in _starts(20260808, TYPED_MACHINES, 0, True):
         pass  # saturates each machine once
     assert yields == 235 and choices_seen == 235
 
@@ -701,7 +701,7 @@ def test_stack_typing_is_the_fold_over_elements_on_the_typed_corpus():
     from hopad.harness import TYPED_MACHINES, _starts
 
     stacks = promoted = 0
-    for _, start, _ in _starts(20260808, TYPED_MACHINES, 5, (0, 1), False):
+    for _, start, _ in _starts(20260808, TYPED_MACHINES, 5, False):
         table, n = start.table, start.table.automaton.level
         for run in start.runs:
             _assert_typings_are_the_fold(run.last.stack, n, table, {})
