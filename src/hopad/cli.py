@@ -17,12 +17,20 @@ plus optional scenario directives `start-state q` and
 configuration.  Data words are whitespace-separated `letter@value`
 tokens.  Stacks render as nested brackets of atoms `(sym,data)` with
 `-` for the empty data slot and collapse links after `;`.
+
+`parse_automaton_text` returns only checked scenarios: each line as it
+is read (a level above `core.MAX_LEVEL` stops it there), then the
+automaton (`core.validate_automaton`), then that a start has both its
+directives, its literal and link counts (`parse_stack_literal`), and
+last, in one walk, the start state, each atom's symbol and, on a
+collapsible automaton, each level-j link against its j-stack's size.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -33,16 +41,14 @@ from .core import (
     Atom,
     Automaton,
     Configuration,
-    IllFormed,
     InvalidAutomaton,
+    Node,
     Op,
     Run,
     Stack,
     Transition,
     execute_word,
-    from_nested,
     rule_states,
-    to_nested,
     validate_automaton,
 )
 from .harness import SUITE_NAMES, run_suites
@@ -109,81 +115,56 @@ def _render_stack(stack: Stack, level: int, atoms: dict[Atom, str]) -> str:
     return "[" + " ".join(_render_stack(s, level - 1, atoms) for s in stack) + "]"
 
 
-class _StackParser:
-    def __init__(self, text: str, link_count: Optional[int]):
-        self.text = text
-        self.pos = 0
-        self.link_count = link_count  # links on every atom; None: no links
-
-    def error(self, message: str):
-        raise CliError(f"stack literal: {message} at offset {self.pos}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def parse(self, level: int):
-        self.skip_ws()
-        if level == 0:
-            return self.parse_atom()
-        if self.pos >= len(self.text) or self.text[self.pos] != "[":
-            self.error(f"expected '[' opening a level-{level} stack")
-        self.pos += 1
-        children = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.error("unterminated stack")
-            if self.text[self.pos] == "]":
-                self.pos += 1
-                return tuple(children)
-            children.append(self.parse(level - 1))
-
-    def parse_atom(self):
-        if self.pos >= len(self.text) or self.text[self.pos] != "(":
-            self.error("expected '(' opening an atom")
-        end = self.text.find(")", self.pos)
-        if end < 0:
-            self.error("unterminated atom")
-        body = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        if ";" in body:
-            main, _, linkpart = body.partition(";")
-            if not all(_is_number(x) for x in linkpart.split(",")):
-                self.error(f"bad links {linkpart!r}")
-            links = tuple(int(x) for x in linkpart.split(","))
-        else:
-            main, links = body, None
-        if self.link_count is None and links is not None:
-            self.error(f"atom {body!r} has collapse links, but the automaton is not collapsible")
-        if self.link_count is not None and (
-            links is None or len(links) != self.link_count or min(links) < 1
-        ):
-            self.error(f"atom {body!r} needs {self.link_count} positive collapse links")
-        symbol, sep, data = main.rpartition(",")
-        if not sep:
-            self.error(f"atom {body!r} needs symbol,data")
-        if data == "-":
-            value = None
-        elif _is_number(data):
-            value = int(data)
-        else:
-            self.error(f"bad data value {data!r}")
-        return Atom(symbol, value, links)
+# a token of a stack literal: an atom `(body)`, any other character, or the end
+_TOKEN = re.compile(r"\s*(\(([^)]*)\)|.|\Z)", re.DOTALL)
 
 
 def parse_stack_literal(text: str, level: int, collapsible: bool = False) -> Stack:
     """Parse a stack literal; on a collapsible automaton every atom carries
     exactly `level` positive collapse links, otherwise none."""
-    parser = _StackParser(text, level if collapsible else None)
-    nested = parser.parse(level)
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
-    try:
-        return from_nested(nested, level)
-    except IllFormed:
-        raise CliError("stack literal is not well formed") from None
+    opened: list[Optional[Node]] = [None]  # the literal, then each open stack: its elements so far
+    for token in _TOKEN.finditer(text):
+        char, body = token.group(1, 2)
+        depth = level + 1 - len(opened)  # the level of the next element
+        if opened[0] is not None and not char:
+            return opened[0].top
+        element = message = None
+        if opened[0] is not None:
+            message = "trailing input"
+        elif char == "[" and depth:
+            opened.append(None)
+        elif char == "]" and len(opened) > 1 and opened[-1] is not None:
+            element = opened.pop()
+        elif body is not None and not depth:
+            try:
+                element = _read_atom(body, level if collapsible else None)
+            except ValueError as exc:
+                message = str(exc)
+        elif char == "(":
+            message = "unterminated atom"
+        elif not char and len(opened) > 1:
+            message = "unterminated stack"
+        else:
+            message = f"expected a level-{depth} stack" if depth else "expected an atom"
+        if message is not None:
+            raise CliError(f"stack literal: {message} at offset {token.start(1)}")
+        if element is not None:
+            opened[-1] = Node(opened[-1], element)
+
+
+def _read_atom(body: str, link_count: Optional[int]) -> Atom:
+    """The atom `(body)` with `link_count` positive links (None: none), or a ValueError."""
+    main, semi, tail = body.partition(";")
+    symbol, comma, data = main.rpartition(",")
+    links = tail.split(",") if semi else []
+    if semi and link_count is None:
+        raise ValueError(f"atom {body!r} has collapse links, but the automaton is not collapsible")
+    positive = all(_is_number(x) and int(x) > 0 for x in links)
+    if link_count is not None and not (positive and len(links) == link_count):
+        raise ValueError(f"atom {body!r} needs {link_count} positive collapse links")
+    if not comma or not (data == "-" or _is_number(data)):
+        raise ValueError(f"atom {body!r} needs symbol,data with data - or a number")
+    return Atom(symbol, None if data == "-" else int(data), tuple(map(int, links)) if semi else None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +199,10 @@ def parse_automaton_text(text: str) -> Scenario:
         "initial-state": None,
         "initial-symbol": None,
         "accepting": [],
+        "start-state": None,
+        "start-stack": None,
     }
     transitions: list[Transition] = []
-    start_state = start_stack_text = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,9 +219,9 @@ def parse_automaton_text(text: str) -> Scenario:
             if rest not in (["true"], ["false"]):
                 raise CliError(f"{where}: collapsible needs true or false")
             fields["collapsible"] = rest == ["true"]
-        elif key in ("input-alphabet", "stack-alphabet", "accepting"):
+        elif key in ("input-alphabet", "stack-alphabet", "accepting", "start-stack"):
             fields[key] = rest
-        elif key in ("initial-state", "initial-symbol"):
+        elif key in ("initial-state", "initial-symbol", "start-state"):
             if len(rest) != 1:
                 raise CliError(f"{where}: {key} needs one token")
             fields[key] = rest[0]
@@ -257,14 +239,6 @@ def parse_automaton_text(text: str) -> Scenario:
             transitions.append(
                 Transition(source, symbol, letter, target, _parse_op(rest[target_idx + 1 :], where))
             )
-        elif key == "start-state":
-            if len(rest) != 1:
-                raise CliError(f"{where}: start-state needs one token")
-            start_state = rest[0]
-        elif key == "start-stack":
-            if not rest:
-                raise CliError(f"{where}: start-stack needs a stack literal")
-            start_stack_text = line.split(None, 1)[1]
         else:
             raise CliError(f"{where}: unknown directive {key!r}")
     if fields["level"] is None:
@@ -282,26 +256,36 @@ def parse_automaton_text(text: str) -> Scenario:
         transitions=tuple(transitions),
         collapsible=fields["collapsible"],
     )
-    start = None
-    if start_state is not None or start_stack_text is not None:
-        if start_state is None or start_stack_text is None:
-            raise CliError("start-state and start-stack must appear together")
-        stack = parse_stack_literal(start_stack_text, aut.level, aut.collapsible)
-        if aut.collapsible:
-            _check_links(to_nested(stack, aut.level), aut.level)
-        start = Configuration(start_state, stack)
+    try:
+        validate_automaton(aut)
+    except InvalidAutomaton as exc:
+        raise CliError(f"invalid automaton: {exc}") from None
+    state, literal = fields["start-state"], fields["start-stack"]
+    if (state is None) != (literal is None):
+        raise CliError("start-state and start-stack must appear together")
+    if state is None:
+        return Scenario(aut)
+    start = Configuration(state, parse_stack_literal(" ".join(literal), aut.level, aut.collapsible))
+    _check_start(aut, start)
     return Scenario(aut, start)
 
 
-def _check_links(nested, level: int) -> None:
-    """Reject a collapse link of level j larger than the j-stack holding
-    its atom: a collapse along it would keep more than is there."""
-    todo = [(nested, level, ())]  # node, its level, sizes of the stacks holding it
+def _check_start(aut: Automaton, start: Configuration) -> None:
+    """Reject a start state or an atom's symbol that `aut` lacks, and a link
+    beyond its stack: a collapse along it would keep more than is there."""
+    if start.state not in aut.states:
+        raise CliError(f"start-state {start.state} is not a state of the automaton")
+    todo = [(start.stack, aut.level, ())]  # a stack, its level, sizes of the stacks holding it
     while todo:
-        node, lvl, sizes = todo.pop()
-        if lvl:
-            todo += [(child, lvl - 1, (len(node),) + sizes) for child in node]
-        elif any(link > size for link, size in zip(node.links, sizes)):
+        node, level, sizes = todo.pop()
+        if level:
+            holding = (node.size,) + sizes
+            while node is not None:
+                todo.append((node.top, level - 1, holding))
+                node = node.below
+        elif node.symbol not in aut.stack_alphabet:
+            raise CliError(f"start-stack: atom {render_atom(node)} has a symbol outside stack-alphabet")
+        elif aut.collapsible and any(link > size for link, size in zip(node.links, sizes)):
             sizes = ",".join(map(str, sizes))
             raise CliError(
                 f"start-stack: atom {render_atom(node)} has a link beyond its stack sizes {sizes}"
@@ -334,30 +318,7 @@ def load_scenario(path: str) -> Scenario:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    scenario = parse_automaton_text(text)
-    try:
-        validate_automaton(scenario.automaton)
-    except InvalidAutomaton as exc:
-        raise CliError(f"invalid automaton: {exc}") from None
-    aut, start = scenario.automaton, scenario.start
-    if start is not None:
-        if start.state not in aut.states:
-            raise CliError(f"start-state {start.state} is not a state of the automaton")
-        for atom in _atoms(start.stack, aut.level):
-            if atom.symbol not in aut.stack_alphabet:
-                raise CliError(
-                    f"start-stack: atom {render_atom(atom)} has a symbol outside stack-alphabet"
-                )
-    return scenario
-
-
-def _atoms(stack: Stack, level: int):
-    """Every atom of a level-`level` stack, bottom to top."""
-    if level == 0:
-        yield stack
-        return
-    for child in stack:
-        yield from _atoms(child, level - 1)
+    return parse_automaton_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +536,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _integer(text: str) -> int:
+    """An ASCII integer, maybe negative; `int` also reads `٣`, `1_0` and ` 1`."""
+    if not _is_number(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
 def _at_least(low: int):
     def parse(text: str) -> int:
-        if not _is_number(text) or int(text) < low:
+        if _integer(text) < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
         return int(text)
 
@@ -621,8 +589,8 @@ def main(argv=None) -> int:
     p = add("classify", _cmd_classify, parents=[budget], help="print the per-subrun classification grid")
     p.add_argument("file")
     p.add_argument("--word", default="")
-    p.add_argument("--from", dest="span_from", type=int, default=None)
-    p.add_argument("--to", dest="span_to", type=int, default=None)
+    p.add_argument("--from", dest="span_from", type=_integer, default=None)
+    p.add_argument("--to", dest="span_to", type=_integer, default=None)
 
     p = add("types", _cmd_types, parents=[monoid], help="print the saturated level-0 descriptor table")
     p.add_argument("file")
@@ -630,7 +598,7 @@ def main(argv=None) -> int:
     p = add("src", _cmd_src, parents=[budget, monoid], help="print source sets of the driven run")
     p.add_argument("file")
     p.add_argument("--word", default="")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=_integer, default=0)
 
     p = add("u-check", _cmd_u_check, help="membership in the bracket-mirror language")
     p.add_argument("--word", required=True)
@@ -638,13 +606,13 @@ def main(argv=None) -> int:
     add("u-machine", _cmd_u_machine, help="emit the bracket-mirror recognizer")
 
     p = add("gen-word", _cmd_gen_word, help="emit a word of the nested bracket family")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, default=2)
     p.add_argument("--decorate", action="store_true", help="attach distinct data values")
 
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--max-steps", type=_at_least(1), default=None)
 
     try:

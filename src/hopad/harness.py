@@ -605,27 +605,23 @@ def _suite_idv(seed, run_bound, src_bound):
 
 
 def _suite_origin(seed, run_bound, src_bound):
-    def reports():
-        starts = _starts(seed, CORPUS_MACHINES, src_bound, True)
-        for name, start, stored in starts:
-            values = sorted({1, 2} | stored)[:4]
-            for run in start.runs:  # the check decides whether the run is k-upper
-                for k in range(0, start.table.automaton.level):
-                    yield name, check_origin(run, k, start, values)
-
-    return _fold(reports())
+    return _transfer(seed, src_bound, check_origin, {1, 2}, 0)
 
 
 def _suite_idv_upper(seed, run_bound, src_bound):
-    def reports():
-        starts = _starts(seed, CORPUS_MACHINES, src_bound, True)
-        for name, start, stored in starts:
-            values = sorted({1, 2, 3} | stored)[:5]
-            for run in start.runs:  # the check decides whether the run is k-upper
-                for k in range(0, start.table.automaton.level + 1):
-                    yield name, check_idv_upper(run, k, start, values)
+    return _transfer(seed, src_bound, check_idv_upper, {1, 2, 3}, 1)
 
-    return _fold(reports())
+
+def _transfer(seed, src_bound, check, extra, top):
+    """A transfer suite: `check(run, k, start, values)` on each corpus run
+    up to `src_bound` steps and each k below the level plus `top`, with
+    the least len(extra) + 2 values of `extra` and those the start stores."""
+    return _fold(
+        (name, check(run, k, start, sorted(extra | stored)[: len(extra) + 2]))
+        for name, start, stored in _starts(seed, CORPUS_MACHINES, src_bound, True)
+        for run in start.runs  # the check decides whether the run is k-upper
+        for k in range(start.table.automaton.level + top)
+    )
 
 
 _SUITE_FUNCTIONS = {

@@ -11,8 +11,6 @@ committed report line, `checked=` and `verified=` counts included.
 import pathlib
 import time
 
-import pytest
-
 from hopad import harness
 from hopad.harness import SUITE_NAMES, run_suites
 

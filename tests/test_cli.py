@@ -52,7 +52,10 @@ def run_cli(*argv):
 def run_cli_stderr(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse reports a bad argument by exiting
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -420,18 +423,30 @@ def test_a_cap_hit_is_reported_not_raised(monkeypatch, suite, cap, message):
     assert (code, out.getvalue(), err.getvalue()) == (1, expected, "")
 
 
+LEVEL_1 = "level 1\ninitial-state q\ninitial-symbol X\nstack-alphabet X\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "level \u00b2\n",
-        "level 1\ninitial-state q\ninitial-symbol X\ntrans q X eps q pop \u00b2\n",
-        "level 1\ninitial-state q\ninitial-symbol X\nstart-state q\nstart-stack [(X,\u00b2)]\n",
-        "level 1\ninitial-state q\ninitial-symbol X\nstart-state q\nstart-stack\n",
+        ("level \u00b2\n", "level needs one number"),
+        (LEVEL_1 + "trans q X eps q pop \u00b2\n", "bad operation"),
+        (LEVEL_1 + "start-state q\nstart-stack [(X,\u00b2)]\n", "atom 'X,\u00b2'"),
+        (LEVEL_1 + "start-state q\nstart-stack\n", "stack literal: expected a level-1 stack"),
+        (LEVEL_1 + "trans q Y eps q pop 1\n", "invalid automaton: dangling-symbol"),
+        (LEVEL_1 + "start-state zz\nstart-stack [(X,-)]\n", "start-state zz is not a state"),
+        (LEVEL_1 + "start-state q\nstart-stack [(X,-) (Y,-)]\n", "outside stack-alphabet"),
+        (LEVEL_1 + "collapsible true\nstart-state q\nstart-stack [(X,-;1) (X,-;3)]\n", "link beyond"),
+        (LEVEL_1 + "start-state q\n", "must appear together"),
     ],
-    ids=["level", "op-level", "atom-data", "empty-start-stack"],
+    ids=[
+        "level", "op-level", "atom-data", "empty-start-stack", "dangling-symbol",
+        "start-state-not-a-state", "start-stack-symbol-outside-alphabet", "link-beyond-its-stack",
+        "start-state-without-start-stack",
+    ],
 )
-def test_malformed_automaton_text_is_a_cli_error(text):
-    with pytest.raises(CliError):
+def test_malformed_automaton_text_is_a_cli_error(text, message):
+    with pytest.raises(CliError, match=re.escape(message)):
         parse_automaton_text(text)
 
 
@@ -453,12 +468,16 @@ EXCURSION = str(GOLDEN / "excursion.scenario")
         ("accept", "{latin1}", "--word", "a@1"),
         ("accept", "{no_state}", "--word", "c@1"),
         ("src", "{bad_symbol}", "--word", "c@1", "--k", "0", "--monoid", "presence"),
+        ("gen-word", "--k", "\u0663"),
+        ("gen-word", "--k", "1", "--n", "1_0"),
+        ("classify", EXCURSION, "--word", "c@1 a@2", "--from", " 1"),
     ],
     ids=[
         "start-stack", "u-check-superscript", "u-check-letter", "gen-word-length-cap",
         "gen-word-k-range", "types-unmapped-letters", "src-k-negative", "src-k-above-level",
         "run-not-utf8", "classify-not-utf8", "types-not-utf8", "src-not-utf8", "accept-not-utf8",
-        "start-state-not-a-state", "start-stack-symbol-outside-alphabet",
+        "start-state-not-a-state", "start-stack-symbol-outside-alphabet", "gen-word-k-arabic-digit",
+        "gen-word-n-underscore", "classify-from-space",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, argv):

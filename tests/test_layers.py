@@ -7,7 +7,8 @@ typings only through a `StartRuns`, and the entry points type no stack,
 so the origin transfer's assumption sets are its own.  Saturation and
 the goal space find drops only through the realizer index.  Only `core`
 reads a collapse link by index.  Every function the benchmark's tracer
-wraps is a function of the module it is named under."""
+wraps is a function of the module it is named under.  No module or test
+imports a name it does not use."""
 
 import ast
 import importlib
@@ -162,4 +163,23 @@ def test_only_core_indexes_collapse_links():
         and isinstance(node.value, ast.Attribute)
         and node.value.attr == "links"
     ]
+    assert not found, found
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names `tree` imports, outside `__future__`, that no name in it uses."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_or_test_imports_a_name_it_does_not_use():
+    # the package's __init__ imports only to re-export
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += pathlib.Path(__file__).parent.glob("*.py")
+    found = {path.name: names for path in paths if (names := unused_imports(ast.parse(path.read_text())))}
     assert not found, found

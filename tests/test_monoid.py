@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from hopad.core import Run
 from hopad.harness import single_pop_machine, single_pop_config
 from hopad.monoid import (
     FiniteMonoid,
@@ -93,7 +92,7 @@ def test_unknown_letter_rejected():
 
 
 def test_phi_of_run():
-    from hopad.core import Configuration, Step, empty_run, extend_run, step
+    from hopad.core import Step, empty_run, extend_run, step
 
     aut = single_pop_machine()
     cfg = single_pop_config()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hopad.cli import parse_automaton_text, parse_stack_literal
-from hopad.core import Atom, Configuration, from_nested, spine, validate_automaton
+from hopad.core import Atom, Configuration, from_nested, spine
 from hopad.harness import (
     EnumerationSpace,
     enumerate_runs,
@@ -13,7 +13,6 @@ from hopad.harness import (
     random_machine,
     single_pop_config,
     single_pop_machine,
-    classification_example_config,
     classification_example_machine,
     classification_example_run,
 )
@@ -55,7 +54,7 @@ trans q1 g1 eps q0 pop 3
 
 
 def level3_machine():
-    return validate_automaton(parse_automaton_text(LEVEL3_MACHINE).automaton)
+    return parse_automaton_text(LEVEL3_MACHINE).automaton
 
 
 def runs_from(aut, cfg, bound, base, normalized):
