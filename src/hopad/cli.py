@@ -32,8 +32,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DEFAULT_EPS_BUDGET,
@@ -171,8 +170,7 @@ def _read_atom(body: str, link_count: Optional[int]) -> Atom:
 # automaton files
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     automaton: Automaton
     start: Optional[Configuration] = None  # None: the initial configuration
 
@@ -330,7 +328,7 @@ def drive_run(scenario: Scenario, word, eps_budget: int) -> Run:
     given letters, until the word is exhausted and no step applies; the
     run goes on past accepting states."""
     aut = scenario.automaton
-    endless = replace(aut, accepting=frozenset())  # so execute_word never accepts
+    endless = aut._replace(accepting=frozenset())  # so execute_word never accepts
     run = execute_word(endless, word, eps_budget, scenario.start).run
     return Run(aut, run.configs, run.labels, run.transitions)
 

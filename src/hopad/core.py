@@ -37,7 +37,6 @@ are the literal and I/O form only: :func:`from_nested` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -204,8 +203,7 @@ class Transition(NamedTuple):
     op: Op
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule: str
     detail: str
 
@@ -219,8 +217,7 @@ class InvalidAutomaton(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Automaton:
+class _AutomatonFields(NamedTuple):
     level: int
     input_alphabet: frozenset[str]
     stack_alphabet: frozenset[str]
@@ -230,6 +227,12 @@ class Automaton:
     accepting: frozenset[str]
     transitions: tuple[Transition, ...]
     collapsible: bool = False
+
+
+class Automaton(_AutomatonFields):
+    """A machine as the tuple of its nine fields.  The rule table and the
+    initial configuration are built on first use and kept in the
+    instance's dict; `_replace` makes a variant machine with none kept."""
 
     @cached_property
     def rule_table(self) -> dict[tuple[str, str], Union[Transition, dict[str, Transition]]]:
@@ -737,4 +740,4 @@ def strip_links(stack: Stack, level: int) -> Stack:
 def decollapse(aut: Automaton) -> Automaton:
     """The collapse-free fragment: drop collapse rules and the links."""
     rules = tuple(t for t in aut.transitions if t.op.kind != "collapse")
-    return replace(aut, transitions=rules, collapsible=False)
+    return aut._replace(transitions=rules, collapsible=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 from .core import (
     Atom,
@@ -76,25 +76,35 @@ class EnumerationCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationSpace:
-    """The runs of length <= max_steps from `start`.  Their data universe
-    `values` is the base universe with the values the start stack stores."""
-
+class _SpaceFields(NamedTuple):
     automaton: Automaton
     start: Configuration
     max_steps: int
-    base: InitVar[tuple[int, ...]]
-    normalized_only: bool = False
-    values: tuple[int, ...] = field(init=False)
+    normalized_only: bool
+    values: tuple[int, ...]
 
-    def __post_init__(self, base):
-        if self.max_steps < 0:
+
+class EnumerationSpace(_SpaceFields):
+    """The runs of length <= max_steps from `start`.  Their data universe
+    `values` is the base universe with the values the start stack stores;
+    spaces compare by `values`, not by `base`."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        automaton: Automaton,
+        start: Configuration,
+        max_steps: int,
+        base: tuple[int, ...],
+        normalized_only: bool = False,
+    ):
+        if max_steps < 0:
             raise ValueError("the step bound must be nonnegative")
-        stored = stack_values(self.start.stack, self.automaton.level)
-        object.__setattr__(self, "values", tuple(sorted(set(base) | stored)))
-        if 0 not in self.values:
+        values = tuple(sorted(set(base) | stack_values(start.stack, automaton.level)))
+        if 0 not in values:
             raise ValueError("the data universe must contain 0")
+        return super().__new__(cls, automaton, start, max_steps, normalized_only, values)
 
 
 def walk_runs(space: EnumerationSpace, representative: bool = False):
@@ -367,10 +377,12 @@ def random_machine(seed: int, index: int) -> Automaton:
 # ---------------------------------------------------------------------------
 # verification suites
 
-@dataclass
 class SuiteReport:
-    lines: list[str] = field(default_factory=list)
-    hard_total: int = 0
+    __slots__ = ("lines", "hard_total")
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.hard_total = 0
 
     @property
     def ok(self) -> bool:

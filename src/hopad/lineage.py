@@ -33,7 +33,6 @@ the definitions.
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
@@ -45,12 +44,20 @@ class LNode(NamedTuple):
     children: Optional[Node]  # bottom to top, shared by snapshots; None at level 0
 
 
-@dataclass(frozen=True)
 class LineageRun:
-    run: Run
-    snapshots: tuple[LNode, ...]
-    parent: Sequence[Optional[int]]  # id -> the id it copies, None for the start stack's
-    born: Sequence[int]  # step t -> the last id created by step t
+    __slots__ = ("run", "snapshots", "parent", "born", "__weakref__")
+
+    def __init__(
+        self,
+        run: Run,
+        snapshots: tuple[LNode, ...],
+        parent: Sequence[Optional[int]],
+        born: Sequence[int],
+    ):
+        self.run = run
+        self.snapshots = snapshots
+        self.parent = parent  # id -> the id it copies, None for the start stack's
+        self.born = born  # step t -> the last id created by step t
 
 
 def _replace_top(node: LNode, depth: int, new: Node) -> LNode:
@@ -230,8 +237,7 @@ class Starts(Set):
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass
-class ClassificationTable:
+class ClassificationTable(NamedTuple):
     """Per (j, k): the starts {i : R[i..j] is k-upper} and {i : ... k-return}."""
 
     length: int

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import Run, project_word
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteMonoid:
-    name: str
-    carrier: tuple[str, ...]
-    identity: str
-    table: Mapping[tuple[str, str], str]
-    letter_map: Mapping[str, str]
+    """Equal only to itself."""
+
+    __slots__ = ("name", "carrier", "identity", "table", "letter_map")
+
+    def __init__(
+        self,
+        name: str,
+        carrier: tuple[str, ...],
+        identity: str,
+        table: Mapping[tuple[str, str], str],
+        letter_map: Mapping[str, str],
+    ):
+        self.name = name
+        self.carrier = carrier
+        self.identity = identity
+        self.table = table
+        self.letter_map = letter_map
 
     def mul(self, x: str, y: str) -> str:
         return self.table[(x, y)]

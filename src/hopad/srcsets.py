@@ -16,8 +16,7 @@ transfer checks search come from a :class:`~hopad.typesys.StartRuns`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import Run, stack_values, top_stack
 from .lineage import DecompositionTree, is_normalized
@@ -25,8 +24,7 @@ from .monoid import classify_word
 from .typesys import NE, CheckReport, StackTyping, StartRuns, _held, _important, _witnesses
 
 
-@dataclass(frozen=True)
-class SrcResult:
+class SrcResult(NamedTuple):
     k: int
     final: Mapping[int, frozenset[int]]  # level -> the final typing's descriptor ids, k+1..n
     sets: Mapping[int, frozenset[int]]  # level -> descriptor ids, k+1..n

@@ -39,8 +39,7 @@ sets' push-then-return case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import Atom, Automaton, Configuration, Run, Stack, spine
 from .lineage import DecompositionTree, derivation
@@ -51,16 +50,14 @@ COMPOSER_STATE_CAP = 50_000  # distinct composer vectors one push slot may reach
 DESCRIPTOR_CAP = 50_000  # descriptors one saturation may intern
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
     m: str
     r: int
     sigmas: tuple[tuple[int, ...], ...]  # levels n..r+1
     q: str
 
 
-@dataclass(frozen=True)
-class RunDescriptor:
+class RunDescriptor(NamedTuple):
     level: int
     psis: tuple[tuple[int, ...], ...]  # levels n..level+1
     state: str
@@ -73,12 +70,14 @@ class ResourceCapExceeded(RuntimeError):
         self.stats = stats
 
 
-@dataclass
 class SaturationStats:
-    passes: int = 0
-    descriptors: int = 0
-    goals: int = 0
-    table_pairs: int = 0
+    __slots__ = ("passes", "descriptors", "goals", "table_pairs")
+
+    def __init__(self, passes: int = 0, descriptors: int = 0, goals: int = 0, table_pairs: int = 0):
+        self.passes = passes
+        self.descriptors = descriptors
+        self.goals = goals
+        self.table_pairs = table_pairs
 
 
 class Universe:
@@ -221,17 +220,29 @@ def _render_ids(ids: Sequence[int]) -> str:
     return "".join(f" {'ne' if i == NE else i}" for i in ids)
 
 
-@dataclass
 class Level0TypeTable:
     """Fixpoint map (stack symbol, has-data) -> {descriptor id: idv flag}."""
 
-    automaton: Automaton
-    monoid: FiniteMonoid
-    universe: Universe
-    entries: dict[tuple[str, bool], dict[int, bool]]
-    stats: SaturationStats
-    _typing_cache: dict = field(default_factory=dict, repr=False)
-    _goal_space: Optional[list[int]] = field(default=None, repr=False)
+    __slots__ = (
+        "automaton", "monoid", "universe", "entries", "stats",
+        "_typing_cache", "_goal_space", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        automaton: Automaton,
+        monoid: FiniteMonoid,
+        universe: Universe,
+        entries: dict[tuple[str, bool], dict[int, bool]],
+        stats: SaturationStats,
+    ):
+        self.automaton = automaton
+        self.monoid = monoid
+        self.universe = universe
+        self.entries = entries
+        self.stats = stats
+        self._typing_cache: dict = {}
+        self._goal_space: Optional[list[int]] = None
 
 
 def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
@@ -541,8 +552,7 @@ def stack_typing(stack: Stack, level: int, table: Level0TypeTable) -> Typing:
     return acc
 
 
-@dataclass(frozen=True)
-class StackTyping:
+class StackTyping(NamedTuple):
     """Typings of the spine pieces s^n .. s^k of a stack."""
 
     level: int
@@ -672,14 +682,16 @@ class StartRuns:
         )
 
 
-@dataclass
 class CheckReport:
-    name: str
-    hard_failures: list = field(default_factory=list)
-    unwitnessed: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    verified: int = 0
-    checked: int = 0
+    __slots__ = ("name", "hard_failures", "unwitnessed", "errors", "verified", "checked")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.hard_failures: list = []
+        self.unwitnessed: list = []
+        self.errors: list = []
+        self.verified = 0
+        self.checked = 0
 
     @property
     def ok(self) -> bool:

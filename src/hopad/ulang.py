@@ -15,7 +15,7 @@ consumed by pop^2 steps whose pop-read semantics enforce data equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Automaton,
@@ -31,8 +31,7 @@ from .core import (
 ALPHABET = ("[", "]", "$")
 
 
-@dataclass(frozen=True)
-class UMembershipReport:
+class UMembershipReport(NamedTuple):
     member: bool
     failed_condition: str  # dollar-count | bracket-wellformedness | suffix-symmetry | none
 

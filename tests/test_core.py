@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -111,8 +110,8 @@ def test_the_initial_configuration_is_built_once_per_automaton(level, collapsibl
     assert execute_word(aut, (), start=start).run.configs == (start,)
     literal = _nest(atom("X", None, (1,) * level if collapsible else None), level)
     assert first == Configuration("q", from_nested(literal, level))
-    assert initial_configuration(dataclasses.replace(aut)) is not first
-    renamed = initial_configuration(dataclasses.replace(aut, initial_symbol="Z"))
+    assert initial_configuration(aut._replace()) is not first
+    renamed = initial_configuration(aut._replace(initial_symbol="Z"))
     assert top_atom(renamed.stack, level).symbol == "Z"
     assert initial_configuration(aut) is first
 
@@ -579,9 +578,9 @@ def test_the_fragment_keeps_every_field_but_the_rules_and_collapsibility():
     full = build_u_recognizer()
     assert full.uses_collapse and full.rule_table  # filled in before the fragment is made
     frag = core.decollapse(full)
-    for f in dataclasses.fields(Automaton):
-        if f.name not in ("transitions", "collapsible"):
-            assert getattr(frag, f.name) == getattr(full, f.name), f.name
+    for name in Automaton._fields:
+        if name not in ("transitions", "collapsible"):
+            assert getattr(frag, name) == getattr(full, name), name
     assert frag.transitions == tuple(t for t in full.transitions if t.op.kind != "collapse")
     assert (frag.collapsible, frag.uses_collapse) == (False, False)
     # the collapse rule reads $ on (work, Y); the fragment builds its own table
@@ -718,9 +717,7 @@ def test_operations_are_the_operations_of_the_steps_taken():
 
 def test_outcomes_are_plain_tuples_with_the_same_fields():
     aut = single_pop_automaton()
-    eps_loop = dataclasses.replace(
-        aut, transitions=(Transition("q", "g0", None, "q", push(1, "g0")),)
-    )
+    eps_loop = aut._replace(transitions=(Transition("q", "g0", None, "q", push(1, "g0")),))
     cfg = Configuration("q", from_nested((atom("g0"), atom("g1", 5)), 1))
     cases = (
         (execute_word(aut, (("a", 5),), start=cfg), "accepted", None),

@@ -8,13 +8,17 @@ so the origin transfer's assumption sets are its own.  Saturation and
 the goal space find drops only through the realizer index.  Only `core`
 reads a collapse link by index.  Every function the benchmark's tracer
 wraps is a function of the module it is named under.  No module or test
-imports a name it does not use."""
+imports a name it does not use.  No module imports `dataclasses`, and
+importing hopad loads neither it nor `inspect`."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import hopad
 
@@ -22,7 +26,8 @@ PACKAGE = pathlib.Path(hopad.__file__).parent
 
 
 def imported_names(tree: ast.AST, module: str) -> set[str]:
-    """The names imported from hopad's `module`, "*" for the module itself."""
+    """The names imported from hopad's or the standard library's `module`,
+    "*" for the module itself."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -31,7 +36,7 @@ def imported_names(tree: ast.AST, module: str) -> set[str]:
                 names |= {a.name for a in node.names}
             elif source in ("", "hopad") and any(a.name == module for a in node.names):
                 names.add("*")
-        elif isinstance(node, ast.Import) and any(a.name == f"hopad.{module}" for a in node.names):
+        elif isinstance(node, ast.Import) and any(a.name in (module, f"hopad.{module}") for a in node.names):
             names.add("*")
     return names
 
@@ -183,3 +188,25 @@ def test_no_module_or_test_imports_a_name_it_does_not_use():
     paths += pathlib.Path(__file__).parent.glob("*.py")
     found = {path.name: names for path in paths if (names := unused_imports(ast.parse(path.read_text())))}
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, and each decorator
+    # execs the methods it makes: records are named tuples or slotted classes
+    found = [
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if imported_names(ast.parse(path.read_text()), "dataclasses")
+    ]
+    assert not found, found
+
+
+def test_importing_hopad_loads_neither_dataclasses_nor_inspect():
+    # a fresh process, since this one has imported both already
+    code = "import sys, hopad, hopad.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == [], done.stdout

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -189,9 +188,7 @@ def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
         Transition("qx", "g", "c", "q3", push(1, "g")),
     )
     aut = validate_automaton(
-        dataclasses.replace(
-            base, states=base.states | {"qx"}, transitions=base.transitions + detour
-        )
+        base._replace(states=base.states | {"qx"}, transitions=base.transitions + detour)
     )
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = excursion_prefix(aut)

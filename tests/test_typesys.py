@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -254,7 +253,7 @@ def test_shuffled_transition_order_is_confluent():
     for _ in range(4):
         order = list(aut.transitions)
         rng.shuffle(order)
-        shuffled = dataclasses.replace(aut, transitions=tuple(order))
+        shuffled = aut._replace(transitions=tuple(order))
         assert _structural(saturate_level0(shuffled, mon)) == base
 
 
@@ -499,7 +498,7 @@ def test_shuffled_confluence_on_random_machines():
         for _ in range(4):
             order = list(aut.transitions)
             rng.shuffle(order)
-            shuffled = dataclasses.replace(aut, transitions=tuple(order))
+            shuffled = aut._replace(transitions=tuple(order))
             assert _structural(saturate_level0(shuffled, mon)) == base
 
 
