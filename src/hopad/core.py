@@ -310,11 +310,6 @@ def automaton_diagnostics(aut: Automaton) -> list[Diagnostic]:
     return out
 
 
-def rule_states(transitions: Iterable[Transition]) -> frozenset[str]:
-    """The states that the rules name, as source or target."""
-    return frozenset(q for t in transitions for q in (t.state, t.target))
-
-
 def validate_automaton(aut: Automaton) -> Automaton:
     """Return the automaton unchanged, or raise with all violations."""
     diagnostics = automaton_diagnostics(aut)

@@ -11,6 +11,8 @@ walks one representative run per value-free branch, weighted by the
 number of concrete runs it stands for: only a pop's guard reads a value,
 and that value is forced, so a value read by a push or a collapse never
 changes which operations can follow.
+
+The corpus's hand-built machines are scenario texts, parsed on each use.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import random
 from typing import NamedTuple
 
 from .core import (
-    Atom,
     Automaton,
     Configuration,
     Run,
@@ -30,11 +31,9 @@ from .core import (
     empty_run,
     execute_word,
     extend_run,
-    from_nested,
     initial_configuration,
     pop,
     push,
-    rule_states,
     stack_values,
     step,
     strip_links,
@@ -51,6 +50,7 @@ from .lineage import (
 )
 from .monoid import classify_word, presence_monoid, shape_monoid, validate_monoid
 from .srcsets import check_idv_upper, check_origin
+from .text import parse_automaton_text
 from .typesys import (
     ResourceCapExceeded,
     StartRuns,
@@ -189,101 +189,69 @@ def seeded_configurations(
 # machine corpus
 
 
-def single_pop_machine() -> Automaton:
-    """Level 1, one rule: read `a` with the stored value and pop."""
-    rules = (Transition("q", "g1", "a", "qf", pop(1)),)
-    return validate_automaton(
-        Automaton(
-            level=1,
-            input_alphabet=frozenset({"a"}),
-            stack_alphabet=frozenset({"g0", "g1"}),
-            initial_symbol="g0",
-            states=rule_states(rules),
-            initial_state="q",
-            accepting=frozenset({"qf"}),
-            transitions=rules,
-        )
-    )
+SINGLE_POP = """\
+# level 1, one rule: read `a` with the stored value and pop
+level 1
+input-alphabet a
+stack-alphabet g0 g1
+initial-state q
+initial-symbol g0
+accepting qf
+trans q g1 in a qf pop 1
+start-state q
+start-stack [(g0,-) (g1,5)]
+"""
 
+CLASSIFICATION_EXAMPLE = """\
+# the worked example: an epsilon chain driving push^2(e), pop^1, pop^2,
+# pop^1, push^1(d), pop^1 from a seeded two-column stack
+level 2
+input-alphabet a
+stack-alphabet a b c d e
+initial-state t0
+initial-symbol a
+accepting t6
+trans t0 d eps t1 push 2 e
+trans t1 e eps t2 pop 1
+trans t2 c eps t3 pop 2
+trans t3 d eps t4 pop 1
+trans t4 c eps t5 push 1 d
+trans t5 d eps t6 pop 1
+start-state t0
+start-stack [[(a,-) (b,-)] [(c,-) (d,-)]]
+"""
 
-def single_pop_config() -> Configuration:
-    return Configuration("q", from_nested((Atom("g0", None), Atom("g1", 5)), 1))
-
-
-def classification_example_machine() -> Automaton:
-    """Level 2, an epsilon chain driving push^2(e), pop^1, pop^2, pop^1,
-    push^1(d), pop^1 from a seeded two-column stack."""
-    ops = (push(2, "e"), pop(1), pop(2), pop(1), push(1, "d"), pop(1))
-    tops = ("d", "e", "c", "d", "c", "d")
-    rules = tuple(
-        Transition(f"t{i}", tops[i], None, f"t{i + 1}", ops[i]) for i in range(6)
-    )
-    return validate_automaton(
-        Automaton(
-            level=2,
-            input_alphabet=frozenset({"a"}),
-            stack_alphabet=frozenset({"a", "b", "c", "d", "e"}),
-            initial_symbol="a",
-            states=rule_states(rules),
-            initial_state="t0",
-            accepting=frozenset({"t6"}),
-            transitions=rules,
-        )
-    )
-
-
-def classification_example_config() -> Configuration:
-    stack = (
-        (Atom("a", None), Atom("b", None)),
-        (Atom("c", None), Atom("d", None)),
-    )
-    return Configuration("t0", from_nested(stack, 2))
+EXCURSION = """\
+# Level 2: copy the working 1-stack, read a buried value inside the
+# copy, drop the copy, and finish with a pop of the original top.
+#
+# From a seeded 1-stack [g@5 g@7 g@9] the run push^2, pop^1,
+# pop^2(a@7), pop^1(b@9) is a length-4 1-return that reads the value
+# buried one below the top, so that value is important for the stack
+# piece under the top atom; the push^1/pop^1 bounce adds nonempty
+# 0-upper runs.  This is the smallest shape where the origin and
+# importance transfers have nontrivial positive instances.
+level 2
+input-alphabet a b c
+stack-alphabet g h
+initial-state q
+initial-symbol g
+accepting q4
+trans q g in c q1 push 2 g
+trans q1 g eps q2 pop 1
+trans q2 g in a q3 pop 2
+trans q3 g in b q4 pop 1
+trans q g in b qp push 1 h
+trans qp h in a q pop 1
+start-state q
+start-stack [[(g,-)] [(g,5) (g,7) (g,9)]]
+"""
 
 
 def classification_example_run() -> Run:
     """The length-6 example run, driven to completion by epsilon steps."""
-    aut = classification_example_machine()
-    return execute_word(aut, (), start=classification_example_config()).run
-
-
-def excursion_machine() -> Automaton:
-    """Level 2: copy the working 1-stack, read a buried value inside the
-    copy, drop the copy, and finish with a pop of the original top.
-
-    From a seeded 1-stack [g@5 g@7 g@9] the run push^2, pop^1,
-    pop^2(a@7), pop^1(b@9) is a length-4 1-return that reads the value
-    buried one below the top, so that value is important for the stack
-    piece under the top atom; the push^1/pop^1 bounce adds nonempty
-    0-upper runs.  This is the smallest shape where the origin and
-    importance transfers have nontrivial positive instances."""
-    rules = (
-        Transition("q", "g", "c", "q1", push(2, "g")),
-        Transition("q1", "g", None, "q2", pop(1)),
-        Transition("q2", "g", "a", "q3", pop(2)),
-        Transition("q3", "g", "b", "q4", pop(1)),
-        Transition("q", "g", "b", "qp", push(1, "h")),
-        Transition("qp", "h", "a", "q", pop(1)),
-    )
-    return validate_automaton(
-        Automaton(
-            level=2,
-            input_alphabet=frozenset({"a", "b", "c"}),
-            stack_alphabet=frozenset({"g", "h"}),
-            initial_symbol="g",
-            states=rule_states(rules),
-            initial_state="q",
-            accepting=frozenset({"q4"}),
-            transitions=rules,
-        )
-    )
-
-
-def excursion_config() -> Configuration:
-    stack = (
-        (Atom("g", None),),
-        (Atom("g", 5), Atom("g", 7), Atom("g", 9)),
-    )
-    return Configuration("q", from_nested(stack, 2))
+    aut, start = parse_automaton_text(CLASSIFICATION_EXAMPLE)
+    return execute_word(aut, (), start=start).run
 
 
 def u_fragment_corpus() -> tuple[Automaton, list[Configuration]]:
@@ -394,9 +362,13 @@ class SuiteReport:
 
 def _corpus(seed: int, count: int):
     """The harness machine corpus: named machines with start configurations."""
-    yield "single-pop", single_pop_machine(), [single_pop_config()]
-    yield "classification-example", classification_example_machine(), [classification_example_config()]
-    yield "excursion", excursion_machine(), [excursion_config()]
+    for name, text in (
+        ("single-pop", SINGLE_POP),
+        ("classification-example", CLASSIFICATION_EXAMPLE),
+        ("excursion", EXCURSION),
+    ):
+        aut, start = parse_automaton_text(text)
+        yield name, aut, [start]
     frag, cfgs = u_fragment_corpus()
     yield "u-fragment", frag, cfgs
     for i in range(count):

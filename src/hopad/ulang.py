@@ -6,8 +6,9 @@ expression, and the suffix after the dollar is symmetric to the
 length-matched prefix: the i-th letter from the beginning and the i-th
 from the end carry the same data value and form a [/] pair.
 
-``build_u_recognizer`` constructs the collapsible level-2 machine for it:
-the data values of the brackets read so far are frozen, one per 1-stack
+``U_RECOGNIZER`` is the collapsible level-2 machine for it, as text in
+the format of `hopad.text`, and ``build_u_recognizer`` parses it: the
+data values of the brackets read so far are frozen, one per 1-stack
 copy; on the dollar the collapse link of the topmost count marker jumps
 back to the last unmatched opening bracket, and the mirrored suffix is
 consumed by pop^2 steps whose pop-read semantics enforce data equality.
@@ -17,16 +18,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (
-    Automaton,
-    DataWord,
-    Transition,
-    collapse,
-    pop,
-    push,
-    rule_states,
-    validate_automaton,
-)
+from .core import Automaton, DataWord
+from .text import parse_automaton_text
 
 ALPHABET = ("[", "]", "$")
 
@@ -88,50 +81,49 @@ def in_u(word: DataWord) -> UMembershipReport:
     return _MEMBER
 
 
-def build_u_recognizer() -> Automaton:
-    """The collapsible level-2 recognizer.
+U_RECOGNIZER = """\
+# The collapsible level-2 recognizer.
+#
+# Stack symbols: the brackets themselves, X marking 1-stack bottoms and
+# Y counting open brackets.  Per input bracket a: push^1(a) (recording
+# the data value), push^2 and pop^1 (freezing the record), then
+# push^1(Y) for an opening and pop^1 for a closing bracket.  A closing
+# bracket on topmost X rejects.  On the dollar: topmost X accepts
+# immediately; otherwise collapse^2 on the topmost Y exposes the last
+# unmatched opening bracket and each further pop^2 reads one mirrored
+# letter, data equality enforced by the pop.
+level 2
+collapsible true
+input-alphabet [ ] $
+stack-alphabet X Y [ ]
+initial-state start
+initial-symbol X
+accepting accept
+# bootstrap: split off the working copy of the bottom 1-stack
+trans start X eps work push 2 X
+# recording phase, four micro-steps per bracket
+trans work X in [ copy-open push 1 [
+trans work Y in [ copy-open push 1 [
+trans work Y in ] copy-close push 1 ]
+trans copy-open [ eps drop-open push 2 [
+trans drop-open [ eps count-open pop 1
+trans count-open X eps work push 1 Y
+trans count-open Y eps work push 1 Y
+trans copy-close ] eps drop-close push 2 ]
+trans drop-close ] eps uncount-close pop 1
+trans uncount-close Y eps work pop 1
+# dollar: balanced word accepts at once, otherwise jump back and mirror
+trans work X in $ accept push 1 X
+trans work Y in $ mirror collapse 2
+trans mirror [ in ] mirror pop 2
+trans mirror ] in [ mirror pop 2
+trans mirror X eps accept push 1 X
+"""
 
-    Stack symbols: the brackets themselves, X marking 1-stack bottoms and
-    Y counting open brackets.  Per input bracket a: push^1(a) (recording
-    the data value), push^2 and pop^1 (freezing the record), then
-    push^1(Y) for an opening and pop^1 for a closing bracket.  A closing
-    bracket on topmost X rejects.  On the dollar: topmost X accepts
-    immediately; otherwise collapse^2 on the topmost Y exposes the last
-    unmatched opening bracket and each further pop^2 reads one mirrored
-    letter, data equality enforced by the pop.
-    """
-    t = []
-    # bootstrap: split off the working copy of the bottom 1-stack
-    t.append(Transition("start", "X", None, "work", push(2, "X")))
-    # recording phase, four micro-steps per bracket
-    for top in ("X", "Y"):
-        t.append(Transition("work", top, "[", "copy-open", push(1, "[")))
-    t.append(Transition("work", "Y", "]", "copy-close", push(1, "]")))
-    t.append(Transition("copy-open", "[", None, "drop-open", push(2, "[")))
-    t.append(Transition("drop-open", "[", None, "count-open", pop(1)))
-    for top in ("X", "Y"):
-        t.append(Transition("count-open", top, None, "work", push(1, "Y")))
-    t.append(Transition("copy-close", "]", None, "drop-close", push(2, "]")))
-    t.append(Transition("drop-close", "]", None, "uncount-close", pop(1)))
-    t.append(Transition("uncount-close", "Y", None, "work", pop(1)))
-    # dollar: balanced word accepts at once, otherwise jump back and mirror
-    t.append(Transition("work", "X", "$", "accept", push(1, "X")))
-    t.append(Transition("work", "Y", "$", "mirror", collapse(2)))
-    t.append(Transition("mirror", "[", "]", "mirror", pop(2)))
-    t.append(Transition("mirror", "]", "[", "mirror", pop(2)))
-    t.append(Transition("mirror", "X", None, "accept", push(1, "X")))
-    aut = Automaton(
-        level=2,
-        input_alphabet=frozenset(ALPHABET),
-        stack_alphabet=frozenset({"X", "Y", "[", "]"}),
-        initial_symbol="X",
-        states=rule_states(t),
-        initial_state="start",
-        accepting=frozenset({"accept"}),
-        transitions=tuple(t),
-        collapsible=True,
-    )
-    return validate_automaton(aut)
+
+def build_u_recognizer() -> Automaton:
+    """The recognizer, parsed from `U_RECOGNIZER` on each call."""
+    return parse_automaton_text(U_RECOGNIZER).automaton
 
 
 GEN_W_MAX_K = 6

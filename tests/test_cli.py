@@ -10,17 +10,7 @@ import pytest
 
 import hopad
 from hopad import cli
-from hopad.cli import (
-    CliError,
-    Scenario,
-    format_automaton,
-    format_data_word,
-    main,
-    parse_automaton_text,
-    parse_data_word,
-    parse_stack_literal,
-    render_stack,
-)
+from hopad.cli import main
 from hopad.core import (
     MAX_LEVEL,
     Atom,
@@ -30,14 +20,18 @@ from hopad.core import (
     to_nested,
     top_atom,
 )
-from hopad.harness import (
-    classification_example_config,
-    classification_example_machine,
-    excursion_config,
-    excursion_machine,
-)
+from hopad.harness import CLASSIFICATION_EXAMPLE, EXCURSION
 from hopad.lineage import Starts
-from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
+from hopad.text import (
+    CliError,
+    format_automaton,
+    format_data_word,
+    parse_automaton_text,
+    parse_data_word,
+    parse_stack_literal,
+    render_stack,
+)
+from hopad.ulang import U_RECOGNIZER, build_u_recognizer, decorate_distinct, gen_w
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -125,23 +119,15 @@ def test_u_machine_golden():
     assert out == (GOLDEN / "u-machine.aut").read_text()
 
 
-def test_the_u_recognizer_has_the_states_of_its_golden_file():
-    # format_automaton prints no state set, so the golden text cannot see one
-    parsed = parse_automaton_text((GOLDEN / "u-machine.aut").read_text()).automaton
-    assert build_u_recognizer().states == parsed.states
-
-
-def test_the_golden_scenarios_are_the_harness_machines():
-    # the CLI goldens and the suites check the same machines from the same starts
-    for name, aut, start in (
-        ("excursion.scenario", excursion_machine(), excursion_config()),
-        (
-            "classification-example.scenario",
-            classification_example_machine(),
-            classification_example_config(),
-        ),
+def test_the_golden_inputs_are_the_library_machines():
+    # the CLI goldens and the suites check the same machines from the same
+    # starts; a Scenario compares its state set too, which no file prints
+    for name, text in (
+        ("u-machine.aut", U_RECOGNIZER),
+        ("excursion.scenario", EXCURSION),
+        ("classification-example.scenario", CLASSIFICATION_EXAMPLE),
     ):
-        assert parse_automaton_text((GOLDEN / name).read_text()) == Scenario(aut, start), name
+        assert parse_automaton_text((GOLDEN / name).read_text()) == parse_automaton_text(text), name
 
 
 def test_validate_exit_codes(tmp_path):
@@ -438,11 +424,13 @@ LEVEL_1 = "level 1\ninitial-state q\ninitial-symbol X\nstack-alphabet X\n"
         (LEVEL_1 + "start-state q\nstart-stack [(X,-) (Y,-)]\n", "outside stack-alphabet"),
         (LEVEL_1 + "collapsible true\nstart-state q\nstart-stack [(X,-;1) (X,-;3)]\n", "link beyond"),
         (LEVEL_1 + "start-state q\n", "must appear together"),
+        ("level 2\n" + LEVEL_1, "line 2: repeated level"),
+        (LEVEL_1 + "start-state q\nstart-state q\nstart-stack [(X,-)]\n", "line 6: repeated start-state"),
     ],
     ids=[
         "level", "op-level", "atom-data", "empty-start-stack", "dangling-symbol",
         "start-state-not-a-state", "start-stack-symbol-outside-alphabet", "link-beyond-its-stack",
-        "start-state-without-start-stack",
+        "start-state-without-start-stack", "repeated-level", "repeated-start-state",
     ],
 )
 def test_malformed_automaton_text_is_a_cli_error(text, message):
@@ -450,7 +438,7 @@ def test_malformed_automaton_text_is_a_cli_error(text, message):
         parse_automaton_text(text)
 
 
-EXCURSION = str(GOLDEN / "excursion.scenario")
+EXCURSION_FILE = str(GOLDEN / "excursion.scenario")
 
 
 @pytest.mark.parametrize(
@@ -461,23 +449,25 @@ EXCURSION = str(GOLDEN / "excursion.scenario")
         ("u-check", "--word", "a@1"),
         ("gen-word", "--k", "6", "--n", "50"),
         ("gen-word", "--k", "7"),
-        ("types", EXCURSION),
-        ("src", EXCURSION, "--k", "-1", "--monoid", "presence"),
-        ("src", EXCURSION, "--k", "3", "--monoid", "presence"),
+        ("types", EXCURSION_FILE),
+        ("src", EXCURSION_FILE, "--k", "-1", "--monoid", "presence"),
+        ("src", EXCURSION_FILE, "--k", "3", "--monoid", "presence"),
         *((command, "{latin1}") for command in ("run", "classify", "types", "src")),
         ("accept", "{latin1}", "--word", "a@1"),
         ("accept", "{no_state}", "--word", "c@1"),
         ("src", "{bad_symbol}", "--word", "c@1", "--k", "0", "--monoid", "presence"),
         ("gen-word", "--k", "\u0663"),
         ("gen-word", "--k", "1", "--n", "1_0"),
-        ("classify", EXCURSION, "--word", "c@1 a@2", "--from", " 1"),
+        ("classify", EXCURSION_FILE, "--word", "c@1 a@2", "--from", " 1"),
+        ("validate", "{repeated_level}"),
+        ("run", "{repeated_start_state}"),
     ],
     ids=[
         "start-stack", "u-check-superscript", "u-check-letter", "gen-word-length-cap",
         "gen-word-k-range", "types-unmapped-letters", "src-k-negative", "src-k-above-level",
         "run-not-utf8", "classify-not-utf8", "types-not-utf8", "src-not-utf8", "accept-not-utf8",
         "start-state-not-a-state", "start-stack-symbol-outside-alphabet", "gen-word-k-arabic-digit",
-        "gen-word-n-underscore", "classify-from-space",
+        "gen-word-n-underscore", "classify-from-space", "repeated-level", "repeated-start-state",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
@@ -490,7 +480,16 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv):
     no_state.write_text(excursion.replace("start-state q\n", "start-state zz\n"))
     bad_symbol = tmp_path / "bad-symbol.scenario"
     bad_symbol.write_text(excursion.replace("(g,9)", "(WHAT,1)"))
-    paths = {"no_stack": no_stack, "latin1": latin1, "no_state": no_state, "bad_symbol": bad_symbol}
+    # a repeated directive must not override the earlier one: without the
+    # check, these are a valid level-1 machine and a run from state q1
+    repeated_level = tmp_path / "repeated-level.aut"
+    repeated_level.write_text(EPS_LOOP.replace("level 1\n", "level 2\nlevel 1\n"))
+    repeated_start_state = tmp_path / "repeated-start-state.scenario"
+    repeated_start_state.write_text(excursion.replace("start-state q\n", "start-state q\nstart-state q1\n"))
+    paths = {
+        "no_stack": no_stack, "latin1": latin1, "no_state": no_state, "bad_symbol": bad_symbol,
+        "repeated_level": repeated_level, "repeated_start_state": repeated_start_state,
+    }
     code, err = run_cli_stderr(*(a.format(**paths) for a in argv))
     assert code == 2
     assert len(err.splitlines()) == 1, err

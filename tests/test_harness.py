@@ -18,6 +18,8 @@ from hopad.core import (
     to_nested,
 )
 from hopad.harness import (
+    SINGLE_POP,
+    EXCURSION,
     EnumerationCapExceeded,
     EnumerationSpace,
     enumerate_runs,
@@ -25,10 +27,6 @@ from hopad.harness import (
     random_machine,
     run_suites,
     seeded_configurations,
-    single_pop_config,
-    single_pop_machine,
-    excursion_config,
-    excursion_machine,
 )
 from hopad.lineage import (
     decompose_return,
@@ -39,6 +37,7 @@ from hopad.lineage import (
     remark_k_return,
 )
 from hopad.monoid import presence_monoid
+from hopad.text import parse_automaton_text
 from hopad.typesys import StartRuns, saturate_level0
 
 
@@ -50,11 +49,11 @@ def _eight_machines(monkeypatch):
 
 def test_universe_must_contain_zero():
     with pytest.raises(ValueError):
-        EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (1, 2, 5))
+        EnumerationSpace(*parse_automaton_text(SINGLE_POP), 2, (1, 2, 5))
 
 
 def test_step_bound_must_be_nonnegative():
-    aut, cfg = excursion_machine(), excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     with pytest.raises(ValueError, match="step bound"):
         EnumerationSpace(aut, cfg, -1, (0, 1, 2, 3))
     runs = enumerate_runs(EnumerationSpace(aut, cfg, 0, (0, 1, 2, 3)))
@@ -62,7 +61,7 @@ def test_step_bound_must_be_nonnegative():
 
 
 def test_universe_adds_the_stored_values_to_the_base():
-    aut, cfg = single_pop_machine(), single_pop_config()
+    aut, cfg = parse_automaton_text(SINGLE_POP)
     space = EnumerationSpace(aut, cfg, 2, (0, 1))
     assert space.values == (0, 1, 5)
     assert space == EnumerationSpace(aut, cfg, 2, (0, 1, 5))
@@ -90,7 +89,7 @@ def test_empty_machine_enumerates_only_the_empty_run():
 
 def test_single_pop_enumeration_exact():
     runs = enumerate_runs(
-        EnumerationSpace(single_pop_machine(), single_pop_config(), 2, (0, 5))
+        EnumerationSpace(*parse_automaton_text(SINGLE_POP), 2, (0, 5))
     )
     assert len(runs) == 2
     words = sorted(run.read_word for run in runs)
@@ -106,7 +105,7 @@ def _plain_excursion_config():
 
 def test_enumeration_against_hand_count():
     # the excursion machine over a data-free stack: hand-enumerable shapes
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     cfg = _plain_excursion_config()
     runs = enumerate_runs(EnumerationSpace(aut, cfg, 2, (0, 1)))
     shapes = sorted(tuple(str(op) for op in run.operations()) for run in runs)
@@ -127,7 +126,7 @@ def test_enumeration_against_hand_count():
 
 
 def test_normalized_restricts_push_reads():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     cfg = _plain_excursion_config()
     free = enumerate_runs(EnumerationSpace(aut, cfg, 1, (0, 1, 2)))
     norm = enumerate_runs(
@@ -142,13 +141,13 @@ def test_normalized_restricts_push_reads():
 
 
 def test_every_enumerated_run_replays():
-    space = EnumerationSpace(excursion_machine(), excursion_config(), 4, (0, 1))
+    space = EnumerationSpace(*parse_automaton_text(EXCURSION), 4, (0, 1))
     for run in enumerate_runs(space):
         assert replay(run)
 
 
 def test_prefix_closure():
-    runs = enumerate_runs(EnumerationSpace(excursion_machine(), excursion_config(), 3, (0, 1)))
+    runs = enumerate_runs(EnumerationSpace(*parse_automaton_text(EXCURSION), 3, (0, 1)))
     keys = {(run.labels, run.transitions) for run in runs}
     for run in runs:
         for cut in range(len(run)):
@@ -156,8 +155,7 @@ def test_prefix_closure():
 
 
 def test_renaming_invariance():
-    aut = excursion_machine()
-    cfg = excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     perm = {0: 0, 1: 2, 2: 1}
 
     def rename_stack(stack, level):
@@ -183,7 +181,7 @@ def _representative_runs(space):
 
 
 def test_enumeration_cap(monkeypatch):
-    space = EnumerationSpace(excursion_machine(), excursion_config(), 4, (0, 1))
+    space = EnumerationSpace(*parse_automaton_text(EXCURSION), 4, (0, 1))
     n = len(enumerate_runs(space))
     monkeypatch.setattr(harness, "ENUMERATION_CAP", 3)
     with pytest.raises(EnumerationCapExceeded):
@@ -203,7 +201,7 @@ def test_enumeration_cap(monkeypatch):
 
 
 def test_enumeration_is_depth_first_in_input_order():
-    aut, cfg = excursion_machine(), excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, (0, 1)))
     # a run comes right before its extensions, which come in (letter, value) order
     words = [run.labels for run in runs]
@@ -212,7 +210,7 @@ def test_enumeration_is_depth_first_in_input_order():
 
 
 def test_enumerated_runs_die_with_their_list(monkeypatch):
-    aut, cfg = excursion_machine(), excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     space = EnumerationSpace(aut, cfg, 4, (0, 1))
     made = []
 
@@ -528,10 +526,10 @@ def test_the_goal_space_is_built_once_per_table(monkeypatch):
 
 
 def test_find_agreeing_runs():
-    aut = single_pop_machine()
+    aut = parse_automaton_text(SINGLE_POP).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
-    space = EnumerationSpace(aut, single_pop_config(), 2, (0, 5))
+    space = EnumerationSpace(aut, parse_automaton_text(SINGLE_POP).start, 2, (0, 5))
     start = StartRuns(space.start, table, enumerate_runs(space), {})
 
     def agreeing_runs(goal):
@@ -545,9 +543,9 @@ def test_find_agreeing_runs():
 
 
 def test_seeded_configurations_reach_popable_stacks():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     cfgs = seeded_configurations(aut, 2, (0, 1), 6)
-    assert excursion_machine().level == 2
+    assert parse_automaton_text(EXCURSION).automaton.level == 2
     assert any(len(cfg.stack.top) >= 2 or len(cfg.stack) >= 2 for cfg in cfgs)
 
 

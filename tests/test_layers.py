@@ -9,7 +9,11 @@ the goal space find drops only through the realizer index.  Only `core`
 reads a collapse link by index.  Every function the benchmark's tracer
 wraps is a function of the module it is named under.  No module or test
 imports a name it does not use.  No module imports `dataclasses`, and
-importing hopad loads neither it nor `inspect`."""
+importing hopad loads neither it nor `inspect`.  The text formats live
+in `text`, which imports only `core`, so each hand-built machine is
+defined once, as text: `cli` defines no parser, and only the automaton
+parser and the random machine generator build an `Automaton` or a
+`Transition`."""
 
 import ast
 import importlib
@@ -210,3 +214,51 @@ def test_importing_hopad_loads_neither_dataclasses_nor_inspect():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.split() == [], done.stdout
+
+
+def hopad_sources(tree: ast.AST) -> set[str]:
+    """The hopad modules `tree` imports from, "" for the package itself."""
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "hopad"):
+            sources.add((node.module or "").removeprefix("hopad").lstrip("."))
+        elif isinstance(node, ast.Import):
+            sources |= {a.name.removeprefix("hopad").lstrip(".") for a in node.names if a.name.split(".")[0] == "hopad"}
+    return sources
+
+
+def test_the_text_formats_import_only_core():
+    assert hopad_sources(ast.parse((PACKAGE / "text.py").read_text())) == {"core"}
+
+
+def test_cli_defines_no_parser():
+    # the formats are parsed in `text`, below every module that defines a machine
+    found = [
+        node.name
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("parse_")
+    ]
+    assert not found, found
+
+
+def machine_builds(node: ast.AST) -> int:
+    return sum(
+        isinstance(call, ast.Call)
+        and (call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None))
+        in ("Automaton", "Transition")
+        for call in ast.walk(node)
+    )
+
+
+def test_only_the_parser_and_the_random_machines_build_automata():
+    # a hand-built machine is a text that the parser reads
+    callers, outside = set(), 0
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        outside += machine_builds(tree)
+        for name, fn in functions(tree):
+            if found := machine_builds(fn):
+                callers.add(f"{path.stem}.{name}")
+                outside -= found
+    assert callers == {"text.parse_automaton_text", "harness.random_machine"}, sorted(callers)
+    assert outside == 0, "an Automaton or a Transition built outside every function and method"

@@ -6,12 +6,13 @@ import tracemalloc
 
 import pytest
 
-from hopad.cli import parse_automaton_text, parse_stack_literal
 from hopad.core import (
     Automaton,
     Configuration,
+    StackError,
     Step,
     Transition,
+    apply_operation,
     empty_run,
     execute_word,
     extend_run,
@@ -23,13 +24,11 @@ from hopad.core import (
     validate_automaton,
 )
 from hopad.harness import (
+    SINGLE_POP,
+    EXCURSION,
     CLASSIFICATION_EXAMPLE_GRID,
-    excursion_config,
-    excursion_machine,
     random_machine,
     seeded_configurations,
-    single_pop_config,
-    single_pop_machine,
     classification_example_run,
     u_fragment_corpus,
     EnumerationSpace,
@@ -48,6 +47,7 @@ from hopad.lineage import (
     is_normalized,
     remark_k_return,
 )
+from hopad.text import parse_automaton_text, parse_stack_literal
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +138,7 @@ def test_lineage_identity_across_copy_and_pop(example_run):
 
 
 def test_single_push_is_0_upper():
-    aut = excursion_machine()
-    cfg = excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     res = step(aut, cfg, ("b", 0))  # push^1(h)
     assert isinstance(res, Step)
     run = extend_run(empty_run(aut, cfg), res)
@@ -150,8 +149,7 @@ def test_single_push_is_0_upper():
 
 
 def test_single_pop_is_a_return():
-    aut = single_pop_machine()
-    cfg = single_pop_config()
+    aut, cfg = parse_automaton_text(SINGLE_POP)
     res = step(aut, cfg, ("a", 5))
     run = extend_run(empty_run(aut, cfg), res)
     lrun = instrument_lineage(run)
@@ -213,8 +211,7 @@ def test_decomposition_examples(example_run):
 
 
 def test_is_normalized():
-    aut = excursion_machine()
-    cfg = excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     run = empty_run(aut, cfg)
     assert is_normalized(run)
     push0 = extend_run(run, step(aut, cfg, ("c", 0)))
@@ -227,10 +224,7 @@ def test_is_normalized():
 
 
 def test_classifiers_equal_decompositions_on_corpus():
-    corpora = [
-        (single_pop_machine(), [single_pop_config()]),
-        (excursion_machine(), [excursion_config()]),
-    ]
+    corpora = [(aut, [start]) for aut, start in map(parse_automaton_text, (SINGLE_POP, EXCURSION))]
     frag, cfgs = u_fragment_corpus()
     corpora.append((frag, cfgs))
     for i in range(6):
@@ -252,6 +246,56 @@ def test_classifiers_equal_decompositions_on_corpus():
                         r,
                     )
                     assert lhs == remark_k_return(lrun, r)
+
+
+def _chain_run(ops, level):
+    """The run of a chain machine driving `ops` from its initial
+    configuration: one epsilon rule per step, from state s<i> to s<i+1>,
+    over the one stack symbol g."""
+    rules = tuple(Transition(f"s{i}", "g", None, f"s{i + 1}", op) for i, op in enumerate(ops))
+    states = frozenset(f"s{i}" for i in range(len(ops) + 1))
+    aut = Automaton(level, frozenset("a"), frozenset("g"), "g", states, "s0", frozenset(), rules)
+    return execute_word(validate_automaton(aut), ()).run
+
+
+def _random_ops(rng, level, count):
+    """`count` push^k/pop^k operations, k = 1..level, each drawn uniformly
+    and kept if it applies to the stack the ones before it leave."""
+    stack = parse_stack_literal("[" * level + "(g,-)" + "]" * level, level)
+    choices = [op for k in range(1, level + 1) for op in (push(k, "g"), pop(k))]
+    ops = []
+    while len(ops) < count:
+        op = rng.choice(choices)
+        try:
+            stack = apply_operation(stack, level, op)
+        except StackError:
+            continue
+        ops.append(op)
+    return tuple(ops)
+
+
+def test_classifiers_equal_decompositions_on_every_span_of_random_sequences():
+    # spans that start after a push see multi-column stacks from a bare
+    # start, so the derivation's level tests meet every case at levels 1-4
+    rng = random.Random(20260808)
+    mismatches, returns = [], set()
+    for level in range(1, 5):
+        for _ in range(10):
+            run = _chain_run(_random_ops(rng, level, 12), level)
+            lrun = instrument_lineage(run)
+            for i, j in itertools.combinations_with_replacement(range(len(run) + 1), 2):
+                sub = run.subrun(i, j)
+                for k in range(level + 1):
+                    if is_k_upper(lrun, k, i, j) != (decompose_upper(sub, k) is not None):
+                        mismatches.append(("upper", sub.operations(), k))
+                for k in range(1, level + 1):
+                    verdict = is_k_return(lrun, k, i, j)
+                    if verdict != (decompose_return(sub, k) is not None) or verdict != remark_k_return(lrun, k, i, j):
+                        mismatches.append(("return", sub.operations(), k))
+                    if verdict:
+                        returns.add((level, k))
+    assert not mismatches, (len(mismatches), mismatches[:3])
+    assert returns == {(level, k) for level in range(1, 5) for k in range(1, level + 1)}
 
 
 def test_collapse_lineage_on_recognizer_run():
@@ -300,7 +344,7 @@ def test_remark_k_return_rejects_a_collapse_that_removes_several_stacks():
 def test_instrumenting_leaves_no_reference_cycles():
     # a cycle would keep every instrumented run's id maps alive until a
     # full collection
-    aut, cfg = excursion_machine(), excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     runs = enumerate_runs(EnumerationSpace(aut, cfg, 4, (0, 1, 2, 5, 7, 9), True))
     assert len(runs) == 11
     gc.collect()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hopad.harness import single_pop_machine, single_pop_config
+from hopad.harness import SINGLE_POP
 from hopad.monoid import (
     FiniteMonoid,
     classify_word,
@@ -12,6 +12,7 @@ from hopad.monoid import (
     trivial_monoid,
     validate_monoid,
 )
+from hopad.text import parse_automaton_text
 
 LETTERS = ("[", "]", "$")
 
@@ -94,8 +95,7 @@ def test_unknown_letter_rejected():
 def test_phi_of_run():
     from hopad.core import Step, empty_run, extend_run, step
 
-    aut = single_pop_machine()
-    cfg = single_pop_config()
+    aut, cfg = parse_automaton_text(SINGLE_POP)
     run = empty_run(aut, cfg)
     assert phi_of_run(presence_monoid(aut.input_alphabet), run) == "ID"
     res = step(aut, cfg, ("a", 5))

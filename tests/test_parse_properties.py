@@ -4,7 +4,7 @@ parses back to itself, and any text fails with a CliError or nothing."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopad.cli import (
+from hopad.text import (
     CliError,
     format_automaton,
     parse_automaton_text,

@@ -9,17 +9,16 @@ import weakref
 
 import pytest
 
-from hopad.cli import parse_automaton_text
 from hopad.core import Automaton, automaton_diagnostics, initial_configuration, top_atom
 from hopad.harness import (
+    CLASSIFICATION_EXAMPLE,
     EnumerationSpace,
-    classification_example_config,
-    classification_example_machine,
     classification_example_run,
 )
 from hopad.lineage import classification_table, instrument_lineage
 from hopad.monoid import presence_monoid
 from hopad.srcsets import compute_src
+from hopad.text import parse_automaton_text
 from hopad.typesys import StartRuns, saturate_level0, type_of_stack
 from hopad.ulang import UMembershipReport
 
@@ -41,14 +40,14 @@ def stack_typing():
 
 
 def diagnostic():
-    aut = classification_example_machine()
+    aut = parse_automaton_text(CLASSIFICATION_EXAMPLE).automaton
     return automaton_diagnostics(aut._replace(initial_state="nowhere"))[0]
 
 
 # record -> (a fresh instance, its fields in the order its dataclass hashed them)
 RECORDS = {
     "Automaton": (
-        classification_example_machine,
+        lambda: parse_automaton_text(CLASSIFICATION_EXAMPLE).automaton,
         ("level", "input_alphabet", "stack_alphabet", "initial_symbol", "states",
          "initial_state", "accepting", "transitions", "collapsible"),
     ),
@@ -70,7 +69,7 @@ RECORDS = {
         ("automaton", "start"),
     ),
     "EnumerationSpace": (
-        lambda: EnumerationSpace(classification_example_machine(), classification_example_config(), 2, (0, 1)),
+        lambda: EnumerationSpace(*parse_automaton_text(CLASSIFICATION_EXAMPLE), 2, (0, 1)),
         ("automaton", "start", "max_steps", "normalized_only", "values"),
     ),
 }
@@ -105,7 +104,7 @@ def test_runs_lineage_runs_and_type_tables_accept_weak_references():
 
 
 def test_a_replaced_automaton_builds_its_own_table_and_start():
-    aut = classification_example_machine()
+    aut = parse_automaton_text(CLASSIFICATION_EXAMPLE).automaton
     table, first = aut.rule_table, initial_configuration(aut)
     renamed = aut._replace(initial_symbol="Z")
     assert type(renamed) is Automaton and not vars(renamed)  # nothing kept from `aut`

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopad.core import Atom, Configuration, execute_word, from_nested, stack_values, to_nested
-from hopad.harness import _near_member_words, excursion_config, excursion_machine, u_fragment_corpus
+from hopad.harness import EXCURSION, _near_member_words, u_fragment_corpus
 from hopad.lineage import classification_table, instrument_lineage
 from hopad.monoid import presence_monoid, shape_monoid
+from hopad.text import parse_automaton_text
 from hopad.typesys import saturate_level0, type_of_stack
 from hopad.ulang import build_u_recognizer
 
@@ -25,8 +26,8 @@ def _setups():
     frag, cfgs = u_fragment_corpus()
     frag_table = saturate_level0(frag, shape_monoid())
     out += [(frag, cfg, frag_table) for cfg in cfgs]
-    exc = excursion_machine()
-    out.append((exc, excursion_config(), saturate_level0(exc, presence_monoid(exc.input_alphabet))))
+    exc, start = parse_automaton_text(EXCURSION)
+    out.append((exc, start, saturate_level0(exc, presence_monoid(exc.input_alphabet))))
     return out
 
 

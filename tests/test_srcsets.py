@@ -6,23 +6,23 @@ from hopad.core import (
     Step, Transition, empty_run, execute_word, extend_run, pop, push, step, validate_automaton
 )
 from hopad.harness import (
+    CLASSIFICATION_EXAMPLE,
+    EXCURSION,
     EnumerationSpace,
     enumerate_runs,
-    excursion_config,
-    excursion_machine,
-    classification_example_machine,
     classification_example_run,
     u_fragment_corpus,
 )
 from hopad.lineage import instrument_lineage, is_k_return, is_k_upper
 from hopad.monoid import presence_monoid, shape_monoid
 from hopad.srcsets import check_idv_upper, check_origin, compute_src
+from hopad.text import parse_automaton_text
 from hopad.typesys import NE, StackTyping, StartRuns, Universe, saturate_level0, type_of_stack
 
 
 @pytest.fixture(scope="module")
 def excursion():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     return aut, table
 
@@ -47,12 +47,12 @@ def alone(run, table):
 
 def excursion_prefix(aut):
     """push^2, eps pop^1, pop^2 reading a@7: restores the original top."""
-    cfg = excursion_config()
+    cfg = parse_automaton_text(EXCURSION).start
     return drive(aut, cfg, [("c", 0), None, ("a", 7)])
 
 
 def test_case1_passes_the_final_typing_through():
-    aut = classification_example_machine()
+    aut = parse_automaton_text(CLASSIFICATION_EXAMPLE).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = classification_example_run().subrun(3, 5)  # pop^1, push^1: levels <= 1
     final = type_of_stack(run.configs[-1].stack, 1, table)
@@ -63,8 +63,7 @@ def test_case1_passes_the_final_typing_through():
 
 
 def test_a_single_push_ending_in_only_ne_gives_empty_src():
-    aut = excursion_machine()
-    cfg = excursion_config()
+    aut, cfg = parse_automaton_text(EXCURSION)
     run = drive(aut, cfg, [("c", 0)])
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     result = compute_src(run, 1, alone(run, table))
@@ -103,7 +102,7 @@ def test_src_deterministic_and_contained(excursion):
 
 def test_src_requires_upper(excursion):
     aut, table = excursion
-    cfg = excursion_config()
+    cfg = parse_automaton_text(EXCURSION).start
     full = drive(aut, cfg, [("c", 0), None, ("a", 7), ("b", 9)])  # a 1-return
     with pytest.raises(ValueError):
         compute_src(full, 0, alone(full, table))
@@ -111,7 +110,7 @@ def test_src_requires_upper(excursion):
 
 def test_origin_part1_and_part2_positive(excursion):
     aut, table = excursion
-    runs = normalized_runs(aut, excursion_config(), 5)
+    runs = normalized_runs(aut, parse_automaton_text(EXCURSION).start, 5)
     run = excursion_prefix(aut)
     report = check_origin(run, 0, StartRuns(run.at(0), table, runs, {}), [7])
     assert report.ok, report.hard_failures + report.errors
@@ -142,7 +141,7 @@ def test_origin_skips_only_the_values_that_break_a_hypothesis(excursion):
 
 def test_transfer_checks_skip_every_value_on_a_run_hypothesis(excursion):
     aut, table = excursion
-    cfg = excursion_config()
+    cfg = parse_automaton_text(EXCURSION).start
     # the bounce push^1 reads 1, so the run is not normalized
     run = drive(aut, cfg, [("b", 1), ("a", 1)])
     runs = [run]
@@ -182,7 +181,7 @@ def test_origin_search_transfers_only_to_upper_runs_with_the_final_top():
     # class SOME and the final pieces below the top that keep 7 important
     # under the run's assumptions, but its top atom is a fresh g@0 and it
     # is not 0-upper: given it alone, the search finds no transferred run
-    base = excursion_machine()
+    base = parse_automaton_text(EXCURSION).automaton
     detour = (
         Transition("q", "g", "a", "qx", pop(1)),
         Transition("qx", "g", "c", "q3", push(1, "g")),
@@ -218,7 +217,7 @@ def test_transfer_checks_test_the_start_before_reading_the_run(excursion):
     aut, table = excursion
     frag, _ = u_fragment_corpus()
     run = execute_word(frag, (("[", 1), ("]", 1))).run
-    start = StartRuns(excursion_config(), table, [], {})
+    start = StartRuns(parse_automaton_text(EXCURSION).start, table, [], {})
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
         check_idv_upper(run, 0, start, [4, 6])
     with pytest.raises(ValueError, match="^the run does not start at the start configuration$"):
@@ -295,9 +294,8 @@ def test_idv_upper_uniqueness_counterexample():
 
 
 def test_all_decomposition_cases_exercised():
-    aut = excursion_machine()
+    aut, cfg = parse_automaton_text(EXCURSION)
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    cfg = excursion_config()
     cases = Counter()
 
     def walk(node):
@@ -329,7 +327,8 @@ def test_src_derivations_agree_with_lineage_on_subruns(corpus):
     # compute_src follows decompose_upper; the lineage classifiers must
     # give the same verdicts on every span it visits, not only on whole runs
     if corpus == "excursion":
-        aut, cfgs = excursion_machine(), [excursion_config()]
+        aut, start = parse_automaton_text(EXCURSION)
+        cfgs = [start]
         table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     else:
         aut, cfgs = u_fragment_corpus()

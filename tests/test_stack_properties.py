@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopad.cli import parse_stack_literal, render_stack
 from hopad.core import (
     Atom,
     Automaton,
@@ -23,6 +22,7 @@ from hopad.core import (
     top_atom,
     top_stack,
 )
+from hopad.text import parse_stack_literal, render_stack
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 SYMBOLS = ("g", "h", "X")

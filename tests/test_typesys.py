@@ -2,20 +2,18 @@ import random
 
 import pytest
 
-from hopad.cli import parse_automaton_text, parse_stack_literal
 from hopad.core import Atom, Configuration, from_nested, spine
 from hopad.harness import (
+    SINGLE_POP,
+    CLASSIFICATION_EXAMPLE,
+    EXCURSION,
     EnumerationSpace,
     enumerate_runs,
-    excursion_config,
-    excursion_machine,
     random_machine,
-    single_pop_config,
-    single_pop_machine,
-    classification_example_machine,
     classification_example_run,
 )
 from hopad.monoid import presence_monoid, shape_monoid
+from hopad.text import parse_automaton_text, parse_stack_literal
 from hopad.typesys import (
     NE,
     StartRuns,
@@ -62,7 +60,7 @@ def runs_from(aut, cfg, bound, base, normalized):
 
 @pytest.fixture(scope="module")
 def single_pop():
-    aut = single_pop_machine()
+    aut = parse_automaton_text(SINGLE_POP).automaton
     mon = presence_monoid(aut.input_alphabet)
     return aut, mon, saturate_level0(aut, mon)
 
@@ -153,7 +151,7 @@ def test_empty_stack_has_empty_type(single_pop):
 
 
 def test_ne_iff_nonempty():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     assert NE in stack_typing(from_nested((Atom("g", None),), 1), 1, table)
     assert NE in stack_typing(from_nested(((Atom("g", None),),), 2), 2, table)
@@ -162,9 +160,9 @@ def test_ne_iff_nonempty():
 
 
 def test_idv_contained_in_stack_values():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    stack = excursion_config().stack
+    stack = parse_automaton_text(EXCURSION).start.stack
     st = type_of_stack(stack, 0, table)
     values = {5, 7, 9}
     for i in (0, 1, 2):
@@ -173,15 +171,15 @@ def test_idv_contained_in_stack_values():
 
 
 def test_buried_value_becomes_important():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    st = type_of_stack(excursion_config().stack, 0, table)
+    st = type_of_stack(parse_automaton_text(EXCURSION).start.stack, 0, table)
     assert any(7 in idv for idv in st.typing(1).values())
     assert not any(9 in idv for idv in st.typing(1).values())  # 9 sits on top
 
 
 def test_composer_rules():
-    aut = single_pop_machine()
+    aut = parse_automaton_text(SINGLE_POP).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
     ((did, _),) = table.entries[("g1", True)].items()
@@ -191,7 +189,7 @@ def test_composer_rules():
     tau = uni.drop(did, 1)
     assert tau is None  # return level 1 has no level-1 housing
     # move to a level-2 machine for a real drop
-    aut2 = excursion_machine()
+    aut2 = parse_automaton_text(EXCURSION).automaton
     table2 = saturate_level0(aut2, presence_monoid(aut2.input_alphabet))
     uni2 = table2.universe
     pop2_descs = [
@@ -246,7 +244,7 @@ def _structural(table):
 
 
 def test_shuffled_transition_order_is_confluent():
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     mon = presence_monoid(aut.input_alphabet)
     base = _structural(saturate_level0(aut, mon))
     rng = random.Random(5)
@@ -267,7 +265,7 @@ def test_collapse_rules_rejected():
 def test_resource_cap(monkeypatch):
     from hopad import typesys
 
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     monkeypatch.setattr(typesys, "DESCRIPTOR_CAP", 2)
     with pytest.raises(typesys.ResourceCapExceeded):
         saturate_level0(aut, presence_monoid(aut.input_alphabet))
@@ -275,7 +273,7 @@ def test_resource_cap(monkeypatch):
 
 def test_run2type_single_pop_exact(single_pop):
     aut, _, table = single_pop
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     report = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, False), {}))
     assert report.ok
     assert report.unwitnessed == []
@@ -297,7 +295,7 @@ def test_run2type_empty_machine_vacuous():
 
 
 def test_run2type_example_chain_all_configs():
-    aut = classification_example_machine()
+    aut = parse_automaton_text(CLASSIFICATION_EXAMPLE).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     run = classification_example_run()
     for i in range(len(run) + 1):
@@ -309,7 +307,7 @@ def test_run2type_example_chain_all_configs():
 
 def test_idv_worked_example(single_pop):
     aut, _, table = single_pop
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {}), [5])
     assert report.ok
     assert report.verified >= 1
@@ -321,7 +319,7 @@ def test_idv_worked_example(single_pop):
 def test_correspondence_hard_lines_name_the_unwitnessed_run():
     # with the g1@5 entry emptied, the pop reading a@5 agrees with its goal
     # but no descriptor of the start stack witnesses it
-    aut, cfg = single_pop_machine(), single_pop_config()
+    aut, cfg = parse_automaton_text(SINGLE_POP)
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     table.entries[("g1", True)] = {}
     run2type = check_run2type(StartRuns(cfg, table, runs_from(aut, cfg, 6, BASE, False), {}))
@@ -338,7 +336,7 @@ def test_correspondence_hard_lines_name_the_unwitnessed_run():
 
 def test_correspondence_checks_reject_runs_from_another_start(single_pop):
     aut, _, table = single_pop
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     bare = Configuration("q", from_nested((Atom("g0", None),), 1))
     foreign = runs_from(aut, bare, 2, BASE, True)
     with pytest.raises(ValueError, match="start"):
@@ -349,7 +347,7 @@ def test_correspondence_checks_reject_runs_from_another_start(single_pop):
 
 def test_idv_checks_each_distinct_value_once(single_pop):
     aut, _, table = single_pop
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     start = StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {})
     once, twice = check_idv(start, [5]), check_idv(start, [5, 5])
     assert twice.checked == once.checked and twice.verified == once.verified
@@ -361,14 +359,13 @@ def test_idv_checks_each_distinct_value_once(single_pop):
 
 def test_idv_rejects_normalization_value(single_pop):
     aut, _, table = single_pop
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     assert not check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 2, BASE, True), {}), [0]).ok
 
 
 def test_idv_excursion_buried_value():
-    aut = excursion_machine()
+    aut, cfg = parse_automaton_text(EXCURSION)
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    cfg = excursion_config()
     report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), {}), [7])
     assert report.ok, report.hard_failures
     assert report.verified >= 1
@@ -415,7 +412,7 @@ def test_agrees_examples(single_pop):
 
     aut, _, table = single_pop
     uni = table.universe
-    cfg = single_pop_config()
+    cfg = parse_automaton_text(SINGLE_POP).start
     base = empty_run(aut, cfg)
     res = step(aut, cfg, ("a", 5))
     assert isinstance(res, Step)
@@ -438,10 +435,9 @@ def test_agrees_via_composed_descriptor_goal():
     from hopad.core import Step, empty_run, extend_run, step
     from hopad.typesys import find_witness
 
-    aut = excursion_machine()
+    aut, cfg = parse_automaton_text(EXCURSION)
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     uni = table.universe
-    cfg = excursion_config()
     run = empty_run(aut, cfg)
     for label in (("c", 0), None, ("a", 7), ("b", 9)):
         res = step(aut, run.configs[-1], label)
@@ -467,7 +463,7 @@ def test_empty_result_sets_force_reading():
     # important value is exactly one the run reads; from the mid-copy
     # state the data-carrying pop makes 5 important, and every carrying
     # descriptor is matched by a run that actually reads it
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
     cfg = Configuration("q2", from_nested(((Atom("g", None),), (Atom("g", 5),)), 2))
     report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 4, (0, 1, 2), True), {}), [5])
@@ -479,9 +475,8 @@ def test_empty_result_sets_force_reading():
 def test_value_unreachable_from_outer_state_is_vacuous():
     # 5 sits two atoms deep; from the outer state every run reads only
     # the top two values, so no descriptor may carry it and none does
-    aut = excursion_machine()
+    aut, cfg = parse_automaton_text(EXCURSION)
     table = saturate_level0(aut, presence_monoid(aut.input_alphabet))
-    cfg = excursion_config()
     report = check_idv(StartRuns(cfg, table, runs_from(aut, cfg, 6, (0, 1, 2), True), {}), [5])
     assert report.ok and report.verified == 0 and not report.unwitnessed
 
@@ -525,7 +520,7 @@ def test_goal_space_complete_at_level_two():
     # goals cover the whole goal universe over the machine's states
     import itertools
 
-    aut = excursion_machine()
+    aut = parse_automaton_text(EXCURSION).automaton
     mon = presence_monoid(aut.input_alphabet)
     table = saturate_level0(aut, mon)
     uni = table.universe
