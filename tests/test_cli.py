@@ -119,11 +119,17 @@ def test_u_machine_golden():
     assert out == (GOLDEN / "u-machine.aut").read_text()
 
 
-def test_the_golden_inputs_are_the_library_machines():
-    # the CLI goldens and the suites check the same machines from the same
-    # starts; a Scenario compares its state set too, which no file prints
+def test_the_u_recognizer_has_the_states_of_its_golden_file():
+    # format_automaton prints no state set, so the golden text cannot see one;
+    # a Scenario compares it
+    parsed = parse_automaton_text((GOLDEN / "u-machine.aut").read_text())
+    assert parsed == parse_automaton_text(U_RECOGNIZER)
+    assert build_u_recognizer().states == parsed.automaton.states
+
+
+def test_the_golden_scenarios_are_the_harness_machines():
+    # the CLI goldens and the suites check the same machines from the same starts
     for name, text in (
-        ("u-machine.aut", U_RECOGNIZER),
         ("excursion.scenario", EXCURSION),
         ("classification-example.scenario", CLASSIFICATION_EXAMPLE),
     ):
