@@ -16,13 +16,17 @@ stack_sizes cost O(level) and consecutive configurations of a run share
 their stacks almost entirely (collapse also walks past the (i-1)-stacks
 it removes).  A collapsible push reads its links on its one descent;
 :func:`stack_sizes` is their oracle.  Operations build their nodes
-through `_node`, past the Python-level `Node.__init__`, and rebuild a
-path of depth 0 or 1 inline rather than by recursion.  A run made by
-:func:`extend_run` points at the run it extends, so recording a step
-costs O(1); its tuples are built on first read, and the pointer is
-dropped then.  A letter step's label is the word's own (letter, value)
-pair, and no :class:`Step` outlives the call that records it.
-:meth:`Run.operations` reads `transitions`, so it builds the tuples too.  An
+through `_node` and `_renode`, past the Python-level `Node.__init__`;
+a node rebuilt above the rewritten substack keeps the old node's size
+object, and a path of depth 0 or 1 is rebuilt without recursion.  A
+run made by :func:`extend_run` points at the run it extends, so
+recording a step costs O(1) and keeps one run holding the step's
+stack, label and rule (whose target is the step's state): no
+:class:`Configuration` and no :class:`Step` outlives the call that
+records it.  The run's `last` and its tuples are built on first read,
+and the pointer is dropped with the tuples.  A letter step's label is
+the word's own (letter, value) pair.  :meth:`Run.operations` reads
+`transitions`, so it builds the tuples too.  An
 automaton builds its rule table, keyed by (state, top symbol), and its
 initial configuration on first use and shares them, so :func:`step`
 finds its rule with one keyed lookup and, for a letter, one more.
@@ -133,12 +137,24 @@ _new = object.__new__  # allocates past a class's Python-level __init__
 
 
 def _node(below: Optional[Node], top: "Stack") -> Node:
-    """`Node(below, top)` without the Python-level `__init__` call: the
-    one routine through which operations build their nodes."""
+    """`Node(below, top)` without the Python-level `__init__` call: one of
+    the two routines through which operations build their nodes."""
     node = _new(Node)
     node.below = below
     node.top = top
     node.size = 1 if below is None else below.size + 1
+    node._hash = None
+    return node
+
+
+def _renode(old: Node, top: "Stack") -> Node:
+    """`old` with its top replaced by `top`: the other routine, for a node
+    on the rebuilt path above the rewritten substack, which keeps the old
+    node's size object rather than computing an equal one."""
+    node = _new(Node)
+    node.below = old.below
+    node.top = top
+    node.size = old.size
     node._hash = None
     return node
 
@@ -400,7 +416,7 @@ def _replace_top(stack: Stack, depth: int, new: Stack) -> Stack:
     depths 0 and 1 inline."""
     if depth == 0:
         return new
-    return _node(stack.below, _replace_top(stack.top, depth - 1, new))
+    return _renode(stack, _replace_top(stack.top, depth - 1, new))
 
 
 def apply_operation(
@@ -447,7 +463,7 @@ def apply_operation(
         if k == 1:
             new = _node(target, atom)
         elif k == 2:
-            new = _node(target, _node(target.top.below, atom))
+            new = _node(target, _renode(target.top, atom))
         else:
             new = _node(target, _replace_top(target.top, k - 1, atom))
     elif kind == "collapse":
@@ -475,7 +491,7 @@ def apply_operation(
     if depth == 0:
         return new
     if depth == 1:
-        return _node(stack.below, new)
+        return _renode(stack, new)
     return _replace_top(stack, depth, new)
 
 
@@ -543,16 +559,20 @@ class Run:
     automaton and those three tuples.
 
     :func:`extend_run` makes a run in O(1) that holds only its last
-    configuration, label and transition and, in `_parent`, the run it
-    extends.  The first read of `configs`, `labels` or `transitions`
-    reaches :meth:`__getattr__`, which builds all three in one walk back
-    to the nearest built run (whose `_parent` is None) and only then
-    clears `_parent`.
+    step's stack, label and transition and, in `_parent`, the run it
+    extends: a recorded step keeps one run and the stack nodes its
+    operation built, and no :class:`Configuration`.  The first read of
+    `last` reaches :meth:`__getattr__`, which builds it from the
+    transition's target state and `_stack`, then sets `_stack` to None.
+    The first read of `configs`, `labels` or `transitions` builds all
+    three in one walk back to the nearest built run (whose `_parent` is
+    None), taking each run's `last`, built or building it, so `last is
+    configs[-1]`, and only then clears `_parent`.
     """
 
     __slots__ = (
-        "automaton", "last", "configs", "labels", "transitions",
-        "_length", "_parent", "_label", "_transition", "__weakref__",
+        "automaton", "last", "configs", "labels", "transitions", "_length",
+        "_parent", "_stack", "_label", "_transition", "__weakref__",
     )
 
     def __init__(
@@ -571,13 +591,15 @@ class Run:
         self._parent = None
 
     def __getattr__(self, name: str):
-        """Build the unset tuples of a run made by :func:`extend_run`."""
+        """Build `last`, or the unset tuples, of a run made by :func:`extend_run`."""
+        if name == "last":
+            return _last(self)
         if name not in ("configs", "labels", "transitions"):
             raise AttributeError(f"'Run' object has no attribute {name!r}")
         steps = []
         run, parent = self, self._parent
         while parent is not None:  # each `_parent` read once: a thread may clear it
-            steps.append((run.last, run._label, run._transition))
+            steps.append((_last(run), run._label, run._transition))
             run, parent = parent, parent._parent
         if not steps:  # another thread built this run's tuples meanwhile
             return getattr(self, name)
@@ -626,6 +648,16 @@ class Run:
         return tuple(t.op for t in self.transitions)
 
 
+def _last(run: Run) -> Configuration:
+    """The `last` of a run made by :func:`extend_run`, built on first use."""
+    stack = run._stack  # read once: another thread may build `last` meanwhile
+    if stack is None:
+        return run.last
+    last = run.last = _tuple(Configuration, (run._transition.target, stack))
+    run._stack = None  # after `last`, for a concurrent reader
+    return last
+
+
 def empty_run(aut: Automaton, config: Configuration) -> Run:
     """The zero-step run at `config`, without `Run.__init__`'s copies."""
     run = _new(Run)
@@ -639,10 +671,12 @@ def empty_run(aut: Automaton, config: Configuration) -> Run:
 
 
 def extend_run(run: Run, step_result: Step) -> Run:
-    """`run` followed by one step, in O(1): the new run points at `run`."""
+    """`run` followed by one step, in O(1): the new run points at `run`.
+    The step is as :func:`step` returns it, so its state is its rule's
+    target, and the run keeps only its stack."""
     new = _new(Run)
     new.automaton = run.automaton
-    new.last = step_result.config
+    new._stack = step_result.config.stack
     new._length = run._length + 1
     new._parent = run
     new._label = step_result.label
@@ -675,13 +709,13 @@ def execute_word(
     the step that would exceed it is not taken, so a budget-exhausted
     run ends with exactly `eps_budget` consecutive epsilon steps.
     """
-    run = empty_run(aut, initial_configuration(aut) if start is None else start)
+    config = initial_configuration(aut) if start is None else start
+    run = empty_run(aut, config)
     n = len(word)
     accepting = aut.accepting
     pos = 0
     streak = 0
     while True:
-        config = run.last
         if pos == n and config.state in accepting:
             return _tuple(Outcome, ("accepted", run, None))
         res = step(aut, config, word[pos] if pos < n else None)
@@ -699,6 +733,7 @@ def execute_word(
             streak = 0
             pos += 1
         run = extend_run(run, res)
+        config = res.config
 
 
 def project_word(word: DataWord) -> tuple[str, ...]:

@@ -58,7 +58,7 @@ from .typesys import (
     check_run2type,
     saturate_level0,
 )
-from .ulang import build_u_recognizer, gen_w, in_u
+from .ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 ENUMERATION_CAP = 500_000  # concrete runs one enumeration may walk
 
@@ -119,23 +119,22 @@ def walk_runs(space: EnumerationSpace, representative: bool = False):
     aut = space.automaton
     letters = sorted(aut.input_alphabet)
     total = 0
-    todo = [(empty_run(aut, space.start), 1)]
+    todo = [(empty_run(aut, space.start), space.start, 1)]
     while todo:
-        run, weight = todo.pop()
+        run, config, weight = todo.pop()  # `config` is the run's last, as its step returned it
         total += weight
         if total > ENUMERATION_CAP:
             raise EnumerationCapExceeded(f"more than {ENUMERATION_CAP} runs at the bound")
         yield run, weight
         if len(run) == space.max_steps:
             continue
-        config = run.last
         state, stack = config
         atom = top_atom(stack, aut.level)
         rules = aut.rule_table.get((state, atom.symbol))
         if isinstance(rules, Transition):  # an epsilon rule
             res = step(aut, config, None)
             if isinstance(res, Step):
-                todo.append((extend_run(run, res), weight))
+                todo.append((extend_run(run, res), res.config, weight))
             continue
         if rules is None:
             continue
@@ -157,7 +156,7 @@ def walk_runs(space: EnumerationSpace, representative: bool = False):
             for d in values:
                 res = step(aut, config, (letter, d))
                 if isinstance(res, Step):
-                    children.append((extend_run(run, res), each))
+                    children.append((extend_run(run, res), res.config, each))
         todo += reversed(children)
 
 
@@ -400,21 +399,35 @@ def _suite_monoid_laws(seed, run_bound, src_bound):
     return hard, [], {"checked": checked}
 
 
+def _family_words(k: int, reps: int):
+    """(name, word) pairs around the paper's w_k with N = `reps`: the word
+    with distinct values, its `$`-mirrored completion (a member), that
+    completion with the first, middle or last suffix letter given a fresh
+    value, and the completion without its last letter."""
+    half = decorate_distinct(gen_w(k, reps))
+    mirror = tuple(("]" if a == "[" else "[", d) for a, d in reversed(half))
+    whole = half + (("$", 0),) + mirror
+    yield "w", half
+    yield "completion", whole
+    for name, i in (("first", len(half) + 1), ("middle", len(half) + 1 + len(mirror) // 2),
+                    ("last", len(whole) - 1)):
+        yield f"{name}-perturbed", whole[:i] + ((whole[i][0], len(whole) + 1),) + whole[i + 1:]
+    yield "truncated", whole[:-1]
+
+
 def _suite_w_recurrence(seed, run_bound, src_bound):
+    """The recognizer against the oracle on the word family of the
+    separation argument, k = 0..4 and N = 1..3: up to 807 letters."""
+    aut = build_u_recognizer()
     hard = []
     checked = 0
     for reps in (1, 2, 3):
-        prev = gen_w(0, reps)
-        if prev != "[][":
-            hard.append(f"w_0 with N={reps} is {prev!r}")
-        for k in range(1, 5):
-            cur = gen_w(k, reps)
-            checked += 1
-            if len(cur) != reps * len(prev) + reps + 1:
-                hard.append(f"length recurrence fails at k={k} N={reps}")
-            if cur != prev * reps + "]" * reps + "[":
-                hard.append(f"shape recurrence fails at k={k} N={reps}")
-            prev = cur
+        for k in range(5):
+            for name, word in _family_words(k, reps):
+                checked += 1
+                machine, oracle = execute_word(aut, word).accepted, in_u(word).member
+                if machine != oracle:
+                    hard.append(f"disagreement on {name} w_{k} N={reps}: machine {machine}, oracle {oracle}")
     return hard, [], {"checked": checked}
 
 

@@ -82,7 +82,7 @@ def test_criterion_08_monoid_laws():
 
 
 def test_criterion_09_word_family_recurrence():
-    _criterion(9, "bracket family length recurrence", 30.0, ["w-recurrence"])
+    _criterion(9, "recognizer/oracle agreement on the word family w_k", 30.0, ["w-recurrence"])
 
 
 def test_criterion_10_deterministic_reports(monkeypatch):

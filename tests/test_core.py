@@ -350,6 +350,46 @@ def test_execute_word_is_a_fold_over_step():
     assert unconsumed == {False, True}
 
 
+def test_a_recorded_runs_last_is_the_folds_configuration_and_its_last_config():
+    # `last` is built on first read, from the stack its step left and its
+    # rule's target, whether it is read before or after the tuples
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    letters = [(a, d) for a in "[]$" for d in (0, 1, 2)]
+    cases = [
+        (word, DEFAULT_EPS_BUDGET) for n in range(5) for word in itertools.product(letters, repeat=n)
+    ]
+    cases += [((("[", 1), ("$", 0), ("]", 1)), budget) for budget in range(4)]
+    for word, budget in cases:
+        folded = _fold_over_step(aut, word, budget)[-1]
+        last_first = execute_word(aut, word, eps_budget=budget).run
+        assert last_first.last == folded and last_first.last is last_first.configs[-1], word
+        configs_first = execute_word(aut, word, eps_budget=budget).run
+        assert configs_first.configs[-1] is configs_first.last == folded, word
+
+
+def test_a_recorded_run_within_its_memory_budget():
+    # the mirrored, decorated w_5 member (N = 3): 2,427 letters, 6,068
+    # steps; with a configuration kept per step it held 379 bytes a step
+    import tracemalloc
+
+    from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
+
+    aut = build_u_recognizer()
+    half = decorate_distinct(gen_w(5, 3))
+    word = half + (("$", 0),) + tuple(("]" if a == "[" else "[", d) for a, d in reversed(half))
+    initial_configuration(aut)
+    tracemalloc.start()
+    try:
+        out = execute_word(aut, word)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.accepted and len(word) == 2427 and len(out.run) == 6068
+    assert held / len(out.run) < 330
+
+
 def test_every_step_goes_through_step_apply_operation_and_extend_run(monkeypatch):
     # the benchmark's per-layer split counts these calls through the module
     # globals, and keys apply_operation by the op it gets at position 2
@@ -387,8 +427,11 @@ def test_a_recorded_run_keeps_no_step_and_labels_with_the_words_own_pairs():
     opens = tuple(("[", i) for i in range(1, 31))
     word = opens + (("$", 0),) + tuple(("]", i) for _, i in reversed(opens))
     gc.collect()
+    before = sum(isinstance(o, Configuration) for o in gc.get_objects())
     out = execute_word(aut, word)
     assert out.accepted and len(out.run) >= 100
+    # nor a configuration: the initial one, built on first use, is all
+    assert sum(isinstance(o, Configuration) for o in gc.get_objects()) - before <= 1
     held = [o for o in gc.get_objects() if isinstance(o, Step)]
     configs = {id(config) for config in out.run.configs}
     assert not [s for s in held if id(s.config) in configs]
@@ -676,6 +719,37 @@ def test_lazy_run_tuples_and_hashes_are_safe_to_share_across_threads():
     assert hash(run.last.stack) == hash(from_nested(to_nested(run.last.stack, 2), 2))
 
 
+def test_threads_racing_on_a_runs_first_last_read_get_equal_configurations():
+    import sys
+    import threading
+
+    from hopad.ulang import build_u_recognizer
+
+    aut = build_u_recognizer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            run = execute_word(aut, _deep_member(5)).run  # `last` not built yet
+            barrier = threading.Barrier(4)
+            results = []
+
+            def read():
+                barrier.wait()
+                results.append(run.last)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 4 and all(r == run.last for r in results)
+            assert run.configs[-1] is run.last and replay(run)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_a_run_built_by_another_thread_is_not_walked_again():
     from hopad.ulang import build_u_recognizer
 
@@ -748,13 +822,15 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
     stack = _wide_stack(level, width)
     assert stack_sizes(stack, level) == (width,) * level
     built = []
-    make_node = core._node
 
-    def counting_node(below, top):
-        built.append(make_node(below, top))
-        return built[-1]
+    def counting(make):
+        def wrapper(*args):
+            built.append(make(*args))
+            return built[-1]
+        return wrapper
 
-    monkeypatch.setattr(core, "_node", counting_node)
+    for name in ("_node", "_renode"):  # the two routines that build nodes
+        monkeypatch.setattr(core, name, counting(getattr(core, name)))
     for k in range(1, level + 1):
         for op, nodes, size in (
             (pop(k), level - k, width - 1),
@@ -765,3 +841,30 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
             out = apply_operation(stack, level, op, 4, collapsible=True)
             assert len(built) == nodes, op
             assert stack_sizes(out, level)[k - 1] == size, op
+
+
+@pytest.mark.parametrize("level", (2, 3))  # a level-1 operation rebuilds no node above it
+def test_a_node_rebuilt_above_the_operation_keeps_the_old_size(level):
+    # a fresh int per rebuilt node was an allocation per step on wide stacks
+    width = 1000
+    stack = _wide_stack(level, width)
+    unshared = []  # (op, depth): never a node in an assertion, whose repr is huge
+    for k in range(1, level + 1):
+        for op in (pop(k), collapse(k), push(k, "h")):
+            out = apply_operation(stack, level, op, 4, collapsible=True)
+            pairs = [(stack, out)]
+            for _ in range(level - k):  # the nodes above the topmost k-stack
+                pairs.append((pairs[-1][0].top, pairs[-1][1].top))
+            if op.kind == "push":  # and the top path of the copied (k-1)-stack
+                old, new = pairs.pop()
+                for _ in range(k - 1):
+                    old, new = old.top, new.top
+                    pairs.append((old, new))
+            else:
+                pairs.pop()  # the rewritten topmost k-stack itself
+            unshared += [
+                (str(op), depth)
+                for depth, (old, new) in enumerate(pairs)
+                if new is old or new.size is not old.size
+            ]
+    assert not unshared
