@@ -1,104 +1,18 @@
 """Deterministic higher-order pushdown automata over data words, with
 run classification, a run-descriptor type system, and brute-force
-verification harnesses."""
+verification harnesses.
 
-from .core import (
-    NO_DATA,
-    Atom,
-    Automaton,
-    CollapseUnavailable,
-    Configuration,
-    Diagnostic,
-    IllFormed,
-    InvalidAutomaton,
-    Node,
-    Op,
-    Outcome,
-    Run,
-    StackError,
-    Step,
-    Stuck,
-    Transition,
-    apply_operation,
-    automaton_diagnostics,
-    collapse,
-    decollapse,
-    execute_word,
-    from_nested,
-    initial_configuration,
-    pop,
-    project_word,
-    push,
-    recompose,
-    replay,
-    spine,
-    step,
-    top_atom,
-    to_nested,
-    top_stack,
-    validate_automaton,
-)
-from .monoid import (
-    FiniteMonoid,
-    classify_word,
-    monoid_by_name,
-    phi_of_run,
-    presence_monoid,
-    shape_monoid,
-    trivial_monoid,
-    validate_monoid,
-)
-from .ulang import (
-    UMembershipReport,
-    build_u_recognizer,
-    decorate_distinct,
-    gen_w,
-    in_u,
-)
-from .lineage import (
-    ClassificationTable,
-    DecompositionTree,
-    LineageRun,
-    Starts,
-    classification_table,
-    decompose_return,
-    decompose_upper,
-    instrument_lineage,
-    is_k_return,
-    is_k_upper,
-    is_normalized,
-    remark_k_return,
-)
-from .typesys import (
-    NE,
-    CheckReport,
-    Goal,
-    Level0TypeTable,
-    ResourceCapExceeded,
-    RunDescriptor,
-    StackTyping,
-    StartRuns,
-    Universe,
-    atom_typing,
-    check_composer,
-    check_idv,
-    check_run2type,
-    combine_types,
-    goal_space,
-    saturate_level0,
-    stack_typing,
-    type_of_stack,
-)
-from .srcsets import (
-    SrcResult,
-    check_idv_upper,
-    check_origin,
-    compute_src,
-)
-from .harness import (
-    SUITE_NAMES,
-    EnumerationSpace,
-    SuiteReport,
-    enumerate_runs,
-    run_suites,
-)
+Import each name from the module that defines it.  Importing the package
+loads no module, and importing one loads only those it builds on: the
+modules in brackets and what they build on.
+
+- `core`: stacks, stack operations, automata, `step` and recorded runs.
+- `text`: the automaton, scenario, stack and data-word formats (`core`).
+- `monoid`: finite monoids and the morphism of a run (`core`).
+- `ulang`: the separating language, its oracle, w_k and its recognizer (`text`).
+- `lineage`: copy lineage, the run classes and their derivations (`core`).
+- `typesys`: run descriptors, saturation and stack typing (`lineage`, `monoid`).
+- `srcsets`: source sets and the two transfer checks (`typesys`).
+- `harness`: run enumeration and the nine suites (all but `cli`).
+- `cli`: the `hopad` command (all of them).
+"""

@@ -11,14 +11,16 @@ Stacks are persistent: a 0-stack is an :class:`Atom`, a k-stack for
 k >= 1 is a :class:`Node` holding its topmost (k-1)-stack on the k-stack
 below it, its size and a cached hash.  No node is ever mutated; an
 operation rebuilds only the path from the root to the rewritten
-substack and shares everything under it with its input, so pop, push and
-stack_sizes cost O(level) and consecutive configurations of a run share
-their stacks almost entirely (collapse also walks past the (i-1)-stacks
-it removes).  A collapsible push reads its links on its one descent;
-:func:`stack_sizes` is their oracle.  Operations build their nodes
-through `_node` and `_renode`, past the Python-level `Node.__init__`;
-a node rebuilt above the rewritten substack keeps the old node's size
-object, and a path of depth 0 or 1 is rebuilt without recursion.  A
+substack and shares everything under it with its input, so pop and push
+cost O(level) and consecutive configurations of a run share their
+stacks almost entirely (collapse also walks past the (i-1)-stacks it
+removes).  A collapsible push reads its links, the new sizes of the
+topmost i-stacks, on its one descent.  Operations build their nodes
+through `_node` and `_renode`, past the Python-level `Node.__init__`,
+and make no size object twice: a node rebuilt above the rewritten
+substack keeps the old node's, and the k-stack a push^k grows shares
+its with the new atom's level-k link.  A path of depth 0 or 1 is
+rebuilt without recursion.  A
 run made by :func:`extend_run` points at the run it extends, so
 recording a step costs O(1) and keeps one run holding the step's
 stack, label and rule (whose target is the step's state): no
@@ -136,13 +138,13 @@ class Node:
 _new = object.__new__  # allocates past a class's Python-level __init__
 
 
-def _node(below: Optional[Node], top: "Stack") -> Node:
-    """`Node(below, top)` without the Python-level `__init__` call: one of
-    the two routines through which operations build their nodes."""
+def _node(below: Node, top: "Stack", size: int) -> Node:
+    """`Node(below, top)`, its size given, without the Python-level `__init__`
+    call: one of the two routines through which operations build nodes."""
     node = _new(Node)
     node.below = below
     node.top = top
-    node.size = 1 if below is None else below.size + 1
+    node.size = size
     node._hash = None
     return node
 
@@ -354,16 +356,6 @@ def top_stack(stack: Stack, level: int, k: int) -> Stack:
     return stack
 
 
-def stack_sizes(stack: Stack, level: int) -> tuple[int, ...]:
-    """Sizes (k_1, ..., k_n) of the topmost i-stacks, i = 1..level."""
-    sizes = ()
-    while level:
-        sizes = (stack.size,) + sizes
-        stack = stack.top
-        level -= 1
-    return sizes
-
-
 def stack_values(stack: Optional[Stack], level: int) -> set:
     """The data values stored anywhere in a level-`level` stack; a node
     shared by several substacks is visited once."""
@@ -403,7 +395,7 @@ def recompose(pieces: Iterable[Optional[Stack]]) -> Stack:
     pieces = tuple(pieces)
     cur = pieces[-1]
     for piece in reversed(pieces[:-1]):
-        cur = _node(piece, cur)
+        cur = Node(piece, cur)
     return cur
 
 
@@ -450,9 +442,10 @@ def apply_operation(
         if new is None:
             raise IllFormed(f"{op} would empty the topmost {k}-stack")
     elif kind == "push":
+        grown = target.size + 1  # k_k, one object for the link and the node
         links = None
-        if collapsible:  # the copy makes k_k one larger; descend on to k_1
-            links = (target.size + 1,) + sizes
+        if collapsible:  # descend on to k_1
+            links = (grown,) + sizes
             cur = target.top
             i = k - 1
             while i:
@@ -461,11 +454,11 @@ def apply_operation(
                 i -= 1
         atom = _tuple(Atom, (op.symbol, data, links))
         if k == 1:
-            new = _node(target, atom)
+            new = _node(target, atom, grown)
         elif k == 2:
-            new = _node(target, _renode(target.top, atom))
+            new = _node(target, _renode(target.top, atom), grown)
         else:
-            new = _node(target, _replace_top(target.top, k - 1, atom))
+            new = _node(target, _replace_top(target.top, k - 1, atom), grown)
     elif kind == "collapse":
         if not collapsible:
             raise CollapseUnavailable(f"{op} on a non-collapsible stack")

@@ -58,7 +58,7 @@ from .typesys import (
     check_run2type,
     saturate_level0,
 )
-from .ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
+from .ulang import ALPHABET, build_u_recognizer, decorate_distinct, gen_w, in_u
 
 ENUMERATION_CAP = 500_000  # concrete runs one enumeration may walk
 
@@ -379,7 +379,7 @@ def _suite_monoid_laws(seed, run_bound, src_bound):
     mon = shape_monoid()
     hard = list(validate_monoid(mon))
     checked = 0
-    for w in _words(("[", "]", "$"), 4):
+    for w in _words(ALPHABET, 4):
         for cut in range(len(w) + 1):
             u, v = w[:cut], w[cut:]
             checked += 1
@@ -488,11 +488,11 @@ def _near_member_words(rng: random.Random, count: int, max_len: int):
             if roll < 0.4:
                 word[pos] = (word[pos][0], rng.randint(0, 6))
             elif roll < 0.6:
-                word[pos] = (rng.choice(("[", "]", "$")), word[pos][1])
+                word[pos] = (rng.choice(ALPHABET), word[pos][1])
             elif roll < 0.8:
                 del word[pos]
             else:
-                word.insert(pos, (rng.choice(("[", "]", "$")), rng.randint(0, 6)))
+                word.insert(pos, (rng.choice(ALPHABET), rng.randint(0, 6)))
         out.append(tuple(word[:max_len]))
     return out
 
@@ -503,7 +503,7 @@ def _suite_u_differential(seed, run_bound, src_bound):
     checked = 0
     rng = random.Random(f"{seed}:u-differential")
     for word in itertools.chain(
-        _words([(a, d) for a in ("[", "]", "$") for d in (0, 1, 2)], WORD_LENGTH),
+        _words([(a, d) for a in ALPHABET for d in (0, 1, 2)], WORD_LENGTH),
         _near_member_words(rng, RANDOM_WORDS, RANDOM_WORD_LENGTH),
     ):
         checked += 1

@@ -11,7 +11,7 @@ committed report line, `checked=` and `verified=` counts included.
 import pathlib
 import time
 
-from hopad import harness
+import hopad.harness as harness
 from hopad.harness import SUITE_NAMES, run_suites
 
 SEED = 20260808

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import hopad
-from hopad import cli
+import hopad.cli as cli
 from hopad.cli import main
 from hopad.core import (
     MAX_LEVEL,
@@ -268,7 +268,7 @@ def test_types_output_is_stable():
 def test_composer_state_cap_is_reported(monkeypatch, tmp_path):
     # random-5 of the corpus discharges push slots with non-ne members, so
     # a cap of 0 composer vectors is hit during saturation
-    from hopad import typesys
+    import hopad.typesys as typesys
     from hopad.harness import random_machine
     from hopad.monoid import presence_monoid
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hopad import core
+import hopad.core as core
 from hopad.core import (
     MAX_LEVEL,
     Atom,
@@ -28,15 +28,20 @@ from hopad.core import (
     replay,
     spine,
     step,
-    stack_sizes,
     to_nested,
     top_atom,
+    top_stack,
     validate_automaton,
 )
 
 
 def atom(sym, data=None, links=None):
     return Atom(sym, data, links)
+
+
+def sizes(stack, level):
+    """The sizes (k_1, ..., k_level) of the topmost i-stacks."""
+    return tuple(top_stack(stack, level, i).size for i in range(1, level + 1))
 
 
 # [a b][c d] as a level-2 stack
@@ -157,7 +162,7 @@ def test_push_links_record_sizes_after():
     assert top_atom(out, 2) == atom("e", 5, (2, 3))
     out2 = apply_operation(out, 2, push(1, "f"), None, collapsible=True)
     assert top_atom(out2, 2) == atom("f", None, (3, 3))
-    assert stack_sizes(out2, 2) == (3, 3)
+    assert sizes(out2, 2) == (3, 3)
 
 
 def test_collapse_truncates_to_link():
@@ -390,6 +395,26 @@ def test_a_recorded_run_within_its_memory_budget():
     assert held / len(out.run) < 330
 
 
+def test_a_push_grows_its_k_stack_and_links_it_with_one_size_object():
+    # on the mirrored, decorated w_5 member (N = 3), 959 pushes land on a
+    # topmost k-stack wider than 256, where an equal int is a second object
+    from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w
+
+    aut = build_u_recognizer()
+    half = decorate_distinct(gen_w(5, 3))
+    word = half + (("$", 0),) + tuple(("]" if a == "[" else "[", d) for a, d in reversed(half))
+    run = execute_word(aut, word).run
+    wide, unshared = 0, []
+    for i, tr in enumerate(run.transitions):
+        if tr.op.kind == "push":
+            stack, k = run.at(i + 1).stack, tr.op.level
+            size = top_stack(stack, aut.level, k).size
+            wide += size > 256
+            if top_atom(stack, aut.level).links[k - 1] is not size:
+                unshared.append(i)
+    assert wide == 959 and not unshared, unshared[:5]
+
+
 def test_every_step_goes_through_step_apply_operation_and_extend_run(monkeypatch):
     # the benchmark's per-layer split counts these calls through the module
     # globals, and keys apply_operation by the op it gets at position 2
@@ -526,7 +551,7 @@ def test_links_equal_spine_sizes_after_push():
     for i, tr in enumerate(out.run.transitions):
         if tr.op.kind == "push":
             stack = out.run.at(i + 1).stack
-            assert top_atom(stack, 2).links == stack_sizes(stack, 2)
+            assert top_atom(stack, 2).links == sizes(stack, 2)
 
 
 def test_project_word():
@@ -820,7 +845,7 @@ def _wide_stack(level, width):
 def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
     width = 1000
     stack = _wide_stack(level, width)
-    assert stack_sizes(stack, level) == (width,) * level
+    assert sizes(stack, level) == (width,) * level
     built = []
 
     def counting(make):
@@ -840,7 +865,7 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
             built.clear()
             out = apply_operation(stack, level, op, 4, collapsible=True)
             assert len(built) == nodes, op
-            assert stack_sizes(out, level)[k - 1] == size, op
+            assert sizes(out, level)[k - 1] == size, op
 
 
 @pytest.mark.parametrize("level", (2, 3))  # a level-1 operation rebuilds no node above it

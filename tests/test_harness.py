@@ -5,7 +5,9 @@ from collections import Counter
 
 import pytest
 
-from hopad import harness, lineage, typesys
+import hopad.harness as harness
+import hopad.lineage as lineage
+import hopad.typesys as typesys
 from hopad.core import (
     Atom,
     Configuration,

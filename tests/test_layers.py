@@ -9,7 +9,9 @@ the goal space find drops only through the realizer index.  Only `core`
 reads a collapse link by index.  Every function the benchmark's tracer
 wraps is a function of the module it is named under.  No module or test
 imports a name it does not use.  No module imports `dataclasses`, and
-importing hopad loads neither it nor `inspect`.  The text formats live
+importing hopad loads neither it nor `inspect`.  The package's
+`__init__` imports nothing, so importing a module loads just the modules
+it imports, directly or through them.  The text formats live
 in `text`, which imports only `core`, so each hand-built machine is
 defined once, as text: `cli` defines no parser, and only the automaton
 parser and the random machine generator build an `Automaton` or a
@@ -51,7 +53,7 @@ def test_only_the_entry_points_import_the_harness():
         for path in PACKAGE.glob("*.py")
         if path.name != "harness.py" and imported_names(ast.parse(path.read_text()), "harness")
     }
-    assert importers <= {"cli.py", "__init__.py"}, sorted(importers)
+    assert importers <= {"cli.py"}, sorted(importers)
 
 
 def test_the_checks_use_only_the_derivations_of_lineage():
@@ -187,9 +189,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_module_or_test_imports_a_name_it_does_not_use():
-    # the package's __init__ imports only to re-export
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    paths += pathlib.Path(__file__).parent.glob("*.py")
+    paths = [*PACKAGE.glob("*.py"), *pathlib.Path(__file__).parent.glob("*.py")]
     found = {path.name: names for path in paths if (names := unused_imports(ast.parse(path.read_text())))}
     assert not found, found
 
@@ -205,15 +205,25 @@ def test_no_module_imports_dataclasses():
     assert not found, found
 
 
+def fresh_interpreter(code: str, *args: str) -> subprocess.Popen:
+    """A new Python process running `code` with hopad on its path."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE, text=True,
+    )
+
+
+def printed(process: subprocess.Popen) -> list[str]:
+    out = process.communicate(timeout=60)[0]
+    assert process.returncode == 0, out
+    return out.split()
+
+
 def test_importing_hopad_loads_neither_dataclasses_nor_inspect():
     # a fresh process, since this one has imported both already
     code = "import sys, hopad, hopad.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
-    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert done.stdout.split() == [], done.stdout
+    assert printed(fresh_interpreter(code)) == []
 
 
 def hopad_sources(tree: ast.AST) -> set[str]:
@@ -262,3 +272,26 @@ def test_only_the_parser_and_the_random_machines_build_automata():
                 outside -= found
     assert callers == {"text.parse_automaton_text", "harness.random_machine"}, sorted(callers)
     assert outside == 0, "an Automaton or a Transition built outside every function and method"
+
+
+def imported_closure(module: str) -> set[str]:
+    """`module` and the hopad modules it imports, directly or through them."""
+    seen, todo = set(), [module]
+    while todo:
+        if (name := todo.pop()) not in seen:
+            seen.add(name)
+            todo += hopad_sources(ast.parse((PACKAGE / f"{name}.py").read_text())) - {""}
+    return seen
+
+
+def test_importing_a_module_loads_only_the_modules_it_builds_on():
+    # one fresh process per module, all started at once: the layers that
+    # test_layers checks in source are the modules loaded at run time
+    code = "import importlib, sys; importlib.import_module(sys.argv[1]); print(*sorted(sys.modules))"
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    started = {name: fresh_interpreter(code, name) for name in ["hopad"] + [f"hopad.{m}" for m in modules]}
+    loaded = {name: [m for m in printed(p) if m.startswith("hopad.")] for name, p in started.items()}
+    assert loaded == {
+        "hopad": [],
+        **{f"hopad.{m}": sorted(f"hopad.{x}" for x in imported_closure(m)) for m in modules},
+    }

@@ -377,7 +377,7 @@ def test_check_composer_is_the_oracle_for_promote(monkeypatch):
     # member picks one held descriptor of s^k, the drop left to the oracle
     import itertools
 
-    from hopad import srcsets
+    import hopad.srcsets as srcsets
     from hopad.harness import run_suites
     from hopad.typesys import check_composer
 

@@ -16,7 +16,6 @@ from hopad.core import (
     from_nested,
     recompose,
     spine,
-    stack_sizes,
     step,
     to_nested,
     top_atom,
@@ -119,7 +118,7 @@ def test_random_operations_agree_with_the_tuple_model(case):
         assert direct == res.config.stack
         stack, nested = direct, expected
         assert to_nested(stack, level) == nested
-        assert stack_sizes(stack, level) == tuple(
+        assert tuple(top_stack(stack, level, i).size for i in range(1, level + 1)) == tuple(
             len(ref_top(nested, level - i)) for i in range(1, level + 1)
         )
         assert top_atom(stack, level) == ref_top(nested, level)  # symbol, data and links

@@ -263,7 +263,7 @@ def test_collapse_rules_rejected():
 
 
 def test_resource_cap(monkeypatch):
-    from hopad import typesys
+    import hopad.typesys as typesys
 
     aut = parse_automaton_text(EXCURSION).automaton
     monkeypatch.setattr(typesys, "DESCRIPTOR_CAP", 2)
@@ -580,7 +580,7 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
     # choice must have its per-level union among the yielded vectors
     import itertools
 
-    from hopad import typesys
+    import hopad.typesys as typesys
     from hopad.harness import TYPED_MACHINES, _starts
 
     original = typesys._discharges
@@ -705,7 +705,7 @@ def test_stack_typing_is_the_fold_over_elements_on_the_typed_corpus():
 
 
 def test_typing_a_push_adds_entries_linear_in_width(fragment_openings, monkeypatch):
-    from hopad import typesys
+    import hopad.typesys as typesys
 
     frag, after = fragment_openings
     calls = 0

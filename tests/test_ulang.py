@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hopad.core import execute_word, top_atom
-from hopad import ulang
+import hopad.ulang as ulang
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
 
