@@ -10,35 +10,34 @@ links recording stack sizes at push time.
 Stacks are persistent: a 0-stack is an :class:`Atom`, a k-stack for
 k >= 1 is a :class:`Node` holding its topmost (k-1)-stack on the k-stack
 below it, its size and a cached hash.  No node is ever mutated; an
-operation rebuilds only the path from the root to the rewritten
-substack and shares everything under it with its input, so pop and push
-cost O(level) and consecutive configurations of a run share their
-stacks almost entirely (collapse also walks past the (i-1)-stacks it
-removes).  A collapsible push reads its links, the new sizes of the
-topmost i-stacks, on its one descent.  Operations build their nodes
-through `_node` and `_renode`, past the Python-level `Node.__init__`,
-and make no size object twice: a node rebuilt above the rewritten
-substack keeps the old node's, and the k-stack a push^k grows shares
-its with the new atom's level-k link.  A path of depth 0 or 1 is
-rebuilt without recursion.  A
-run made by :func:`extend_run` points at the run it extends, so
-recording a step costs O(1) and keeps one run holding the step's
-stack, label and rule (whose target is the step's state): no
-:class:`Configuration` and no :class:`Step` outlives the call that
-records it.  The run's `last` and its tuples are built on first read,
-and the pointer is dropped with the tuples.  A letter step's label is
-the word's own (letter, value) pair.  :meth:`Run.operations` reads
-`transitions`, so it builds the tuples too.  An
-automaton builds its rule table, keyed by (state, top symbol), and its
-initial configuration on first use and shares them, so :func:`step`
-finds its rule with one keyed lookup and, for a letter, one more.
-Configurations and runs can be stored and shared freely, across threads
-too: values filled in on first use are the same whichever thread fills
-them in.
+operation rebuilds only the path from the root to the rewritten substack
+and shares everything under it with its input, so pop and push cost
+O(level) and consecutive configurations of a run share their stacks
+almost entirely (collapse also walks past the (i-1)-stacks it removes).
+A push records links, the new sizes of the topmost i-stacks, exactly
+when the atom it rewrites carries them: the links are the one record of
+collapsibility, fixed where a stack is made.  Operations build their
+nodes through `_node` and `_renode`, past the Python-level
+`Node.__init__`, and make no size object twice: a node rebuilt above the
+rewritten substack keeps the old node's, and the k-stack a push^k grows
+shares its with the new atom's level-k link.  A path of depth 0 or 1 is
+rebuilt without recursion.  A run made by :func:`extend_run` points at
+the run it extends, so recording a step costs O(1) and keeps one run
+holding the step's stack, label and rule (whose target is the step's
+state): no :class:`Configuration` and no :class:`Step` outlives the call
+that records it.  The run's `last` and its tuples are built on first
+read, and the pointer is dropped with the tuples.  A letter step's label
+is the word's own (letter, value) pair.  :meth:`Run.operations` reads
+`transitions`, so it builds the tuples too.  An automaton builds its
+rule table, keyed by (state, top symbol), and its initial configuration
+on first use and shares them, so :func:`step` finds its rule with one
+keyed lookup and, for a letter, one more.  Configurations and runs can
+be stored and shared freely, across threads too: values filled in on
+first use are the same whichever thread fills them in.
 
 Nested tuples (a k-stack as a tuple of (k-1)-stacks, top at the right)
-are the literal and I/O form only: :func:`from_nested` and
-:func:`to_nested` convert between the two.
+are the tuple model's form, :func:`from_nested` and :func:`to_nested`
+its bridge; the literal and I/O form is the text of :mod:`hopad.text`.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ class StackError(Exception):
 
 class IllFormed(StackError):
     """The operation would produce an ill-formed (somewhere-empty) stack."""
-
-
-class CollapseUnavailable(StackError):
-    """Collapse applied to a stack of a non-collapsible automaton."""
 
 
 class Atom(NamedTuple):
@@ -341,16 +336,9 @@ def initial_configuration(aut: Automaton) -> Configuration:
     return aut._initial_configuration
 
 
-def top_atom(stack: Stack, level: int) -> Atom:
-    while level:  # the descents are `while` loops, as in `step`
-        stack = stack.top
-        level -= 1
-    return stack
-
-
 def top_stack(stack: Stack, level: int, k: int) -> Stack:
-    """The topmost k-stack of a level-`level` stack."""
-    while level > k:
+    """The topmost k-stack of a level-`level` stack; at k = 0, its top atom."""
+    while level > k:  # the descents are `while` loops, as in `step`
         stack = stack.top
         level -= 1
     return stack
@@ -416,25 +404,23 @@ def apply_operation(
     level: int,
     op: Op,
     data: Optional[int] = NO_DATA,
-    collapsible: bool = False,
 ) -> Stack:
     """Apply one stack operation; `data` is the value carried by the step.
 
     pop^k removes the topmost (k-1)-stack of the topmost k-stack.  push^k
     duplicates the topmost (k-1)-stack and rewrites the duplicate's top
-    atom to (symbol, data); on collapsible stacks the rewritten atom
-    records (k_1, ..., k_n), the sizes of the topmost i-stacks after the
-    operation.  collapse^i truncates the topmost i-stack so that only
-    k_i - 1 of its (i-1)-stacks remain, k_i taken from the top atom.
+    atom to (symbol, data); when the rewritten atom carries links, the
+    new one records (k_1, ..., k_n), the sizes of the topmost i-stacks
+    after the operation.  collapse^i truncates the topmost i-stack so
+    that only k_i - 1 of its (i-1)-stacks remain, k_i taken from the top
+    atom, and raises IllFormed on an atom without a level-i link.
     """
     k = op.level
     kind = op.kind
     depth = level - k
     target = stack
-    sizes = ()  # (k_{k+1}, ..., k_n): the sizes passed on the way to `target`
     i = depth
     while i:  # `while` loops, as in `step`
-        sizes = (target.size,) + sizes
         target = target.top
         i -= 1
     if kind == "pop":
@@ -443,13 +429,18 @@ def apply_operation(
             raise IllFormed(f"{op} would empty the topmost {k}-stack")
     elif kind == "push":
         grown = target.size + 1  # k_k, one object for the link and the node
-        links = None
-        if collapsible:  # descend on to k_1
-            links = (grown,) + sizes
-            cur = target.top
-            i = k - 1
+        atom = target.top
+        i = k - 1
+        while i:  # down to the atom the push rewrites
+            atom = atom.top
+            i -= 1
+        links = atom.links
+        if links is not None:  # k_n, ..., k_1 on a descent from the root
+            links = ()
+            cur = stack
+            i = level
             while i:
-                links = (cur.size,) + links
+                links = (grown if i == k else cur.size,) + links
                 cur = cur.top
                 i -= 1
         atom = _tuple(Atom, (op.symbol, data, links))
@@ -460,8 +451,6 @@ def apply_operation(
         else:
             new = _node(target, _replace_top(target.top, k - 1, atom), grown)
     elif kind == "collapse":
-        if not collapsible:
-            raise CollapseUnavailable(f"{op} on a non-collapsible stack")
         atom = target
         i = k
         while i:
@@ -537,7 +526,7 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
         value = NO_DATA
         label = (None, None)
     try:
-        new = apply_operation(stack, level, rule.op, value, aut.collapsible)
+        new = apply_operation(stack, level, rule.op, value)
     except StackError as exc:
         return Stuck(f"ill-formed: {exc}")
     return _tuple(Step, (_tuple(Configuration, (rule.target, new)), label, rule))

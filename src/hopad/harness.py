@@ -37,7 +37,7 @@ from .core import (
     stack_values,
     step,
     strip_links,
-    top_atom,
+    top_stack,
     validate_automaton,
 )
 from .lineage import (
@@ -129,7 +129,7 @@ def walk_runs(space: EnumerationSpace, representative: bool = False):
         if len(run) == space.max_steps:
             continue
         state, stack = config
-        atom = top_atom(stack, aut.level)
+        atom = top_stack(stack, aut.level, 0)
         rules = aut.rule_table.get((state, atom.symbol))
         if isinstance(rules, Transition):  # an epsilon rule
             res = step(aut, config, None)
@@ -399,13 +399,18 @@ def _suite_monoid_laws(seed, run_bound, src_bound):
     return hard, [], {"checked": checked}
 
 
+def _mirror(word) -> tuple:
+    """The suffix closing `word` after a `$`: reversed, brackets turned."""
+    return tuple(("]" if a == "[" else "[", d) for a, d in reversed(word))
+
+
 def _family_words(k: int, reps: int):
     """(name, word) pairs around the paper's w_k with N = `reps`: the word
     with distinct values, its `$`-mirrored completion (a member), that
     completion with the first, middle or last suffix letter given a fresh
     value, and the completion without its last letter."""
     half = decorate_distinct(gen_w(k, reps))
-    mirror = tuple(("]" if a == "[" else "[", d) for a, d in reversed(half))
+    mirror = _mirror(half)
     whole = half + (("$", 0),) + mirror
     yield "w", half
     yield "completion", whole
@@ -459,27 +464,16 @@ def _near_member_words(rng: random.Random, count: int, max_len: int):
     out = []
     for _ in range(count):
         body = []
-        depth = 0
+        opens = []  # the positions of the unmatched opening brackets
         for _ in range(rng.randint(0, (max_len - 1) // 2)):
-            if depth > 0 and rng.random() < 0.45:
+            if opens and rng.random() < 0.45:
                 body.append("]")
-                depth -= 1
-            else:
-                body.append("[")
-                depth += 1
-        word = [(a, rng.randint(1, 6)) for a in body]
-        opens = []
-        for idx, (a, _) in enumerate(word):
-            if a == "[":
-                opens.append(idx)
-            else:
                 opens.pop()
-        prefix_len = opens[-1] + 1 if opens else 0
-        suffix = [
-            ("]" if word[i][0] == "[" else "[", word[i][1])
-            for i in range(prefix_len - 1, -1, -1)
-        ]
-        word = word + [("$", rng.randint(0, 6))] + suffix
+            else:
+                opens.append(len(body))
+                body.append("[")
+        word = [(a, rng.randint(1, 6)) for a in body]
+        word += [("$", rng.randint(0, 6)), *_mirror(word[: opens[-1] + 1 if opens else 0])]
         for _ in range(rng.randint(0, 3)):
             if not word:
                 break

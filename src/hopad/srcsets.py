@@ -99,7 +99,7 @@ def compute_src(run: Run, k: int, start: StartRuns) -> SrcResult:
     return SrcResult(k, sig, _src(tree, sig, run, k, start), tree)
 
 
-def _hypotheses(name, run: Run, k: int, start: StartRuns, values, bar_reads=False) -> tuple:
+def _hypotheses(run: Run, k: int, start: StartRuns, values, bar_reads=False) -> tuple:
     """The report of a transfer check, with its failed hypotheses named in
     its errors, and the values it may use: none if the run is not
     normalized or not k-upper (by its derivation, ``decompose_upper``),
@@ -108,7 +108,7 @@ def _hypotheses(name, run: Run, k: int, start: StartRuns, values, bar_reads=Fals
     not start at `start`'s configuration raises ValueError."""
     if run.at(0) != start.config:
         raise ValueError("the run does not start at the start configuration")
-    report = CheckReport(name)
+    report = CheckReport()
     if not is_normalized(run):
         report.errors.append("run is not normalized")
     if start.upper(run, k) is None:
@@ -146,7 +146,7 @@ def check_origin(run: Run, k: int, start: StartRuns, values: Sequence[int]) -> C
     value, on a value (0, or stored in the initial topmost k-stack) it
     skips that value.
     """
-    report, fresh = _hypotheses("origin", run, k, start, values)
+    report, fresh = _hypotheses(run, k, start, values)
     if not fresh:
         return report
     n = start.table.automaton.level
@@ -213,7 +213,7 @@ def check_idv_upper(
     uniqueness is known only up to that bound; a run starting elsewhere
     raises ValueError.
     """
-    report, usable = _hypotheses("idv-upper", run, k, start, values, bar_reads=True)
+    report, usable = _hypotheses(run, k, start, values, bar_reads=True)
     if not usable:
         return report
     n = start.table.automaton.level

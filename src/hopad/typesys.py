@@ -611,10 +611,11 @@ class StartRuns:
     """The runs of one start configuration up to a bound, and what the
     soundness checks ask of them, each worked out once, on first ask:
     per run its monoid class and read values, per (stack, level) its
-    typing.  Runs and stacks are keyed by identity and held by their
-    entries.  A given run starting elsewhere raises ValueError.  Its
-    derivations go into the ``lineage.derivation`` memo `derived`, which
-    the StartRuns of many start configurations and machines may share."""
+    typing.  Runs, which hash in O(length), are keyed by identity and
+    held by their entries; stacks by value, so equal ones share a typing.
+    A given run starting elsewhere raises ValueError.  Its derivations go
+    into the ``lineage.derivation`` memo `derived`, which the StartRuns
+    of many start configurations and machines may share."""
 
     def __init__(
         self,
@@ -629,7 +630,7 @@ class StartRuns:
         self.config, self.table, self.runs = config, table, runs
         self._facts: dict[int, tuple] = {}  # id(run) -> (run, operations, class, reads)
         self._derived = derived
-        self._typed: dict[tuple[int, int], tuple] = {}  # (id(stack), k) -> (stack, typing)
+        self._typed: dict[tuple[Stack, int], StackTyping] = {}
         self._classes: Optional[dict[tuple[str, str], list[Run]]] = None
 
     def _of(self, run: Run) -> tuple:
@@ -656,10 +657,10 @@ class StartRuns:
 
     def typing(self, stack: Stack, k: int) -> StackTyping:
         """``type_of_stack(stack, k, table)``."""
-        hit = self._typed.get((id(stack), k))
-        if hit is None:
-            hit = self._typed[(id(stack), k)] = (stack, type_of_stack(stack, k, self.table))
-        return hit[1]
+        typing = self._typed.get((stack, k))
+        if typing is None:
+            typing = self._typed[(stack, k)] = type_of_stack(stack, k, self.table)
+        return typing
 
     def runs_with(self, state: str, m: str) -> list[Run]:
         """The runs ending in `state` with monoid class `m`, in order."""
@@ -683,10 +684,9 @@ class StartRuns:
 
 
 class CheckReport:
-    __slots__ = ("name", "hard_failures", "unwitnessed", "errors", "verified", "checked")
+    __slots__ = ("hard_failures", "unwitnessed", "errors", "verified", "checked")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.hard_failures: list = []
         self.unwitnessed: list = []
         self.errors: list = []
@@ -735,7 +735,7 @@ def _describe_run(run: Run) -> str:
     return f"len={len(run)} ops=[{ops}] word=[{word}]"
 
 
-def _correspondence(name, start: StartRuns, values, hard, soft):
+def _correspondence(start: StartRuns, values, hard, soft):
     """For each distinct value d of `values`, every goal and every level
     k below its return level: the runs that agree with the goal (and,
     for a value d, use it: read it or keep it important under the
@@ -744,7 +744,7 @@ def _correspondence(name, start: StartRuns, values, hard, soft):
     hard failures, a witness without runs is unwitnessed; `hard` and
     `soft` format those lines from k, d, goal and run or witness.  A
     value 0 is named in the report's errors and skipped."""
-    report = CheckReport(name)
+    report = CheckReport()
     table, uni = start.table, start.table.universe
     if table._goal_space is None:  # the starts of a machine share its table
         table._goal_space = goal_space(table)
@@ -789,7 +789,7 @@ def check_run2type(start: StartRuns) -> CheckReport:
     agreeing run within the bound; misses are reported as unwitnessed.
     """
     return _correspondence(
-        "run2type", start, (None,),
+        start, (None,),
         "k={k} goal={goal} has an agreeing run ({run}) but no witnessing descriptor",
         "k={k} goal={goal} witnessed by descriptor {witness} but no agreeing run",
     )
@@ -801,7 +801,7 @@ def check_idv(start: StartRuns, values: Sequence[int]) -> CheckReport:
     configuration up to the bound); a value 0 is named in the report's
     errors and skipped."""
     return _correspondence(
-        "idv", start, values,
+        start, values,
         "k={k} d={d} goal={goal} used by {run} but no descriptor carries it",
         "k={k} d={d} goal={goal} carried by descriptor {witness} "
         "but no agreeing normalized run uses it",

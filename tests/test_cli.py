@@ -18,7 +18,7 @@ from hopad.core import (
     decollapse,
     execute_word,
     to_nested,
-    top_atom,
+    top_stack,
 )
 from hopad.harness import CLASSIFICATION_EXAMPLE, EXCURSION
 from hopad.lineage import Starts
@@ -96,7 +96,7 @@ def test_stack_literal_round_trip():
     assert render_stack(stack, 2) == text
     linked = "[[(X,-;1,1)] [(X,1;1,2) (Y,3;1,4)]]"
     stack = parse_stack_literal(linked, 2, collapsible=True)
-    assert top_atom(stack, 2) == Atom("Y", 3, (1, 4))
+    assert top_stack(stack, 2, 0) == Atom("Y", 3, (1, 4))
     assert render_stack(stack, 2) == linked
     with pytest.raises(CliError):
         parse_stack_literal("[[]]", 2)  # ill-formed: empty 1-stack
@@ -691,6 +691,6 @@ def test_collapse_on_an_atom_without_links_is_stuck():
     )
     bare = from_nested((Atom("g", None), Atom("g", None)), 1)
     with pytest.raises(IllFormed):
-        apply_operation(bare, 1, collapse(1), None, collapsible=True)
+        apply_operation(bare, 1, collapse(1))
     res = step(scenario.automaton, Configuration("q", bare))
     assert isinstance(res, Stuck) and res.reason.startswith("ill-formed")

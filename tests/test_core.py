@@ -29,7 +29,6 @@ from hopad.core import (
     spine,
     step,
     to_nested,
-    top_atom,
     top_stack,
     validate_automaton,
 )
@@ -77,10 +76,10 @@ def test_initial_links_when_collapsible():
         collapsible=True,
     )
     cfg = initial_configuration(aut)
-    assert top_atom(cfg.stack, 2).links == (1, 1)
+    assert top_stack(cfg.stack, 2, 0).links == (1, 1)
     # collapsing from the unpushed initial atom would empty the stack
     with pytest.raises(IllFormed):
-        apply_operation(cfg.stack, 2, collapse(2), None, collapsible=True)
+        apply_operation(cfg.stack, 2, collapse(2))
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
@@ -117,7 +116,7 @@ def test_the_initial_configuration_is_built_once_per_automaton(level, collapsibl
     assert first == Configuration("q", from_nested(literal, level))
     assert initial_configuration(aut._replace()) is not first
     renamed = initial_configuration(aut._replace(initial_symbol="Z"))
-    assert top_atom(renamed.stack, level).symbol == "Z"
+    assert top_stack(renamed.stack, level, 0).symbol == "Z"
     assert initial_configuration(aut) is first
 
 
@@ -158,24 +157,40 @@ def test_push1_keeps_the_old_top():
 
 
 def test_push_links_record_sizes_after():
-    out = apply_operation(AB_CD, 2, push(2, "e"), 5, collapsible=True)
-    assert top_atom(out, 2) == atom("e", 5, (2, 3))
-    out2 = apply_operation(out, 2, push(1, "f"), None, collapsible=True)
-    assert top_atom(out2, 2) == atom("f", None, (3, 3))
+    linked = from_nested(tuple(tuple(a._replace(links=(1, 1)) for a in col) for col in AB_CD_NESTED), 2)
+    out = apply_operation(linked, 2, push(2, "e"), 5)
+    assert top_stack(out, 2, 0) == atom("e", 5, (2, 3))
+    out2 = apply_operation(out, 2, push(1, "f"))
+    assert top_stack(out2, 2, 0) == atom("f", None, (3, 3))
     assert sizes(out2, 2) == (3, 3)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_the_rewritten_atom_alone_decides_whether_a_push_records_links(level):
+    linked = from_nested(_nest(atom("g", None, (1,) * level), level), level)
+    bare = from_nested(_nest(atom("g"), level), level)
+    for k in range(1, level + 1):
+        out = apply_operation(linked, level, push(k, "h"), 3)
+        assert top_stack(out, level, 0) == atom("h", 3, sizes(out, level))
+        assert apply_operation(out, level, collapse(k)) == linked
+        out = apply_operation(bare, level, push(k, "h"), 3)
+        assert top_stack(out, level, 0) == atom("h", 3)
+        for stack in (bare, out):
+            with pytest.raises(IllFormed, match=f"without a level-{k} link"):
+                apply_operation(stack, level, collapse(k))
 
 
 def test_collapse_truncates_to_link():
     five = tuple((atom("x"),) for _ in range(4)) + ((atom("y"), atom("t", 1, (2, 2))),)
-    out = apply_operation(from_nested(five, 2), 2, collapse(2), None, collapsible=True)
+    out = apply_operation(from_nested(five, 2), 2, collapse(2))
     assert nested2(out) == five[:1]
     # keep == current size is a no-op
     noop = tuple((atom("x"),) for _ in range(2)) + ((atom("t", 1, (1, 3)),),)
-    out = apply_operation(from_nested(noop, 2), 2, collapse(2), None, collapsible=True)
+    out = apply_operation(from_nested(noop, 2), 2, collapse(2))
     assert nested2(out) == noop[:2]
     beyond = ((atom("t", 1, (1, 9)),),)
     with pytest.raises(IllFormed):
-        apply_operation(from_nested(beyond, 2), 2, collapse(2), None, collapsible=True)
+        apply_operation(from_nested(beyond, 2), 2, collapse(2))
 
 
 def test_spine_and_recompose():
@@ -410,7 +425,7 @@ def test_a_push_grows_its_k_stack_and_links_it_with_one_size_object():
             stack, k = run.at(i + 1).stack, tr.op.level
             size = top_stack(stack, aut.level, k).size
             wide += size > 256
-            if top_atom(stack, aut.level).links[k - 1] is not size:
+            if top_stack(stack, aut.level, 0).links[k - 1] is not size:
                 unshared.append(i)
     assert wide == 959 and not unshared, unshared[:5]
 
@@ -551,7 +566,7 @@ def test_links_equal_spine_sizes_after_push():
     for i, tr in enumerate(out.run.transitions):
         if tr.op.kind == "push":
             stack = out.run.at(i + 1).stack
-            assert top_atom(stack, 2).links == sizes(stack, 2)
+            assert top_stack(stack, 2, 0).links == sizes(stack, 2)
 
 
 def test_project_word():
@@ -837,7 +852,7 @@ def _wide_stack(level, width):
     stack = from_nested(_nest(atom("g", None, (1,) * level), level), level)
     for k in range(1, level + 1):
         for _ in range(width - 1):
-            stack = apply_operation(stack, level, push(k, "g"), None, collapsible=True)
+            stack = apply_operation(stack, level, push(k, "g"))
     return stack
 
 
@@ -863,7 +878,7 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
             (push(k, "h"), level, width + 1),
         ):
             built.clear()
-            out = apply_operation(stack, level, op, 4, collapsible=True)
+            out = apply_operation(stack, level, op, 4)
             assert len(built) == nodes, op
             assert sizes(out, level)[k - 1] == size, op
 
@@ -876,7 +891,7 @@ def test_a_node_rebuilt_above_the_operation_keeps_the_old_size(level):
     unshared = []  # (op, depth): never a node in an assertion, whose repr is huge
     for k in range(1, level + 1):
         for op in (pop(k), collapse(k), push(k, "h")):
-            out = apply_operation(stack, level, op, 4, collapsible=True)
+            out = apply_operation(stack, level, op, 4)
             pairs = [(stack, out)]
             for _ in range(level - k):  # the nodes above the topmost k-stack
                 pairs.append((pairs[-1][0].top, pairs[-1][1].top))

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import pathlib
+import random
 import weakref
 from collections import Counter
 
@@ -608,6 +610,20 @@ def test_suite_reports_are_reproducible(monkeypatch):
     first = run_suites(seed=42, max_steps=4)
     second = run_suites(seed=42, max_steps=4)
     assert first.text() == second.text()
+
+
+def test_the_generated_words_are_pinned():
+    # the inputs of u-differential (its near-members at the acceptance
+    # seed) and of w-recurrence: a refactor of the generators must keep
+    # every random draw and every word
+    rng = random.Random("20260808:u-differential")
+    near = harness._near_member_words(rng, harness.RANDOM_WORDS, harness.RANDOM_WORD_LENGTH)
+    family = [w for reps in (1, 2, 3) for k in range(5) for w in harness._family_words(k, reps)]
+    digests = [(len(words), hashlib.sha256(repr(words).encode()).hexdigest()) for words in (near, family)]
+    assert digests == [
+        (10_000, "a7f066ee8d33bea8c40cd324199e555728c4e6e786c901d21c2255a936940a9d"),
+        (90, "b401dfde8be506a94533ba85a15aa0c90477754b682133d2d0a33981c765fde8"),
+    ]
 
 
 def test_enumeration_contains_executed_runs_with_collapse():

@@ -194,6 +194,30 @@ def test_no_module_or_test_imports_a_name_it_does_not_use():
     assert not found, found
 
 
+# public definitions kept for the tests: the tuple model's bridge, the
+# constructor beside `pop` and `push`, the inverse of `spine`, and two oracles
+KEPT_FOR_THE_TESTS = {"from_nested", "to_nested", "collapse", "recompose", "replay", "check_composer"}
+
+
+def test_every_public_definition_has_a_use_in_the_package():
+    # a use is a name read by another definition or statement at module
+    # level; a definition that only calls itself has none
+    uses: dict[str, set] = {}
+    public = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                uses.setdefault(name, set()).add((path.stem, node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((path.stem, node))
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, node in public
+        if node.name not in KEPT_FOR_THE_TESTS and not uses.get(node.name, set()) - {(module, node)}
+    )
+    assert not unused, unused
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses loads inspect, ast, dis and tokenize, and each decorator
     # execs the methods it makes: records are named tuples or slotted classes

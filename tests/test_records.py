@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from hopad.core import Automaton, automaton_diagnostics, initial_configuration, top_atom
+from hopad.core import Automaton, automaton_diagnostics, initial_configuration, top_stack
 from hopad.harness import (
     CLASSIFICATION_EXAMPLE,
     EnumerationSpace,
@@ -110,5 +110,5 @@ def test_a_replaced_automaton_builds_its_own_table_and_start():
     assert type(renamed) is Automaton and not vars(renamed)  # nothing kept from `aut`
     assert renamed.rule_table == table and renamed.rule_table is not table
     start = initial_configuration(renamed)
-    assert start.state == first.state and top_atom(start.stack, aut.level).symbol == "Z"
+    assert start.state == first.state and top_stack(start.stack, aut.level, 0).symbol == "Z"
     assert initial_configuration(aut) is first

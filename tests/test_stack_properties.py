@@ -18,7 +18,6 @@ from hopad.core import (
     spine,
     step,
     to_nested,
-    top_atom,
     top_stack,
 )
 from hopad.text import parse_stack_literal, render_stack
@@ -29,6 +28,10 @@ SYMBOLS = ("g", "h", "X")
 
 def ref_top(nested, depth):
     return nested if depth == 0 else ref_top(nested[-1], depth - 1)
+
+
+def ref_atoms(nested, level):
+    return [nested] if level == 0 else [a for s in nested for a in ref_atoms(s, level - 1)]
 
 
 def ref_apply(stack, level, op, data, collapsible):
@@ -96,7 +99,7 @@ def test_random_operations_agree_with_the_tuple_model(case):
         except StackError:
             expected = None
         # one rule that fires on the top symbol, reading `data` if any
-        top = top_atom(stack, level)
+        top = top_stack(stack, level, 0)
         rule = Transition("q", top.symbol, None if data is None else "a", "q", op)
         aut = Automaton(
             level, frozenset("a"), frozenset(SYMBOLS), "g", frozenset("q"), "q",
@@ -109,19 +112,21 @@ def test_random_operations_agree_with_the_tuple_model(case):
         if expected is None:
             assert isinstance(res, Stuck) and res.reason.startswith("ill-formed: ")
             try:
-                apply_operation(stack, level, op, data, collapsible)
+                apply_operation(stack, level, op, data)
             except StackError:
                 continue
             raise AssertionError(f"{op} applied where the model refuses it")
         assert isinstance(res, Step)
-        direct = apply_operation(stack, level, op, data, collapsible)
+        direct = apply_operation(stack, level, op, data)
         assert direct == res.config.stack
         stack, nested = direct, expected
         assert to_nested(stack, level) == nested
+        # the links the start's atoms carry, or lack, are kept by every atom
+        assert {atom.links is None for atom in ref_atoms(nested, level)} == {not collapsible}
         assert tuple(top_stack(stack, level, i).size for i in range(1, level + 1)) == tuple(
             len(ref_top(nested, level - i)) for i in range(1, level + 1)
         )
-        assert top_atom(stack, level) == ref_top(nested, level)  # symbol, data and links
+        assert top_stack(stack, level, 0) == ref_top(nested, level)  # symbol, data and links
 
 
 @st.composite

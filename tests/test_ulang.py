@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hopad.core import execute_word, top_atom
+from hopad.core import execute_word, top_stack
 import hopad.ulang as ulang
 from hopad.ulang import build_u_recognizer, decorate_distinct, gen_w, in_u
 
@@ -173,7 +173,7 @@ def test_recognizer_stack_probe():
     assert len(stack) == len(word) + 2
     opens = 0
     for i, (letter, value) in enumerate(word, start=1):
-        assert top_atom(stack[i], 1) == (letter, value, stack[i].top.links)
+        assert top_stack(stack[i], 1, 0) == (letter, value, stack[i].top.links)
         opens += 1 if letter == "[" else -1
         ys = sum(1 for a in stack[i + 1] if a.symbol == "Y")
         assert ys == opens
