@@ -17,10 +17,10 @@ almost entirely (collapse also walks past the (i-1)-stacks it removes).
 A push records links, the new sizes of the topmost i-stacks, exactly
 when the atom it rewrites carries them: the links are the one record of
 collapsibility, fixed where a stack is made.  Operations build their
-nodes through `_node` and `_renode`, past the Python-level
-`Node.__init__`, and make no size object twice: a node rebuilt above the
-rewritten substack keeps the old node's, and the k-stack a push^k grows
-shares its with the new atom's level-k link.  A path of depth 0 or 1 is
+nodes through `_node`, past the Python-level `Node.__init__`, and make
+no size object twice: a node rebuilt above the rewritten substack keeps
+the old node's, and the k-stack a push^k grows shares its with the new
+atom's level-k link.  A path of depth 0 or 1 is
 rebuilt without recursion.  A run made by :func:`extend_run` points at
 the run it extends, so recording a step costs O(1) and keeps one run
 holding the step's stack, label and rule (whose target is the step's
@@ -55,11 +55,7 @@ DataWord = tuple[tuple[str, int], ...]
 Label = tuple[Optional[str], Optional[int]]
 
 
-class StackError(Exception):
-    """Base class for stack operation failures."""
-
-
-class IllFormed(StackError):
+class IllFormed(Exception):
     """The operation would produce an ill-formed (somewhere-empty) stack."""
 
 
@@ -135,23 +131,12 @@ _new = object.__new__  # allocates past a class's Python-level __init__
 
 def _node(below: Node, top: "Stack", size: int) -> Node:
     """`Node(below, top)`, its size given, without the Python-level `__init__`
-    call: one of the two routines through which operations build nodes."""
+    call: the routine through which operations build nodes, a node rebuilt
+    above the rewritten substack with the old node's size object."""
     node = _new(Node)
     node.below = below
     node.top = top
     node.size = size
-    node._hash = None
-    return node
-
-
-def _renode(old: Node, top: "Stack") -> Node:
-    """`old` with its top replaced by `top`: the other routine, for a node
-    on the rebuilt path above the rewritten substack, which keeps the old
-    node's size object rather than computing an equal one."""
-    node = _new(Node)
-    node.below = old.below
-    node.top = top
-    node.size = old.size
     node._hash = None
     return node
 
@@ -396,7 +381,7 @@ def _replace_top(stack: Stack, depth: int, new: Stack) -> Stack:
     depths 0 and 1 inline."""
     if depth == 0:
         return new
-    return _renode(stack, _replace_top(stack.top, depth - 1, new))
+    return _node(stack.below, _replace_top(stack.top, depth - 1, new), stack.size)
 
 
 def apply_operation(
@@ -447,7 +432,7 @@ def apply_operation(
         if k == 1:
             new = _node(target, atom, grown)
         elif k == 2:
-            new = _node(target, _renode(target.top, atom), grown)
+            new = _node(target, _node(target.top.below, atom, target.top.size), grown)
         else:
             new = _node(target, _replace_top(target.top, k - 1, atom), grown)
     elif kind == "collapse":
@@ -473,7 +458,7 @@ def apply_operation(
     if depth == 0:
         return new
     if depth == 1:
-        return _renode(stack, new)
+        return _node(stack.below, new, stack.size)
     return _replace_top(stack, depth, new)
 
 
@@ -527,7 +512,7 @@ def step(aut: Automaton, config: Configuration, next_input=None) -> StepResult:
         label = (None, None)
     try:
         new = apply_operation(stack, level, rule.op, value)
-    except StackError as exc:
+    except IllFormed as exc:
         return Stuck(f"ill-formed: {exc}")
     return _tuple(Step, (_tuple(Configuration, (rule.target, new)), label, rule))
 

@@ -344,12 +344,9 @@ def random_machine(seed: int, index: int) -> Automaton:
 # ---------------------------------------------------------------------------
 # verification suites
 
-class SuiteReport:
-    __slots__ = ("lines", "hard_total")
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.hard_total = 0
+class SuiteReport(NamedTuple):
+    lines: list[str]  # a list, as lines read back from JSON are
+    hard_total: int
 
     @property
     def ok(self) -> bool:
@@ -641,14 +638,14 @@ def run_suites(selection=None, seed: int = 0, max_steps=None) -> SuiteReport:
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"the step bound must be at least 1, got {max_steps}")
-    if selection is None:
-        selection = SUITE_NAMES
-    run_bound = RUN_BOUND if max_steps is None else max_steps
-    src_bound = min(run_bound, SRC_BOUND)
-    report = SuiteReport()
+    selection = SUITE_NAMES if selection is None else tuple(selection)
     for name in selection:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}")
+    run_bound = RUN_BOUND if max_steps is None else max_steps
+    src_bound = min(run_bound, SRC_BOUND)
+    lines, hard_total = [], 0
+    for name in selection:
         try:
             hard, soft, stats = _SUITE_FUNCTIONS[name](seed, run_bound, src_bound)
         except (EnumerationCapExceeded, ResourceCapExceeded) as exc:
@@ -656,10 +653,10 @@ def run_suites(selection=None, seed: int = 0, max_steps=None) -> SuiteReport:
             hard, soft, stats = [f"aborted: {exc}"], [], {}
         status = "pass" if not hard else "fail"
         extras = " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        report.lines.append(
+        lines.append(
             f"suite={name} status={status} hard={len(hard)} soft={len(soft)} {extras}".rstrip()
         )
         for failure in hard[:20]:
-            report.lines.append(f"  hard: {failure}")
-        report.hard_total += len(hard)
-    return report
+            lines.append(f"  hard: {failure}")
+        hard_total += len(hard)
+    return SuiteReport(lines, hard_total)

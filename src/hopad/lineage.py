@@ -36,7 +36,7 @@ from collections.abc import Iterator, Set
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Node, Run, top_stack
+from .core import Node, Run, _node, top_stack
 
 
 class LNode(NamedTuple):
@@ -61,11 +61,12 @@ class LineageRun:
 
 
 def _replace_top(node: LNode, depth: int, new: Node) -> LNode:
-    """`node` with the children `depth` levels down its top path set to `new`."""
+    """`node` with the children `depth` levels down its top path set to `new`;
+    each rebuilt chain node keeps the old one's size object, as in core."""
     if depth == 0:
         return LNode(node.uid, new)
     kids = node.children
-    return LNode(node.uid, Node(kids.below, _replace_top(kids.top, depth - 1, new)))
+    return LNode(node.uid, _node(kids.below, _replace_top(kids.top, depth - 1, new), kids.size))
 
 
 def _fresh(stack, level: int, parent: list) -> LNode:

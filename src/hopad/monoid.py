@@ -70,51 +70,37 @@ def phi_of_run(m: FiniteMonoid, run: Run) -> str:
     return classify_word(m, project_word(run.read_word))
 
 
+def _monoid(name: str, carrier: tuple[str, ...], mul, letter_map: Mapping[str, str]) -> FiniteMonoid:
+    """The monoid whose table is `mul` on every pair of the carrier, whose
+    first element is the identity."""
+    table = {(x, y): mul(x, y) for x in carrier for y in carrier}
+    return FiniteMonoid(name, carrier, carrier[0], table, letter_map)
+
+
+def _shape_mul(x: str, y: str) -> str:
+    if x == "ID":
+        return y
+    if y == "ID" or x == "DOLLAR":
+        return x
+    return "OTHER"
+
+
 def shape_monoid() -> FiniteMonoid:
     """Distinguishes the empty word, a single closing bracket, a word
     beginning with a dollar, and every other word over {[, ], $}."""
-    elems = ("ID", "CLOSE", "DOLLAR", "OTHER")
-    table = {}
-    for x in elems:
-        table[("ID", x)] = x
-        table[(x, "ID")] = x
-    for y in ("CLOSE", "DOLLAR", "OTHER"):
-        table[("DOLLAR", y)] = "DOLLAR"
-        table[("OTHER", y)] = "OTHER"
-        table[("CLOSE", y)] = "OTHER"
-    return FiniteMonoid(
-        name="shape",
-        carrier=elems,
-        identity="ID",
-        table=table,
-        letter_map={"]": "CLOSE", "$": "DOLLAR", "[": "OTHER"},
+    return _monoid(
+        "shape", ("ID", "CLOSE", "DOLLAR", "OTHER"), _shape_mul, {"]": "CLOSE", "$": "DOLLAR", "[": "OTHER"}
     )
 
 
 def trivial_monoid(letters: Iterable[str]) -> FiniteMonoid:
-    return FiniteMonoid(
-        name="trivial",
-        carrier=("ID",),
-        identity="ID",
-        table={("ID", "ID"): "ID"},
-        letter_map={a: "ID" for a in letters},
-    )
+    return _monoid("trivial", ("ID",), lambda x, y: "ID", {a: "ID" for a in letters})
 
 
 def presence_monoid(letters: Iterable[str]) -> FiniteMonoid:
     """Distinguishes the empty word from every nonempty word."""
-    table = {
-        ("ID", "ID"): "ID",
-        ("ID", "SOME"): "SOME",
-        ("SOME", "ID"): "SOME",
-        ("SOME", "SOME"): "SOME",
-    }
-    return FiniteMonoid(
-        name="presence",
-        carrier=("ID", "SOME"),
-        identity="ID",
-        table=table,
-        letter_map={a: "SOME" for a in letters},
+    return _monoid(
+        "presence", ("ID", "SOME"), lambda x, y: y if x == "ID" else x, {a: "SOME" for a in letters}
     )
 
 

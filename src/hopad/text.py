@@ -44,6 +44,9 @@ from .core import (
     Op,
     Stack,
     Transition,
+    collapse,
+    pop,
+    push,
     validate_automaton,
 )
 
@@ -165,17 +168,18 @@ class Scenario(NamedTuple):
     start: Optional[Configuration] = None  # None: the initial configuration
 
 
+# kind -> its constructor and the number of tokens after the kind, the first its level
+_OPERATIONS = {"pop": (pop, 1), "push": (push, 2), "collapse": (collapse, 1)}
+
+
 def _parse_op(tokens: list[str], where: str) -> Op:
     if not tokens:
         raise CliError(f"{where}: missing operation")
-    kind = tokens[0]
-    if kind == "pop" and len(tokens) == 2 and _is_number(tokens[1]):
-        return Op("pop", int(tokens[1]))
-    if kind == "push" and len(tokens) == 3 and _is_number(tokens[1]):
-        return Op("push", int(tokens[1]), tokens[2])
-    if kind == "collapse" and len(tokens) == 2 and _is_number(tokens[1]):
-        return Op("collapse", int(tokens[1]))
-    raise CliError(f"{where}: bad operation {' '.join(tokens)!r}")
+    kind, *args = tokens
+    make, arity = _OPERATIONS.get(kind, (None, None))
+    if len(args) != arity or not _is_number(args[0]):
+        raise CliError(f"{where}: bad operation {' '.join(tokens)!r}")
+    return make(int(args[0]), *args[1:])
 
 
 def parse_automaton_text(text: str) -> Scenario:

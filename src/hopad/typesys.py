@@ -70,14 +70,11 @@ class ResourceCapExceeded(RuntimeError):
         self.stats = stats
 
 
-class SaturationStats:
-    __slots__ = ("passes", "descriptors", "goals", "table_pairs")
-
-    def __init__(self, passes: int = 0, descriptors: int = 0, goals: int = 0, table_pairs: int = 0):
-        self.passes = passes
-        self.descriptors = descriptors
-        self.goals = goals
-        self.table_pairs = table_pairs
+class SaturationStats(NamedTuple):
+    passes: int = 0
+    descriptors: int = 0
+    goals: int = 0
+    table_pairs: int = 0
 
 
 class Universe:
@@ -261,7 +258,7 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
     entries: dict[tuple[str, bool], dict[int, bool]] = {
         (sym, hd): {} for sym in sorted(aut.stack_alphabet) for hd in (False, True)
     }
-    stats = SaturationStats()
+    passes = 0
     changed = True
 
     def phi(letter: Optional[str]) -> str:
@@ -286,10 +283,11 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
     pops = [t for t in aut.transitions if t.op.kind == "pop"]
     pushes = [t for t in aut.transitions if t.op.kind == "push"]
 
+    cap = None  # the message of a cap hit, raised with the stats
     try:
         while changed:
             changed = False
-            stats.passes += 1
+            passes += 1
             # rule 1a: the pop step itself is a k-return
             opts = _slot_options(uni, entries)
             for tr in pops:
@@ -359,8 +357,12 @@ def saturate_level0(aut: Automaton, monoid: FiniteMonoid) -> Level0TypeTable:
                                 psis = _merge_psis(uni, n, k, tau, phi_by_level, chi)
                                 add(src_key, uni.intern_desc(0, psis, tr.state, gid), flag)
     except ResourceCapExceeded as exc:
-        raise ResourceCapExceeded(str(exc), _snap_stats(stats, uni, entries)) from None
-    return Level0TypeTable(aut, monoid, uni, entries, _snap_stats(stats, uni, entries))
+        cap = str(exc)
+    pairs = sum(len(e) for e in entries.values())
+    stats = SaturationStats(passes, len(uni.descriptors) - 1, len(uni.goals), pairs)
+    if cap is not None:
+        raise ResourceCapExceeded(cap, stats)
+    return Level0TypeTable(aut, monoid, uni, entries, stats)
 
 
 def _slot_options(uni: Universe, entries) -> dict[int, list[tuple[int, ...]]]:
@@ -371,13 +373,6 @@ def _slot_options(uni: Universe, entries) -> dict[int, list[tuple[int, ...]]]:
         i: sorted({(), (NE,)} | {(x,) for x in uni.realizers(seen, i)})
         for i in range(2, uni.level + 1)
     }
-
-
-def _snap_stats(stats, uni, entries) -> SaturationStats:
-    stats.descriptors = len(uni.descriptors) - 1
-    stats.goals = len(uni.goals)
-    stats.table_pairs = sum(len(e) for e in entries.values())
-    return stats
 
 
 def _merge_psis(uni, n, k, tau, phi_by_level, chi) -> tuple:

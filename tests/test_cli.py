@@ -432,11 +432,19 @@ LEVEL_1 = "level 1\ninitial-state q\ninitial-symbol X\nstack-alphabet X\n"
         (LEVEL_1 + "start-state q\n", "must appear together"),
         ("level 2\n" + LEVEL_1, "line 2: repeated level"),
         (LEVEL_1 + "start-state q\nstart-state q\nstart-stack [(X,-)]\n", "line 6: repeated start-state"),
+        *(
+            (LEVEL_1 + f"trans q X eps q {op}\n", f"line 5: bad operation {op!r}")
+            for op in ("pop", "pop 1 2", "push 1", "push 1 X Y", "push X 1", "collapse", "collapse 1 X",
+                       "jump 1", "pop -1")
+        ),
+        (LEVEL_1 + "trans q X eps q\n", "line 5: missing operation"),
     ],
     ids=[
         "level", "op-level", "atom-data", "empty-start-stack", "dangling-symbol",
         "start-state-not-a-state", "start-stack-symbol-outside-alphabet", "link-beyond-its-stack",
         "start-state-without-start-stack", "repeated-level", "repeated-start-state",
+        "pop-alone", "pop-two-numbers", "push-no-symbol", "push-two-symbols", "push-symbol-first",
+        "collapse-alone", "collapse-with-symbol", "unknown-kind", "pop-negative", "missing-operation",
     ],
 )
 def test_malformed_automaton_text_is_a_cli_error(text, message):

@@ -869,8 +869,7 @@ def test_an_operation_builds_only_the_nodes_of_the_top_path(level, monkeypatch):
             return built[-1]
         return wrapper
 
-    for name in ("_node", "_renode"):  # the two routines that build nodes
-        monkeypatch.setattr(core, name, counting(getattr(core, name)))
+    monkeypatch.setattr(core, "_node", counting(core._node))  # the routine that builds nodes
     for k in range(1, level + 1):
         for op, nodes, size in (
             (pop(k), level - k, width - 1),

@@ -568,6 +568,14 @@ def test_run_suites_unknown_name():
         run_suites(["no-such-suite"])
 
 
+def test_run_suites_checks_every_name_before_running_a_suite(monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness._SUITE_FUNCTIONS, "table1", lambda *args: ran.append(args) or ([], [], {}))
+    with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
+        run_suites(["table1", "no-such-suite"])
+    assert not ran
+
+
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_run_suites_needs_a_positive_step_bound(max_steps):
     with pytest.raises(ValueError, match="at least 1"):

@@ -15,7 +15,7 @@ it imports, directly or through them.  The text formats live
 in `text`, which imports only `core`, so each hand-built machine is
 defined once, as text: `cli` defines no parser, and only the automaton
 parser and the random machine generator build an `Automaton` or a
-`Transition`."""
+`Transition`, and only core's `pop`, `push` and `collapse` an `Op`."""
 
 import ast
 import importlib
@@ -195,8 +195,8 @@ def test_no_module_or_test_imports_a_name_it_does_not_use():
 
 
 # public definitions kept for the tests: the tuple model's bridge, the
-# constructor beside `pop` and `push`, the inverse of `spine`, and two oracles
-KEPT_FOR_THE_TESTS = {"from_nested", "to_nested", "collapse", "recompose", "replay", "check_composer"}
+# inverse of `spine`, and two oracles
+KEPT_FOR_THE_TESTS = {"from_nested", "to_nested", "recompose", "replay", "check_composer"}
 
 
 def test_every_public_definition_has_a_use_in_the_package():
@@ -213,9 +213,10 @@ def test_every_public_definition_has_a_use_in_the_package():
     unused = sorted(
         f"{module}.{node.name}"
         for module, node in public
-        if node.name not in KEPT_FOR_THE_TESTS and not uses.get(node.name, set()) - {(module, node)}
+        if not uses.get(node.name, set()) - {(module, node)}
     )
-    assert not unused, unused
+    # exactly the kept names: one that gains a use in the package leaves the list
+    assert {name.split(".")[1] for name in unused} == KEPT_FOR_THE_TESTS, unused
 
 
 def test_no_module_imports_dataclasses():
@@ -275,27 +276,41 @@ def test_cli_defines_no_parser():
     assert not found, found
 
 
-def machine_builds(node: ast.AST) -> int:
+def builds(node: ast.AST, classes: tuple[str, ...]) -> int:
     return sum(
         isinstance(call, ast.Call)
         and (call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None))
-        in ("Automaton", "Transition")
+        in classes
         for call in ast.walk(node)
     )
 
 
-def test_only_the_parser_and_the_random_machines_build_automata():
-    # a hand-built machine is a text that the parser reads
+def builders(classes: tuple[str, ...]) -> tuple[set[str], int]:
+    """The functions and methods of the package that call one of `classes`,
+    and the number of such calls outside every function and method."""
     callers, outside = set(), 0
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
-        outside += machine_builds(tree)
+        outside += builds(tree, classes)
         for name, fn in functions(tree):
-            if found := machine_builds(fn):
+            if found := builds(fn, classes):
                 callers.add(f"{path.stem}.{name}")
                 outside -= found
+    return callers, outside
+
+
+def test_only_the_parser_and_the_random_machines_build_automata():
+    # a hand-built machine is a text that the parser reads
+    callers, outside = builders(("Automaton", "Transition"))
     assert callers == {"text.parse_automaton_text", "harness.random_machine"}, sorted(callers)
     assert outside == 0, "an Automaton or a Transition built outside every function and method"
+
+
+def test_only_the_three_constructors_build_operations():
+    # the parser and the random machines ask core's pop, push and collapse
+    callers, outside = builders(("Op",))
+    assert callers == {"core.pop", "core.push", "core.collapse"}, sorted(callers)
+    assert outside == 0, "an Op built outside every function and method"
 
 
 def imported_closure(module: str) -> set[str]:

@@ -9,7 +9,7 @@ import pytest
 from hopad.core import (
     Automaton,
     Configuration,
-    StackError,
+    IllFormed,
     Step,
     Transition,
     apply_operation,
@@ -268,7 +268,7 @@ def _random_ops(rng, level, count):
         op = rng.choice(choices)
         try:
             stack = apply_operation(stack, level, op)
-        except StackError:
+        except IllFormed:
             continue
         ops.append(op)
     return tuple(ops)
@@ -584,6 +584,16 @@ def test_lineage_has_the_shape_of_the_concrete_stack(corpus_runs, recognizer_run
             if t:
                 op = run.transitions[t - 1].op
                 _assert_step_shares_the_snapshot_before(snaps[t - 1], snap, op, n)
+
+
+def test_a_chain_node_rebuilt_above_the_operation_keeps_the_old_size():
+    # a size above 256 computed anew is a fresh int per rebuilt node
+    run = _chain_run([push(2, "g")] * 300 + [push(1, "g"), pop(1)], 2)
+    snaps = instrument_lineage(run).snapshots
+    assert snaps[-3].children.size == 301
+    for before, after in zip(snaps[-3:], snaps[-2:]):
+        assert after.children is not before.children
+        assert after.children.size is before.children.size
 
 
 def test_ids_count_in_creation_order(corpus_runs, recognizer_runs):

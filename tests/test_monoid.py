@@ -60,6 +60,27 @@ def test_non_associative_table_is_reported():
     assert any("identity law" in msg for msg in validate_monoid(worse))
 
 
+def test_the_monoids_are_pinned():
+    shape = {
+        ("ID", "ID"): "ID", ("ID", "CLOSE"): "CLOSE", ("ID", "DOLLAR"): "DOLLAR", ("ID", "OTHER"): "OTHER",
+        ("CLOSE", "ID"): "CLOSE", ("CLOSE", "CLOSE"): "OTHER", ("CLOSE", "DOLLAR"): "OTHER",
+        ("CLOSE", "OTHER"): "OTHER",
+        ("DOLLAR", "ID"): "DOLLAR", ("DOLLAR", "CLOSE"): "DOLLAR", ("DOLLAR", "DOLLAR"): "DOLLAR",
+        ("DOLLAR", "OTHER"): "DOLLAR",
+        ("OTHER", "ID"): "OTHER", ("OTHER", "CLOSE"): "OTHER", ("OTHER", "DOLLAR"): "OTHER",
+        ("OTHER", "OTHER"): "OTHER",
+    }
+    presence = {("ID", "ID"): "ID", ("ID", "SOME"): "SOME", ("SOME", "ID"): "SOME", ("SOME", "SOME"): "SOME"}
+    for m, name, carrier, table, letter_map in (
+        (shape_monoid(), "shape", ("ID", "CLOSE", "DOLLAR", "OTHER"), shape,
+         {"]": "CLOSE", "$": "DOLLAR", "[": "OTHER"}),
+        (trivial_monoid("ab"), "trivial", ("ID",), {("ID", "ID"): "ID"}, {"a": "ID", "b": "ID"}),
+        (presence_monoid("ab"), "presence", ("ID", "SOME"), presence, {"a": "SOME", "b": "SOME"}),
+    ):
+        assert (m.name, m.carrier, m.identity) == (name, carrier, "ID")
+        assert m.table == table and m.letter_map == letter_map
+
+
 def test_generators_and_identity():
     m = shape_monoid()
     assert classify_word(m, "]") == "CLOSE"

@@ -14,6 +14,7 @@ from hopad.harness import (
     CLASSIFICATION_EXAMPLE,
     EnumerationSpace,
     classification_example_run,
+    run_suites,
 )
 from hopad.lineage import classification_table, instrument_lineage
 from hopad.monoid import presence_monoid
@@ -59,6 +60,11 @@ RECORDS = {
         ("level", "psis", "state", "goal"),
     ),
     "StackTyping": (stack_typing, ("level", "k", "typings")),
+    "SaturationStats": (
+        lambda: table_of(classification_example_run()).stats,
+        ("passes", "descriptors", "goals", "table_pairs"),
+    ),
+    "SuiteReport": (lambda: run_suites(["monoid-laws"]), ("lines", "hard_total")),
     "SrcResult": (src_result, ("k", "final", "sets", "provenance")),
     "ClassificationTable": (
         lambda: classification_table(instrument_lineage(classification_example_run())),

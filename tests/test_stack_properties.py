@@ -7,8 +7,8 @@ from hopad.core import (
     Atom,
     Automaton,
     Configuration,
+    IllFormed,
     Op,
-    StackError,
     Step,
     Stuck,
     Transition,
@@ -43,7 +43,7 @@ def ref_apply(stack, level, op, data, collapsible):
 
     if op.kind == "pop":
         if len(ref_top(stack, level - op.level)) < 2:
-            raise StackError("pop empties a stack")
+            raise IllFormed("pop empties a stack")
         return at_depth(stack, level - op.level, lambda s: s[:-1])
     if op.kind == "push":
         links = None
@@ -55,10 +55,10 @@ def ref_apply(stack, level, op, data, collapsible):
         return at_depth(stack, level - op.level, dup)
     links = ref_top(stack, level).links
     if not collapsible or links is None or len(links) < op.level:
-        raise StackError("no collapse link")
+        raise IllFormed("no collapse link")
     keep = links[op.level - 1] - 1
     if not 1 <= keep <= len(ref_top(stack, level - op.level)):
-        raise StackError("collapse empties or overshoots a stack")
+        raise IllFormed("collapse empties or overshoots a stack")
     return at_depth(stack, level - op.level, lambda s: s[:keep])
 
 
@@ -96,7 +96,7 @@ def test_random_operations_agree_with_the_tuple_model(case):
     for op, data in ops:
         try:
             expected = ref_apply(nested, level, op, data, collapsible)
-        except StackError:
+        except IllFormed:
             expected = None
         # one rule that fires on the top symbol, reading `data` if any
         top = top_stack(stack, level, 0)
@@ -113,7 +113,7 @@ def test_random_operations_agree_with_the_tuple_model(case):
             assert isinstance(res, Stuck) and res.reason.startswith("ill-formed: ")
             try:
                 apply_operation(stack, level, op, data)
-            except StackError:
+            except IllFormed:
                 continue
             raise AssertionError(f"{op} applied where the model refuses it")
         assert isinstance(res, Step)
