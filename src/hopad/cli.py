@@ -246,8 +246,7 @@ def _cmd_gen_word(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    selection = args.suite if args.suite else list(SUITE_NAMES)
-    report = run_suites(selection, seed=args.seed, max_steps=args.max_steps)
+    report = run_suites(args.suite, seed=args.seed, max_steps=args.max_steps)
     sys.stdout.write(report.text())
     return 0 if report.ok else 1
 

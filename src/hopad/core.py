@@ -353,7 +353,7 @@ def spine(stack: Stack, level: int, k: int) -> tuple[Stack, ...]:
 
     s^k is the topmost k-stack; each s^i above it is the topmost i-stack
     with its own topmost (i-1)-stack removed (None when that leaves it
-    empty).  ``recompose`` inverts this decomposition.
+    empty).
     """
     pieces = []
     while level > k:
@@ -362,14 +362,6 @@ def spine(stack: Stack, level: int, k: int) -> tuple[Stack, ...]:
         level -= 1
     pieces.append(stack)
     return tuple(pieces)
-
-
-def recompose(pieces: Iterable[Optional[Stack]]) -> Stack:
-    pieces = tuple(pieces)
-    cur = pieces[-1]
-    for piece in reversed(pieces[:-1]):
-        cur = Node(piece, cur)
-    return cur
 
 
 _tuple = tuple.__new__  # namedtuple's `_make` route, past the Python-level __new__
@@ -436,11 +428,7 @@ def apply_operation(
         else:
             new = _node(target, _replace_top(target.top, k - 1, atom), grown)
     elif kind == "collapse":
-        atom = target
-        i = k
-        while i:
-            atom = atom.top
-            i -= 1
+        atom = top_stack(target, k, 0)
         if atom.links is None or len(atom.links) < k:
             raise IllFormed(f"{op} on an atom without a level-{k} link")
         keep = atom.links[k - 1] - 1

@@ -291,9 +291,6 @@ def format_automaton(aut: Automaton) -> str:
     ]
     for t in aut.transitions:
         middle = "eps" if t.letter is None else f"in {t.letter}"
-        if t.op.kind == "push":
-            op = f"push {t.op.level} {t.op.symbol}"
-        else:
-            op = f"{t.op.kind} {t.op.level}"
+        op = " ".join(str(field) for field in t.op if field is not None)
         lines.append(f"trans {t.state} {t.symbol} {middle} {t.target} {op}")
     return "\n".join(lines) + "\n"

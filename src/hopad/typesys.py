@@ -99,50 +99,37 @@ class Universe:
     def intern_goal(
         self, m: str, r: int, sigmas: Iterable[Iterable[int]], q: str
     ) -> int:
-        sigmas = tuple(tuple(sorted(set(s))) for s in sigmas)
         if not 1 <= r <= self.level:
             raise ValueError(f"return level {r} out of range 1..{self.level}")
-        if len(sigmas) != self.level - r:
-            raise ValueError(f"goal at level {r} needs {self.level - r} result sets")
-        for idx, s in enumerate(sigmas):
-            self._check_members(s, self.level - idx)
-        g = Goal(m, r, sigmas, q)
-        gid = self._goal_ids.get(g)
-        if gid is None:
-            gid = len(self.goals)
-            self.goals.append(g)
-            self._goal_ids[g] = gid
-        return gid
+        g = Goal(m, r, self._slots(sigmas, r, "goal", "result"), q)
+        return _intern(self.goals, self._goal_ids, g)
 
     def intern_desc(
         self, level: int, psis: Iterable[Iterable[int]], state: str, goal_id: int
     ) -> int:
-        psis = tuple(tuple(sorted(set(p))) for p in psis)
-        if len(psis) != self.level - level:
-            raise ValueError(
-                f"descriptor at level {level} needs {self.level - level} assumption sets"
-            )
-        for idx, p in enumerate(psis):
-            self._check_members(p, self.level - idx)
+        d = RunDescriptor(level, self._slots(psis, level, "descriptor", "assumption"), state, goal_id)
         if self.goal(goal_id).r < level + 1:
             raise ValueError("goal return level must exceed the descriptor level")
-        d = RunDescriptor(level, psis, state, goal_id)
-        did = self._desc_ids.get(d)
-        if did is None:
-            if len(self.descriptors) > DESCRIPTOR_CAP:
-                raise ResourceCapExceeded(
-                    f"descriptor cap {DESCRIPTOR_CAP} exceeded",
-                    SaturationStats(descriptors=len(self.descriptors) - 1, goals=len(self.goals)),
-                )
-            self.descriptors.append(d)
-            did = len(self.descriptors) - 1
-            self._desc_ids[d] = did
-        return did
+        if len(self.descriptors) > DESCRIPTOR_CAP and d not in self._desc_ids:
+            raise ResourceCapExceeded(
+                f"descriptor cap {DESCRIPTOR_CAP} exceeded",
+                SaturationStats(descriptors=len(self.descriptors) - 1, goals=len(self.goals)),
+            )
+        return _intern(self.descriptors, self._desc_ids, d)
 
-    def _check_members(self, ids: Iterable[int], level: int) -> None:
-        for i in ids:
-            if i != NE and self.desc(i).level != level:
-                raise ValueError(f"id {i} is not a level-{level} descriptor")
+    def _slots(
+        self, sets: Iterable[Iterable[int]], low: int, what: str, kind: str
+    ) -> tuple[tuple[int, ...], ...]:
+        """`sets` as sorted id tuples, one per level n..low+1, each member
+        ne or a descriptor of its slot's level."""
+        slots = tuple(tuple(sorted(set(s))) for s in sets)
+        if len(slots) != self.level - low:
+            raise ValueError(f"{what} at level {low} needs {self.level - low} {kind} sets")
+        for level, s in zip(range(self.level, low, -1), slots):
+            for i in s:
+                if i != NE and self.desc(i).level != level:
+                    raise ValueError(f"id {i} is not a level-{level} descriptor")
+        return slots
 
     def psi_at(self, d: RunDescriptor, i: int) -> tuple[int, ...]:
         return d.psis[self.level - i]
@@ -174,47 +161,41 @@ class Universe:
         """Order-independent structural form, for cross-run comparisons."""
         if did == NE:
             return "ne"
+
+        def key(slots):
+            return tuple(tuple(sorted(map(self.struct_key, s), key=repr)) for s in slots)
+
         d = self.desc(did)
         g = self.goal(d.goal)
-        return (
-            d.level,
-            tuple(
-                tuple(sorted((self.struct_key(x) for x in p), key=repr)) for p in d.psis
-            ),
-            d.state,
-            (
-                g.m,
-                g.r,
-                tuple(
-                    tuple(sorted((self.struct_key(x) for x in s), key=repr))
-                    for s in g.sigmas
-                ),
-                g.q,
-            ),
-        )
+        return (d.level, key(d.psis), d.state, (g.m, g.r, key(g.sigmas), g.q))
 
     def render_goal(self, gid: int) -> str:
         g = self.goal(gid)
-        parts = [f"(goal {g.m} {g.r}"]
-        for idx, s in enumerate(g.sigmas):
-            parts.append(f"(sigma {self.level - idx}{_render_ids(s)})")
-        parts.append(f"{g.q})")
-        return " ".join(parts)
+        return " ".join([f"(goal {g.m} {g.r}", *self._render_slots("sigma", g.sigmas), f"{g.q})"])
 
     def render(self, did: int) -> str:
         if did == NE:
             return "(ne)"
         d = self.desc(did)
-        parts = [f"(desc"]
-        for idx, p in enumerate(d.psis):
-            parts.append(f"(psi {self.level - idx}{_render_ids(p)})")
-        parts.append(d.state)
-        parts.append(f"{self.render_goal(d.goal)})")
-        return " ".join(parts)
+        return " ".join(
+            ["(desc", *self._render_slots("psi", d.psis), d.state, f"{self.render_goal(d.goal)})"]
+        )
+
+    def _render_slots(self, name: str, slots: Sequence[Sequence[int]]) -> list[str]:
+        """One `(name level member ...)` per slot, levels n downwards."""
+        return [
+            f"({name} {self.level - idx}" + "".join(f" {'ne' if i == NE else i}" for i in s) + ")"
+            for idx, s in enumerate(slots)
+        ]
 
 
-def _render_ids(ids: Sequence[int]) -> str:
-    return "".join(f" {'ne' if i == NE else i}" for i in ids)
+def _intern(pool: list, ids: dict, value) -> int:
+    """The id of `value` in `pool`, appended on first sight."""
+    vid = ids.get(value)
+    if vid is None:
+        vid = ids[value] = len(pool)
+        pool.append(value)
+    return vid
 
 
 class Level0TypeTable:

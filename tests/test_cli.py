@@ -10,6 +10,7 @@ import pytest
 
 import hopad
 import hopad.cli as cli
+import hopad.harness as harness
 from hopad.cli import main
 from hopad.core import (
     MAX_LEVEL,
@@ -20,7 +21,7 @@ from hopad.core import (
     to_nested,
     top_stack,
 )
-from hopad.harness import CLASSIFICATION_EXAMPLE, EXCURSION
+from hopad.harness import CLASSIFICATION_EXAMPLE, EXCURSION, SUITE_NAMES
 from hopad.lineage import Starts
 from hopad.text import (
     CliError,
@@ -370,6 +371,23 @@ def test_verify_command_smoke():
     code, out = run_cli("verify", "--suite", "monoid-laws", "--suite", "w-recurrence")
     assert code == 0
     assert out.splitlines()[0].startswith("suite=monoid-laws status=pass")
+
+
+def test_verify_without_a_suite_runs_every_suite_in_order(monkeypatch):
+    ran = []
+
+    def stub(name):
+        def run(seed, run_bound, src_bound):
+            ran.append(name)
+            return [], [], {}
+
+        return run
+
+    monkeypatch.setattr(harness, "_SUITE_FUNCTIONS", {name: stub(name) for name in SUITE_NAMES})
+    code, out = run_cli("verify")
+    assert code == 0
+    assert out.splitlines() == [f"suite={name} status=pass hard=0 soft=0" for name in SUITE_NAMES]
+    assert ran == list(SUITE_NAMES)
 
 
 def test_verify_max_steps_sets_the_run_bound():

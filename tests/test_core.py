@@ -24,7 +24,6 @@ from hopad.core import (
     pop,
     project_word,
     push,
-    recompose,
     replay,
     spine,
     step,
@@ -193,7 +192,7 @@ def test_collapse_truncates_to_link():
         apply_operation(from_nested(beyond, 2), 2, collapse(2))
 
 
-def test_spine_and_recompose():
+def test_spine_pieces_are_the_topmost_stacks():
     def nested_spine(stack, k):
         pieces = spine(stack, 2, k)
         return tuple(to_nested(p, lvl) for p, lvl in zip(pieces, range(2, k - 1, -1)))
@@ -205,7 +204,10 @@ def test_spine_and_recompose():
     assert spine(lone, 2, 1)[0] is None  # the empty 2-stack under the top
     assert nested_spine(lone, 1) == ((), (atom("X"),))
     for k in (0, 1, 2):
-        assert recompose(spine(AB_CD, 2, k)) == AB_CD
+        pieces = spine(AB_CD, 2, k)
+        assert pieces[-1] is top_stack(AB_CD, 2, k)
+        for i, piece in zip(range(2, k, -1), pieces):
+            assert piece is top_stack(AB_CD, 2, i).below
 
 
 def test_well_formedness():

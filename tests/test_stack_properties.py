@@ -14,7 +14,6 @@ from hopad.core import (
     Transition,
     apply_operation,
     from_nested,
-    recompose,
     spine,
     step,
     to_nested,
@@ -157,9 +156,14 @@ def test_stack_literals_round_trip(case):
 
 @PROPERTY
 @given(st.data())
-def test_the_recomposed_upper_spine_is_the_topmost_stack(data):
+def test_each_spine_piece_is_cut_from_a_topmost_stack(data):
+    # piece i above k is the topmost i-stack without its topmost
+    # (i-1)-stack; the last piece is the topmost k-stack
     level, _, nested = data.draw(nested_with_level())
     stack = from_nested(nested, level)
     k = data.draw(st.integers(0, level))
-    r = data.draw(st.integers(k, level))
-    assert recompose(spine(stack, level, k)[level - r :]) == top_stack(stack, level, r)
+    pieces = spine(stack, level, k)
+    assert len(pieces) == level - k + 1
+    assert pieces[-1] is top_stack(stack, level, k)
+    for i, piece in zip(range(level, k, -1), pieces):
+        assert piece is top_stack(stack, level, i).below

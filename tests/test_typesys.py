@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,8 @@ from hopad.monoid import presence_monoid, shape_monoid
 from hopad.text import parse_automaton_text, parse_stack_literal
 from hopad.typesys import (
     NE,
+    ResourceCapExceeded,
+    SaturationStats,
     StartRuns,
     Universe,
     atom_typing,
@@ -390,21 +393,72 @@ def test_goal_space_covers_materialized_goals(single_pop):
         assert desc.goal in goals
 
 
-def test_universe_interning_and_level_checks():
+def exactly(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def test_universe_interning_and_level_checks(monkeypatch):
     uni = Universe(2)
     g = uni.intern_goal("m", 2, (), "q")
     a = uni.intern_desc(0, ((), ()), "q", g)
     b = uni.intern_desc(0, ((), ()), "q", g)
     assert a == b
-    with pytest.raises(ValueError):
+    # ids in first-sight order: goals from 0, descriptors from 1 (0 is ne)
+    g1 = uni.intern_goal("m", 1, ((NE,),), "q")
+    c = uni.intern_desc(1, ((NE,),), "q", g)
+    d = uni.intern_desc(0, ((NE,), (c,)), "q", g1)
+    assert (g, g1, a, c, d) == (0, 1, 1, 2, 3)
+    # a slot is a set: order and repeats do not matter
+    assert uni.intern_desc(0, [[NE, NE], {c}], "q", g1) == d
+    assert uni.intern_goal("m", 1, [[NE, NE]], "q") == g1
+    goals, descriptors = list(uni.goals), list(uni.descriptors)
+    with exactly("return level 3 out of range 1..2"):
         uni.intern_goal("m", 3, (), "q")
-    with pytest.raises(ValueError):
-        uni.intern_desc(0, ((),), "q", g)  # wrong arity
-    with pytest.raises(ValueError):
-        uni.intern_desc(2, (), "q", g)  # goal level too low for the descriptor
+    with exactly("return level 0 out of range 1..2"):  # checked before the sets
+        uni.intern_goal("m", 0, ((a,), (a,)), "q")
+    with exactly("goal at level 1 needs 1 result sets"):
+        uni.intern_goal("m", 1, (), "q")
+    with exactly("id 1 is not a level-2 descriptor"):  # a sigma member
+        uni.intern_goal("m", 1, ((a,),), "q")
+    with exactly("descriptor at level 0 needs 2 assumption sets"):
+        uni.intern_desc(0, ((),), "q", g)
+    with exactly("id 2 is not a level-2 descriptor"):  # a psi member
+        uni.intern_desc(0, ((c,), ()), "q", g)
+    with exactly("id 1 is not a level-1 descriptor"):
+        uni.intern_desc(0, ((), (NE, a)), "q", g)
+    with exactly("goal return level must exceed the descriptor level"):
+        uni.intern_desc(2, (), "q", g)
+    with exactly("goal return level must exceed the descriptor level"):
+        uni.intern_desc(1, ((NE,),), "q", g1)
+    assert (uni.goals, uni.descriptors) == (goals, descriptors)
     dropped = uni.drop(a, 1)
     assert dropped is not None and uni.desc(dropped).level == 1
     assert uni.drop(a, 2) is None
+    # at the cap a known descriptor keeps its id and a new one is refused
+    monkeypatch.setattr("hopad.typesys.DESCRIPTOR_CAP", len(uni.descriptors) - 1)
+    descriptors = list(uni.descriptors)
+    assert uni.intern_desc(0, ((NE,), (c,)), "q", g1) == d
+    with pytest.raises(ResourceCapExceeded, match="^descriptor cap 4 exceeded$") as caught:
+        uni.intern_desc(0, ((NE,), ()), "q", g)
+    assert caught.value.stats == SaturationStats(descriptors=4, goals=2)
+    assert uni.descriptors == descriptors
+
+
+def test_struct_key_is_pinned():
+    # the benchmark's long-runs saturation digest reads these keys
+    aut = parse_automaton_text(EXCURSION).automaton
+    uni = saturate_level0(aut, presence_monoid(aut.input_alphabet)).universe
+    assert uni.struct_key(NE) == "ne"
+    assert uni.struct_key(2) == (0, (("ne",), ("ne",)), "q1", ("ID", 1, (("ne",),), "q2"))
+    assert uni.struct_key(9) == (
+        0, (("ne",), ((1, (("ne",),), "q2", ("SOME", 2, (), "q3")),)), "q1", ("SOME", 2, (), "q3")
+    )
+    assert uni.struct_key(13) == (
+        0,
+        (("ne",), ("ne", (1, (("ne",),), "q2", ("SOME", 2, (), "q3")))),
+        "q",
+        ("SOME", 1, (("ne",),), "q4"),
+    )
 
 
 def test_agrees_examples(single_pop):
