@@ -2,15 +2,15 @@
 
 The enumeration is the brute-force oracle behind the differential and
 correspondence suites: all runs up to a step bound from a start configuration,
-branching over input choices only.  Pop reads are forced to the topmost
-data value, push reads branch over a finite data universe (or just {0}
-when restricted to normalized runs), epsilon steps are forced by
-determinism.  The correspondence suites read values, so they take these
-concrete runs.  Classifier-equivalence reads only the operations, and
-walks one representative run per value-free branch, weighted by the
-number of concrete runs it stands for: only a pop's guard reads a value,
-and that value is forced, so a value read by a push or a collapse never
-changes which operations can follow.
+branching over input choices only.  Pop reads are forced to the topmost data
+value, push reads branch over a finite data universe (or just {0} in
+normalized runs), epsilon steps are forced by determinism.  The correspondence
+suites take the normalized runs: run2type sees a pushed value only as present
+or absent, the others are stated over them.  Classifier-equivalence reads only
+the operations, and walks one representative run per value-free branch,
+weighted by the number of concrete runs it stands for: only a pop's guard
+reads a value, and that value is forced, so a value read by a push or a
+collapse never changes which operations can follow.
 
 The corpus's hand-built machines are scenario texts, parsed on each use.
 """
@@ -559,23 +559,22 @@ def _fold(reports):
     return hard, soft, stats
 
 
-def _starts(seed, machines, bound, normalized):
+def _starts(seed, machines, bound):
     """Per start configuration of the first `machines` corpus machines,
-    each saturated once: the machine's name, the StartRuns of its runs up
-    to `bound` over the base universe (0, 1), every push reading 0 when
-    `normalized`, and the nonzero values its stack stores.  The StartRuns
-    of one call share their derivations."""
+    each saturated once: the machine's name, the StartRuns of its
+    normalized runs up to `bound` over the base universe (0, 1), sharing
+    one derivation memo, and the nonzero values its stack stores."""
     derived: dict = {}
     for name, aut, cfgs in _corpus(seed, machines):
         monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
         table = saturate_level0(aut, monoid)
         for cfg in cfgs:
-            runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, (0, 1), normalized))
+            runs = enumerate_runs(EnumerationSpace(aut, cfg, bound, (0, 1), normalized_only=True))
             yield name, StartRuns(cfg, table, runs, derived), stack_values(cfg.stack, aut.level) - {0}
 
 
 def _suite_run2type(seed, run_bound, src_bound):
-    starts = _starts(seed, TYPED_MACHINES, run_bound, False)
+    starts = _starts(seed, TYPED_MACHINES, run_bound)
     hard, soft, stats = _fold((name, check_run2type(start)) for name, start, _ in starts)
     misses = sum(line.startswith("single-pop: ") for line in soft)
     if misses:
@@ -584,7 +583,7 @@ def _suite_run2type(seed, run_bound, src_bound):
 
 
 def _suite_idv(seed, run_bound, src_bound):
-    starts = _starts(seed, TYPED_MACHINES, run_bound, True)
+    starts = _starts(seed, TYPED_MACHINES, run_bound)
     reports = [(name, check_idv(start, sorted({1, 2} | stored)[:4])) for name, start, stored in starts]
     hard, soft, stats = _fold(reports)
     if not any(rep.verified for name, rep in reports if name == "single-pop"):
@@ -606,7 +605,7 @@ def _transfer(seed, src_bound, check, extra, top):
     the least len(extra) + 2 values of `extra` and those the start stores."""
     return _fold(
         (name, check(run, k, start, sorted(extra | stored)[: len(extra) + 2]))
-        for name, start, stored in _starts(seed, CORPUS_MACHINES, src_bound, True)
+        for name, start, stored in _starts(seed, CORPUS_MACHINES, src_bound)
         for run in start.runs  # the check decides whether the run is k-upper
         for k in range(start.table.automaton.level + top)
     )

@@ -127,7 +127,7 @@ class Universe:
             raise ValueError(f"{what} at level {low} needs {self.level - low} {kind} sets")
         for level, s in zip(range(self.level, low, -1), slots):
             for i in s:
-                if i != NE and self.desc(i).level != level:
+                if i != NE and not (0 < i < len(self.descriptors) and self.desc(i).level == level):
                     raise ValueError(f"id {i} is not a level-{level} descriptor")
         return slots
 
@@ -757,7 +757,8 @@ def _correspondence(start: StartRuns, values, hard, soft):
 
 def check_run2type(start: StartRuns) -> CheckReport:
     """Both directions of the run/descriptor correspondence over the runs
-    of `start`, every run from its configuration up to a bound.
+    of `start`, up to a bound.  Normalized runs decide it: agreeing reads
+    no pushed value, as an atom types by its symbol and whether it has one.
 
     1=>2 (hard): every given run agreeing with a goal must be witnessed
     by a matching descriptor with held assumption sets.

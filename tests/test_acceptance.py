@@ -56,7 +56,7 @@ def test_criterion_03_classifier_equivalence():
 def test_criterion_04_run_descriptor_soundness():
     # the suite itself escalates unwitnessed single-pop items to hard,
     # so the fully-witnessed requirement on that machine rides on `ok`
-    _criterion(4, "run/descriptor correspondence at bound 6", 5.0, ["run2type"])
+    _criterion(4, "run/descriptor correspondence, normalized runs at bound 6", 1.0, ["run2type"])
 
 
 def test_criterion_05_important_value_soundness():

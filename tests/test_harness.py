@@ -40,7 +40,7 @@ from hopad.lineage import (
     is_k_upper,
     remark_k_return,
 )
-from hopad.monoid import presence_monoid
+from hopad.monoid import presence_monoid, shape_monoid
 from hopad.text import parse_automaton_text
 from hopad.typesys import StartRuns, saturate_level0
 
@@ -443,7 +443,7 @@ def test_shared_derivations_are_the_asking_runs_own(monkeypatch):
     # single-pop machine asks for the same operations
     corpus = list(harness._corpus(20260808, harness.CORPUS_MACHINES))[::-1]
     monkeypatch.setattr(harness, "_corpus", lambda seed, count: iter(corpus))
-    starts = harness._starts(20260808, harness.CORPUS_MACHINES, harness.RUN_BOUND, True)
+    starts = harness._starts(20260808, harness.CORPUS_MACHINES, harness.RUN_BOUND)
     served = 0
     for _, start, _ in starts:
         for run in start.runs:
@@ -509,6 +509,25 @@ def test_soundness_suites_instrument_no_lineage(monkeypatch):
     suites = ["run2type", "idv", "origin", "idv-upper"]
     assert run_suites(suites, seed=20260808, max_steps=4).ok
     assert made == []
+
+
+def test_run2type_decides_the_same_on_concrete_and_normalized_runs():
+    # check_run2type sees a stored value only as present or absent, so the
+    # normalized runs, every push reading 0, decide it as the concrete
+    # runs do: each start reports the same counts and lines on either
+    runs_seen = {False: 0, True: 0}
+    for name, aut, cfgs in harness._corpus(20260808, harness.TYPED_MACHINES):
+        monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
+        table = saturate_level0(aut, monoid)
+        for cfg in cfgs:
+            reports = {}
+            for normalized in (False, True):
+                runs = enumerate_runs(EnumerationSpace(aut, cfg, harness.RUN_BOUND, (0, 1), normalized))
+                runs_seen[normalized] += len(runs)
+                rep = typesys.check_run2type(StartRuns(cfg, table, runs, {}))
+                reports[normalized] = [rep.checked, rep.verified, rep.hard_failures, rep.unwitnessed, rep.errors]
+            assert reports[False] == reports[True], (name, cfg)
+    assert runs_seen == {False: 2_497, True: 194}
 
 
 def test_the_goal_space_is_built_once_per_table(monkeypatch):

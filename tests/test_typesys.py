@@ -442,6 +442,18 @@ def test_universe_interning_and_level_checks(monkeypatch):
         uni.intern_desc(0, ((NE,), ()), "q", g)
     assert caught.value.stats == SaturationStats(descriptors=4, goals=2)
     assert uni.descriptors == descriptors
+    # a member that is no id of the pool is refused, not read from its end:
+    # id -1 would be the level-2 descriptor 1, id 99 past the pool
+    uni = Universe(3)
+    g3 = uni.intern_goal("m", 3, (), "q")
+    assert uni.intern_desc(2, ((),), "q", g3) == 1
+    goals, descriptors = list(uni.goals), list(uni.descriptors)
+    for bad in (-1, 99):
+        with exactly(f"id {bad} is not a level-2 descriptor"):  # a sigma member
+            uni.intern_goal("m", 1, ((), (bad,)), "q")
+        with exactly(f"id {bad} is not a level-2 descriptor"):  # a psi member
+            uni.intern_desc(0, ((), (bad,), ()), "q", g3)
+        assert (uni.goals, uni.descriptors) == (goals, descriptors)
 
 
 def test_struct_key_is_pinned():
@@ -670,7 +682,7 @@ def test_check_composer_is_the_oracle_for_discharges(monkeypatch):
             assert union in yielded, (psi_k, sorted(chosen))
 
     monkeypatch.setattr(typesys, "_discharges", checked)
-    for _ in _starts(20260808, TYPED_MACHINES, 0, True):
+    for _ in _starts(20260808, TYPED_MACHINES, 0):
         pass  # saturates each machine once
     assert yields == 235 and choices_seen == 235
 
@@ -745,16 +757,20 @@ def test_stack_typing_per_node_is_the_fold_over_elements(fragment_openings, open
 def test_stack_typing_is_the_fold_over_elements_on_the_typed_corpus():
     # the u-fragment's stacks above type to {ne} at levels 1 and 2; these
     # carry promoted descriptors and important values there
-    from hopad.harness import TYPED_MACHINES, _starts
+    # (the concrete runs at bound 5: 1,370 final stacks, 909 of them with
+    # promoted descriptors)
+    from hopad.harness import TYPED_MACHINES, _corpus
 
     stacks = promoted = 0
-    for _, start, _ in _starts(20260808, TYPED_MACHINES, 5, False):
-        table, n = start.table, start.table.automaton.level
-        for run in start.runs:
-            _assert_typings_are_the_fold(run.last.stack, n, table, {})
-            st = type_of_stack(run.last.stack, 0, table)
-            promoted += any(set(st.typing(i)) - {NE} for i in range(1, n + 1))
-            stacks += 1
+    for name, aut, cfgs in _corpus(20260808, TYPED_MACHINES):
+        monoid = shape_monoid() if name == "u-fragment" else presence_monoid(aut.input_alphabet)
+        table, n = saturate_level0(aut, monoid), aut.level
+        for cfg in cfgs:
+            for run in runs_from(aut, cfg, 5, (0, 1), False):
+                _assert_typings_are_the_fold(run.last.stack, n, table, {})
+                st = type_of_stack(run.last.stack, 0, table)
+                promoted += any(set(st.typing(i)) - {NE} for i in range(1, n + 1))
+                stacks += 1
     assert stacks > 1000 and promoted > 500
 
 
